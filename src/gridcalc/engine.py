@@ -209,7 +209,7 @@ class Engine:
         self.workspace = workspace
         self.graph = self.build_graph()
         self.dirty: set[CellAddress] = set(self._formula_addresses())
-        self._plans: dict[CellAddress, list] = {}
+        self._plans: dict[int, list] = {}  # table id -> dependents_plan
 
     # -- graph construction ---------------------------------------------------
 
@@ -267,16 +267,19 @@ class Engine:
             raise tables.TableIntegrityError(f"{addr!r} is part of a data table and cannot be edited")
         if isinstance(content, TableBody):
             raise ValueError("table body cells are created by table declarations only")
+        was_formula = existing is not None and isinstance(existing.content, Formula)
         sheet.set_content(addr.row, addr.column, content)
         self.graph.remove_node(addr)
         if isinstance(content, Formula):
             precedents, volatile = self._node_edges(content.ast)
             self.graph.set_node(addr, precedents, volatile)
-            if any(addr in t.formula_cells() for t in self.workspace.tables):
+            owner = self.workspace.table_at(addr)
+            if owner is not None and owner.is_result_cell(addr):
                 self.graph.volatile.add(addr)
         newly_dirty = {addr} | self.graph.dependents_closure({addr})
         self.dirty |= newly_dirty
-        self._plans.clear()
+        if was_formula or isinstance(content, Formula):
+            self._plans.clear()  # plans hold graph edges and formula cells only
         return newly_dirty
 
     def set_literal(self, addr: CellAddress, value) -> set:
@@ -341,7 +344,7 @@ class Engine:
         self.full_recalc()
         out = {}
         for comp in self._ordered_components(set(self.graph.precedents)):
-            if len(comp) > 1 or comp[0] in self.graph.precedents.get(comp[0], ()):
+            if self._is_cyclic(comp):
                 for addr in comp:
                     out[addr] = self.workspace.value(addr)
         return out
@@ -352,13 +355,16 @@ class Engine:
         cell = self.workspace.cell(addr)
         return cell is not None and isinstance(cell.content, Formula)
 
+    def _is_cyclic(self, comp: list) -> bool:
+        return len(comp) > 1 or comp[0] in self.graph.precedents.get(comp[0], ())
+
     def _run_targets(self, targets: set, stats: EvalStats, rng: random.Random | None) -> None:
         if not targets:
             return
         closure = targets | {a for a in self.graph.dependents_closure(targets) if self._is_formula(a)}
         needs = set(targets)
         for comp in self._ordered_components(closure, rng):
-            if len(comp) > 1 or comp[0] in self.graph.precedents.get(comp[0], ()):
+            if self._is_cyclic(comp):
                 changed = self._eval_cycle(comp, stats)
                 for addr in changed:
                     needs.update(self.graph.dependents.get(addr, ()))
@@ -497,24 +503,57 @@ class Engine:
 
     # -- data-table support ---------------------------------------------------------
 
-    def dependents_plan(self, input_cell: CellAddress) -> list:
-        """Cached evaluation plan for the transitive dependents of a table's
-        input cell: topologically ordered, table-body cells excluded."""
-        plan = self._plans.get(input_cell)
-        if plan is None:
-            deps = {
-                a
-                for a in self.graph.dependents_closure({input_cell})
-                if self._is_formula(a)
-            }
-            plan = []
-            for comp in self._ordered_components(deps):
-                if len(comp) > 1 or comp[0] in self.graph.precedents.get(comp[0], ()):
-                    plan.append((None, comp))
-                else:
-                    addr = comp[0]
-                    plan.append((addr, self.workspace.cell(addr)))
-            self._plans[input_cell] = plan
+    def dependents_plan(self, table) -> list:
+        """Cached evaluation plan for one data table: its function body.
+
+        The plan holds the formula cells that lie between the table's input
+        cell and its result formulas, i.e. precedents of a result that the
+        input cell (or a volatile cell among those precedents) reaches,
+        topologically ordered; table-body cells hold no formulas and never
+        appear. It is built by a reverse walk from the result formulas, so
+        its cost is the size of the body, not of the workbook around it.
+        The one exception: with iterative calculation on and a cycle among
+        the input cell's dependents, the plan covers every dependent, so a
+        self-referential counter observes each pass.
+
+        A plan depends only on graph edges and on which cells hold formulas:
+        it is dropped when a formula is entered or replaced and when a table
+        is declared, not on literal edits.
+        """
+        plan = self._plans.get(table.table_id)
+        if plan is not None:
+            return plan
+        g = self.graph
+        body = {a for a in table.formula_cells() if a in g.precedents}
+        inner: dict = {}  # cell -> its dependents inside the body
+        stack = list(body)
+        while stack:
+            a = stack.pop()
+            for p in g.precedents[a]:
+                inner.setdefault(p, []).append(a)
+                if p not in body and p in g.precedents:
+                    body.add(p)
+                    stack.append(p)
+        nodes = body & g.volatile
+        stack = [table.input_cell, *nodes]
+        while stack:
+            for d in inner.get(stack.pop(), ()):
+                if d not in nodes:
+                    nodes.add(d)
+                    stack.append(d)
+        if self.workspace.config.iterative:
+            forward = g.dependents_closure({table.input_cell})
+            if any(self._is_cyclic(c) for c in self._ordered_components(forward)):
+                nodes |= forward
+        nodes.discard(table.input_cell)
+        plan = []
+        for comp in self._ordered_components(nodes):
+            if self._is_cyclic(comp):
+                plan.append((None, comp))
+            else:
+                addr = comp[0]
+                plan.append((addr, self.workspace.cell(addr)))
+        self._plans[table.table_id] = plan
         return plan
 
     def run_plan(self, plan: list, stats: EvalStats) -> None:

@@ -218,6 +218,10 @@ Node = Union[Literal, Ref, ArrayConst, Unary, Binary, Call]
 
 _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 
+# Deepest nesting of parentheses, call arguments and prefix signs the
+# parser accepts; each level costs it about ten stack frames.
+MAX_NESTING = 64
+
 
 def _unquote(lexeme: str) -> str:
     return lexeme[1:-1].replace('""', '"')
@@ -233,6 +237,7 @@ class _Parser:
         self.source = source
         self.context = context
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -254,6 +259,14 @@ class _Parser:
             return tok
         return None
 
+    def _nest(self) -> None:
+        """Enter one nesting level; too deep a formula is a parse error."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self._peek()
+            where = tok.start if tok is not None else len(self.source)
+            raise ParseError(f"formula nested more than {MAX_NESTING} levels deep", where)
+
     def _expect(self, kind: str, lexeme: str | None = None) -> Token:
         tok = self._accept(kind, lexeme)
         if tok is None:
@@ -273,7 +286,10 @@ class _Parser:
         return node
 
     def expression(self) -> Node:
-        return self.comparison()
+        self._nest()
+        node = self.comparison()
+        self.depth -= 1
+        return node
 
     def comparison(self) -> Node:
         node = self.concat()
@@ -318,7 +334,10 @@ class _Parser:
         tok = self._peek()
         if tok is not None and tok.kind == OPERATOR and tok.lexeme in ("-", "+"):
             self.pos += 1
-            return Unary(tok.lexeme, self.unary())
+            self._nest()
+            node = Unary(tok.lexeme, self.unary())
+            self.depth -= 1
+            return node
         return self.primary()
 
     def primary(self) -> Node:
@@ -494,6 +513,11 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
     info = DependencyInfo(set())
 
     def walk(node) -> None:
+        # an operator chain is left-deep: loop down its spine rather than
+        # recurse once per term, so a long chain cannot exhaust the stack
+        while isinstance(node, Binary):
+            walk(node.right)
+            node = node.left
         if isinstance(node, Ref):
             if isinstance(node.target, str):
                 target = names.get(node.target.casefold())
@@ -505,9 +529,6 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
                 info.refs.add(node.target)
         elif isinstance(node, Unary):
             walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
         elif isinstance(node, Call):
             folded = node.name.casefold()
             if folded in _VOLATILE_CALLS:

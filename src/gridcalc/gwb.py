@@ -179,8 +179,8 @@ def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
             raise LoadError(path, line_no, str(exc)) from exc
 
     for line_no, addr, orientation, input_cell in placeholders:
-        owner = next((t for t in ws.tables if addr in t.body_cells()), None)
-        if owner is None:
+        owner = ws.table_at(addr)
+        if owner is None or not owner.is_body_cell(addr):
             raise LoadError(path, line_no, f"{addr.local_text()}: TABLE cell outside any declared table")
         if owner.orientation != orientation or owner.input_cell != input_cell:
             raise LoadError(

@@ -599,6 +599,8 @@ class Workspace:
         self._workbooks: dict[str, Workbook] = {}
         self.defined_names: dict[str, tuple[str, Reference]] = {}
         self.tables: list[Any] = []
+        # every cell of every table region, by address sort key -> its table
+        self.table_index: dict[tuple, Any] = {}
         self.config = config if config is not None else CalcConfig()
 
     # -- workbooks / sheets -------------------------------------------------
@@ -667,3 +669,7 @@ class Workspace:
 
     def table(self, table_id: int):
         return self.tables[table_id]
+
+    def table_at(self, addr: CellAddress):
+        """The table whose region holds *addr*, or None."""
+        return self.table_index.get(addr.sort_key)

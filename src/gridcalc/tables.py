@@ -2,9 +2,10 @@
 
 A declared table region holds result formulas along one edge, candidate
 input values along the other, and a body of locked cells. Evaluating the
-table substitutes each candidate into the input cell, recomputes the input
-cell's dependents, collects the result formulas' values into the body row,
-and finally restores the input cell's original content.
+table substitutes each candidate into the input cell, re-runs the table's
+function body (the cells between the input cell and the result formulas),
+collects the result formulas' values into the body row, and finally
+restores the input cell's original content.
 
 Body cells of *every* table are frozen during any table's evaluation (they
 carry no formulas, so no recomputation can reach them). That one rule makes
@@ -98,6 +99,18 @@ class DataTableRegion:
             tl.row + 1 + formula_index,
         )
 
+    def is_result_cell(self, addr: CellAddress) -> bool:
+        """Whether *addr*, a cell of this region, holds a result formula."""
+        tl = self.region.top_left
+        if self.orientation == COLUMN_INPUT:
+            return addr.row == tl.row and addr.column > tl.column
+        return addr.column == tl.column and addr.row > tl.row
+
+    def is_body_cell(self, addr: CellAddress) -> bool:
+        """Whether *addr*, a cell of this region, is a body cell."""
+        tl = self.region.top_left
+        return addr.row > tl.row and addr.column > tl.column
+
     def body_cells(self) -> list[CellAddress]:
         tl, br = self.region.top_left, self.region.bottom_right
         return [
@@ -138,20 +151,30 @@ def declare_table(
         raise TableError("the input cell must be on the same sheet as the table")
     if region.contains(input_cell):
         raise TableError("the input cell cannot lie inside the table region")
-    for other in ws.tables:
-        if other.region.overlaps(region):
-            raise TableError(f"table region {region!r} overlaps {other.region!r}")
+    br = region.bottom_right
+    book, sheet_name = tl.workbook.casefold(), tl.sheet.casefold()
+    keys = [
+        (book, sheet_name, r, c)
+        for r in range(tl.row, br.row + 1)
+        for c in range(tl.column, br.column + 1)
+    ]
+    overlapped = {ws.table_index[k].table_id for k in keys if k in ws.table_index}
+    if overlapped:
+        other = ws.table(min(overlapped))
+        raise TableError(f"table region {region!r} overlaps {other.region!r}")
     input_existing = ws.cell(input_cell)
     if input_existing is not None and isinstance(input_existing.content, TableBody):
         raise TableError("the input cell is part of another table's body")
     table = DataTableRegion(len(ws.tables), region, orientation, input_cell)
-    for addr in table.body_cells():
+    body = table.body_cells()
+    for addr in body:
         cell = sheet.cell(addr.row, addr.column)
         if cell is not None and cell.content is not None:
             raise TableError(f"table body cell {addr!r} is not empty")
-    for addr in table.body_cells():
+    for addr in body:
         sheet.set_content(addr.row, addr.column, TableBody(table.table_id))
     ws.tables.append(table)
+    ws.table_index.update(dict.fromkeys(keys, table))
     return table
 
 
@@ -167,37 +190,44 @@ def evaluate_table(engine, table: DataTableRegion, stats) -> set:
     """Run the substitute/recompute/collect/restore cycle for one table.
 
     For each candidate value, in order: write it into the input cell as a
-    literal, recompute the input cell's dependents (all table bodies stay
-    frozen), and copy each result formula's value into the matching body
-    cell. Afterwards the input cell's original content is restored and its
-    dependents recomputed once more, so nothing outside table bodies keeps
-    any trace of the passes. Returns the body cells whose value changed.
+    literal, run the table's plan (:meth:`Engine.dependents_plan`: its
+    function body only, all table bodies frozen), and copy each result
+    formula's value into the matching body cell. Afterwards, on every exit
+    path including an exception, the input cell's original content and
+    cached value are restored and the plan runs once more, so nothing
+    outside table bodies keeps any trace of the passes. Returns the body
+    cells whose value changed.
     """
     ws = engine.workspace
-    plan = engine.dependents_plan(table.input_cell)
+    plan = engine.dependents_plan(table)
     sheet = ws.resolve_sheet(table.input_cell)
-    saved_cell = sheet.cell(table.input_cell.row, table.input_cell.column)
+    key = (table.input_cell.row, table.input_cell.column)
+    saved_cell = sheet.cells.get(key)
     saved = None if saved_cell is None else (saved_cell.content, saved_cell.cached)
     values = [ws.value(a) for a in table.value_cells()]  # snapshot before any pass
     formula_addrs = table.formula_cells()
     changed: set = set()
-    for i, v in enumerate(values):
-        _write_input(ws, table.input_cell, v)
+    try:
+        for i, v in enumerate(values):
+            _write_input(ws, table.input_cell, v)
+            engine.run_plan(plan, stats)
+            for j, faddr in enumerate(formula_addrs):
+                result = ws.value(faddr)
+                addr = table.body_address(i, j)
+                body = ws.cell(addr)
+                if not values_equal(body.cached, result):
+                    changed.add(addr)
+                body.cached = result
+            stats.body_passes += 1
+    finally:
+        # put the very same Cell back: plans hold references to cell objects
+        if saved_cell is None:
+            sheet.cells.pop(key, None)
+        else:
+            sheet.cells[key] = saved_cell
+            saved_cell.content, saved_cell.cached = saved
         engine.run_plan(plan, stats)
-        for j, faddr in enumerate(formula_addrs):
-            result = ws.value(faddr)
-            body = ws.cell(table.body_address(i, j))
-            if not values_equal(body.cached, result):
-                changed.add(table.body_address(i, j))
-            body.cached = result
-        stats.body_passes += 1
-    if saved is None:
-        _write_input(ws, table.input_cell, None)
-    else:
-        restored = sheet.set_content(table.input_cell.row, table.input_cell.column, saved[0])
-        restored.cached = saved[1]
-    engine.run_plan(plan, stats)
-    stats.table_restores += 1
+        stats.table_restores += 1
     return changed
 
 

@@ -70,3 +70,13 @@ def test_out_of_grid_call_count_rejected():
         bench.build_workspace(600_000, "small", 1)
     with pytest.raises(ValueError):
         bench.build_workspace(5, "medium", 1)
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_evaluation_counts_are_linear_in_calls(n):
+    # small: N+2 cells in phase 1, then per call one pass and one restore of
+    # the 3-cell body; large: 3 in phase 1, then N passes and one restore
+    (small,), _ = bench.run(n, "small")
+    (large,), _ = bench.run(n, "large")
+    assert small.stats.cell_evaluations == 7 * n + 2
+    assert large.stats.cell_evaluations == 3 * n + 6

@@ -167,3 +167,11 @@ def test_iterative_flags_flow_through(capsys, tmp_path):
     code, out, _ = run(capsys, "get", wb, "A1")
     assert code == 0
     assert out == "#CYCLE!\n"
+
+
+def test_deeply_nested_formula_exits_1(capsys, tmp_path):
+    path = tmp_path / "deep.gwb"
+    path.write_text("A1 : 1\nB1 = " + "(" * 3000 + "A1" + ")" * 3000 + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "recalc", path)
+    assert code == 1
+    assert f"{path}:2: B1: formula nested more than" in err

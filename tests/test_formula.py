@@ -333,3 +333,39 @@ def test_static_dependencies_cover_actual_reads(monkeypatch):
             for c in cells:
                 allowed.add((c.sheet.casefold(), c.row, c.column))
         assert set(reads) <= allowed, source
+
+
+# ---------------------------------------------------------------------------
+# nesting bound
+# ---------------------------------------------------------------------------
+
+
+def test_nesting_at_the_bound_parses():
+    from gridcalc.formula import MAX_NESTING
+
+    # the top-level expression is the first level
+    depth = MAX_NESTING - 1
+    assert parse_formula("(" * depth + "1" + ")" * depth, CTX) == Literal(1.0)
+    assert parse_formula("-" * depth + "1", CTX) is not None
+
+
+@pytest.mark.parametrize(
+    "source, offset",
+    [
+        ("(" * 3000 + "1" + ")" * 3000, 64),
+        ("-" * 3000 + "1", 64),
+        ("SUM(" * 3000 + "1" + ")" * 3000, 256),
+    ],
+    ids=["parentheses", "signs", "calls"],
+)
+def test_deep_nesting_is_a_parse_error_at_an_offset(source, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(source, CTX)
+    assert "nested" in exc.value.message
+    assert exc.value.offset == offset
+
+
+def test_long_operator_chain_has_static_dependencies():
+    # a left-associative chain is as deep as it is long
+    ast = parse_formula("+".join(["A1"] * 3000), CTX)
+    assert static_dependencies(ast).refs == {ref("A1")}

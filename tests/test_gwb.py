@@ -311,3 +311,9 @@ def test_tsv_dumps_are_stable_across_recalcs():
         eng.full_recalc()
         for (wbn, shn), text in first.items():
             assert dump_sheet(eng.workspace, wbn, shn, "tsv") == text
+
+
+def test_deeply_nested_formula_is_load_error(tmp_path):
+    e = err(tmp_path, "A1 : 1\nB1 = " + "(" * 3000 + "A1" + ")" * 3000 + "\n")
+    assert e.line_no == 2
+    assert e.message.startswith("B1: formula nested more than")

@@ -1,19 +1,23 @@
 from __future__ import annotations
 
-import pytest
+from dataclasses import replace
 
-from gridcalc import declare_table
-from gridcalc.engine import Engine, values_equal
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridcalc import declare_table, functions
+from gridcalc.engine import Engine, EvalStats, values_equal
 from gridcalc.model import (
     CalcConfig,
     CellAddress,
     Error,
+    Literal,
     RangeRef,
     TableBody,
     Workspace,
     parse_address,
 )
-from gridcalc.tables import COLUMN_INPUT, ROW_INPUT, TableError
+from gridcalc.tables import COLUMN_INPUT, ROW_INPUT, TableError, evaluate_table
 
 from conftest import engine_for
 
@@ -444,3 +448,149 @@ def test_function_body_without_inner_tables_is_unaffected():
     eng.declare_table(rng_("A4:B5"), COLUMN_INPUT, at("A2"))
     eng.full_recalc()
     assert eng.get_value(at("B5")) == "q!"
+
+
+# ---------------------------------------------------------------------------
+# per-table plans
+# ---------------------------------------------------------------------------
+
+
+def test_plan_holds_only_its_own_function_body():
+    eng = engine_for("isbn_basic.gwb")
+    calls = [t for t in eng.workspace.tables if t.region.top_left.sheet == "Calls"]
+    assert len(calls) == 5  # five calls share the input cell A2
+    for table in calls:
+        planned = {addr for addr, _ in eng.dependents_plan(table)}
+        body = {parse_address(a, table.anchor) for a in ("B2", "C2", "D2")}
+        assert planned == body | set(table.formula_cells())
+
+
+def test_literal_edits_keep_plans_and_formula_edits_drop_them():
+    eng = engine_for("isbn_basic.gwb")
+    eng.full_recalc()
+    table = next(t for t in eng.workspace.tables if t.region.top_left.sheet == "Batch")
+    plan = eng.dependents_plan(table)
+    eng.set_literal(batch_addr("A5"), "0201038021")
+    eng.set_literal(batch_addr("E1"), 1.0)
+    assert eng.dependents_plan(table) is plan
+    eng.full_recalc()
+    assert eng.get_value(batch_addr("B5")) == "valid"
+    eng.set_formula(batch_addr("E1"), "1")
+    assert eng.dependents_plan(table) is not plan
+
+
+def test_volatile_cell_feeding_a_result_is_rerun_each_pass():
+    eng = fresh()
+    eng.set_formula(at("B2"), 'INDIRECT("A2")*10')
+    eng.set_formula(at("B4"), "B2")
+    eng.set_literal(at("A5"), 1.0)
+    eng.set_literal(at("A6"), 2.0)
+    eng.declare_table(rng_("A4:B6"), COLUMN_INPUT, at("A2"))
+    eng.full_recalc()
+    assert eng.get_value(at("B5")) == 10.0
+    assert eng.get_value(at("B6")) == 20.0
+    assert eng.get_value(at("B2")) == 0.0  # A2 is blank again
+
+
+def test_exception_mid_table_restores_input_and_other_cells(monkeypatch):
+    eng = engine_for("isbn_basic.gwb")
+    eng.full_recalc()
+    ws = eng.workspace
+    table = next(t for t in ws.tables if t.region.top_left.sheet == "Batch")
+    second = ws.value(table.value_cells()[1])
+    before = grid_without_bodies(eng)
+    input_before = ws.cell(table.input_cell)
+    mid = functions.REGISTRY["MID"]
+
+    def mid_failing_on_second_pass(*args):
+        if ws.value(table.input_cell) == second:
+            raise RuntimeError("injected")
+        return mid.fn(*args)
+
+    monkeypatch.setitem(functions.REGISTRY, "MID", replace(mid, fn=mid_failing_on_second_pass))
+    with pytest.raises(RuntimeError, match="injected"):
+        evaluate_table(eng, table, EvalStats())
+    assert ws.cell(table.input_cell) is input_before  # blank A2 stays blank
+    after = grid_without_bodies(eng)
+    assert set(before) == set(after)
+    for addr in before:
+        assert values_equal(before[addr], after[addr]), addr
+
+
+# ---------------------------------------------------------------------------
+# property: a table call equals substituting by hand
+# ---------------------------------------------------------------------------
+
+_INPUTS = ("A1", "A2")
+_TABLE_ROW_STEP = 6  # tables sit at rows 10, 16, 22 in columns A..C
+
+
+@st.composite
+def call_workbooks(draw):
+    """Function bodies in C1..C4 over the inputs A1/A2 (some through
+    INDIRECT), and 1-3 column-input tables whose inputs may coincide."""
+    ints = st.integers(-3, 3).map(lambda n: f"{n}")
+    literals = {a: draw(st.none() | st.integers(-5, 5).map(float)) for a in _INPUTS}
+
+    def operand(refs):
+        return draw(st.sampled_from(refs) | ints | st.sampled_from(['INDIRECT("A1")', 'INDIRECT("A2")']))
+
+    def expression(refs):
+        shape = draw(st.sampled_from(["op", "op", "if"]))
+        if shape == "if":
+            return f"IF({operand(refs)}>{operand(refs)},{operand(refs)},{operand(refs)})"
+        op = draw(st.sampled_from("+-*"))
+        return f"{operand(refs)}{op}{operand(refs)}"
+
+    body = {}
+    for i in range(1, draw(st.integers(1, 4)) + 1):
+        body[f"C{i}"] = expression(list(_INPUTS) + list(body))
+    tables = []
+    for k in range(draw(st.integers(1, 3))):
+        top = 10 + _TABLE_ROW_STEP * k
+        links = [expression(list(_INPUTS) + list(body)) for _ in range(draw(st.integers(1, 2)))]
+        args = draw(st.lists(st.none() | st.integers(-5, 5).map(float), min_size=1, max_size=3))
+        tables.append((top, draw(st.sampled_from(_INPUTS)), links, args))
+    return literals, body, tables
+
+
+def _build(spec, with_tables: bool) -> Engine:
+    literals, body, tables = spec
+    eng = fresh(CalcConfig(table_recalc="manual"))
+    for addr, v in literals.items():
+        if v is not None:
+            eng.set_literal(at(addr), v)
+    for addr, source in body.items():
+        eng.set_formula(at(addr), source)
+    for top, input_text, links, args in tables:
+        for j, source in enumerate(links):
+            eng.set_formula(at(f"{'BC'[j]}{top}"), source)
+        for i, v in enumerate(args):
+            if v is not None:
+                eng.set_literal(at(f"A{top + 1 + i}"), v)
+        if with_tables:
+            region = rng_(f"A{top}:{'BC'[len(links) - 1]}{top + len(args)}")
+            eng.declare_table(region, COLUMN_INPUT, at(input_text))
+    return eng
+
+
+@settings(max_examples=60, deadline=None)
+@given(call_workbooks())
+def test_table_calls_equal_substitution_and_touch_only_bodies(spec):
+    eng = _build(spec, with_tables=True)
+    eng.full_recalc()
+    before = grid_without_bodies(eng)
+    eng.recalc_tables()
+    after = grid_without_bodies(eng)
+    assert set(before) == set(after)
+    for addr in before:
+        assert values_equal(before[addr], after[addr]), addr
+    for top, input_text, links, args in spec[2]:
+        for i, v in enumerate(args):
+            plain = _build(spec, with_tables=False)
+            plain.set_cell(at(input_text), None if v is None else Literal(v))
+            plain.full_recalc()
+            for j in range(len(links)):
+                got = eng.get_value(at(f"{'BC'[j]}{top + 1 + i}"))
+                want = plain.get_value(at(f"{'BC'[j]}{top}"))
+                assert values_equal(got, want), (top, i, j)
