@@ -11,9 +11,15 @@ A full recalculation runs in three phases:
 1. every dirty or volatile formula cell outside data-table bodies is
    evaluated in topological order;
 2. with ``table_recalc=auto``, every data table is evaluated sequentially
-   (see :mod:`gridcalc.tables`);
+   (see :mod:`gridcalc.tables`); each pass runs the table's plan (see
+   :meth:`Engine.dependents_plan`), seeded from its input cell, volatile
+   cells and other tables' bodies, so a result formula that reads none of
+   them keeps its phase-1 value;
 3. cells depending on table results are brought up to date and the final
    cached values stand until the next edit.
+
+Volatility has one source: ``Builtin.volatile`` in the function registry,
+read by :func:`gridcalc.formula.static_dependencies`.
 """
 
 from __future__ import annotations
@@ -190,11 +196,12 @@ class EvalContext:
                 return Error.NAME if target is None else target
             return node.target
         if isinstance(node, formula.Call):
-            folded = node.name.casefold()
-            if folded == "offset" and 3 <= len(node.args) <= 5:
-                return functions.offset_ref(self, node.args)
-            if folded == "indirect" and 1 <= len(node.args) <= 2:
-                return functions.indirect_ref(self, node.args)
+            spec = functions.REGISTRY.get(node.name.upper())
+            if spec is not None and spec.min_args <= len(node.args) <= spec.max_args:
+                if spec.name == "OFFSET":
+                    return functions.offset_ref(self, node.args)
+                if spec.name == "INDIRECT":
+                    return functions.indirect_ref(self, node.args)
         return None
 
 
@@ -244,11 +251,6 @@ class Engine:
             cell = self.workspace.cell(addr)
             precedents, volatile = self._node_edges(cell.content.ast)
             g.set_node(addr, precedents, volatile)
-        for table in self.workspace.tables:
-            for addr in table.formula_cells():
-                cell = self.workspace.cell(addr)
-                if cell is not None and isinstance(cell.content, Formula):
-                    g.volatile.add(addr)  # data-table plumbing stays fresh
         return g
 
     # -- editing ----------------------------------------------------------------
@@ -273,9 +275,6 @@ class Engine:
         if isinstance(content, Formula):
             precedents, volatile = self._node_edges(content.ast)
             self.graph.set_node(addr, precedents, volatile)
-            owner = self.workspace.table_at(addr)
-            if owner is not None and owner.is_result_cell(addr):
-                self.graph.volatile.add(addr)
         newly_dirty = {addr} | self.graph.dependents_closure({addr})
         self.dirty |= newly_dirty
         if was_formula or isinstance(content, Formula):
@@ -297,10 +296,6 @@ class Engine:
     def declare_table(self, region: RangeRef, orientation: str, input_cell: CellAddress):
         """Declare a data table on the live workspace (see tables module)."""
         table = tables.declare_table(self.workspace, region, orientation, input_cell)
-        for addr in table.formula_cells():
-            cell = self.workspace.cell(addr)
-            if cell is not None and isinstance(cell.content, Formula):
-                self.graph.volatile.add(addr)
         self._plans.clear()
         return table
 
@@ -318,21 +313,23 @@ class Engine:
         self._run_targets(targets, stats, rng)
         self.dirty.clear()
         if self.workspace.config.table_recalc == "auto":
-            changed = tables.schedule_tables(self, stats)
-            if changed:
-                spill = {a for a in self.graph.dependents_closure(changed) if self._is_formula(a)}
-                self._run_targets(spill, stats, rng)
+            self._run_tables(stats, rng)
         stats.wall_time = time.perf_counter() - t0
         return stats
 
     def recalc_tables(self) -> EvalStats:
-        """Explicitly evaluate all data tables (manual-mode trigger)."""
+        """Explicitly evaluate all data tables (manual-mode trigger).
+
+        It runs on top of a :meth:`full_recalc` and does not evaluate dirty
+        cells itself: each pass re-runs only the table's plan (see
+        :meth:`dependents_plan`), so any other formula, result formulas
+        included, holds the value the last full recalculation gave it.
+        Afterwards the formulas that read a changed body cell are brought up
+        to date, as in :meth:`full_recalc`.
+        """
         stats = EvalStats()
         t0 = time.perf_counter()
-        changed = tables.schedule_tables(self, stats)
-        if changed:
-            spill = {a for a in self.graph.dependents_closure(changed) if self._is_formula(a)}
-            self._run_targets(spill, stats, None)
+        self._run_tables(stats, None)
         stats.wall_time = time.perf_counter() - t0
         return stats
 
@@ -357,6 +354,13 @@ class Engine:
 
     def _is_cyclic(self, comp: list) -> bool:
         return len(comp) > 1 or comp[0] in self.graph.precedents.get(comp[0], ())
+
+    def _run_tables(self, stats: EvalStats, rng: random.Random | None) -> None:
+        """Evaluate every data table, then bring their dependents up to date."""
+        changed = tables.schedule_tables(self, stats)
+        if changed:
+            spill = {a for a in self.graph.dependents_closure(changed) if self._is_formula(a)}
+            self._run_targets(spill, stats, rng)
 
     def _run_targets(self, targets: set, stats: EvalStats, rng: random.Random | None) -> None:
         if not targets:
@@ -507,11 +511,15 @@ class Engine:
         """Cached evaluation plan for one data table: its function body.
 
         The plan holds the formula cells that lie between the table's input
-        cell and its result formulas, i.e. precedents of a result that the
-        input cell (or a volatile cell among those precedents) reaches,
-        topologically ordered; table-body cells hold no formulas and never
-        appear. It is built by a reverse walk from the result formulas, so
-        its cost is the size of the body, not of the workbook around it.
+        cell and its result formulas, i.e. the results and their precedents
+        that the input cell reaches, topologically ordered; table-body cells
+        hold no formulas and never appear. It is seeded from the input cell
+        and from the cells whose value may have moved since phase 1: the
+        volatile cells among those precedents and the body cells of other
+        tables (an earlier table may have refilled them). A result none of
+        these reaches keeps the value phase 1 gave it. The plan is built by
+        a reverse walk from the result formulas, so its cost is the size of
+        the body, not of the workbook around it.
         The one exception: with iterative calculation on and a cycle among
         the input cell's dependents, the plan covers every dependent, so a
         self-referential counter observes each pass.
@@ -536,6 +544,10 @@ class Engine:
                     stack.append(p)
         nodes = body & g.volatile
         stack = [table.input_cell, *nodes]
+        for p in inner:
+            owner = self.workspace.table_at(p)
+            if owner is not None and owner is not table and owner.is_body_cell(p):
+                stack.append(p)
         while stack:
             for d in inner.get(stack.pop(), ()):
                 if d not in nodes:
@@ -557,14 +569,8 @@ class Engine:
         return plan
 
     def run_plan(self, plan: list, stats: EvalStats) -> None:
-        ws = self.workspace
         for head, payload in plan:
             if head is None:
                 self._eval_cycle(payload, stats)
             else:
-                ctx = EvalContext(ws, head)
-                v = ctx.eval(payload.content.ast)
-                if isinstance(v, Array):
-                    v = top_left(v)
-                payload.cached = 0.0 if v is None else v
-                stats.cell_evaluations += 1
+                self._eval_cell(head, payload, stats)

@@ -19,6 +19,7 @@ from .model import (
     CellAddress,
     Error,
     ERROR_CODES,
+    Literal,
     RangeRef,
     Reference,
     format_reference,
@@ -159,11 +160,6 @@ def tokenize(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # AST nodes
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Literal:
-    value: object  # scalar Value
 
 
 @dataclass(frozen=True)
@@ -497,9 +493,6 @@ class DependencyInfo:
             self.unresolved_names = set()
 
 
-_VOLATILE_CALLS = {"indirect", "offset"}
-
-
 def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None) -> DependencyInfo:
     """Collect every statically known reference in *ast*.
 
@@ -507,8 +500,11 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
     unresolvable ones are reported rather than raised, since the cell then
     simply evaluates to ``#NAME?``. Formulas using INDIRECT or OFFSET, or
     applying XADR to anything but a plain reference, are flagged volatile
-    because their true read set is unknowable before evaluation.
+    because their true read set is unknowable before evaluation; which
+    builtins are volatile is read from the function registry.
     """
+    from . import functions  # local import: functions depends on this module
+
     names = names or {}
     info = DependencyInfo(set())
 
@@ -530,10 +526,10 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
         elif isinstance(node, Unary):
             walk(node.operand)
         elif isinstance(node, Call):
-            folded = node.name.casefold()
-            if folded in _VOLATILE_CALLS:
+            spec = functions.REGISTRY.get(node.name.upper())
+            if spec is not None and spec.volatile:
                 info.volatile = True
-            elif folded == "xadr":
+            elif node.name.casefold() == "xadr":
                 if not (len(node.args) == 1 and isinstance(node.args[0], Ref)):
                     info.volatile = True
             for arg in node.args:
@@ -597,11 +593,21 @@ def unparse(ast: Node, context: CellAddress | None = None) -> str:
             text = node.op + inner
             return f"({text})" if parent_prec > _UNARY_PRECEDENCE else text
         if isinstance(node, Binary):
-            prec = _PRECEDENCE[node.op]
-            left = emit(node.left, prec)
-            right = emit(node.right, prec + 1)  # left-associative
-            text = f"{left}{node.op}{right}"
-            return f"({text})" if parent_prec > prec else text
+            # an operator chain is left-deep: loop down its spine rather than
+            # recurse once per term, so a long chain cannot exhaust the stack
+            spine = []
+            while isinstance(node, Binary):
+                spine.append(node)
+                node = node.left
+            text = emit(node, _PRECEDENCE[spine[-1].op])
+            for i in range(len(spine) - 1, -1, -1):
+                prec = _PRECEDENCE[spine[i].op]
+                right = emit(spine[i].right, prec + 1)  # left-associative
+                text = f"{text}{spine[i].op}{right}"
+                outer = _PRECEDENCE[spine[i - 1].op] if i else parent_prec
+                if outer > prec:
+                    text = f"({text})"
+            return text
         if isinstance(node, Call):
             args = ",".join("" if a is OMITTED else emit(a, 0) for a in node.args)
             return f"{node.name}({args})"

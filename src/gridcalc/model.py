@@ -86,14 +86,7 @@ Error.CYCLE = Error.of("#CYCLE!")
 
 ERROR_CODES = tuple(Error._interned)
 
-# blank, kept as a named constant for readability
-BLANK = None
-
 Scalar = Union[float, str, bool, None, Error]
-
-
-def is_error(v: Any) -> bool:
-    return isinstance(v, Error)
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +278,6 @@ class RangeRef:
             for col in range(tl.column, br.column + 1):
                 yield CellAddress(tl.workbook, tl.sheet, col, row)
 
-    def overlaps(self, other: "RangeRef") -> bool:
-        a, b = self.top_left, self.bottom_right
-        c, d = other.top_left, other.bottom_right
-        if (a.workbook.casefold(), a.sheet.casefold()) != (
-            c.workbook.casefold(),
-            c.sheet.casefold(),
-        ):
-            return False
-        return not (b.column < c.column or d.column < a.column or b.row < c.row or d.row < a.row)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RangeRef):
             return (self.top_left, self.bottom_right) == (other.top_left, other.bottom_right)
@@ -470,8 +453,10 @@ def coerce(value: Scalar, target: str) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Literal:
+    """A typed-in value: a cell's literal content and a formula's constant."""
+
     value: Scalar
 
 
@@ -631,12 +616,6 @@ class Workspace:
     def value(self, addr: CellAddress) -> Value:
         cell = self.cell(addr)
         return None if cell is None else cell.cached
-
-    def set_content(self, addr: CellAddress, content: Content) -> Cell:
-        sheet = self.resolve_sheet(addr)
-        if sheet is None:
-            raise KeyError(f"no sheet at {addr!r}")
-        return sheet.set_content(addr.row, addr.column, content)
 
     # -- defined names ------------------------------------------------------
 

@@ -99,13 +99,6 @@ class DataTableRegion:
             tl.row + 1 + formula_index,
         )
 
-    def is_result_cell(self, addr: CellAddress) -> bool:
-        """Whether *addr*, a cell of this region, holds a result formula."""
-        tl = self.region.top_left
-        if self.orientation == COLUMN_INPUT:
-            return addr.row == tl.row and addr.column > tl.column
-        return addr.column == tl.column and addr.row > tl.row
-
     def is_body_cell(self, addr: CellAddress) -> bool:
         """Whether *addr*, a cell of this region, is a body cell."""
         tl = self.region.top_left

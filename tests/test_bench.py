@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from gridcalc import bench
+from gridcalc import bench, tables
+from gridcalc.engine import Engine
 
 
 def test_small_mode_counts():
@@ -75,8 +76,34 @@ def test_out_of_grid_call_count_rejected():
 @pytest.mark.parametrize("n", [100, 300])
 def test_evaluation_counts_are_linear_in_calls(n):
     # small: N+2 cells in phase 1, then per call one pass and one restore of
-    # the 3-cell body; large: 3 in phase 1, then N passes and one restore
-    (small,), _ = bench.run(n, "small")
-    (large,), _ = bench.run(n, "large")
+    # the 3-cell body; large: 3 in phase 1, then N passes and one restore.
+    # Later recalcs have nothing dirty and nothing volatile: phase 1 is empty.
+    (small, small2), _ = bench.run(n, "small", repeat=2)
+    (large, large2), _ = bench.run(n, "large", repeat=2)
     assert small.stats.cell_evaluations == 7 * n + 2
     assert large.stats.cell_evaluations == 3 * n + 6
+    assert small2.stats.cell_evaluations == 6 * n
+    assert large2.stats.cell_evaluations == 3 * n + 3
+
+
+@pytest.mark.parametrize("mode", ["small", "large"])
+def test_recalc_runs_plans_through_the_wrapped_entry_points(monkeypatch, mode):
+    # per-layer timings wrap these attributes from outside: every plan run
+    # and every table schedule must go through them
+    calls = {"run_plan": 0, "schedule_tables": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Engine, "run_plan", counting("run_plan", Engine.run_plan))
+    monkeypatch.setattr(tables, "schedule_tables", counting("schedule_tables", tables.schedule_tables))
+    eng = Engine(bench.build_workspace(20, mode, 1))
+    for recalcs in (1, 2):
+        stats = eng.full_recalc()
+        assert calls["run_plan"] == stats.body_passes + stats.table_restores
+        assert calls["schedule_tables"] == recalcs
+        calls["run_plan"] = 0

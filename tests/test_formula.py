@@ -17,7 +17,7 @@ from gridcalc.formula import (
     tokenize,
     unparse,
 )
-from gridcalc.model import CellAddress, Error, Literal as LiteralValue, parse_address
+from gridcalc.model import CellAddress, Error, parse_address
 
 CTX = CellAddress("Book1", "Sheet1", 2, 2)  # B2
 
@@ -245,6 +245,26 @@ def test_unparse_reparses_identically(source):
     assert parse_formula(rendered, CTX) == ast
 
 
+@pytest.mark.parametrize("ops", ["+-", "+-*/&="], ids=["one-level", "mixed"])
+def test_long_operator_chain_unparses_and_reparses(ops):
+    # 3000 terms; with one precedence level the AST is 2999 operators deep
+    terms = ["1", "A1", '"x"', "TRUE"]
+    source = "".join(terms[i % 4] + ops[i % len(ops)] for i in range(2999)) + "B1"
+    ast = parse_formula(source, CTX)
+    rendered = unparse(ast, CTX)
+    assert rendered == source  # no parentheses added
+
+    def spine(node):
+        # (leftmost leaf, [(op, right), ...]): compared without recursion
+        pairs = []
+        while isinstance(node, Binary):
+            pairs.append((node.op, node.right))
+            node = node.left
+        return node, pairs
+
+    assert spine(parse_formula(rendered, CTX)) == spine(ast)
+
+
 def test_unparse_qualification_levels():
     ast = parse_formula("[Book1]Sheet1!A1+[Book1]Other!A1+[lib]S!A1", CTX)
     assert unparse(ast, CTX) == "A1+Other!A1+[lib]S!A1"
@@ -310,7 +330,7 @@ def test_static_dependencies_cover_actual_reads(monkeypatch):
 
     ws = Workspace()
     sheet = ws.add_workbook("Book1").ensure_sheet("Sheet1")
-    sheet.set_content(2, 1, LiteralValue("8320425395"))
+    sheet.set_content(2, 1, Literal("8320425395"))
 
     reads = []
     original = Sheet.value

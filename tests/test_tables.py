@@ -141,15 +141,29 @@ def test_single_2x2_call():
 
 
 def test_table_with_untouched_input_repeats_current_value():
-    eng = fresh()
-    eng.set_formula(at("D1"), "40+2")  # does not read the input cell
-    eng.set_formula(at("B4"), "D1")
-    for r, v in ((5, 1.0), (6, 2.0)):
-        eng.set_literal(at(f"A{r}"), v)
-    eng.declare_table(rng_("A4:B6"), COLUMN_INPUT, at("A2"))
-    eng.full_recalc()
-    assert eng.get_value(at("B5")) == 42.0
-    assert eng.get_value(at("B6")) == 42.0
+    # result formulas that ignore the input lie in no plan: the body
+    # collects the values the last full recalc gave them
+    for mode in ("auto", "manual"):
+        eng = fresh(CalcConfig(table_recalc=mode))
+        eng.set_formula(at("D1"), "40+2")  # does not read the input cell
+        eng.set_literal(at("C1"), 1.0)
+        eng.set_formula(at("B4"), "D1")
+        eng.set_formula(at("C4"), "5")
+        eng.set_formula(at("D4"), "C1")
+        for r, v in ((5, 1.0), (6, 2.0)):
+            eng.set_literal(at(f"A{r}"), v)
+        table = eng.declare_table(rng_("A4:D6"), COLUMN_INPUT, at("A2"))
+
+        def recalc():
+            eng.full_recalc()
+            if mode == "manual":
+                eng.recalc_tables()
+            return [[eng.get_value(at(f"{c}{r}")) for c in "BCD"] for r in (5, 6)]
+
+        assert recalc() == [[42.0, 5.0, 1.0]] * 2, mode
+        eng.set_literal(at("C1"), 7.0)
+        assert recalc() == [[42.0, 5.0, 7.0]] * 2, mode
+        assert eng.dependents_plan(table) == []
 
 
 def test_blank_value_rows_are_substituted_not_skipped():
@@ -438,6 +452,24 @@ def test_inner_call_is_frozen_regardless_of_anchor_order():
     eng.full_recalc()
     assert eng.get_value(at("B9")) == "-in!"  # inner computed afterwards
     assert eng.get_value(at("B5")) == "b"  # outer saw a blank inner body
+
+
+@pytest.mark.parametrize("link", ["B5*100", "D12"], ids=["result", "body-cell"])
+def test_reading_an_earlier_tables_body_sees_its_new_values(link):
+    # the second table's function ignores its own input and reads the first
+    # table's body, which the first table has just refilled
+    eng = fresh()
+    eng.set_formula(at("D1"), "A1*2")
+    eng.set_formula(at("B4"), "D1")
+    eng.set_literal(at("A5"), 1.0)
+    eng.declare_table(rng_("A4:B5"), COLUMN_INPUT, at("A1"))
+    eng.set_formula(at("D12"), "B5*100")
+    eng.set_formula(at("B12"), link)
+    eng.set_literal(at("A13"), 1.0)
+    eng.declare_table(rng_("A12:B13"), COLUMN_INPUT, at("A10"))
+    for _ in range(2):  # the first recalc already settles
+        eng.full_recalc()
+        assert eng.get_value(at("B13")) == 200.0
 
 
 def test_function_body_without_inner_tables_is_unaffected():
