@@ -140,8 +140,6 @@ class EvalContext:
                 return self._call(node)
             if t is formula.Unary:
                 return functions.apply_unary(node.op, self.eval(node.operand))
-            if t is formula.ArrayConst:
-                return Array(node.rows)
             raise TypeError(f"cannot evaluate {node!r}")
         finally:
             self.depth -= 1
@@ -230,8 +228,8 @@ class Engine:
     def _name_targets(self) -> dict:
         return {key: target for key, (_, target) in self.workspace.defined_names.items()}
 
-    def _node_edges(self, ast) -> tuple[set, bool]:
-        info = formula.static_dependencies(ast, self._name_targets())
+    def _node_edges(self, ast, names: dict) -> tuple[set, bool]:
+        info = formula.static_dependencies(ast, names)
         precedents: set = set()
         for ref in info.refs:
             if isinstance(ref, RangeRef):
@@ -247,9 +245,10 @@ class Engine:
         the incremental updates in :meth:`set_cell` preserve it.
         """
         g = DependencyGraph()
+        names = self._name_targets()
         for addr in self._formula_addresses():
             cell = self.workspace.cell(addr)
-            precedents, volatile = self._node_edges(cell.content.ast)
+            precedents, volatile = self._node_edges(cell.content.ast, names)
             g.set_node(addr, precedents, volatile)
         return g
 
@@ -273,7 +272,7 @@ class Engine:
         sheet.set_content(addr.row, addr.column, content)
         self.graph.remove_node(addr)
         if isinstance(content, Formula):
-            precedents, volatile = self._node_edges(content.ast)
+            precedents, volatile = self._node_edges(content.ast, self._name_targets())
             self.graph.set_node(addr, precedents, volatile)
         newly_dirty = {addr} | self.graph.dependents_closure({addr})
         self.dirty |= newly_dirty

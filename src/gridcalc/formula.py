@@ -2,28 +2,29 @@
 
 Grammar uses US-locale separators: ``,`` between call arguments, ``;``
 between array-constant rows and ``,`` between columns within a row, so
-``{10;9;8}`` is a 3x1 column. Operator precedence, low to high:
-comparisons, ``&``, ``+ -``, ``* /``, ``^``, unary ``-`` (which binds
-tighter than ``^``, so ``-2^2`` is 4).
+``{10;9;8}`` is a 3x1 column. Operator precedence comes from one table,
+``_PRECEDENCE``; low to high: comparisons, ``&``, ``+ -``, ``* /``, ``^``;
+a prefix ``-`` or ``+`` binds tighter than all of them, so ``-2^2`` is 4.
+Formula text is ASCII outside text literals and whitespace.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .model import (
-    MAX_COLUMNS,
-    MAX_ROWS,
+    NUMBER_RE,
+    Array,
     CellAddress,
     Error,
     ERROR_CODES,
     Literal,
     RangeRef,
     Reference,
-    format_reference,
-    letters_to_column,
+    cell_coordinates,
     number_to_text,
 )
 
@@ -74,27 +75,40 @@ class Token:
         return self.start + len(self.lexeme)
 
 
-_NUMBER_RE = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_TEXT_RE = re.compile(r'"(?:""|[^"])*"')
-_ERROR_RE = re.compile("|".join(re.escape(c) for c in sorted(ERROR_CODES, key=len, reverse=True)))
-_WORD_RE = re.compile(r"[$A-Za-z_][$A-Za-z0-9_.]*")
-_CELLREF_RE = re.compile(r"^\$?([A-Za-z]{1,3})\$?([0-9]+)$")
-_OPERATORS = ("<>", "<=", ">=", "<", ">", "=", "+", "-", "*", "/", "^", "&")
-_PUNCT = set("(){};,:![]")
+TEXT_RE = re.compile(r'"(?:""|[^"])*"')
+
+# One alternative per token kind; their first characters never overlap.
+# A word is then classified as a boolean, a cell reference or an identifier.
+_TOKEN_RE = re.compile(
+    r"(?P<word>[$A-Za-z_][$A-Za-z0-9_.]*)"
+    rf"|(?P<number>{NUMBER_RE.pattern})"
+    r"|(?P<punct>[(){};,:!\[\]])"
+    r"|(?P<operator><>|<=|>=|[-+*/^&=<>])"
+    rf"|(?P<text>{TEXT_RE.pattern})"
+    r"|(?P<space>\s+)"
+    r"|(?P<error>" + "|".join(re.escape(c) for c in sorted(ERROR_CODES, key=len, reverse=True)) + ")"
+)
+# Why no alternative matched, by the character it stopped at.
+_LEX_FAILURES = {'"': "unterminated text literal", "#": "unknown error literal"}
 
 
-def _classify_word(lexeme: str) -> str:
-    folded = lexeme.casefold()
-    if folded in ("true", "false"):
+def quote(text: str) -> str:
+    """*text* as a text literal: in double quotes, each quote doubled."""
+    return '"' + text.replace('"', '""') + '"'
+
+
+def unquote(literal: str) -> str:
+    """The text a literal matching :data:`TEXT_RE` stands for."""
+    return literal[1:-1].replace('""', '"')
+
+
+def _classify_word(lexeme: str, start: int) -> str:
+    if lexeme.casefold() in ("true", "false"):
         return BOOLEAN
-    m = _CELLREF_RE.match(lexeme)
-    if m is not None:
-        col = letters_to_column(m.group(1))
-        row = int(m.group(2))
-        if 1 <= row <= MAX_ROWS and col <= MAX_COLUMNS:
-            return CELLREF
+    if cell_coordinates(lexeme) is not None:
+        return CELLREF
     if "$" in lexeme:
-        raise LexError(f"illegal '$' in {lexeme!r}")
+        raise LexError(f"illegal '$' in {lexeme!r}", start)
     return IDENTIFIER
 
 
@@ -105,55 +119,20 @@ def tokenize(source: str) -> list[Token]:
     source exactly; spans are preserved on every token.
     """
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == '"':
-            m = _TEXT_RE.match(source, i)
-            if m is None:
-                raise LexError("unterminated text literal", i)
-            tokens.append(Token(TEXT, m.group(0), i))
-            i = m.end()
-            continue
-        if ch == "#":
-            m = _ERROR_RE.match(source, i)
-            if m is None:
-                raise LexError("unknown error literal", i)
-            tokens.append(Token(ERROR_LITERAL, m.group(0), i))
-            i = m.end()
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            m = _NUMBER_RE.match(source, i)
-            tokens.append(Token(NUMBER, m.group(0), i))
-            i = m.end()
-            continue
-        if ch.isalpha() or ch in "_$":
-            m = _WORD_RE.match(source, i)
-            try:
-                kind = _classify_word(m.group(0))
-            except LexError as exc:
-                raise LexError(exc.message, i) from None
-            tokens.append(Token(kind, m.group(0), i))
-            i = m.end()
-            continue
-        two = source[i : i + 2]
-        if two in _OPERATORS:
-            tokens.append(Token(OPERATOR, two, i))
-            i += 2
-            continue
-        if ch in _OPERATORS:
-            tokens.append(Token(OPERATOR, ch, i))
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(PUNCT, ch, i))
-            i += 1
-            continue
-        raise LexError(f"illegal character {ch!r}", i)
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            ch = source[pos]
+            raise LexError(_LEX_FAILURES.get(ch, f"illegal character {ch!r}"), pos)
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "word":
+            kind = _classify_word(lexeme, pos)
+        elif kind == "error":
+            kind = ERROR_LITERAL
+        if kind != "space":
+            tokens.append(Token(kind, lexeme, pos))
+        pos = m.end()
     return tokens
 
 
@@ -167,11 +146,6 @@ class Ref:
     """A reference: resolved address/range, or a defined name (str)."""
 
     target: Union[Reference, str]
-
-
-@dataclass(frozen=True)
-class ArrayConst:
-    rows: tuple  # tuple of tuples of scalar values
 
 
 @dataclass(frozen=True)
@@ -210,21 +184,30 @@ class Call:
     args: tuple
 
 
-Node = Union[Literal, Ref, ArrayConst, Unary, Binary, Call]
+# A ``{...}`` array constant is a Literal holding an Array.
+Node = Union[Literal, Ref, Unary, Binary, Call]
 
-_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+# Binary operators by precedence, low to high; all are left-associative.
+_PRECEDENCE = {
+    "=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+    "&": 2,
+    "+": 3, "-": 3,
+    "*": 4, "/": 4,
+    "^": 5,
+}
+_UNARY_PRECEDENCE = 6
+
+# The value of each kind of literal token, in formulas and array constants.
+_LITERAL_VALUES = {
+    NUMBER: float,
+    TEXT: unquote,
+    BOOLEAN: lambda lexeme: lexeme.casefold() == "true",
+    ERROR_LITERAL: Error.of,
+}
 
 # Deepest nesting of parentheses, call arguments and prefix signs the
 # parser accepts; each level costs it about ten stack frames.
 MAX_NESTING = 64
-
-
-def _unquote(lexeme: str) -> str:
-    return lexeme[1:-1].replace('""', '"')
-
-
-def _quote(text: str) -> str:
-    return '"' + text.replace('"', '""') + '"'
 
 
 class _Parser:
@@ -272,6 +255,13 @@ class _Parser:
             raise ParseError(f"expected {want!r}", where)
         return tok
 
+    @staticmethod
+    def _literal_value(tok: Token):
+        value = _LITERAL_VALUES[tok.kind](tok.lexeme)
+        if value == math.inf:
+            raise ParseError("number too large", tok.start)
+        return value
+
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> Node:
@@ -283,48 +273,24 @@ class _Parser:
 
     def expression(self) -> Node:
         self._nest()
-        node = self.comparison()
+        node = self.binary(1)
         self.depth -= 1
         return node
 
-    def comparison(self) -> Node:
-        node = self.concat()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != OPERATOR or tok.lexeme not in _COMPARISONS:
-                return node
-            self.pos += 1
-            node = Binary(tok.lexeme, node, self.concat())
+    def binary(self, min_prec: int) -> Node:
+        """Operands joined by operators of precedence *min_prec* or higher.
 
-    def concat(self) -> Node:
-        node = self.additive()
-        while self._accept(OPERATOR, "&"):
-            node = Binary("&", node, self.additive())
-        return node
-
-    def additive(self) -> Node:
-        node = self.multiplicative()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != OPERATOR or tok.lexeme not in ("+", "-"):
-                return node
-            self.pos += 1
-            node = Binary(tok.lexeme, node, self.multiplicative())
-
-    def multiplicative(self) -> Node:
-        node = self.power()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != OPERATOR or tok.lexeme not in ("*", "/"):
-                return node
-            self.pos += 1
-            node = Binary(tok.lexeme, node, self.power())
-
-    def power(self) -> Node:
+        Operators of one level are gathered in the loop, into a left-deep
+        chain; recursion goes one precedence level up at a time, so its
+        depth is bounded by the number of levels, not by the chain length.
+        """
         node = self.unary()
-        while self._accept(OPERATOR, "^"):
-            node = Binary("^", node, self.unary())
-        return node
+        while True:
+            tok = self._peek()
+            if tok is None or tok.kind != OPERATOR or _PRECEDENCE[tok.lexeme] < min_prec:
+                return node
+            self.pos += 1
+            node = Binary(tok.lexeme, node, self.binary(_PRECEDENCE[tok.lexeme] + 1))
 
     def unary(self) -> Node:
         tok = self._peek()
@@ -340,18 +306,9 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             raise ParseError("unexpected end of formula", len(self.source))
-        if tok.kind == NUMBER:
+        if tok.kind in _LITERAL_VALUES:
             self.pos += 1
-            return Literal(float(tok.lexeme))
-        if tok.kind == TEXT:
-            self.pos += 1
-            return Literal(_unquote(tok.lexeme))
-        if tok.kind == BOOLEAN:
-            self.pos += 1
-            return Literal(tok.lexeme.casefold() == "true")
-        if tok.kind == ERROR_LITERAL:
-            self.pos += 1
-            return Literal(Error.of(tok.lexeme))
+            return Literal(self._literal_value(tok))
         if tok.kind == PUNCT and tok.lexeme == "(":
             self.pos += 1
             node = self.expression()
@@ -410,22 +367,17 @@ class _Parser:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ParseError("array constant rows differ in length", close.start)
-        return ArrayConst(tuple(tuple(r) for r in rows))
+        return Literal(Array(rows))
 
     def array_element(self):
         negate = self._accept(OPERATOR, "-") is not None
         tok = self._next()
-        if tok.kind == NUMBER:
-            return -float(tok.lexeme) if negate else float(tok.lexeme)
-        if negate:
+        if negate and tok.kind != NUMBER:
             raise ParseError("array constants allow '-' only before numbers", tok.start)
-        if tok.kind == TEXT:
-            return _unquote(tok.lexeme)
-        if tok.kind == BOOLEAN:
-            return tok.lexeme.casefold() == "true"
-        if tok.kind == ERROR_LITERAL:
-            return Error.of(tok.lexeme)
-        raise ParseError("array constants hold scalar literals only", tok.start)
+        if tok.kind not in _LITERAL_VALUES:
+            raise ParseError("array constants hold scalar literals only", tok.start)
+        value = self._literal_value(tok)
+        return -value if negate else value
 
     def book_qualified_ref(self) -> Node:
         self._expect(PUNCT, "[")
@@ -446,7 +398,7 @@ class _Parser:
 
     def cell_or_range(self, workbook: str, sheet: str) -> Reference:
         first = self._expect(CELLREF)
-        a = self._make_address(first, workbook, sheet)
+        a = CellAddress(workbook, sheet, *cell_coordinates(first.lexeme))
         colon = self._peek()
         after = self._peek(1)
         if (
@@ -456,16 +408,10 @@ class _Parser:
             and after is not None
             and after.kind == CELLREF
         ):
-            self.pos += 1
-            b = self._make_address(self._next(), workbook, sheet)
+            self.pos += 2
+            b = CellAddress(workbook, sheet, *cell_coordinates(after.lexeme))
             return RangeRef.normalized(a, b)
         return a
-
-    @staticmethod
-    def _make_address(tok: Token, workbook: str, sheet: str) -> CellAddress:
-        m = _CELLREF_RE.match(tok.lexeme)
-        assert m is not None  # guaranteed by the tokenizer
-        return CellAddress(workbook, sheet, letters_to_column(m.group(1)), int(m.group(2)))
 
 
 def parse_formula(source: str, context: CellAddress) -> Node:
@@ -544,37 +490,40 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
 # Unparsing (canonical text)
 # ---------------------------------------------------------------------------
 
-_PRECEDENCE = {
-    "=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-    "&": 2,
-    "+": 3, "-": 3,
-    "*": 4, "/": 4,
-    "^": 5,
-}
-_UNARY_PRECEDENCE = 6
 
-
-def _scalar_text(v) -> str:
+def _value_text(v) -> str:
+    if isinstance(v, Array):
+        return "{" + ";".join(",".join(_value_text(x) for x in row) for row in v.rows) + "}"
     if isinstance(v, bool):
         return "TRUE" if v else "FALSE"
     if isinstance(v, float):
         return number_to_text(v)
     if isinstance(v, str):
-        return _quote(v)
+        return quote(v)
     if isinstance(v, Error):
         return v.code
     raise TypeError(f"cannot render literal {v!r}")
+
+
+def _is_identifier(text: str) -> bool:
+    try:
+        tokens = tokenize(text)
+    except LexError:
+        return False
+    return len(tokens) == 1 and tokens[0].kind == IDENTIFIER and tokens[0].lexeme == text
 
 
 def _ref_text(target: Union[Reference, str], context: CellAddress | None) -> str:
     if isinstance(target, str):
         return target
     head = target.top_left if isinstance(target, RangeRef) else target
+    local = target.local_text()  # a one-cell range stays A1:A1, not A1
     if context is not None and head.workbook.casefold() == context.workbook.casefold():
         if head.sheet.casefold() == context.sheet.casefold():
-            return format_reference(target, "local")
-        return format_reference(target, "qualified").split("]", 1)[1]
-    return format_reference(target, "qualified")
+            return local
+        if _is_identifier(head.sheet):  # Sheet!A1 parses only for such names
+            return f"{head.sheet}!{local}"
+    return f"[{head.workbook}]{head.sheet}!{local}"
 
 
 def unparse(ast: Node, context: CellAddress | None = None) -> str:
@@ -582,12 +531,9 @@ def unparse(ast: Node, context: CellAddress | None = None) -> str:
 
     def emit(node, parent_prec: int) -> str:
         if isinstance(node, Literal):
-            return _scalar_text(node.value)
+            return _value_text(node.value)
         if isinstance(node, Ref):
             return _ref_text(node.target, context)
-        if isinstance(node, ArrayConst):
-            rows = ";".join(",".join(_scalar_text(v) for v in row) for row in node.rows)
-            return "{" + rows + "}"
         if isinstance(node, Unary):
             inner = emit(node.operand, _UNARY_PRECEDENCE)
             text = node.op + inner

@@ -28,6 +28,7 @@ from pathlib import Path
 
 from . import tables
 from .model import (
+    CELL_RE,
     AddressError,
     CalcConfig,
     CellAddress,
@@ -44,7 +45,7 @@ from .model import (
     parse_address,
     to_number,
 )
-from .formula import FormulaError, parse_formula
+from .formula import TEXT_RE, FormulaError, parse_formula, quote, unquote
 
 DEFAULT_SHEET = "Sheet1"
 
@@ -59,21 +60,26 @@ class LoadError(Exception):
         self.message = message
 
 
-_CELL_DIRECTIVE_RE = re.compile(r"^(\$?[A-Za-z]{1,3}\$?[0-9]+)\s*([:=])\s*(.*)$")
+_CELL_DIRECTIVE_RE = re.compile(rf"^(?P<cell>{CELL_RE.pattern})\s*(?P<op>[:=])\s*(?P<rest>.*)$")
 _SHEET_RE = re.compile(r"^sheet\s+(\S+)\s*$")
 _NAME_RE = re.compile(r"^name\s+(\S+)\s*=\s*(\S+)\s*$")
 _TABLE_RE = re.compile(r"^table\s+(\S+)((?:\s+\w+=\S+)+)\s*$")
 _TABLE_OPT_RE = re.compile(r"(\w+)=(\S+)")
-_TEXT_LITERAL_RE = re.compile(r'^"(?:""|[^"])*"$')
 _BODY_MARKER_RE = re.compile(r"^\{=TABLE\(\s*([^(),]*?)\s*,\s*([^(),]*?)\s*\)\}$")
 _WORKBOOK_RE = re.compile(r"^workbook\s+(\S+)\s+(.+?)\s*$")
 
 
 def _lines(path: Path):
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise LoadError(path, 0, f"cannot read file: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; "?" stands in for the bad one
+        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise LoadError(path, line_no, f"not UTF-8 text ({exc.reason} 0x{data[exc.start]:02x})") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -153,22 +159,22 @@ def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
         m = _CELL_DIRECTIVE_RE.match(line)
         if m is not None:
             sheet = current_sheet()
-            addr = _parse_local_cell(wb, sheet, path, line_no, m.group(1))
+            addr = _parse_local_cell(wb, sheet, path, line_no, m["cell"])
             key = (sheet.name.casefold(), addr.row, addr.column)
             if key in seen:
-                raise LoadError(path, line_no, f"cell {m.group(1)} defined twice")
+                raise LoadError(path, line_no, f"cell {m['cell']} defined twice")
             seen.add(key)
-            if m.group(2) == ":":
-                _apply_literal(sheet, addr, path, line_no, m.group(3))
+            if m["op"] == ":":
+                _apply_literal(sheet, addr, path, line_no, m["rest"])
             else:
-                marker = _BODY_MARKER_RE.match(m.group(3))
+                marker = _BODY_MARKER_RE.match(m["rest"])
                 if marker is not None:
                     placeholders.append(
                         (line_no, addr)
                         + _parse_body_marker(wb, sheet, path, line_no, marker)
                     )
                 else:
-                    _apply_formula(sheet, addr, path, line_no, m.group(3))
+                    _apply_formula(sheet, addr, path, line_no, m["rest"])
             continue
         raise LoadError(path, line_no, f"unrecognized directive: {line!r}")
 
@@ -201,8 +207,8 @@ def _parse_local_cell(wb: Workbook, sheet: Sheet, path, line_no: int, text: str)
 
 
 def _apply_literal(sheet: Sheet, addr: CellAddress, path, line_no: int, rest: str) -> None:
-    if _TEXT_LITERAL_RE.match(rest):
-        sheet.set_content(addr.row, addr.column, Literal(rest[1:-1].replace('""', '"')))
+    if TEXT_RE.fullmatch(rest):
+        sheet.set_content(addr.row, addr.column, Literal(unquote(rest)))
         return
     n = to_number(rest)
     if isinstance(n, Error):
@@ -296,10 +302,6 @@ def render_value(v) -> str:
     return render_value(v.rows[0][0])  # arrays display their top-left element
 
 
-def _quote_text(text: str) -> str:
-    return '"' + text.replace('"', '""') + '"'
-
-
 def _cell_directive(ws: Workspace, addr_text: str, cell) -> str:
     content = cell.content
     if isinstance(content, Literal):
@@ -309,7 +311,7 @@ def _cell_directive(ws: Workspace, addr_text: str, cell) -> str:
         if isinstance(v, float):
             return f"{addr_text} : {number_to_text(v)}"
         if isinstance(v, str):
-            return f"{addr_text} : {_quote_text(v)}"
+            return f"{addr_text} : {quote(v)}"
         if isinstance(v, Error):
             return f"{addr_text} = {v.code}"
         raise TypeError(f"cannot dump literal {v!r}")

@@ -16,6 +16,7 @@ a single-writer contract.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Iterator, Union
@@ -296,30 +297,39 @@ class RangeRef:
 
 Reference = Union[CellAddress, RangeRef]
 
+# A1-style cell text; the one pattern for it. Absolute markers ($) are
+# accepted and discarded.
+CELL_RE = re.compile(r"\$?([A-Za-z]{1,3})\$?([0-9]+)")
+
 # A1-style reference text, optionally sheet- and workbook-qualified.
-# Absolute markers ($) are accepted and discarded.
 _ADDR_RE = re.compile(
-    r"""^\s*
+    rf"""^\s*
         (?:\[(?P<book>[^\[\]!:]+)\])?
         (?:(?P<sheet>[^\[\]!:]+)!)?
-        (?P<a>\$?[A-Za-z]{1,3}\$?[0-9]+)
-        (?::(?P<b>\$?[A-Za-z]{1,3}\$?[0-9]+))?
+        (?P<a>{CELL_RE.pattern})
+        (?::(?P<b>{CELL_RE.pattern}))?
         \s*$""",
     re.VERBOSE,
 )
 
-_CELL_PART_RE = re.compile(r"^\$?([A-Za-z]{1,3})\$?([0-9]+)$")
 
-
-def _parse_cell_part(part: str, workbook: str, sheet: str) -> CellAddress:
-    m = _CELL_PART_RE.match(part)
+def cell_coordinates(text: str) -> tuple[int, int] | None:
+    """``(column, row)`` of cell text such as ``$B$7`` inside the grid, else None."""
+    m = CELL_RE.fullmatch(text)
     if m is None:
-        raise AddressError(f"bad cell reference {part!r}")
+        return None
     col = letters_to_column(m.group(1))
     row = int(m.group(2))
     if row < 1 or row > MAX_ROWS or col > MAX_COLUMNS:
+        return None
+    return col, row
+
+
+def _parse_cell_part(part: str, workbook: str, sheet: str) -> CellAddress:
+    coords = cell_coordinates(part)  # *part* matched CELL_RE inside _ADDR_RE
+    if coords is None:
         raise AddressError(f"reference {part!r} is outside the grid")
-    return CellAddress(workbook, sheet, col, row)
+    return CellAddress(workbook, sheet, *coords)
 
 
 def parse_address(text: str, context: CellAddress) -> Reference:
@@ -371,9 +381,11 @@ def format_reference(target: Reference, style: str = "qualified") -> str:
 # Scalar coercion
 # ---------------------------------------------------------------------------
 
-# Plain decimal numbers only; deliberately rejects inf/nan spellings and
-# underscores that Python's float() would accept.
-_NUMBER_TEXT_RE = re.compile(r"^[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?$")
+# Unsigned decimal number text, the one pattern for it (formula number
+# tokens use it too). Deliberately rejects inf/nan spellings and underscores
+# that Python's float() would accept.
+NUMBER_RE = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_SIGNED_NUMBER_RE = re.compile(rf"[+-]?{NUMBER_RE.pattern}")
 
 
 def number_to_text(x: float) -> str:
@@ -393,8 +405,11 @@ def to_number(v: Scalar) -> Union[float, Error]:
     if v is None:
         return 0.0
     if isinstance(v, str):
-        if _NUMBER_TEXT_RE.match(v.strip()):
-            return float(v)
+        text = v.strip()
+        if _SIGNED_NUMBER_RE.fullmatch(text):
+            n = float(text)
+            if math.isfinite(n):
+                return n
         return Error.VALUE
     raise TypeError(f"not a scalar: {v!r}")
 
@@ -455,9 +470,10 @@ def coerce(value: Scalar, target: str) -> Scalar:
 
 @dataclass(frozen=True)
 class Literal:
-    """A typed-in value: a cell's literal content and a formula's constant."""
+    """A typed-in value: a cell's literal content and a formula's constant
+    (an Array for a ``{...}`` array constant, built once when parsed)."""
 
-    value: Scalar
+    value: Value
 
 
 @dataclass
@@ -574,7 +590,7 @@ class CalcConfig:
 # Names that can never be defined names: boolean literals and error codes.
 _RESERVED_WORDS = {"true", "false"} | {c.casefold() for c in ERROR_CODES}
 
-_DEFINED_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+_DEFINED_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
 
 class Workspace:
@@ -625,9 +641,9 @@ class Workspace:
         Names are unique case-insensitively, must not look like cell
         references, and must not collide with builtin function names.
         """
-        if not _DEFINED_NAME_RE.match(name):
+        if not _DEFINED_NAME_RE.fullmatch(name):
             raise ValueError(f"invalid defined name {name!r}")
-        if _CELL_PART_RE.match(name):
+        if CELL_RE.fullmatch(name):
             raise ValueError(f"defined name {name!r} looks like a cell reference")
         key = name.casefold()
         if key in _RESERVED_WORDS:

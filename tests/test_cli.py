@@ -175,3 +175,19 @@ def test_deeply_nested_formula_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "recalc", path)
     assert code == 1
     assert f"{path}:2: B1: formula nested more than" in err
+
+
+def test_non_ascii_formula_exits_1(capsys, tmp_path):
+    path = tmp_path / "accent.gwb"
+    path.write_text("B1 : 1\nA1 = 1+\u00e9\n", encoding="utf-8")
+    code, _, err = run(capsys, "recalc", path)
+    assert code == 1
+    assert err == f"{path}:2: A1: illegal character '\u00e9' (at offset 2)\n"
+
+
+def test_file_that_is_not_utf8_exits_1(capsys, tmp_path):
+    path = tmp_path / "latin1.gwb"
+    path.write_bytes(b'A1 : 1\nA2 : "caf\xe9"\n')
+    code, _, err = run(capsys, "recalc", path)
+    assert code == 1
+    assert err.startswith(f"{path}:2: not UTF-8 text")

@@ -184,6 +184,16 @@ def test_graph_matches_rebuild_after_random_edits():
         assert eng.graph == eng.build_graph()
 
 
+def test_build_graph_reads_the_defined_names_once(monkeypatch):
+    eng = engine_for("isbn_basic.gwb")
+    calls = []
+    read_names = Engine._name_targets
+    monkeypatch.setattr(Engine, "_name_targets", lambda self: calls.append(1) or read_names(self))
+    graph = eng.build_graph()
+    assert len(graph.precedents) > 1 and len(calls) == 1
+    assert graph == eng.graph
+
+
 def test_reverse_edges_are_exact_transpose():
     eng = engine_for("isbn_basic.gwb")
     g = eng.graph

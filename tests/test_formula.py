@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gridcalc.formula import (
-    ArrayConst,
     Binary,
     Call,
+    FormulaError,
     LexError,
     Literal,
     OMITTED,
@@ -17,7 +18,7 @@ from gridcalc.formula import (
     tokenize,
     unparse,
 )
-from gridcalc.model import CellAddress, Error, parse_address
+from gridcalc.model import Array, CellAddress, Error, parse_address
 
 CTX = CellAddress("Book1", "Sheet1", 2, 2)  # B2
 
@@ -136,6 +137,24 @@ def test_illegal_character():
         tokenize("50%")  # postfix percent is out of scope
 
 
+@pytest.mark.parametrize("source, offset", [("é", 0), ("²", 0), ("1+٣", 2), ("Aé1", 1)])
+def test_non_ascii_letters_and_digits_are_illegal(source, offset):
+    # str.isalpha/isdigit accept these; the ASCII token patterns do not
+    for attempt in (tokenize, lambda s: parse_formula(s, CTX)):
+        with pytest.raises(LexError) as exc:
+            attempt(source)
+        assert exc.value.message == f"illegal character {source[offset]!r}"
+        assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("source, offset", [("1e400", 0), ("2*1E309", 2), ("{1;-1e400}", 4)])
+def test_number_beyond_float_range_is_a_parse_error(source, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(source, CTX)
+    assert exc.value.message == "number too large"
+    assert exc.value.offset == offset
+
+
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -203,10 +222,10 @@ def test_parse_references():
 
 def test_parse_array_constants():
     ast = parse_formula('{1,2;3,4}', CTX)
-    assert ast == ArrayConst(((1.0, 2.0), (3.0, 4.0)))
+    assert ast == Literal(Array(((1.0, 2.0), (3.0, 4.0))))
     ast = parse_formula('{"0";"X"}', CTX)
-    assert ast.rows == (("0",), ("X",))
-    assert parse_formula("{-1;2}", CTX).rows == ((-1.0,), (2.0,))
+    assert ast.value.rows == (("0",), ("X",))
+    assert parse_formula("{-1;2}", CTX).value.rows == ((-1.0,), (2.0,))
     with pytest.raises(ParseError):
         parse_formula("{1,2;3}", CTX)
     with pytest.raises(ParseError):
@@ -238,7 +257,13 @@ def test_corpus_parses(source):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("source", CORPUS + ["-2^2", "1-(2-3)", "(1+2)*3", "-(A1&B1)", "A1:B2"])
+@pytest.mark.parametrize(
+    "source",
+    CORPUS
+    + ["-2^2", "1-(2-3)", "(1+2)*3", "-(A1&B1)", "A1:B2", "A1:A1", "$A$1:A1"]
+    # sheet names that are not identifiers need the workbook to parse
+    + ["[Book1]A1!B2", "[Book1]TRUE!B2:C3"],
+)
 def test_unparse_reparses_identically(source):
     ast = parse_formula(source, CTX)
     rendered = unparse(ast, CTX)
@@ -263,6 +288,29 @@ def test_long_operator_chain_unparses_and_reparses(ops):
         return node, pairs
 
     assert spine(parse_formula(rendered, CTX)) == spine(ast)
+
+
+# Fragments that combine into formulas often enough for the round trip to run.
+_FRAGMENTS = [
+    "A1", "$B$2", "A1:B2", "C3:C3", "Sheet2!C3", "[lib]S!A1", "[Book1]TRUE!A1", "SUM(", "IF(", "(", ")",
+    "{", "}", ",", ";", "+", "-", "*", "/", "^", "&", "=", "<>", "<=", "1", "2.5", ".5", "1e3",
+    '"x"', '"a""b"', "TRUE", "#N/A", "#DIV/0!", "name", "x.y", "A0", " ", "1e400", "é",
+]
+_formula_text = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join),
+)
+
+
+@given(_formula_text)
+def test_any_text_parses_or_raises_formula_error(source):
+    try:
+        tokenize(source)
+        ast = parse_formula(source, CTX)
+    except FormulaError:
+        return
+    test_tokens_reconstruct_source(source)
+    assert parse_formula(unparse(ast, CTX), CTX) == ast
 
 
 def test_unparse_qualification_levels():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gridcalc import Engine, LoadError, dump_sheet, dump_workbook_source, load_workspace
 from gridcalc.model import (
@@ -116,6 +117,7 @@ def test_bad_formula_rejected(tmp_path):
 def test_bad_literal_rejected(tmp_path):
     err(tmp_path, 'A1 : "unterminated\n')
     err(tmp_path, "A1 : 12abc\n")
+    err(tmp_path, "A1 : 1e400\n")  # beyond the float range
 
 
 def test_two_input_tables_rejected(tmp_path):
@@ -161,6 +163,47 @@ def test_builtin_name_collision_rejected(tmp_path):
 def test_missing_file_is_load_error(tmp_path):
     with pytest.raises(LoadError):
         load_workspace([tmp_path / "nope.gwb"])
+
+
+@pytest.mark.parametrize(
+    "data, line_no",
+    [
+        (b'A1 : 1\nA2 : "caf\xe9"\n', 2),  # Latin-1, not UTF-8
+        (b"\xff\xfeA\x001\x00", 1),  # UTF-16
+        (b'A1 : "\xc3\xa9"\r\n\r\nA3 : "\xe9', 3),  # after valid UTF-8 and CRLF
+    ],
+)
+def test_file_that_is_not_utf8_is_load_error(tmp_path, data, line_no):
+    path = tmp_path / "wb.gwb"
+    path.write_bytes(data)
+    with pytest.raises(LoadError) as exc:
+        load_workspace([path])
+    assert exc.value.line_no == line_no
+    assert "UTF-8" in exc.value.message
+
+
+def test_workspace_file_that_is_not_utf8_is_load_error(tmp_path):
+    write(tmp_path, "one.gwb", "A1 : 1\n")
+    gws = tmp_path / "ws.gws"
+    gws.write_bytes(b"# \xe9\nworkbook One one.gwb\n")
+    with pytest.raises(LoadError) as exc:
+        load_workspace([gws])
+    assert (exc.value.path, exc.value.line_no) == (gws, 1)
+
+
+def test_non_ascii_in_formula_is_load_error(tmp_path):
+    e = err(tmp_path, "A1 : 1\nA2 = 1+\u00e9\n")
+    assert str(e).endswith(":2: A2: illegal character '\u00e9' (at offset 2)")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.text())
+def test_any_formula_line_loads_or_is_load_error(tmp_path, text):
+    path = write(tmp_path, "wb.gwb", "A1 : 1\nB1 = " + text + "\n")
+    try:
+        load_workspace([path])
+    except LoadError:
+        pass
 
 
 # ---------------------------------------------------------------------------

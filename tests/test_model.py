@@ -253,7 +253,10 @@ def test_number_text_rejects_pythonisms():
     assert coerce("inf", "number") is Error.VALUE
     assert coerce("nan", "number") is Error.VALUE
     assert coerce("1_0", "number") is Error.VALUE
+    assert coerce("1e400", "number") is Error.VALUE  # beyond the float range
     assert coerce("1e3", "number") == 1000.0
+    # str.strip() removes characters float() would refuse, e.g. U+001F
+    assert coerce("0\x1f", "number") == 0.0
 
 
 _scalars = st.one_of(
