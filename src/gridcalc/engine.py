@@ -152,13 +152,15 @@ class EvalContext:
             return Error.VALUE
         if spec.kind == "special":
             return spec.fn(self, node.args)
+        if spec.kind == "reference":
+            ref = spec.fn(self, node.args)
+            return ref if isinstance(ref, Error) else self.ref_value(ref)
         args = [None if a is formula.OMITTED else self.eval(a) for a in node.args]
         if spec.kind == "scalar":
             return functions.array_lift(spec.fn, args)
-        if spec.strict:
-            for a in args:
-                if isinstance(a, Error):
-                    return a
+        for a in args:
+            if isinstance(a, Error):
+                return a
         return spec.fn(self, args)
 
     # -- references ----------------------------------------------------------
@@ -184,9 +186,9 @@ class EvalContext:
     def as_reference(self, node):
         """Resolve a node to the reference it denotes, if any.
 
-        Returns an address/range, an Error (unresolved name, bad OFFSET
-        arithmetic, unparsable INDIRECT text), or None when the node is not
-        a reference expression at all.
+        Returns an address/range, an Error (unresolved name, or what a
+        reference builtin such as OFFSET or INDIRECT gave), or None when the
+        node is not a reference expression at all.
         """
         if isinstance(node, formula.Ref):
             if isinstance(node.target, str):
@@ -195,11 +197,12 @@ class EvalContext:
             return node.target
         if isinstance(node, formula.Call):
             spec = functions.REGISTRY.get(node.name.upper())
-            if spec is not None and spec.min_args <= len(node.args) <= spec.max_args:
-                if spec.name == "OFFSET":
-                    return functions.offset_ref(self, node.args)
-                if spec.name == "INDIRECT":
-                    return functions.indirect_ref(self, node.args)
+            if (
+                spec is not None
+                and spec.kind == "reference"
+                and spec.min_args <= len(node.args) <= spec.max_args
+            ):
+                return spec.fn(self, node.args)
         return None
 
 
@@ -425,7 +428,10 @@ class Engine:
     def _ordered_components(self, nodes: set, rng: random.Random | None = None) -> list:
         """Strongly connected components of the induced subgraph, listed so
         that precedents come before dependents. Deterministic by address
-        order unless *rng* shuffles the (value-irrelevant) tie-breaking."""
+        order unless *rng* shuffles the (value-irrelevant) tie-breaking:
+        the root order and each node's precedents. Tarjan's algorithm emits
+        a component only after every component it reads, whatever order it
+        visits them in."""
         order = sorted(nodes, key=lambda a: a.sort_key)
         if rng is not None:
             rng.shuffle(order)
@@ -437,7 +443,10 @@ class Engine:
         counter = [0]
 
         def neighbors(a):
-            return [p for p in self.graph.precedents.get(a, ()) if p in nodes]
+            out = [p for p in self.graph.precedents.get(a, ()) if p in nodes]
+            if rng is not None:
+                rng.shuffle(out)
+            return out
 
         for root in order:
             if root in index:
@@ -476,33 +485,7 @@ class Engine:
                         if member is node or member == node:
                             break
                     comps.append(comp)
-        if rng is None:
-            return comps
-        return self._shuffled_condensation(comps, nodes, rng)
-
-    def _shuffled_condensation(self, comps: list, nodes: set, rng: random.Random) -> list:
-        comp_of = {}
-        for idx, comp in enumerate(comps):
-            for a in comp:
-                comp_of[a] = idx
-        incoming = [0] * len(comps)
-        outgoing: list[set] = [set() for _ in comps]
-        for a in nodes:
-            ca = comp_of[a]
-            for p in self.graph.precedents.get(a, ()):
-                if p in nodes and comp_of[p] != ca and ca not in outgoing[comp_of[p]]:
-                    outgoing[comp_of[p]].add(ca)
-                    incoming[ca] += 1
-        ready = [i for i in range(len(comps)) if incoming[i] == 0]
-        out = []
-        while ready:
-            i = ready.pop(rng.randrange(len(ready)))
-            out.append(comps[i])
-            for j in outgoing[i]:
-                incoming[j] -= 1
-                if incoming[j] == 0:
-                    ready.append(j)
-        return out
+        return comps
 
     # -- data-table support ---------------------------------------------------------
 
@@ -531,7 +514,7 @@ class Engine:
         if plan is not None:
             return plan
         g = self.graph
-        body = {a for a in table.formula_cells() if a in g.precedents}
+        body = {a for a in table.results if a in g.precedents}
         inner: dict = {}  # cell -> its dependents inside the body
         stack = list(body)
         while stack:

@@ -25,7 +25,7 @@ from .model import (
     RangeRef,
     Reference,
     cell_coordinates,
-    number_to_text,
+    to_text,
 )
 
 
@@ -491,18 +491,16 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
 # ---------------------------------------------------------------------------
 
 
-def _value_text(v) -> str:
+def value_text(v) -> str:
+    """A literal value as formula text: :func:`model.to_text`, with text
+    quoted, an error as its code and an array in braces."""
     if isinstance(v, Array):
-        return "{" + ";".join(",".join(_value_text(x) for x in row) for row in v.rows) + "}"
-    if isinstance(v, bool):
-        return "TRUE" if v else "FALSE"
-    if isinstance(v, float):
-        return number_to_text(v)
+        return "{" + ";".join(",".join(value_text(x) for x in row) for row in v.rows) + "}"
     if isinstance(v, str):
         return quote(v)
     if isinstance(v, Error):
         return v.code
-    raise TypeError(f"cannot render literal {v!r}")
+    return to_text(v)
 
 
 def _is_identifier(text: str) -> bool:
@@ -531,7 +529,7 @@ def unparse(ast: Node, context: CellAddress | None = None) -> str:
 
     def emit(node, parent_prec: int) -> str:
         if isinstance(node, Literal):
-            return _value_text(node.value)
+            return value_text(node.value)
         if isinstance(node, Ref):
             return _ref_text(node.target, context)
         if isinstance(node, Unary):

@@ -1,20 +1,30 @@
 """Builtin spreadsheet functions and operator semantics.
 
-Three calling conventions, recorded per function in the registry:
+Four calling conventions, recorded per function in the registry:
 
-* ``scalar``  -- a scalar implementation that the engine lifts element-wise
+* ``scalar``    -- a scalar implementation that the engine lifts element-wise
   over array arguments (scalars broadcast, mismatched shapes fill the result
   with ``#VALUE!``, error elements propagate element-wise).
-* ``value``   -- receives fully evaluated arguments; scalar errors propagate
-  first unless the function is non-strict (ISBLANK).
-* ``special`` -- receives unevaluated argument nodes plus the evaluation
-  context, for lazy evaluation (IF) and reference arguments (OFFSET, XADR).
+* ``value``     -- receives fully evaluated arguments; a scalar error among
+  them is the result.
+* ``special``   -- receives unevaluated argument nodes plus the evaluation
+  context, for lazy evaluation (IF, ISBLANK) and reference arguments (XADR).
+* ``reference`` -- like ``special``, but returns a reference (OFFSET,
+  INDIRECT): the engine reads its value, or takes the reference itself where
+  one is wanted.
+
+Each rule about values is written once: ``_BINARY_FNS`` maps every operator
+to its scalar function, ``_order_key`` orders values for comparisons and
+MATCH, and ``_finite`` turns a number result that is not a finite real into
+``#NUM!``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import formula
@@ -89,97 +99,96 @@ def _is_number(v) -> bool:
 # Operators
 # ---------------------------------------------------------------------------
 
-def _compare_scalar(op: str, a, b):
-    """Spreadsheet ordering: blanks adapt to the other side, text compares
-    case-insensitively, and mixed types order number < text < boolean."""
-    if a is None and b is None:
-        return op in ("=", "<=", ">=")
-    if a is None:
-        a = 0.0 if _is_number(b) else ("" if isinstance(b, str) else False)
-    if b is None:
-        b = 0.0 if _is_number(a) else ("" if isinstance(a, str) else False)
-    a_bool, b_bool = isinstance(a, bool), isinstance(b, bool)
-    ra = 2 if a_bool else (1 if isinstance(a, str) else 0)
-    rb = 2 if b_bool else (1 if isinstance(b, str) else 0)
-    if ra != rb:
-        if op == "=":
-            return False
-        if op == "<>":
-            return True
-        less = ra < rb
-        eq = False
-    else:
-        if ra == 1:
-            a, b = a.casefold(), b.casefold()
-        eq = a == b
-        less = (not eq) and a < b
-    if op == "=":
-        return eq
-    if op == "<>":
-        return not eq
-    if op == "<":
-        return less
-    if op == "<=":
-        return less or eq
-    if op == ">":
-        return not (less or eq)
-    return not less  # ">="
+
+def _finite(r):
+    """*r* if it is a finite real number, else ``#NUM!``: the one rule for a
+    number result (an overflow, an infinity, a complex power)."""
+    return r if isinstance(r, float) and math.isfinite(r) else Error.NUM
 
 
-def _arith(op: str, a, b):
-    na = to_number(a)
-    if isinstance(na, Error):
-        return na
-    nb = to_number(b)
-    if isinstance(nb, Error):
-        return nb
+def _divide(a: float, b: float):
+    return Error.DIV0 if b == 0.0 else a / b
+
+
+def _modulo(a: float, b: float):
+    return Error.DIV0 if b == 0.0 else a % b  # sign follows the divisor
+
+
+def _power(a: float, b: float):
+    if a == 0.0 and b <= 0.0:
+        return Error.NUM if b == 0.0 else Error.DIV0
     try:
-        if op == "+":
-            r = na + nb
-        elif op == "-":
-            r = na - nb
-        elif op == "*":
-            r = na * nb
-        elif op == "/":
-            if nb == 0.0:
-                return Error.DIV0
-            r = na / nb
-        else:  # ^
-            if na == 0.0 and nb == 0.0:
-                return Error.NUM
-            if na == 0.0 and nb < 0.0:
-                return Error.DIV0
-            r = na**nb
+        return a**b  # complex for a negative base and a fractional exponent
     except OverflowError:
         return Error.NUM
-    except ValueError:
-        return Error.NUM
-    except ZeroDivisionError:
-        return Error.DIV0
-    if not math.isfinite(r):
-        return Error.NUM
-    return r
 
 
-def _binary_scalar(op: str):
-    if op == "&":
+def _arithmetic(op: Callable) -> Callable:
+    """Scalar function of two numbers: coerce both operands, apply *op*,
+    check the result."""
 
-        def concat(a, b):
-            ta = to_text(a)
-            if isinstance(ta, Error):
-                return ta
-            tb = to_text(b)
-            return tb if isinstance(tb, Error) else ta + tb
+    def apply(a, b):
+        a = to_number(a)
+        if isinstance(a, Error):
+            return a
+        b = to_number(b)
+        if isinstance(b, Error):
+            return b
+        r = op(a, b)
+        return r if isinstance(r, Error) else _finite(r)
 
-        return concat
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        return lambda a, b: _compare_scalar(op, a, b)
-    return lambda a, b: _arith(op, a, b)
+    return apply
 
 
+def _order_key(v) -> tuple:
+    """Rank, then value: numbers < text (case-insensitive) < booleans."""
+    if isinstance(v, str):
+        return (1, v.casefold())
+    return (2, v) if isinstance(v, bool) else (0, v)
+
+
+def _blank_as(other):
+    """What a blank compares as beside *other*: the zero of *other*'s kind."""
+    if isinstance(other, str):
+        return ""
+    return False if isinstance(other, bool) else 0.0
+
+
+def _comparison(op: Callable) -> Callable:
+    """Scalar comparison: *op* applied to the operands' order keys."""
+
+    def apply(a, b):
+        if a is None:
+            a = _blank_as(b)
+        if b is None:
+            b = _blank_as(a)
+        return op(_order_key(a), _order_key(b))
+
+    return apply
+
+
+def _concat(a, b):
+    ta = to_text(a)
+    if isinstance(ta, Error):
+        return ta
+    tb = to_text(b)
+    return tb if isinstance(tb, Error) else ta + tb
+
+
+# The one map from an operator token to its scalar function.
 _BINARY_FNS = {
-    op: _binary_scalar(op)
-    for op in ("+", "-", "*", "/", "^", "&", "=", "<>", "<", "<=", ">", ">=")
+    "+": _arithmetic(operator.add),
+    "-": _arithmetic(operator.sub),
+    "*": _arithmetic(operator.mul),
+    "/": _arithmetic(_divide),
+    "^": _arithmetic(_power),
+    "&": _concat,
+    "=": _comparison(operator.eq),
+    "<>": _comparison(operator.ne),
+    "<": _comparison(operator.lt),
+    "<=": _comparison(operator.le),
+    ">": _comparison(operator.gt),
+    ">=": _comparison(operator.ge),
 }
 
 
@@ -201,18 +210,6 @@ def apply_unary(op: str, v):
 # ---------------------------------------------------------------------------
 # Scalar builtins (lifted element-wise)
 # ---------------------------------------------------------------------------
-
-
-def _fn_mod(a, b):
-    na = to_number(a)
-    if isinstance(na, Error):
-        return na
-    nb = to_number(b)
-    if isinstance(nb, Error):
-        return nb
-    if nb == 0.0:
-        return Error.DIV0
-    return na % nb  # sign follows the divisor
 
 
 def _fn_value(v):
@@ -283,7 +280,7 @@ def _fn_sum(ctx, args):
             if isinstance(n, Error):
                 return n
             total += n
-    return total
+    return _finite(total)
 
 
 def _fn_sumproduct(ctx, args):
@@ -302,17 +299,7 @@ def _fn_sumproduct(ctx, args):
                     return e
                 product *= e if _is_number(e) else 0.0
             total += product
-    return total
-
-
-def _match_equal(needle, e) -> bool:
-    if isinstance(needle, str) and isinstance(e, str):
-        return needle.casefold() == e.casefold()
-    if isinstance(needle, bool) or isinstance(e, bool):
-        return needle is e
-    if _is_number(needle) and _is_number(e):
-        return needle == e
-    return False
+    return _finite(total)
 
 
 def _fn_match(ctx, args):
@@ -333,9 +320,11 @@ def _fn_match(ctx, args):
     elems = [arr.rows[0][j] for j in range(arr.n_cols)] if arr.n_rows == 1 else [
         arr.rows[i][0] for i in range(arr.n_rows)
     ]
-    for idx, e in enumerate(elems, start=1):
-        if _match_equal(needle, e):
-            return float(idx)
+    if needle is not None:  # a blank matches nothing, nor does a blank or error element
+        key = _order_key(needle)
+        for idx, e in enumerate(elems, start=1):
+            if e is not None and not isinstance(e, Error) and _order_key(e) == key:
+                return float(idx)
     return Error.NA
 
 
@@ -398,10 +387,6 @@ def _fn_address(ctx, args):
     return f"{prefix}{col_dollar}{letters}{row_dollar}{row}"
 
 
-def _fn_isblank(ctx, args):
-    return top_left(args[0]) is None
-
-
 # ---------------------------------------------------------------------------
 # Special builtins (lazy arguments / reference arguments)
 # ---------------------------------------------------------------------------
@@ -425,6 +410,11 @@ def _fn_if(ctx, nodes):
     return ctx.eval(branch)
 
 
+def _fn_isblank(ctx, nodes):
+    # evaluated here, not before the call: an error argument is not blank
+    return nodes[0] is OMITTED or top_left(ctx.eval(nodes[0])) is None
+
+
 def indirect_ref(ctx, nodes):
     """Reference named by INDIRECT's text argument, or an error value."""
     v = None if nodes[0] is OMITTED else top_left(ctx.eval(nodes[0]))
@@ -441,13 +431,6 @@ def indirect_ref(ctx, nodes):
         return parse_address(text, ctx.cell)
     except AddressError:
         return Error.REF
-
-
-def _fn_indirect(ctx, nodes):
-    ref = indirect_ref(ctx, nodes)
-    if isinstance(ref, Error):
-        return ref
-    return ctx.ref_value(ref)
 
 
 def offset_ref(ctx, nodes):
@@ -489,74 +472,38 @@ def offset_ref(ctx, nodes):
     return RangeRef(a, b)
 
 
-def _fn_offset(ctx, nodes):
-    ref = offset_ref(ctx, nodes)
+def _fn_position(axis: str, ctx, nodes):
+    """ROW or COLUMN (*axis* ``row`` or ``column``): the numbers of the
+    reference's rows or columns, or of the formula's own cell."""
+    if not nodes or nodes[0] is OMITTED:
+        return float(getattr(ctx.cell, axis))
+    ref = ctx.as_reference(nodes[0])
     if isinstance(ref, Error):
         return ref
-    return ctx.ref_value(ref)
-
-
-def _axis_numbers(ref, axis: str):
+    if ref is None:
+        return Error.VALUE
     if isinstance(ref, CellAddress):
         ref = RangeRef(ref, ref)
-    tl, br = ref.top_left, ref.bottom_right
-    if axis == "row":
-        nums = [float(r) for r in range(tl.row, br.row + 1)]
-        if len(nums) == 1:
-            return nums[0]
-        return Array([[n] for n in nums])
-    nums = [float(c) for c in range(tl.column, br.column + 1)]
-    if len(nums) == 1:
-        return nums[0]
-    return Array([nums])
+    first, last = getattr(ref.top_left, axis), getattr(ref.bottom_right, axis)
+    if first == last:
+        return float(first)
+    nums = [float(n) for n in range(first, last + 1)]
+    return Array([[n] for n in nums]) if axis == "row" else Array([nums])
 
 
-def _fn_row(ctx, nodes):
-    if not nodes or nodes[0] is OMITTED:
-        return float(ctx.cell.row)
-    ref = ctx.as_reference(nodes[0])
-    if isinstance(ref, Error):
-        return ref
-    if ref is None:
-        return Error.VALUE
-    return _axis_numbers(ref, "row")
-
-
-def _fn_column(ctx, nodes):
-    if not nodes or nodes[0] is OMITTED:
-        return float(ctx.cell.column)
-    ref = ctx.as_reference(nodes[0])
-    if isinstance(ref, Error):
-        return ref
-    if ref is None:
-        return Error.VALUE
-    return _axis_numbers(ref, "column")
-
-
-def _extent(ctx, nodes, axis: str):
+def _fn_extent(size: str, ctx, nodes):
+    """ROWS or COLUMNS (*size* ``n_rows`` or ``n_cols``) of a reference or array."""
     if nodes[0] is OMITTED:
         return Error.VALUE
     ref = ctx.as_reference(nodes[0])
     if isinstance(ref, Error):
         return ref
     if ref is not None:
-        if isinstance(ref, CellAddress):
-            return 1.0
-        return float(ref.n_rows if axis == "row" else ref.n_cols)
+        return 1.0 if isinstance(ref, CellAddress) else float(getattr(ref, size))
     v = ctx.eval(nodes[0])
     if isinstance(v, Error):
         return v
-    if isinstance(v, Array):
-        return float(v.n_rows if axis == "row" else v.n_cols)
-    return 1.0
-
-
-def _fn_rows(ctx, nodes):
-    return _extent(ctx, nodes, "row")
-
-
-def _fn_columns(ctx, nodes):
-    return _extent(ctx, nodes, "column")
+    return float(getattr(v, size)) if isinstance(v, Array) else 1.0
 
 
 def _fn_xadr(ctx, nodes):
@@ -580,32 +527,31 @@ class Builtin:
     name: str
     min_args: int
     max_args: int
-    kind: str  # "scalar" | "value" | "special"
+    kind: str  # "scalar" | "value" | "special" | "reference"
     fn: Callable
     volatile: bool = False
-    strict: bool = True
 
 
 REGISTRY: dict[str, Builtin] = {
     b.name: b
     for b in (
         Builtin("IF", 2, 3, "special", _fn_if),
-        Builtin("MOD", 2, 2, "scalar", _fn_mod),
+        Builtin("MOD", 2, 2, "scalar", _arithmetic(_modulo)),
         Builtin("SUMPRODUCT", 1, 255, "value", _fn_sumproduct),
         Builtin("VALUE", 1, 1, "scalar", _fn_value),
         Builtin("MID", 3, 3, "scalar", _fn_mid),
         Builtin("MATCH", 2, 3, "value", _fn_match),
         Builtin("RIGHT", 1, 2, "scalar", _fn_right),
         Builtin("LEN", 1, 1, "scalar", _fn_len),
-        Builtin("ISBLANK", 1, 1, "value", _fn_isblank, strict=False),
+        Builtin("ISBLANK", 1, 1, "special", _fn_isblank),
         Builtin("INDEX", 2, 3, "value", _fn_index),
-        Builtin("INDIRECT", 1, 2, "special", _fn_indirect, volatile=True),
-        Builtin("OFFSET", 3, 5, "special", _fn_offset, volatile=True),
+        Builtin("INDIRECT", 1, 2, "reference", indirect_ref, volatile=True),
+        Builtin("OFFSET", 3, 5, "reference", offset_ref, volatile=True),
         Builtin("ADDRESS", 2, 5, "value", _fn_address),
-        Builtin("ROW", 0, 1, "special", _fn_row),
-        Builtin("COLUMN", 0, 1, "special", _fn_column),
-        Builtin("ROWS", 1, 1, "special", _fn_rows),
-        Builtin("COLUMNS", 1, 1, "special", _fn_columns),
+        Builtin("ROW", 0, 1, "special", partial(_fn_position, "row")),
+        Builtin("COLUMN", 0, 1, "special", partial(_fn_position, "column")),
+        Builtin("ROWS", 1, 1, "special", partial(_fn_extent, "n_rows")),
+        Builtin("COLUMNS", 1, 1, "special", partial(_fn_extent, "n_cols")),
         Builtin("XADR", 1, 1, "special", _fn_xadr),
         Builtin("SUM", 1, 255, "value", _fn_sum),
     )

@@ -41,11 +41,12 @@ from .model import (
     Workbook,
     Workspace,
     column_to_letters,
-    number_to_text,
     parse_address,
     to_number,
+    to_text,
+    top_left,
 )
-from .formula import TEXT_RE, FormulaError, parse_formula, quote, unquote
+from .formula import TEXT_RE, FormulaError, parse_formula, unquote, value_text
 
 DEFAULT_SHEET = "Sheet1"
 
@@ -67,6 +68,15 @@ _TABLE_RE = re.compile(r"^table\s+(\S+)((?:\s+\w+=\S+)+)\s*$")
 _TABLE_OPT_RE = re.compile(r"(\w+)=(\S+)")
 _BODY_MARKER_RE = re.compile(r"^\{=TABLE\(\s*([^(),]*?)\s*,\s*([^(),]*?)\s*\)\}$")
 _WORKBOOK_RE = re.compile(r"^workbook\s+(\S+)\s+(.+?)\s*$")
+
+
+def _at_line(path, line_no: int, fn, *args):
+    """``fn(*args)``, with an AddressError (a bad reference or name) reported
+    as a LoadError at *path*:*line_no*."""
+    try:
+        return fn(*args)
+    except AddressError as exc:
+        raise LoadError(path, line_no, str(exc)) from exc
 
 
 def _lines(path: Path):
@@ -121,7 +131,7 @@ def _load_gws(path: Path, config: CalcConfig | None) -> Workspace:
 def _add_workbook(ws: Workspace, name: str, path: Path) -> None:
     try:
         wb = ws.add_workbook(name)
-    except (ValueError, AddressError) as exc:
+    except ValueError as exc:  # a duplicate or malformed workbook name
         raise LoadError(path, 0, str(exc)) from exc
     _load_workbook_file(ws, wb, path)
 
@@ -141,10 +151,7 @@ def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
     for line_no, line in _lines(path):
         m = _SHEET_RE.match(line)
         if m is not None:
-            try:
-                current = wb.ensure_sheet(m.group(1))
-            except AddressError as exc:
-                raise LoadError(path, line_no, str(exc)) from exc
+            current = _at_line(path, line_no, wb.ensure_sheet, m.group(1))
             continue
         m = _NAME_RE.match(line)
         if m is not None:
@@ -195,10 +202,7 @@ def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
 
 
 def _parse_local_cell(wb: Workbook, sheet: Sheet, path, line_no: int, text: str) -> CellAddress:
-    try:
-        ref = parse_address(text, CellAddress(wb.name, sheet.name, 1, 1))
-    except AddressError as exc:
-        raise LoadError(path, line_no, str(exc)) from exc
+    ref = _at_line(path, line_no, parse_address, text, CellAddress(wb.name, sheet.name, 1, 1))
     if not isinstance(ref, CellAddress):
         raise LoadError(path, line_no, f"expected a single cell, got {text!r}")
     if ref.sheet.casefold() != sheet.name.casefold() or ref.workbook.casefold() != wb.name.casefold():
@@ -229,10 +233,8 @@ def _apply_formula(sheet: Sheet, addr: CellAddress, path, line_no: int, source: 
 def _apply_name(ws: Workspace, wb: Workbook, path, line_no: int, name: str, target_text: str) -> None:
     if "!" not in target_text or "[" in target_text:
         raise LoadError(path, line_no, "name targets are written Sheet!A1 or Sheet!A1:B2")
-    try:
-        target = parse_address(target_text, CellAddress(wb.name, DEFAULT_SHEET, 1, 1))
-    except AddressError as exc:
-        raise LoadError(path, line_no, str(exc)) from exc
+    context = CellAddress(wb.name, DEFAULT_SHEET, 1, 1)
+    target = _at_line(path, line_no, parse_address, target_text, context)
     try:
         ws.define_name(name, target)
     except ValueError as exc:
@@ -241,10 +243,7 @@ def _apply_name(ws: Workspace, wb: Workbook, path, line_no: int, name: str, targ
 
 def _parse_table_directive(wb: Workbook, sheet: Sheet, path, line_no: int, m: re.Match):
     context = CellAddress(wb.name, sheet.name, 1, 1)
-    try:
-        region = parse_address(m.group(1), context)
-    except AddressError as exc:
-        raise LoadError(path, line_no, str(exc)) from exc
+    region = _at_line(path, line_no, parse_address, m.group(1), context)
     if isinstance(region, CellAddress):
         region = RangeRef(region, region)
     opts = dict(_TABLE_OPT_RE.findall(m.group(2)))
@@ -258,13 +257,7 @@ def _parse_table_directive(wb: Workbook, sheet: Sheet, path, line_no: int, m: re
         raise LoadError(path, line_no, "table needs colinput=<ref> or rowinput=<ref>")
     if opts:
         raise LoadError(path, line_no, f"unknown table option {next(iter(opts))!r}")
-    try:
-        input_ref = parse_address(ref_text, context)
-    except AddressError as exc:
-        raise LoadError(path, line_no, str(exc)) from exc
-    if not isinstance(input_ref, CellAddress):
-        raise LoadError(path, line_no, "the table input must be a single cell")
-    return line_no, region, orientation, input_ref
+    return line_no, region, orientation, _input_cell(ref_text, context, path, line_no)
 
 
 def _parse_body_marker(wb: Workbook, sheet: Sheet, path, line_no: int, m: re.Match):
@@ -272,14 +265,16 @@ def _parse_body_marker(wb: Workbook, sheet: Sheet, path, line_no: int, m: re.Mat
     if bool(row_part) == bool(col_part):
         raise LoadError(path, line_no, "TABLE takes exactly one input cell")
     orientation = tables.COLUMN_INPUT if col_part else tables.ROW_INPUT
-    ref_text = col_part or row_part
-    try:
-        ref = parse_address(ref_text, CellAddress(wb.name, sheet.name, 1, 1))
-    except AddressError as exc:
-        raise LoadError(path, line_no, str(exc)) from exc
+    context = CellAddress(wb.name, sheet.name, 1, 1)
+    return orientation, _input_cell(col_part or row_part, context, path, line_no)
+
+
+def _input_cell(text: str, context: CellAddress, path, line_no: int) -> CellAddress:
+    """The input cell of a ``table`` directive or a ``{=TABLE(...)}`` marker."""
+    ref = _at_line(path, line_no, parse_address, text, context)
     if not isinstance(ref, CellAddress):
         raise LoadError(path, line_no, "the table input must be a single cell")
-    return orientation, ref
+    return ref
 
 
 # ---------------------------------------------------------------------------
@@ -288,33 +283,18 @@ def _parse_body_marker(wb: Workbook, sheet: Sheet, path, line_no: int, m: re.Mat
 
 
 def render_value(v) -> str:
-    """Display text for a cached value: blank and "" are both empty."""
-    if v is None:
-        return ""
-    if isinstance(v, Error):
-        return v.code
-    if isinstance(v, bool):
-        return "TRUE" if v else "FALSE"
-    if isinstance(v, float):
-        return number_to_text(v)
-    if isinstance(v, str):
-        return v
-    return render_value(v.rows[0][0])  # arrays display their top-left element
+    """Display text for a cached value: blank and "" are both empty, and an
+    array shows its top-left element."""
+    v = top_left(v)
+    return v.code if isinstance(v, Error) else to_text(v)
 
 
 def _cell_directive(ws: Workspace, addr_text: str, cell) -> str:
     content = cell.content
     if isinstance(content, Literal):
+        # numbers and text load as literals; TRUE, FALSE and error codes as formulas
         v = content.value
-        if isinstance(v, bool):
-            return f"{addr_text} = {'TRUE' if v else 'FALSE'}"
-        if isinstance(v, float):
-            return f"{addr_text} : {number_to_text(v)}"
-        if isinstance(v, str):
-            return f"{addr_text} : {quote(v)}"
-        if isinstance(v, Error):
-            return f"{addr_text} = {v.code}"
-        raise TypeError(f"cannot dump literal {v!r}")
+        return f"{addr_text} {'=' if isinstance(v, (bool, Error)) else ':'} {value_text(v)}"
     if isinstance(content, Formula):
         return f"{addr_text} = {content.source}"
     if isinstance(content, TableBody):

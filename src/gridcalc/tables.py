@@ -16,7 +16,7 @@ values for the whole outer evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import (
     CellAddress,
@@ -48,56 +48,52 @@ class DataTableRegion:
     rendered ``{=TABLE(,A2)}``. ``row`` orientation is the transpose,
     rendered ``{=TABLE(A2,)}``. A 2x2 region is a single function call:
     one result link, one argument cell, one result cell.
+
+    Its cells are computed once, when it is made: ``results`` (the result
+    formulas), ``arguments`` (the input values) and ``grid``, where
+    ``grid[i][j]`` receives result ``j`` for argument ``i``.
     """
 
     table_id: int
     region: RangeRef
     orientation: str
     input_cell: CellAddress
+    results: tuple = field(init=False, repr=False, compare=False)
+    arguments: tuple = field(init=False, repr=False, compare=False)
+    grid: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tl = self.region.top_left
+        # A row table is a col table transposed: for a col table, argument i
+        # is i rows and result j is j columns from the anchor.
+        step = 1 if self.orientation == COLUMN_INPUT else -1
+        n_arguments, n_results = (self.region.n_rows, self.region.n_cols)[::step]
+
+        def at(i: int, j: int) -> CellAddress:
+            rows, cols = (i, j)[::step]
+            return CellAddress(tl.workbook, tl.sheet, tl.column + cols, tl.row + rows)
+
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "results", tuple(at(0, j) for j in range(1, n_results)))
+        set_field(self, "arguments", tuple(at(i, 0) for i in range(1, n_arguments)))
+        set_field(
+            self,
+            "grid",
+            tuple(tuple(at(i, j) for j in range(1, n_results)) for i in range(1, n_arguments)),
+        )
 
     @property
     def anchor(self) -> CellAddress:
         return self.region.top_left
 
     def formula_cells(self) -> list[CellAddress]:
-        tl, br = self.region.top_left, self.region.bottom_right
-        if self.orientation == COLUMN_INPUT:
-            return [
-                CellAddress(tl.workbook, tl.sheet, c, tl.row)
-                for c in range(tl.column + 1, br.column + 1)
-            ]
-        return [
-            CellAddress(tl.workbook, tl.sheet, tl.column, r)
-            for r in range(tl.row + 1, br.row + 1)
-        ]
+        return list(self.results)
 
     def value_cells(self) -> list[CellAddress]:
-        tl, br = self.region.top_left, self.region.bottom_right
-        if self.orientation == COLUMN_INPUT:
-            return [
-                CellAddress(tl.workbook, tl.sheet, tl.column, r)
-                for r in range(tl.row + 1, br.row + 1)
-            ]
-        return [
-            CellAddress(tl.workbook, tl.sheet, c, tl.row)
-            for c in range(tl.column + 1, br.column + 1)
-        ]
+        return list(self.arguments)
 
     def body_address(self, value_index: int, formula_index: int) -> CellAddress:
-        tl = self.region.top_left
-        if self.orientation == COLUMN_INPUT:
-            return CellAddress(
-                tl.workbook,
-                tl.sheet,
-                tl.column + 1 + formula_index,
-                tl.row + 1 + value_index,
-            )
-        return CellAddress(
-            tl.workbook,
-            tl.sheet,
-            tl.column + 1 + value_index,
-            tl.row + 1 + formula_index,
-        )
+        return self.grid[value_index][formula_index]
 
     def is_body_cell(self, addr: CellAddress) -> bool:
         """Whether *addr*, a cell of this region, is a body cell."""
@@ -105,12 +101,8 @@ class DataTableRegion:
         return addr.row > tl.row and addr.column > tl.column
 
     def body_cells(self) -> list[CellAddress]:
-        tl, br = self.region.top_left, self.region.bottom_right
-        return [
-            CellAddress(tl.workbook, tl.sheet, c, r)
-            for r in range(tl.row + 1, br.row + 1)
-            for c in range(tl.column + 1, br.column + 1)
-        ]
+        """The body, row by row."""
+        return sorted((a for row in self.grid for a in row), key=lambda a: a.sort_key)
 
     def marker_text(self) -> str:
         """Body-cell display text, e.g. ``{=TABLE(,A2)}`` for column input."""
@@ -197,16 +189,14 @@ def evaluate_table(engine, table: DataTableRegion, stats) -> set:
     key = (table.input_cell.row, table.input_cell.column)
     saved_cell = sheet.cells.get(key)
     saved = None if saved_cell is None else (saved_cell.content, saved_cell.cached)
-    values = [ws.value(a) for a in table.value_cells()]  # snapshot before any pass
-    formula_addrs = table.formula_cells()
+    values = [ws.value(a) for a in table.arguments]  # snapshot before any pass
     changed: set = set()
     try:
-        for i, v in enumerate(values):
+        for v, body_row in zip(values, table.grid):
             _write_input(ws, table.input_cell, v)
             engine.run_plan(plan, stats)
-            for j, faddr in enumerate(formula_addrs):
+            for faddr, addr in zip(table.results, body_row):
                 result = ws.value(faddr)
-                addr = table.body_address(i, j)
                 body = ws.cell(addr)
                 if not values_equal(body.cached, result):
                     changed.add(addr)

@@ -169,6 +169,17 @@ def test_iterative_flags_flow_through(capsys, tmp_path):
     assert out == "#CYCLE!\n"
 
 
+def test_get_prints_num_for_a_non_finite_result(capsys, tmp_path):
+    wb = tmp_path / "n.gwb"
+    wb.write_text(
+        "A1 = (-8)^0.5\nA2 = SUM(1e308,1e308)\nA3 = SUMPRODUCT({1e308;1e308},{10;10})\n",
+        encoding="utf-8",
+    )
+    for cell in ("A1", "A2", "A3"):
+        code, out, _ = run(capsys, "get", wb, cell)
+        assert (code, out) == (0, "#NUM!\n"), cell
+
+
 def test_deeply_nested_formula_exits_1(capsys, tmp_path):
     path = tmp_path / "deep.gwb"
     path.write_text("A1 : 1\nB1 = " + "(" * 3000 + "A1" + ")" * 3000 + "\n", encoding="utf-8")

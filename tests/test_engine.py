@@ -270,17 +270,34 @@ def grid_snapshot(eng: Engine):
     return out
 
 
-def test_confluence_under_randomized_tie_breaking():
-    baseline = engine_for("isbn_basic.gwb")
+@pytest.mark.parametrize("asset", ["isbn_basic.gwb", "isbn_byref.gwb", "lib.gwb", "demo.gws"])
+def test_confluence_under_randomized_tie_breaking(asset):
+    baseline = engine_for(asset)
     baseline.full_recalc()
     want = grid_snapshot(baseline)
     for seed in range(5):
-        eng = engine_for("isbn_basic.gwb")
+        eng = engine_for(asset)
         eng.full_recalc(rng=random.Random(seed))
         got = grid_snapshot(eng)
         assert set(got) == set(want)
         for key in want:
             assert values_equal(got[key], want[key]), key
+
+
+def test_shuffled_component_order_is_topological():
+    eng = engine_for("demo.gws")
+    nodes = set(eng.graph.precedents)
+    orders = set()
+    for seed in range(10):
+        comps = eng._ordered_components(nodes, random.Random(seed))
+        position = {a: i for i, comp in enumerate(comps) for a in comp}
+        assert set(position) == nodes
+        for a, i in position.items():
+            for p in eng.graph.precedents[a]:
+                if p in nodes:
+                    assert position[p] <= i, (p, a)
+        orders.add(tuple(tuple(comp) for comp in comps))
+    assert len(orders) > 1  # the seeds do reorder the ties
 
 
 def test_repeated_recalc_is_idempotent():

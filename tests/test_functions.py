@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gridcalc import isbn
 from gridcalc.engine import Engine, EvalContext
 from gridcalc.formula import parse_formula
-from gridcalc.functions import array_lift
+from gridcalc.functions import REGISTRY, apply_binary, array_lift
 from gridcalc.model import (
     Array,
     CellAddress,
@@ -165,6 +167,18 @@ def test_match_rejects_two_dimensional_array():
 def test_match_no_cross_type_matches():
     assert ev('MATCH("1",{1;2},0)') is Error.NA
     assert ev("MATCH(1,{TRUE;1},0)") == 2.0
+
+
+def test_match_blank_and_error_elements_match_nothing():
+    ws = scratch()
+    put(ws, addr(1, 2), "")
+    put(ws, addr(1, 3), 0.0)
+    assert ev("MATCH(0,A1:A3,0)", ws) == 3.0  # the blank A1 is not 0
+    assert ev('MATCH("",A1:A3,0)', ws) == 2.0  # nor ""
+    assert ev("MATCH(FALSE,A1:A3,0)", ws) is Error.NA  # nor FALSE
+    assert ev("MATCH(A9,A1:A3,0)", ws) is Error.NA  # a blank needle matches nothing
+    assert ev("MATCH(1,{#N/A;1},0)") == 2.0
+    assert ev("MATCH(#N/A,{#N/A;1},0)") is Error.NA
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +441,57 @@ def test_arithmetic():
     assert ev("0^0") is Error.NUM
     assert ev("10^1000") is Error.NUM
     assert ev("-A1") == 0.0  # negating a blank
+
+
+def test_non_finite_results_are_num_errors():
+    assert ev("(-8)^0.5") is Error.NUM  # a complex power
+    assert ev("SUM(1e308,1e308)") is Error.NUM
+    assert ev("SUMPRODUCT({1e308;1e308},{10;10})") is Error.NUM
+    assert ev("1e308*10") is Error.NUM
+    assert ev("SUM(1e308,-1e308)") == 0.0
+
+
+# Scalars for the properties below: blank, signed zeros, extreme floats,
+# text in case variants and numeric text, and the booleans.
+EXTREME_FLOATS = [
+    0.0, -0.0, 0.5, -8.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    2.0**53, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+SCALARS = st.one_of(
+    st.none(),
+    st.sampled_from(EXTREME_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["", "a", "A", "abc", "aBC", "ß", "SS", "1", "01", "1.5", " 2 ", "-3", "1e308", "TRUE", "false"]),
+    st.text(max_size=4),
+    st.booleans(),
+)
+
+
+@given(SCALARS, SCALARS)
+def test_comparisons_order_every_pair_of_scalars(a, b):
+    got = {op: apply_binary(op, a, b) for op in ("<", "=", ">", "<>", "<=", ">=")}
+    assert all(type(v) is bool for v in got.values())
+    assert [got["<"], got["="], got[">"]].count(True) == 1
+    assert got["<>"] is not got["="]
+    assert got["<="] is (got["<"] or got["="])
+    assert got[">="] is (got[">"] or got["="])
+    assert apply_binary("<", b, a) is got[">"]
+    assert apply_binary(">", b, a) is got["<"]
+
+
+@given(SCALARS, SCALARS)
+def test_match_agrees_with_equality(a, b):
+    found = REGISTRY["MATCH"].fn(None, [a, Array([[b]]), 0.0])
+    if a is None or b is None:
+        assert found is Error.NA  # blanks match nothing
+    else:
+        assert (found == 1.0) is apply_binary("=", a, b)
+
+
+@given(st.sampled_from(["+", "-", "*", "/", "^"]), SCALARS, SCALARS)
+def test_arithmetic_gives_a_finite_number_or_an_error(op, a, b):
+    r = apply_binary(op, a, b)
+    assert isinstance(r, Error) or (type(r) is float and math.isfinite(r)), r
 
 
 def test_unknown_function_and_name():

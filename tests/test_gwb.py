@@ -5,12 +5,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gridcalc import Engine, LoadError, dump_sheet, dump_workbook_source, load_workspace
 from gridcalc.model import (
+    ERROR_CODES,
     CellAddress,
     Error,
     Formula,
     Literal,
     TableBody,
+    Workspace,
     parse_address,
+    values_equal,
 )
 from conftest import ALL_WORKBOOK_ASSETS, assets, engine_for
 
@@ -285,6 +288,36 @@ def test_boolean_literals_survive_source_round_trip(tmp_path):
     eng2.full_recalc()
     a1 = CellAddress("wb2", "Sheet1", 1, 1)
     assert ws2.value(a1) is True
+
+
+# Literal values: signed zeros, extreme floats, text in case variants and
+# numeric text, the booleans and the error codes. Text leaves out the
+# characters that end a line: a directive is one line, and the format has
+# no escape for them.
+LITERAL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e308, 1.7976931348623157e308, 2.0**53, 2.0**53 + 2]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["", "a", "A", "aBc", "1", "-0", " 2 ", "1e308", "TRUE", 'say "hi"']),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"))),
+    st.booleans(),
+    st.sampled_from([Error.of(code) for code in ERROR_CODES]),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(LITERAL_VALUES)
+def test_literal_cell_round_trips_through_source_dump(tmp_path, value):
+    ws = Workspace()
+    ws.add_workbook("wb").ensure_sheet("Sheet1")
+    a1 = CellAddress("wb", "Sheet1", 1, 1)
+    Engine(ws).set_literal(a1, value)
+    text = dump_workbook_source(ws, "wb")
+    ws2 = load_one(tmp_path, text)
+    content = ws2.cell(a1).content
+    # TRUE, FALSE and error codes are written as formulas holding the literal
+    literal = content.ast if isinstance(content, Formula) else content
+    assert isinstance(literal, Literal) and values_equal(literal.value, value)
+    assert dump_workbook_source(ws2, "wb") == text
 
 
 # ---------------------------------------------------------------------------
