@@ -224,9 +224,10 @@ class Engine:
     def _formula_addresses(self):
         for wb in self.workspace.workbooks():
             for sheet in wb.sheets():
+                home = CellAddress(wb.name, sheet.name, 1, 1)
                 for (row, col), cell in sheet.cells.items():
                     if isinstance(cell.content, Formula):
-                        yield CellAddress(wb.name, sheet.name, col, row)
+                        yield home.moved(col, row)
 
     def _name_targets(self) -> dict:
         return {key: target for key, (_, target) in self.workspace.defined_names.items()}

@@ -327,7 +327,7 @@ class _Parser:
             self.pos += 1
             return Ref(tok.lexeme)
         if tok.kind == CELLREF:
-            return Ref(self.cell_or_range(self.context.workbook, self.context.sheet))
+            return Ref(self.cell_or_range())
         raise ParseError(f"unexpected {tok.lexeme!r}", tok.start)
 
     def call(self) -> Node:
@@ -396,9 +396,11 @@ class _Parser:
         self._expect(PUNCT, "!")
         return Ref(self.cell_or_range(self.context.workbook, sheet_tok.lexeme))
 
-    def cell_or_range(self, workbook: str, sheet: str) -> Reference:
+    def cell_or_range(self, workbook: str = "", sheet: str = "") -> Reference:
+        """A cell or range on the named sheet, or else on the context's."""
         first = self._expect(CELLREF)
-        a = CellAddress(workbook, sheet, *cell_coordinates(first.lexeme))
+        coords = cell_coordinates(first.lexeme)
+        a = CellAddress(workbook, sheet, *coords) if sheet else self.context.moved(*coords)
         colon = self._peek()
         after = self._peek(1)
         if (
@@ -409,7 +411,7 @@ class _Parser:
             and after.kind == CELLREF
         ):
             self.pos += 2
-            b = CellAddress(workbook, sheet, *cell_coordinates(after.lexeme))
+            b = a.moved(*cell_coordinates(after.lexeme))
             return RangeRef.normalized(a, b)
         return a
 
@@ -516,8 +518,8 @@ def _ref_text(target: Union[Reference, str], context: CellAddress | None) -> str
         return target
     head = target.top_left if isinstance(target, RangeRef) else target
     local = target.local_text()  # a one-cell range stays A1:A1, not A1
-    if context is not None and head.workbook.casefold() == context.workbook.casefold():
-        if head.sheet.casefold() == context.sheet.casefold():
+    if context is not None and head.sheet_key[0] == context.sheet_key[0]:
+        if head.sheet_key == context.sheet_key:
             return local
         if _is_identifier(head.sheet):  # Sheet!A1 parses only for such names
             return f"{head.sheet}!{local}"

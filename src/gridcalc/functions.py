@@ -465,11 +465,10 @@ def offset_ref(ctx, nodes):
     col = tl.column + dcol
     if row < 1 or col < 1 or row + height - 1 > MAX_ROWS or col + width - 1 > MAX_COLUMNS:
         return Error.REF
-    a = CellAddress(tl.workbook, tl.sheet, col, row)
+    a = tl.moved(col, row)
     if height == 1 and width == 1:
         return a
-    b = CellAddress(tl.workbook, tl.sheet, col + width - 1, row + height - 1)
-    return RangeRef(a, b)
+    return RangeRef(a, a.moved(col + width - 1, row + height - 1))
 
 
 def _fn_position(axis: str, ctx, nodes):

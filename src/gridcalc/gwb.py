@@ -8,6 +8,7 @@ comments, blank lines ignored.
     sheet Sheet1              # switch/create the current sheet
     A1 : 42                   # number literal
     A2 : "some text"          # text literal; a doubled quote escapes one
+    A3 :: "two\\nlines"        # text holding line breaks, as a JSON string
     B2 = IF(A1=42,"y","n")    # formula (no leading = inside)
     B5 = {=TABLE(,A2)}        # table-body placeholder (validated)
     name Answer = Sheet1!B2   # defined name
@@ -23,6 +24,7 @@ back into an identical workspace and dumps to identical text.
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -61,7 +63,7 @@ class LoadError(Exception):
         self.message = message
 
 
-_CELL_DIRECTIVE_RE = re.compile(rf"^(?P<cell>{CELL_RE.pattern})\s*(?P<op>[:=])\s*(?P<rest>.*)$")
+_CELL_DIRECTIVE_RE = re.compile(rf"^(?P<cell>{CELL_RE.pattern})\s*(?P<op>::|[:=])\s*(?P<rest>.*)$")
 _SHEET_RE = re.compile(r"^sheet\s+(\S+)\s*$")
 _NAME_RE = re.compile(r"^name\s+(\S+)\s*=\s*(\S+)\s*$")
 _TABLE_RE = re.compile(r"^table\s+(\S+)((?:\s+\w+=\S+)+)\s*$")
@@ -138,20 +140,25 @@ def _add_workbook(ws: Workspace, name: str, path: Path) -> None:
 
 def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
     current: Sheet | None = None
-    seen: set[tuple[str, int, int]] = set()
+    context: CellAddress | None = None  # A1 of the current sheet
+    seen: set[tuple] = set()
     placeholders: list[tuple[int, CellAddress, str, CellAddress]] = []
     pending_tables: list[tuple[int, RangeRef, str, CellAddress]] = []
 
-    def current_sheet() -> Sheet:
-        nonlocal current
+    def enter(sheet: Sheet) -> None:
+        nonlocal current, context
+        current, context = sheet, CellAddress(wb.name, sheet.name, 1, 1)
+
+    def home() -> CellAddress:
+        """A1 of the current sheet, which is the default sheet until one is named."""
         if current is None:
-            current = wb.ensure_sheet(DEFAULT_SHEET)
-        return current
+            enter(wb.ensure_sheet(DEFAULT_SHEET))
+        return context
 
     for line_no, line in _lines(path):
         m = _SHEET_RE.match(line)
         if m is not None:
-            current = _at_line(path, line_no, wb.ensure_sheet, m.group(1))
+            enter(_at_line(path, line_no, wb.ensure_sheet, m.group(1)))
             continue
         m = _NAME_RE.match(line)
         if m is not None:
@@ -159,29 +166,25 @@ def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
             continue
         m = _TABLE_RE.match(line)
         if m is not None:
-            pending_tables.append(
-                _parse_table_directive(wb, current_sheet(), path, line_no, m)
-            )
+            pending_tables.append(_parse_table_directive(home(), path, line_no, m))
             continue
         m = _CELL_DIRECTIVE_RE.match(line)
         if m is not None:
-            sheet = current_sheet()
-            addr = _parse_local_cell(wb, sheet, path, line_no, m["cell"])
-            key = (sheet.name.casefold(), addr.row, addr.column)
-            if key in seen:
+            # the directive's cell is local, so it lies on the current sheet
+            addr = _at_line(path, line_no, parse_address, m["cell"], home())
+            if addr.sort_key in seen:
                 raise LoadError(path, line_no, f"cell {m['cell']} defined twice")
-            seen.add(key)
-            if m["op"] == ":":
-                _apply_literal(sheet, addr, path, line_no, m["rest"])
-            else:
+            seen.add(addr.sort_key)
+            if m["op"] == "=":
                 marker = _BODY_MARKER_RE.match(m["rest"])
                 if marker is not None:
                     placeholders.append(
-                        (line_no, addr)
-                        + _parse_body_marker(wb, sheet, path, line_no, marker)
+                        (line_no, addr) + _parse_body_marker(context, path, line_no, marker)
                     )
                 else:
-                    _apply_formula(sheet, addr, path, line_no, m["rest"])
+                    _apply_formula(current, addr, path, line_no, m["rest"])
+            else:
+                _apply_literal(current, addr, path, line_no, m["op"], m["rest"])
             continue
         raise LoadError(path, line_no, f"unrecognized directive: {line!r}")
 
@@ -201,23 +204,21 @@ def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
             )
 
 
-def _parse_local_cell(wb: Workbook, sheet: Sheet, path, line_no: int, text: str) -> CellAddress:
-    ref = _at_line(path, line_no, parse_address, text, CellAddress(wb.name, sheet.name, 1, 1))
-    if not isinstance(ref, CellAddress):
-        raise LoadError(path, line_no, f"expected a single cell, got {text!r}")
-    if ref.sheet.casefold() != sheet.name.casefold() or ref.workbook.casefold() != wb.name.casefold():
-        raise LoadError(path, line_no, "cell directives use local addresses")
-    return ref
-
-
-def _apply_literal(sheet: Sheet, addr: CellAddress, path, line_no: int, rest: str) -> None:
-    if TEXT_RE.fullmatch(rest):
-        sheet.set_content(addr.row, addr.column, Literal(unquote(rest)))
-        return
-    n = to_number(rest)
-    if isinstance(n, Error):
+def _apply_literal(sheet: Sheet, addr: CellAddress, path, line_no: int, op: str, rest: str) -> None:
+    if op == "::":  # text holding line breaks, as a JSON string
+        try:
+            value = json.loads(rest)
+        except ValueError:
+            value = None
+        if not isinstance(value, str):
+            value = Error.VALUE  # as for number text that is not a number
+    elif TEXT_RE.fullmatch(rest):
+        value = unquote(rest)
+    else:
+        value = to_number(rest)
+    if isinstance(value, Error):
         raise LoadError(path, line_no, f"bad literal {rest!r}")
-    sheet.set_content(addr.row, addr.column, Literal(n))
+    sheet.set_content(addr.row, addr.column, Literal(value))
 
 
 def _apply_formula(sheet: Sheet, addr: CellAddress, path, line_no: int, source: str) -> None:
@@ -241,8 +242,7 @@ def _apply_name(ws: Workspace, wb: Workbook, path, line_no: int, name: str, targ
         raise LoadError(path, line_no, str(exc)) from exc
 
 
-def _parse_table_directive(wb: Workbook, sheet: Sheet, path, line_no: int, m: re.Match):
-    context = CellAddress(wb.name, sheet.name, 1, 1)
+def _parse_table_directive(context: CellAddress, path, line_no: int, m: re.Match):
     region = _at_line(path, line_no, parse_address, m.group(1), context)
     if isinstance(region, CellAddress):
         region = RangeRef(region, region)
@@ -260,12 +260,11 @@ def _parse_table_directive(wb: Workbook, sheet: Sheet, path, line_no: int, m: re
     return line_no, region, orientation, _input_cell(ref_text, context, path, line_no)
 
 
-def _parse_body_marker(wb: Workbook, sheet: Sheet, path, line_no: int, m: re.Match):
+def _parse_body_marker(context: CellAddress, path, line_no: int, m: re.Match):
     row_part, col_part = m.group(1), m.group(2)
     if bool(row_part) == bool(col_part):
         raise LoadError(path, line_no, "TABLE takes exactly one input cell")
     orientation = tables.COLUMN_INPUT if col_part else tables.ROW_INPUT
-    context = CellAddress(wb.name, sheet.name, 1, 1)
     return orientation, _input_cell(col_part or row_part, context, path, line_no)
 
 
@@ -294,6 +293,8 @@ def _cell_directive(ws: Workspace, addr_text: str, cell) -> str:
     if isinstance(content, Literal):
         # numbers and text load as literals; TRUE, FALSE and error codes as formulas
         v = content.value
+        if isinstance(v, str) and "".join(v.splitlines()) != v:  # a line break
+            return f"{addr_text} :: {json.dumps(v)}"
         return f"{addr_text} {'=' if isinstance(v, (bool, Error)) else ':'} {value_text(v)}"
     if isinstance(content, Formula):
         return f"{addr_text} = {content.source}"
@@ -302,23 +303,13 @@ def _cell_directive(ws: Workspace, addr_text: str, cell) -> str:
     raise TypeError(f"cannot dump content {content!r}")
 
 
-def _sheet_tables(ws: Workspace, wb: Workbook, sheet: Sheet):
-    out = [
-        t
-        for t in ws.tables
-        if t.region.top_left.workbook.casefold() == wb.name.casefold()
-        and t.region.top_left.sheet.casefold() == sheet.name.casefold()
-    ]
-    out.sort(key=lambda t: (t.region.top_left.row, t.region.top_left.column))
-    return out
-
-
-def _sheet_source_lines(ws: Workspace, wb: Workbook, sheet: Sheet) -> list[str]:
+def _sheet_source_lines(ws: Workspace, sheet: Sheet) -> list[str]:
     lines = [f"sheet {sheet.name}"]
     for (row, col) in sorted(sheet.cells):
         addr_text = f"{column_to_letters(col)}{row}"
         lines.append(_cell_directive(ws, addr_text, sheet.cells[(row, col)]))
-    for t in _sheet_tables(ws, wb, sheet):
+    on_sheet = [t for t in ws.tables if ws.resolve_sheet(t.anchor) is sheet]
+    for t in sorted(on_sheet, key=lambda t: (t.anchor.row, t.anchor.column)):
         key = "colinput" if t.orientation == tables.COLUMN_INPUT else "rowinput"
         lines.append(f"table {t.region.local_text()} {key}={t.input_cell.local_text()}")
     return lines
@@ -333,7 +324,7 @@ def dump_sheet(ws: Workspace, workbook: str, sheet: str, fmt: str = "tsv") -> st
     if sh is None:
         raise KeyError(f"unknown sheet {sheet!r}")
     if fmt == "source":
-        return "\n".join(_sheet_source_lines(ws, wb, sh)) + "\n"
+        return "\n".join(_sheet_source_lines(ws, sh)) + "\n"
     if fmt != "tsv":
         raise ValueError(f"unknown dump format {fmt!r}")
     bounds = sh.bounds()
@@ -353,12 +344,11 @@ def dump_workbook_source(ws: Workspace, workbook: str) -> str:
         raise KeyError(f"unknown workbook {workbook!r}")
     lines: list[str] = []
     for sheet in wb.sheets():
-        lines.extend(_sheet_source_lines(ws, wb, sheet))
+        lines.extend(_sheet_source_lines(ws, sheet))
     named = [
         (orig, target)
         for orig, target in ws.defined_names.values()
-        if (target.top_left.workbook if isinstance(target, RangeRef) else target.workbook).casefold()
-        == wb.name.casefold()
+        if ws.workbook((target.top_left if isinstance(target, RangeRef) else target).workbook) is wb
     ]
     for orig, target in sorted(named, key=lambda item: item[0].casefold()):
         head = target.top_left if isinstance(target, RangeRef) else target

@@ -9,6 +9,14 @@ Every other module operates on the types defined here. A value is one of:
 * error   -- :class:`Error` (interned, one instance per code)
 * array   -- :class:`Array`, a rectangle of the scalar kinds above
 
+A :class:`CellAddress` carries its sheet's identity, ``sheet_key``: the
+casefolded workbook and sheet names, so names match case-insensitively and
+no other module compares them. A name must be non-empty and free of
+``[]!:``; it is checked where it enters the program, when a
+:class:`Workbook`, a :class:`Sheet` or a :class:`CellAddress` is made (and
+so when reference text is parsed). :meth:`CellAddress.moved` derives
+another cell of an already-checked sheet without checking its names again.
+
 A :class:`Workspace` is a plain value with no internal sharing: it may be
 moved freely between threads, and all mutation goes through the engine under
 a single-writer contract.
@@ -25,7 +33,7 @@ from typing import Any, Iterator, Union
 MAX_COLUMNS = 16_384
 MAX_ROWS = 1_048_576
 
-_NAME_FORBIDDEN = set("[]!:")
+_NAME_FORBIDDEN = frozenset("[]!:")
 
 
 class AddressError(ValueError):
@@ -186,45 +194,59 @@ def letters_to_column(letters: str) -> int:
 def _check_name(kind: str, name: str) -> None:
     if not name:
         raise AddressError(f"{kind} name must be non-empty")
-    if _NAME_FORBIDDEN & set(name):
+    if not _NAME_FORBIDDEN.isdisjoint(name):
         raise AddressError(f"{kind} name {name!r} contains a forbidden character")
 
 
-@dataclass(frozen=True, eq=False)
+def _check_position(column: int, row: int) -> None:
+    if column < 1 or row < 1:
+        raise AddressError(f"column and row must be >= 1, got {column}, {row}")
+
+
 class CellAddress:
     """A fully qualified cell coordinate: workbook, sheet, column, row.
 
-    Comparison and hashing are case-insensitive on the workbook and sheet
-    names; the stored names keep their original case for display.
+    ``sheet_key``, the casefolded ``(workbook, sheet)`` pair, is the
+    sheet's identity: two addresses name the same sheet exactly when their
+    keys are equal. ``sort_key`` is ``(*sheet_key, row, column)``;
+    equality, hashing and order read it. The stored names keep their
+    original case for display. An address is a value: its fields are never
+    reassigned.
     """
 
-    workbook: str
-    sheet: str
-    column: int
-    row: int
+    __slots__ = ("workbook", "sheet", "column", "row", "sheet_key", "sort_key")
 
-    def __post_init__(self) -> None:
-        _check_name("workbook", self.workbook)
-        _check_name("sheet", self.sheet)
-        if self.column < 1 or self.row < 1:
-            raise AddressError(f"column and row must be >= 1, got {self.column}, {self.row}")
-        object.__setattr__(
-            self,
-            "_key",
-            (self.workbook.casefold(), self.sheet.casefold(), self.row, self.column),
-        )
+    def __init__(self, workbook: str, sheet: str, column: int, row: int) -> None:
+        _check_name("workbook", workbook)
+        _check_name("sheet", sheet)
+        _check_position(column, row)
+        self.workbook = workbook
+        self.sheet = sheet
+        self.column = column
+        self.row = row
+        self.sheet_key = key = (workbook.casefold(), sheet.casefold())
+        self.sort_key = (key[0], key[1], row, column)
 
-    @property
-    def sort_key(self) -> tuple:
-        return self._key  # type: ignore[attr-defined]
+    def moved(self, column: int, row: int) -> "CellAddress":
+        """The cell at *column*, *row* on this address's sheet. The names
+        were checked when this address was made, so only the position is."""
+        _check_position(column, row)
+        new = object.__new__(CellAddress)
+        new.workbook = self.workbook
+        new.sheet = self.sheet
+        new.column = column
+        new.row = row
+        new.sheet_key = key = self.sheet_key
+        new.sort_key = (key[0], key[1], row, column)
+        return new
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CellAddress):
-            return self._key == other._key  # type: ignore[attr-defined]
+            return self.sort_key == other.sort_key
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key)  # type: ignore[attr-defined]
+        return hash(self.sort_key)
 
     def local_text(self) -> str:
         return f"{column_to_letters(self.column)}{self.row}"
@@ -242,18 +264,16 @@ class RangeRef:
 
     def __post_init__(self) -> None:
         a, b = self.top_left, self.bottom_right
-        if (a.workbook.casefold(), a.sheet.casefold()) != (
-            b.workbook.casefold(),
-            b.sheet.casefold(),
-        ):
+        if a.sheet_key != b.sheet_key:
             raise AddressError("range corners must share workbook and sheet")
         if a.column > b.column or a.row > b.row:
             raise AddressError("range corners out of order")
 
     @classmethod
     def normalized(cls, a: CellAddress, b: CellAddress) -> "RangeRef":
-        tl = CellAddress(a.workbook, a.sheet, min(a.column, b.column), min(a.row, b.row))
-        br = CellAddress(a.workbook, a.sheet, max(a.column, b.column), max(a.row, b.row))
+        """The range spanned by corners *a* and *b* in any order."""
+        tl = a.moved(min(a.column, b.column), min(a.row, b.row))
+        br = b.moved(max(a.column, b.column), max(a.row, b.row))
         return cls(tl, br)
 
     @property
@@ -266,10 +286,7 @@ class RangeRef:
 
     def contains(self, addr: CellAddress) -> bool:
         tl, br = self.top_left, self.bottom_right
-        if (addr.workbook.casefold(), addr.sheet.casefold()) != (
-            tl.workbook.casefold(),
-            tl.sheet.casefold(),
-        ):
+        if addr.sheet_key != tl.sheet_key:
             return False
         return tl.row <= addr.row <= br.row and tl.column <= addr.column <= br.column
 
@@ -277,7 +294,7 @@ class RangeRef:
         tl, br = self.top_left, self.bottom_right
         for row in range(tl.row, br.row + 1):
             for col in range(tl.column, br.column + 1):
-                yield CellAddress(tl.workbook, tl.sheet, col, row)
+                yield tl.moved(col, row)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RangeRef):
@@ -325,11 +342,11 @@ def cell_coordinates(text: str) -> tuple[int, int] | None:
     return col, row
 
 
-def _parse_cell_part(part: str, workbook: str, sheet: str) -> CellAddress:
+def _cell_part(part: str) -> tuple[int, int]:
     coords = cell_coordinates(part)  # *part* matched CELL_RE inside _ADDR_RE
     if coords is None:
         raise AddressError(f"reference {part!r} is outside the grid")
-    return CellAddress(workbook, sheet, *coords)
+    return coords
 
 
 def parse_address(text: str, context: CellAddress) -> Reference:
@@ -345,15 +362,14 @@ def parse_address(text: str, context: CellAddress) -> Reference:
     sheet = m.group("sheet")
     if book is not None and sheet is None:
         raise AddressError(f"workbook-qualified reference {text!r} needs a sheet")
-    workbook = book if book is not None else context.workbook
-    sheet_name = sheet if sheet is not None else context.sheet
-    _check_name("workbook", workbook)
-    _check_name("sheet", sheet_name)
-    a = _parse_cell_part(m.group("a"), workbook, sheet_name)
+    coords = _cell_part(m.group("a"))
+    if sheet is None:
+        a = context.moved(*coords)
+    else:
+        a = CellAddress(context.workbook if book is None else book, sheet, *coords)
     if m.group("b") is None:
         return a
-    b = _parse_cell_part(m.group("b"), workbook, sheet_name)
-    return RangeRef.normalized(a, b)
+    return RangeRef.normalized(a, a.moved(*_cell_part(m.group("b"))))
 
 
 def format_reference(target: Reference, style: str = "qualified") -> str:
@@ -620,10 +636,9 @@ class Workspace:
         return wb
 
     def resolve_sheet(self, addr: CellAddress) -> Sheet | None:
-        wb = self._workbooks.get(addr.workbook.casefold())
-        if wb is None:
-            return None
-        return wb.sheet(addr.sheet)
+        book, sheet = addr.sheet_key
+        wb = self._workbooks.get(book)
+        return None if wb is None else wb._sheets.get(sheet)
 
     def cell(self, addr: CellAddress) -> Cell | None:
         sheet = self.resolve_sheet(addr)

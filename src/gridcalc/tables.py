@@ -71,7 +71,7 @@ class DataTableRegion:
 
         def at(i: int, j: int) -> CellAddress:
             rows, cols = (i, j)[::step]
-            return CellAddress(tl.workbook, tl.sheet, tl.column + cols, tl.row + rows)
+            return tl.moved(tl.column + cols, tl.row + rows)
 
         set_field = object.__setattr__  # the dataclass is frozen
         set_field(self, "results", tuple(at(0, j) for j in range(1, n_results)))
@@ -91,9 +91,6 @@ class DataTableRegion:
 
     def value_cells(self) -> list[CellAddress]:
         return list(self.arguments)
-
-    def body_address(self, value_index: int, formula_index: int) -> CellAddress:
-        return self.grid[value_index][formula_index]
 
     def is_body_cell(self, addr: CellAddress) -> bool:
         """Whether *addr*, a cell of this region, is a body cell."""
@@ -129,20 +126,11 @@ def declare_table(
     sheet = ws.resolve_sheet(tl)
     if sheet is None:
         raise TableError(f"table region {region!r} names a missing sheet")
-    if (input_cell.workbook.casefold(), input_cell.sheet.casefold()) != (
-        tl.workbook.casefold(),
-        tl.sheet.casefold(),
-    ):
+    if input_cell.sheet_key != tl.sheet_key:
         raise TableError("the input cell must be on the same sheet as the table")
     if region.contains(input_cell):
         raise TableError("the input cell cannot lie inside the table region")
-    br = region.bottom_right
-    book, sheet_name = tl.workbook.casefold(), tl.sheet.casefold()
-    keys = [
-        (book, sheet_name, r, c)
-        for r in range(tl.row, br.row + 1)
-        for c in range(tl.column, br.column + 1)
-    ]
+    keys = [a.sort_key for a in region.cells()]
     overlapped = {ws.table_index[k].table_id for k in keys if k in ws.table_index}
     if overlapped:
         other = ws.table(min(overlapped))
@@ -224,7 +212,7 @@ def schedule_tables(engine, stats) -> set:
     def key(table: DataTableRegion):
         tl = table.region.top_left
         wb = ws.workbook(tl.workbook)
-        return (tl.workbook.casefold(), wb.sheet_index(tl.sheet), tl.row, tl.column)
+        return (tl.sheet_key[0], wb.sheet_index(tl.sheet), tl.row, tl.column)
 
     changed: set = set()
     for table in sorted(ws.tables, key=key):

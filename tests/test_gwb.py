@@ -110,6 +110,9 @@ def test_syntax_error_reports_line(tmp_path):
 def test_duplicate_cell_rejected(tmp_path):
     e = err(tmp_path, "A1 : 1\nA1 : 2\n")
     assert "twice" in e.message
+    # sheet names match case-insensitively, so DATA is the sheet Data again
+    e = err(tmp_path, "sheet Data\nA1 : 1\nsheet DATA\nA1 : 2\n")
+    assert e.line_no == 4 and e.message == "cell A1 defined twice"
 
 
 def test_bad_formula_rejected(tmp_path):
@@ -117,10 +120,18 @@ def test_bad_formula_rejected(tmp_path):
     assert "TABLE" in err(tmp_path, "A1 = TABLE(,A2)\n").message
 
 
+def test_text_with_line_breaks_loads_from_an_escaped_literal(tmp_path):
+    ws = load_one(tmp_path, 'A1 :: "a\\nb\\u2028\\"c\\""\nA2 :: "plain"\n')
+    assert ws.value(parse_address("[wb]Sheet1!A1", CellAddress("wb", "Sheet1", 1, 1))) == 'a\nb\u2028"c"'
+    assert dump_workbook_source(ws, "wb").splitlines()[1:] == ['A1 :: "a\\nb\\u2028\\"c\\""', 'A2 : "plain"']
+
+
 def test_bad_literal_rejected(tmp_path):
     err(tmp_path, 'A1 : "unterminated\n')
     err(tmp_path, "A1 : 12abc\n")
     err(tmp_path, "A1 : 1e400\n")  # beyond the float range
+    err(tmp_path, "A1 :: 5\n")  # escaped text must be a JSON string
+    err(tmp_path, 'A1 :: "open\n')
 
 
 def test_two_input_tables_rejected(tmp_path):
@@ -290,15 +301,20 @@ def test_boolean_literals_survive_source_round_trip(tmp_path):
     assert ws2.value(a1) is True
 
 
+# Every character str.splitlines ends a line at; the loader splits on them.
+LINE_ENDINGS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 # Literal values: signed zeros, extreme floats, text in case variants and
-# numeric text, the booleans and the error codes. Text leaves out the
-# characters that end a line: a directive is one line, and the format has
-# no escape for them.
+# numeric text, text holding line endings (and the escape's own characters),
+# the booleans and the error codes. Text leaves out lone surrogates, which
+# no UTF-8 file can hold.
 LITERAL_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -1e308, 1.7976931348623157e308, 2.0**53, 2.0**53 + 2]),
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(["", "a", "A", "aBc", "1", "-0", " 2 ", "1e308", "TRUE", 'say "hi"']),
-    st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"))),
+    st.sampled_from(["a\nb", "a\r\nb", "\n", "a\n", " \u2028 ", '"\\n"\n', "é\x85ü"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
+    st.text(alphabet=LINE_ENDINGS + '"\\ a'),
     st.booleans(),
     st.sampled_from([Error.of(code) for code in ERROR_CODES]),
 )

@@ -13,6 +13,7 @@ from gridcalc.model import (
     CellAddress,
     Error,
     RangeRef,
+    Workspace,
     coerce,
     column_to_letters,
     format_reference,
@@ -20,6 +21,7 @@ from gridcalc.model import (
     number_to_text,
     parse_address,
 )
+from gridcalc.tables import COLUMN_INPUT, declare_table
 
 CTX = CellAddress("Book2", "Sheet1", 1, 1)
 
@@ -182,6 +184,75 @@ def test_range_corners_must_share_sheet_and_order():
         RangeRef(a, b)
     with pytest.raises(AddressError):
         RangeRef(CellAddress("B", "S", 2, 2), CellAddress("B", "S", 1, 1))
+    with pytest.raises(AddressError):
+        RangeRef.normalized(a, b)
+
+
+def test_moved_keeps_the_sheet_and_checks_the_position():
+    a = CellAddress("Book", "Sheet", 3, 4)
+    b = a.moved(5, 6)
+    assert (b.workbook, b.sheet, b.column, b.row) == ("Book", "Sheet", 5, 6)
+    assert b == CellAddress("BOOK", "sheet", 5, 6)
+    for column, row in ((0, 1), (1, 0)):
+        with pytest.raises(AddressError):
+            a.moved(column, row)
+
+
+# Names whose case variants fold together in ways lower() misses (sharp s,
+# final sigma), plus plain letters and a space.
+_CASED_NAMES = st.text(alphabet="abAB ßẞσςΣ", min_size=1, max_size=3)
+
+
+@st.composite
+def _case_variant(draw, name: str) -> str:
+    flips = draw(st.lists(st.booleans(), min_size=len(name), max_size=len(name)))
+    return "".join(c.swapcase() if flip else c for c, flip in zip(name, flips))
+
+
+@st.composite
+def _variant_addresses(draw, books: list, sheets: list):
+    """An address on a case variant of a drawn book and sheet, built either
+    by the constructor or by moving an address of that sheet."""
+    book = draw(_case_variant(draw(st.sampled_from(books))))
+    sheet = draw(_case_variant(draw(st.sampled_from(sheets))))
+    column, row = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return CellAddress(book, sheet, column, row)
+    return CellAddress(book, sheet, 1, 1).moved(column, row)
+
+
+def _independent_key(a: CellAddress) -> tuple:
+    return (a.workbook.casefold(), a.sheet.casefold(), a.row, a.column)
+
+
+@given(st.data(), st.lists(_CASED_NAMES, min_size=1, max_size=2), st.lists(_CASED_NAMES, min_size=1, max_size=2))
+def test_sheet_identity_is_the_casefolded_names(data, books, sheets):
+    addrs = data.draw(st.lists(_variant_addresses(books, sheets), min_size=2, max_size=6))
+    for a in addrs:
+        assert a.sort_key == _independent_key(a)
+        assert a.sheet_key == _independent_key(a)[:2]
+    for a, b in itertools.product(addrs, repeat=2):
+        assert (a == b) == (_independent_key(a) == _independent_key(b))
+        if a == b:
+            assert hash(a) == hash(b)
+    by_sort_key = sorted(addrs, key=lambda a: a.sort_key)
+    assert [_independent_key(a) for a in by_sort_key] == sorted(_independent_key(a) for a in addrs)
+
+
+@given(st.data(), _CASED_NAMES, _CASED_NAMES, _CASED_NAMES)
+def test_sheet_lookups_agree_with_the_casefolded_names(data, book, sheet, other):
+    ws = Workspace()
+    wb = ws.add_workbook(book)
+    sheets = {(book.casefold(), name.casefold()): wb.ensure_sheet(name) for name in (sheet, other)}
+    region = RangeRef(CellAddress(book, sheet, 2, 2), CellAddress(book, sheet, 3, 3))
+    table = declare_table(ws, region, COLUMN_INPUT, CellAddress(book, sheet, 1, 1))
+    probes = data.draw(st.lists(_variant_addresses([book, "x"], [sheet, other, "x"]), max_size=8))
+    for a in probes:
+        key = _independent_key(a)
+        inside = key[:2] == (book.casefold(), sheet.casefold()) and 2 <= a.row <= 3 and 2 <= a.column <= 3
+        assert ws.resolve_sheet(a) is sheets.get(key[:2])
+        assert region.contains(a) == inside
+        assert (ws.table_at(a) is table) == inside
 
 
 def test_range_contains_and_overlaps():
