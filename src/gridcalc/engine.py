@@ -232,8 +232,8 @@ class Engine:
     def _name_targets(self) -> dict:
         return {key: target for key, (_, target) in self.workspace.defined_names.items()}
 
-    def _node_edges(self, ast, names: dict) -> tuple[set, bool]:
-        info = formula.static_dependencies(ast, names)
+    def _node_edges(self, content: Formula, names: dict) -> tuple[set, bool]:
+        info = formula.formula_dependencies(content, names)
         precedents: set = set()
         for ref in info.refs:
             if isinstance(ref, RangeRef):
@@ -252,7 +252,7 @@ class Engine:
         names = self._name_targets()
         for addr in self._formula_addresses():
             cell = self.workspace.cell(addr)
-            precedents, volatile = self._node_edges(cell.content.ast, names)
+            precedents, volatile = self._node_edges(cell.content, names)
             g.set_node(addr, precedents, volatile)
         return g
 
@@ -276,7 +276,7 @@ class Engine:
         sheet.set_content(addr.row, addr.column, content)
         self.graph.remove_node(addr)
         if isinstance(content, Formula):
-            precedents, volatile = self._node_edges(content.ast, self._name_targets())
+            precedents, volatile = self._node_edges(content, self._name_targets())
             self.graph.set_node(addr, precedents, volatile)
         newly_dirty = {addr} | self.graph.dependents_closure({addr})
         self.dirty |= newly_dirty
@@ -290,8 +290,7 @@ class Engine:
     def set_formula(self, addr: CellAddress, source: str) -> set:
         if source.startswith("="):
             source = source[1:]
-        ast = formula.parse_formula(source, addr)
-        return self.set_cell(addr, Formula(source, ast))
+        return self.set_cell(addr, formula.shared_formula(source, addr, self.workspace.templates))
 
     def clear_cell(self, addr: CellAddress) -> set:
         return self.set_cell(addr, None)

@@ -5,7 +5,16 @@ between array-constant rows and ``,`` between columns within a row, so
 ``{10;9;8}`` is a 3x1 column. Operator precedence comes from one table,
 ``_PRECEDENCE``; low to high: comparisons, ``&``, ``+ -``, ``* /``, ``^``;
 a prefix ``-`` or ``+`` binds tighter than all of them, so ``-2^2`` is 4.
-Formula text is ASCII outside text literals and whitespace.
+Formula text is ASCII outside text literals and whitespace, and holds no
+line break (no character that :meth:`str.splitlines` ends a line at), not
+even inside a text literal: a ``.gwb`` file holds one formula per line.
+
+A formula's *shape* is its source with each relative row or column of a
+cell reference written as an offset from the formula's own cell, the
+relative R1C1 form: ``A1+$B$1`` in C2 and ``A2+$B$1`` in C3 have one shape.
+A column of copied formulas has few shapes, so :func:`shared_formula`
+parses each shape once per sheet and gives every copy that template's AST
+moved to the copy's own cell (:class:`Template`).
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, MutableMapping, Union
 
 from .model import (
     NUMBER_RE,
@@ -21,6 +30,8 @@ from .model import (
     CellAddress,
     Error,
     ERROR_CODES,
+    CELL_RE,
+    Formula,
     Literal,
     RangeRef,
     Reference,
@@ -77,17 +88,21 @@ class Token:
 
 TEXT_RE = re.compile(r'"(?:""|[^"])*"')
 
+_WORD = r"[$A-Za-z_][$A-Za-z0-9_.]*"
+_ERROR = "|".join(re.escape(c) for c in sorted(ERROR_CODES, key=len, reverse=True))
 # One alternative per token kind; their first characters never overlap.
 # A word is then classified as a boolean, a cell reference or an identifier.
 _TOKEN_RE = re.compile(
-    r"(?P<word>[$A-Za-z_][$A-Za-z0-9_.]*)"
+    rf"(?P<word>{_WORD})"
     rf"|(?P<number>{NUMBER_RE.pattern})"
     r"|(?P<punct>[(){};,:!\[\]])"
     r"|(?P<operator><>|<=|>=|[-+*/^&=<>])"
     rf"|(?P<text>{TEXT_RE.pattern})"
     r"|(?P<space>\s+)"
-    r"|(?P<error>" + "|".join(re.escape(c) for c in sorted(ERROR_CODES, key=len, reverse=True)) + ")"
+    rf"|(?P<error>{_ERROR})"
 )
+# Every character str.splitlines ends a line at.
+_LINE_BREAK_RE = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 # Why no alternative matched, by the character it stopped at.
 _LEX_FAILURES = {'"': "unterminated text literal", "#": "unknown error literal"}
 
@@ -118,6 +133,9 @@ def tokenize(source: str) -> list[Token]:
     Concatenating the lexemes plus the skipped whitespace reconstructs the
     source exactly; spans are preserved on every token.
     """
+    line_break = _LINE_BREAK_RE.search(source)
+    if line_break is not None:
+        raise LexError("line break in formula", line_break.start())
     tokens: list[Token] = []
     pos = 0
     while pos < len(source):
@@ -485,6 +503,195 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
                     walk(arg)
 
     walk(ast)
+    return info
+
+
+# ---------------------------------------------------------------------------
+# Formula templates: one parse per shape
+# ---------------------------------------------------------------------------
+
+# A run of tokens that hold no cell reference, then one bare word that may
+# be one. The boundaries are _TOKEN_RE's: text literals and numbers are read
+# whole (no reference in "A7" or in 1E5), and a workbook name after "[" and
+# a sheet name before "!" are kept as they stand. Characters that start no
+# such token (operators, punctuation, space) are read in runs. The word is
+# a reference when cell_coordinates accepts it. No match is empty, so the
+# last one ends the source.
+_CELL_WORD = rf"{CELL_RE.pattern}(?![$A-Za-z0-9_.])"
+_SHAPE_RE = re.compile(
+    r'(?!\Z)(?P<pre>(?:[^"$A-Za-z_0-9.#\[]+'
+    rf"|{NUMBER_RE.pattern}|{TEXT_RE.pattern}|{_WORD}\s*!|(?!{_CELL_WORD}){_WORD}"
+    rf"|\[\s*(?:{_WORD}|{NUMBER_RE.pattern})|{_ERROR})*)"
+    rf"(?P<cell>{_CELL_WORD})?"
+)
+
+
+def _shape(source: str, anchor: CellAddress, words: list) -> str:
+    r"""*source* with each cell reference as ``\n<column>,<row>\n``: a
+    relative part as its offset from *anchor*, an absolute one as ``$``
+    and its number. Appends ``(column, row, column moves, row moves)`` of
+    each reference to *words*, in source order."""
+    column0, row0 = anchor.column, anchor.row
+
+    def mark(m: re.Match) -> str:
+        word = m["cell"]
+        coords = None if word is None else cell_coordinates(word)
+        if coords is None:
+            return m[0]
+        column, row = coords
+        column_moves, row_moves = word[0] != "$", "$" not in word[1:]
+        words.append((column, row, column_moves, row_moves))
+        c = column - column0 if column_moves else f"${column}"
+        r = row - row0 if row_moves else f"${row}"
+        return f"{m['pre']}\n{c},{r}\n"
+
+    return _SHAPE_RE.sub(mark, source)
+
+
+class Template:
+    """One parse of a formula shape, made at the cell it was first met in,
+    with the corners of its cell references as written there (``words``).
+
+    When a second cell of the shape is met, the template learns how to move
+    its AST (:meth:`at`). ``slots`` then lists the Ref nodes that hold a
+    relative part, each with its corners (column, row, and whether each
+    moves) and the cell it is relative to: None for the formula's own
+    sheet, else an address on the named sheet. ``spine`` holds the ids of
+    those nodes and of every node above one; the other subtrees (array
+    constants, text, absolute references) are shared by every formula of
+    the shape. ``fixed`` holds the references that do not move, ``names``
+    the defined names read and ``volatile`` whether the shape is volatile.
+    A shape met only once is never walked: it costs its key and its parse.
+    """
+
+    __slots__ = ("ast", "anchor", "words", "slots", "spine", "fixed", "names", "volatile", "__weakref__")
+
+    def __init__(self, ast: Node, anchor: CellAddress, words: list) -> None:
+        self.ast = ast
+        self.anchor = anchor
+        self.words = words
+        self.slots = None
+
+    def _learn(self) -> None:
+        self.slots, self.spine, self.fixed = [], set(), []
+        self._walk(self.ast, iter(self.words))
+        self.words = None
+        info = static_dependencies(self.ast)
+        self.names = tuple(info.unresolved_names)
+        self.volatile = info.volatile
+
+    def _walk(self, node, corners) -> bool:
+        """Record *node*'s references, taking their corners as written from
+        *corners* in source order; whether one of them moves."""
+        if isinstance(node, Binary):
+            chain = []  # a left-deep operator chain, walked without recursion
+            while isinstance(node, Binary):
+                chain.append(node)
+                node = node.left
+            moves = self._walk(node, corners)
+            for link in reversed(chain):
+                moves = self._walk(link.right, corners) | moves
+                if moves:
+                    self.spine.add(id(link))
+            return moves
+        if isinstance(node, Ref):
+            target = node.target
+            if isinstance(target, str):
+                return False
+            written = [next(corners) for _ in range(2 if isinstance(target, RangeRef) else 1)]
+            if not any(c[2] or c[3] for c in written):
+                self.fixed.append(target)
+                return False
+            head = target.top_left if isinstance(target, RangeRef) else target
+            base = None if head.sheet_key == self.anchor.sheet_key else head
+            self.slots.append((node, base, written))
+            moves = True
+        elif isinstance(node, Unary):
+            moves = self._walk(node.operand, corners)
+        elif isinstance(node, Call):
+            moves = False
+            for arg in node.args:
+                if arg is not OMITTED:
+                    moves = self._walk(arg, corners) | moves
+        else:
+            return False
+        if moves:
+            self.spine.add(id(node))
+        return moves
+
+    def at(self, anchor: CellAddress, source: str) -> Formula:
+        """The formula *source* of this shape in cell *anchor*: this
+        template's AST with every relative part moved to *anchor*."""
+        dc, dr = anchor.column - self.anchor.column, anchor.row - self.anchor.row
+        if dc == dr == 0:  # its own cell
+            return Formula(source, self.ast, self)
+        if self.slots is None:
+            self._learn()
+        refs = list(self.fixed)
+        moved = {}
+        for node, base, written in self.slots:
+            if base is None:
+                base = anchor
+            corners = [
+                base.moved(c + dc if c_moves else c, r + dr if r_moves else r)
+                for c, r, c_moves, r_moves in written
+            ]
+            target = corners[0] if len(corners) == 1 else RangeRef.normalized(*corners)
+            refs.append(target)
+            moved[id(node)] = Ref(target)
+        return Formula(source, self._rebuild(self.ast, moved), self, tuple(refs))
+
+    def _rebuild(self, node, moved: dict):
+        """*node* with the Ref nodes keyed in *moved* (by id) replaced, and
+        every node above one made anew."""
+        spine = self.spine
+        if id(node) not in spine:
+            return node
+        if isinstance(node, Binary):
+            chain = []
+            while isinstance(node, Binary) and id(node) in spine:
+                chain.append(node)
+                node = node.left
+            out = self._rebuild(node, moved)
+            for link in reversed(chain):
+                out = Binary(link.op, out, self._rebuild(link.right, moved))
+            return out
+        if isinstance(node, Call):
+            return Call(node.name, tuple([self._rebuild(arg, moved) for arg in node.args]))
+        if isinstance(node, Unary):
+            return Unary(node.op, self._rebuild(node.operand, moved))
+        return moved[id(node)]
+
+
+def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping) -> Formula:
+    """The formula *source* (no leading ``=``) in cell *anchor*, parsed once
+    per shape and sheet: *templates* maps ``(anchor.sheet_key, shape)`` to
+    the :class:`Template` of every shape parsed so far. A source that does
+    not parse raises as :func:`parse_formula` does and is not kept."""
+    words: list = []
+    key = (anchor.sheet_key, _shape(source, anchor, words))
+    # a shape marks references with "\n", which no source that parses holds
+    template = None if "\n" in source else templates.get(key)
+    if template is None:
+        template = templates[key] = Template(parse_formula(source, anchor), anchor, words)
+    return template.at(anchor, source)
+
+
+def formula_dependencies(f: Formula, names: Mapping[str, Reference] | None = None) -> DependencyInfo:
+    """:func:`static_dependencies` of *f*'s AST, read off its template when
+    *f* was moved from one (it then holds its ``refs``) instead of walking
+    the AST again."""
+    if f.refs is None:
+        return static_dependencies(f.ast, names)
+    template = f.template
+    names = names or {}
+    info = DependencyInfo(set(f.refs), template.volatile)
+    for name in template.names:
+        target = names.get(name.casefold())
+        if target is None:
+            info.unresolved_names.add(name)
+        else:
+            info.refs.add(target)
     return info
 
 

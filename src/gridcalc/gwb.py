@@ -42,13 +42,15 @@ from .model import (
     TableBody,
     Workbook,
     Workspace,
+    cell_coordinates,
     column_to_letters,
     parse_address,
     to_number,
     to_text,
     top_left,
 )
-from .formula import TEXT_RE, FormulaError, parse_formula, unquote, value_text
+from .formula import TEXT_RE, FormulaError, shared_formula, unquote, value_text
+from .formula import parse_formula  # noqa: F401  (kept importable here: tracers wrap the loader's binding)
 
 DEFAULT_SHEET = "Sheet1"
 
@@ -171,7 +173,10 @@ def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
         m = _CELL_DIRECTIVE_RE.match(line)
         if m is not None:
             # the directive's cell is local, so it lies on the current sheet
-            addr = _at_line(path, line_no, parse_address, m["cell"], home())
+            coords = cell_coordinates(m["cell"])
+            if coords is None:
+                raise LoadError(path, line_no, f"reference {m['cell']!r} is outside the grid")
+            addr = home().moved(*coords)
             if addr.sort_key in seen:
                 raise LoadError(path, line_no, f"cell {m['cell']} defined twice")
             seen.add(addr.sort_key)
@@ -182,7 +187,7 @@ def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
                         (line_no, addr) + _parse_body_marker(context, path, line_no, marker)
                     )
                 else:
-                    _apply_formula(current, addr, path, line_no, m["rest"])
+                    _apply_formula(ws, current, addr, path, line_no, m["rest"])
             else:
                 _apply_literal(current, addr, path, line_no, m["op"], m["rest"])
             continue
@@ -221,14 +226,14 @@ def _apply_literal(sheet: Sheet, addr: CellAddress, path, line_no: int, op: str,
     sheet.set_content(addr.row, addr.column, Literal(value))
 
 
-def _apply_formula(sheet: Sheet, addr: CellAddress, path, line_no: int, source: str) -> None:
+def _apply_formula(ws: Workspace, sheet: Sheet, addr: CellAddress, path, line_no: int, source: str) -> None:
     if not source:
         raise LoadError(path, line_no, "empty formula")
     try:
-        ast = parse_formula(source, addr)
+        content = shared_formula(source, addr, ws.templates)
     except FormulaError as exc:
         raise LoadError(path, line_no, f"{addr.local_text()}: {exc}") from exc
-    sheet.set_content(addr.row, addr.column, Formula(source, ast))
+    sheet.set_content(addr.row, addr.column, content)
 
 
 def _apply_name(ws: Workspace, wb: Workbook, path, line_no: int, name: str, target_text: str) -> None:

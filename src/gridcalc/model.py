@@ -17,16 +17,18 @@ no other module compares them. A name must be non-empty and free of
 so when reference text is parsed). :meth:`CellAddress.moved` derives
 another cell of an already-checked sheet without checking its names again.
 
-A :class:`Workspace` is a plain value with no internal sharing: it may be
-moved freely between threads, and all mutation goes through the engine under
-a single-writer contract.
+A :class:`Workspace` is a plain value: it may be moved freely between
+threads, and all mutation goes through the engine under a single-writer
+contract. The only sharing inside it is immutable: formulas of one shape
+share the parts of their ASTs that no reference moves through.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Union
 
 # Grid limits, enforced when references are parsed.
@@ -494,8 +496,18 @@ class Literal:
 
 @dataclass
 class Formula:
+    """A formula's source text (written back by dumps as is) and its AST.
+
+    One made by :func:`gridcalc.formula.shared_formula` also holds its
+    shape's template, which keeps the template cached while the formula
+    lives; one moved from another cell's template also holds ``refs``, the
+    cell and range references in its AST.
+    """
+
     source: str
     ast: Any
+    template: Any = field(default=None, compare=False, repr=False)
+    refs: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -618,6 +630,8 @@ class Workspace:
         self.tables: list[Any] = []
         # every cell of every table region, by address sort key -> its table
         self.table_index: dict[tuple, Any] = {}
+        # formula templates by (sheet_key, shape), each kept while a formula uses it
+        self.templates: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self.config = config if config is not None else CalcConfig()
 
     # -- workbooks / sheets -------------------------------------------------

@@ -16,8 +16,6 @@ values for the whole outer evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .model import (
     CellAddress,
     Literal,
@@ -39,7 +37,6 @@ class TableIntegrityError(ValueError):
     """An edit tried to change part of a data table's body."""
 
 
-@dataclass(frozen=True)
 class DataTableRegion:
     """A declared one-input data table.
 
@@ -51,35 +48,44 @@ class DataTableRegion:
 
     Its cells are computed once, when it is made: ``results`` (the result
     formulas), ``arguments`` (the input values) and ``grid``, where
-    ``grid[i][j]`` receives result ``j`` for argument ``i``.
+    ``grid[i][j]`` receives result ``j`` for argument ``i``. A table is a
+    value: its fields are never reassigned, and equality, hashing and
+    ``repr`` read the four it is made from.
     """
 
-    table_id: int
-    region: RangeRef
-    orientation: str
-    input_cell: CellAddress
-    results: tuple = field(init=False, repr=False, compare=False)
-    arguments: tuple = field(init=False, repr=False, compare=False)
-    grid: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("table_id", "region", "orientation", "input_cell", "results", "arguments", "grid")
 
-    def __post_init__(self) -> None:
-        tl = self.region.top_left
-        # A row table is a col table transposed: for a col table, argument i
-        # is i rows and result j is j columns from the anchor.
-        step = 1 if self.orientation == COLUMN_INPUT else -1
-        n_arguments, n_results = (self.region.n_rows, self.region.n_cols)[::step]
+    def __init__(self, table_id: int, region: RangeRef, orientation: str, input_cell: CellAddress) -> None:
+        self.table_id = table_id
+        self.region = region
+        self.orientation = orientation
+        self.input_cell = input_cell
+        tl, br = region.top_left, region.bottom_right
+        rows, cols = range(tl.row + 1, br.row + 1), range(tl.column + 1, br.column + 1)
+        if orientation == COLUMN_INPUT:  # an argument per row, a result per column
+            self.results = tuple([tl.moved(c, tl.row) for c in cols])
+            self.arguments = tuple([tl.moved(tl.column, r) for r in rows])
+            self.grid = tuple([tuple([tl.moved(c, r) for c in cols]) for r in rows])
+        else:  # the transpose
+            self.results = tuple([tl.moved(tl.column, r) for r in rows])
+            self.arguments = tuple([tl.moved(c, tl.row) for c in cols])
+            self.grid = tuple([tuple([tl.moved(c, r) for r in rows]) for c in cols])
 
-        def at(i: int, j: int) -> CellAddress:
-            rows, cols = (i, j)[::step]
-            return tl.moved(tl.column + cols, tl.row + rows)
+    def _fields(self) -> tuple:
+        return (self.table_id, self.region, self.orientation, self.input_cell)
 
-        set_field = object.__setattr__  # the dataclass is frozen
-        set_field(self, "results", tuple(at(0, j) for j in range(1, n_results)))
-        set_field(self, "arguments", tuple(at(i, 0) for i in range(1, n_arguments)))
-        set_field(
-            self,
-            "grid",
-            tuple(tuple(at(i, j) for j in range(1, n_results)) for i in range(1, n_arguments)),
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, DataTableRegion):
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"DataTableRegion(table_id={self.table_id!r}, region={self.region!r}, "
+            f"orientation={self.orientation!r}, input_cell={self.input_cell!r})"
         )
 
     @property

@@ -7,6 +7,9 @@ import pytest
 from gridcalc import CalcConfig, Engine, load_workspace
 from gridcalc.bench import asset_path
 
+# Every character str.splitlines ends a line at; the loader splits on them.
+LINE_ENDINGS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 ALL_WORKBOOK_ASSETS = [
     "isbn_basic.gwb",
     "isbn_byref.gwb",

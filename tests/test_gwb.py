@@ -15,7 +15,7 @@ from gridcalc.model import (
     parse_address,
     values_equal,
 )
-from conftest import ALL_WORKBOOK_ASSETS, assets, engine_for
+from conftest import ALL_WORKBOOK_ASSETS, LINE_ENDINGS, assets, engine_for
 
 
 def write(tmp_path, name: str, text: str):
@@ -105,6 +105,12 @@ def err(tmp_path, text: str) -> LoadError:
 def test_syntax_error_reports_line(tmp_path):
     e = err(tmp_path, "A1 : 1\nwhat is this\n")
     assert e.line_no == 2
+
+
+@pytest.mark.parametrize("cell", ["A0", "XFE1", "A1048577"])
+def test_cell_directive_outside_the_grid_is_load_error(tmp_path, cell):
+    e = err(tmp_path, f"A1 : 1\n{cell} : 2\n")
+    assert (e.line_no, e.message) == (2, f"reference {cell!r} is outside the grid")
 
 
 def test_duplicate_cell_rejected(tmp_path):
@@ -300,9 +306,6 @@ def test_boolean_literals_survive_source_round_trip(tmp_path):
     a1 = CellAddress("wb2", "Sheet1", 1, 1)
     assert ws2.value(a1) is True
 
-
-# Every character str.splitlines ends a line at; the loader splits on them.
-LINE_ENDINGS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 # Literal values: signed zeros, extreme floats, text in case variants and
 # numeric text, text holding line endings (and the escape's own characters),

@@ -17,7 +17,7 @@ from gridcalc.model import (
     Workspace,
     parse_address,
 )
-from gridcalc.tables import COLUMN_INPUT, ROW_INPUT, TableError, evaluate_table
+from gridcalc.tables import COLUMN_INPUT, ROW_INPUT, DataTableRegion, TableError, evaluate_table
 
 from conftest import engine_for
 
@@ -46,6 +46,24 @@ def batch_addr(text: str) -> CellAddress:
 # ---------------------------------------------------------------------------
 # declaration
 # ---------------------------------------------------------------------------
+
+
+def test_table_region_is_a_value_with_its_cells_made_once():
+    table = DataTableRegion(0, rng_("A4:C6"), COLUMN_INPUT, at("A2"))
+    same = DataTableRegion(0, rng_("A4:C6"), COLUMN_INPUT, at("A2"))
+    assert table == same and hash(table) == hash(same)
+    assert table != DataTableRegion(1, rng_("A4:C6"), COLUMN_INPUT, at("A2"))
+    assert table != DataTableRegion(0, rng_("A4:C6"), ROW_INPUT, at("A2"))
+    assert repr(table) == (
+        "DataTableRegion(table_id=0, region=<[T]S!A4:C6>, orientation='col', input_cell=<[T]S!A2>)"
+    )
+    assert table.results == (at("B4"), at("C4"))
+    assert table.arguments == (at("A5"), at("A6"))
+    assert table.grid == ((at("B5"), at("C5")), (at("B6"), at("C6")))
+    transposed = DataTableRegion(0, rng_("A4:C6"), ROW_INPUT, at("A2"))
+    assert transposed.results == (at("A5"), at("A6"))
+    assert transposed.arguments == (at("B4"), at("C4"))
+    assert transposed.grid == ((at("B5"), at("B6")), (at("C5"), at("C6")))
 
 
 def test_declared_region_geometry():
