@@ -6,17 +6,16 @@ poisoned with ``#CYCLE!`` or iterated to a bounded fixed point, and two
 consecutive recalculations of an unchanged workspace produce identical
 grids.
 
-A full recalculation runs in three phases:
+A full recalculation runs in two phases:
 
 1. every dirty or volatile formula cell outside data-table bodies is
    evaluated in topological order;
-2. with ``table_recalc=auto``, every data table is evaluated sequentially
-   (see :mod:`gridcalc.tables`); each pass runs the table's plan (see
-   :meth:`Engine.dependents_plan`), seeded from its input cell, volatile
-   cells and other tables' bodies, so a result formula that reads none of
-   them keeps its phase-1 value;
-3. cells depending on table results are brought up to date and the final
-   cached values stand until the next edit.
+2. with ``table_recalc=auto``, one walk of :meth:`Engine.table_order` runs
+   every data table (see :mod:`gridcalc.tables`) after the cells and tables
+   it reads, and re-evaluates each formula that reads a table body once a
+   body it reads has changed. Each table pass runs the table's plan (see
+   :meth:`Engine.dependents_plan`). A cycle through a table is a recursive
+   call: its cells and table bodies become ``#CYCLE!``.
 
 Volatility has one source: ``Builtin.volatile`` in the function registry,
 read by :func:`gridcalc.formula.static_dependencies`.
@@ -218,6 +217,7 @@ class Engine:
         self.graph = self.build_graph()
         self.dirty: set[CellAddress] = set(self._formula_addresses())
         self._plans: dict[int, list] = {}  # table id -> dependents_plan
+        self._order: tuple | None = None  # table_order, dropped with the plans
 
     # -- graph construction ---------------------------------------------------
 
@@ -262,7 +262,8 @@ class Engine:
         """Replace a cell's content and mark its dependents dirty.
 
         Returns the freshly dirtied cells. Writing into a data-table body
-        cell is rejected: body cells belong to their table.
+        cell is rejected: body cells belong to their table. So is a formula
+        whose source does not parse to its AST, as a dump writes the source.
         """
         sheet = self.workspace.resolve_sheet(addr)
         if sheet is None:
@@ -272,6 +273,11 @@ class Engine:
             raise tables.TableIntegrityError(f"{addr!r} is part of a data table and cannot be edited")
         if isinstance(content, TableBody):
             raise ValueError("table body cells are created by table declarations only")
+        if isinstance(content, Formula) and content.template is None:
+            made = formula.shared_formula(content.source, addr, self.workspace.templates)
+            if made.ast != content.ast:
+                raise ValueError(f"{addr!r}: source {content.source!r} does not parse to the AST given")
+            content = made
         was_formula = existing is not None and isinstance(existing.content, Formula)
         sheet.set_content(addr.row, addr.column, content)
         self.graph.remove_node(addr)
@@ -281,7 +287,8 @@ class Engine:
         newly_dirty = {addr} | self.graph.dependents_closure({addr})
         self.dirty |= newly_dirty
         if was_formula or isinstance(content, Formula):
-            self._plans.clear()  # plans hold graph edges and formula cells only
+            self._plans.clear()  # plans and the order hold graph edges and formula cells only
+            self._order = None
         return newly_dirty
 
     def set_literal(self, addr: CellAddress, value) -> set:
@@ -299,6 +306,7 @@ class Engine:
         """Declare a data table on the live workspace (see tables module)."""
         table = tables.declare_table(self.workspace, region, orientation, input_cell)
         self._plans.clear()
+        self._order = None
         return table
 
     # -- recalculation -----------------------------------------------------------
@@ -315,7 +323,7 @@ class Engine:
         self._run_targets(targets, stats, rng)
         self.dirty.clear()
         if self.workspace.config.table_recalc == "auto":
-            self._run_tables(stats, rng)
+            tables.schedule_tables(self, stats)
         stats.wall_time = time.perf_counter() - t0
         return stats
 
@@ -323,15 +331,14 @@ class Engine:
         """Explicitly evaluate all data tables (manual-mode trigger).
 
         It runs on top of a :meth:`full_recalc` and does not evaluate dirty
-        cells itself: each pass re-runs only the table's plan (see
-        :meth:`dependents_plan`), so any other formula, result formulas
-        included, holds the value the last full recalculation gave it.
-        Afterwards the formulas that read a changed body cell are brought up
-        to date, as in :meth:`full_recalc`.
+        cells itself: it makes the same walk of :meth:`table_order` as
+        :meth:`full_recalc`, where each pass re-runs only the table's plan
+        (see :meth:`dependents_plan`) and a formula outside every plan is
+        re-evaluated only once a table body it reads has changed.
         """
         stats = EvalStats()
         t0 = time.perf_counter()
-        self._run_tables(stats, None)
+        tables.schedule_tables(self, stats)
         stats.wall_time = time.perf_counter() - t0
         return stats
 
@@ -343,7 +350,7 @@ class Engine:
         self.full_recalc()
         out = {}
         for comp in self._ordered_components(set(self.graph.precedents)):
-            if self._is_cyclic(comp):
+            if self._is_cyclic(comp, self.graph.precedents):
                 for addr in comp:
                     out[addr] = self.workspace.value(addr)
         return out
@@ -354,34 +361,33 @@ class Engine:
         cell = self.workspace.cell(addr)
         return cell is not None and isinstance(cell.content, Formula)
 
-    def _is_cyclic(self, comp: list) -> bool:
-        return len(comp) > 1 or comp[0] in self.graph.precedents.get(comp[0], ())
-
-    def _run_tables(self, stats: EvalStats, rng: random.Random | None) -> None:
-        """Evaluate every data table, then bring their dependents up to date."""
-        changed = tables.schedule_tables(self, stats)
-        if changed:
-            spill = {a for a in self.graph.dependents_closure(changed) if self._is_formula(a)}
-            self._run_targets(spill, stats, rng)
+    def _is_cyclic(self, comp: list, edges: dict) -> bool:
+        return len(comp) > 1 or comp[0] in edges.get(comp[0], ())
 
     def _run_targets(self, targets: set, stats: EvalStats, rng: random.Random | None) -> None:
-        if not targets:
-            return
         closure = targets | {a for a in self.graph.dependents_closure(targets) if self._is_formula(a)}
-        needs = set(targets)
-        for comp in self._ordered_components(closure, rng):
-            if self._is_cyclic(comp):
+        self.walk(self._ordered_components(closure, rng), set(targets), stats, self.graph.precedents)
+
+    def walk(self, comps: list, needs: set, stats: EvalStats, edges: dict) -> None:
+        """Evaluate *comps*, found by the precedents *edges*, in order: every
+        table, and each cell or cycle of cells that holds a cell in *needs*;
+        a value that changes puts its dependents in *needs*."""
+        for comp in comps:
+            node = comp[0]
+            if self._is_cyclic(comp, edges):
+                if needs.isdisjoint(comp) and all(isinstance(a, CellAddress) for a in comp):
+                    continue
                 changed = self._eval_cycle(comp, stats)
-                for addr in changed:
-                    needs.update(self.graph.dependents.get(addr, ()))
+            elif isinstance(node, tables.DataTableRegion):
+                changed = tables.evaluate_table(self, node, stats)
+            elif node in needs:
+                cell = self.workspace.cell(node)
+                old = cell.cached
+                self._eval_cell(node, cell, stats)
+                changed = () if values_equal(old, cell.cached) else (node,)
+            else:
                 continue
-            addr = comp[0]
-            if addr not in needs:
-                continue
-            cell = self.workspace.cell(addr)
-            old = cell.cached
-            self._eval_cell(addr, cell, stats)
-            if not values_equal(old, cell.cached):
+            for addr in changed:
                 needs.update(self.graph.dependents.get(addr, ()))
 
     def _eval_cell(self, addr: CellAddress, cell, stats: EvalStats) -> None:
@@ -395,17 +401,19 @@ class Engine:
         stats.cell_evaluations += 1
 
     def _eval_cycle(self, comp: list, stats: EvalStats) -> set:
-        """Evaluate one strongly connected component of the graph.
+        """Evaluate one strongly connected component of the graph or the table order.
 
-        Without iterative calculation every member becomes ``#CYCLE!``;
-        with it, members are swept in address order until no number moves
-        by more than ``max_change`` or ``max_iterations`` is reached.
+        Without iterative calculation, or when it holds a table (a recursive
+        call), every member cell and table body becomes ``#CYCLE!``; else
+        members are swept in address order until no number moves by more
+        than ``max_change`` or ``max_iterations`` is reached.
         """
         cfg = self.workspace.config
-        addrs = sorted(comp, key=lambda a: a.sort_key)
+        bodies = [a for t in comp if isinstance(t, tables.DataTableRegion) for a in t.body_cells()]
+        addrs = sorted([a for a in comp if isinstance(a, CellAddress)] + bodies, key=lambda a: a.sort_key)
         cells = [(a, self.workspace.cell(a)) for a in addrs]
         before = {a: c.cached for a, c in cells}
-        if not cfg.iterative:
+        if bodies or not cfg.iterative:
             for _, cell in cells:
                 cell.cached = Error.CYCLE
         else:
@@ -425,13 +433,16 @@ class Engine:
                     break
         return {a for a, c in cells if not values_equal(before[a], c.cached)}
 
-    def _ordered_components(self, nodes: set, rng: random.Random | None = None) -> list:
-        """Strongly connected components of the induced subgraph, listed so
-        that precedents come before dependents. Deterministic by address
-        order unless *rng* shuffles the (value-irrelevant) tie-breaking:
-        the root order and each node's precedents. Tarjan's algorithm emits
-        a component only after every component it reads, whatever order it
-        visits them in."""
+    def _ordered_components(
+        self, nodes: set, rng: random.Random | None = None, edges: dict | None = None
+    ) -> list:
+        """Strongly connected components of *nodes* under *edges* (the
+        graph's precedents by default), listed so that precedents come
+        before dependents. Deterministic by ``sort_key`` unless *rng*
+        shuffles the (value-irrelevant) tie-breaking: the root order and
+        each node's precedents. Tarjan's algorithm emits a component only
+        after every component it reads, whatever order it visits them in."""
+        edges = self.graph.precedents if edges is None else edges
         order = sorted(nodes, key=lambda a: a.sort_key)
         if rng is not None:
             rng.shuffle(order)
@@ -443,7 +454,7 @@ class Engine:
         counter = [0]
 
         def neighbors(a):
-            out = [p for p in self.graph.precedents.get(a, ()) if p in nodes]
+            out = [p for p in edges.get(a, ()) if p in nodes]
             if rng is not None:
                 rng.shuffle(out)
             return out
@@ -494,14 +505,13 @@ class Engine:
 
         The plan holds the formula cells that lie between the table's input
         cell and its result formulas, i.e. the results and their precedents
-        that the input cell reaches, topologically ordered; table-body cells
-        hold no formulas and never appear. It is seeded from the input cell
-        and from the cells whose value may have moved since phase 1: the
-        volatile cells among those precedents and the body cells of other
-        tables (an earlier table may have refilled them). A result none of
-        these reaches keeps the value phase 1 gave it. The plan is built by
-        a reverse walk from the result formulas, so its cost is the size of
-        the body, not of the workbook around it.
+        that the input cell or a volatile one among them reaches,
+        topologically ordered; table-body cells hold no formulas and never
+        appear. Every other cell the passes read, another table's body
+        included, is up to date before the table runs (see
+        :meth:`table_order`), so a result the plan does not hold keeps its
+        value. The plan is built by a reverse walk from the result formulas,
+        so its cost is the size of the body, not of the workbook around it.
         The one exception: with iterative calculation on and a cycle among
         the input cell's dependents, the plan covers every dependent, so a
         self-referential counter observes each pass.
@@ -526,10 +536,6 @@ class Engine:
                     stack.append(p)
         nodes = body & g.volatile
         stack = [table.input_cell, *nodes]
-        for p in inner:
-            owner = self.workspace.table_at(p)
-            if owner is not None and owner is not table and owner.is_body_cell(p):
-                stack.append(p)
         while stack:
             for d in inner.get(stack.pop(), ()):
                 if d not in nodes:
@@ -537,18 +543,42 @@ class Engine:
                     stack.append(d)
         if self.workspace.config.iterative:
             forward = g.dependents_closure({table.input_cell})
-            if any(self._is_cyclic(c) for c in self._ordered_components(forward)):
+            if any(self._is_cyclic(c, g.precedents) for c in self._ordered_components(forward)):
                 nodes |= forward
         nodes.discard(table.input_cell)
         plan = []
         for comp in self._ordered_components(nodes):
-            if self._is_cyclic(comp):
+            if self._is_cyclic(comp, self.graph.precedents):
                 plan.append((None, comp))
             else:
                 addr = comp[0]
                 plan.append((addr, self.workspace.cell(addr)))
         self._plans[table.table_id] = plan
         return plan
+
+    def table_order(self) -> tuple:
+        """Every table and every formula cell that reads a table body,
+        directly or through other cells, as ``(components, edges)``: the
+        strongly connected components listed so that what a node reads
+        comes first (ties by ``sort_key``), and the precedents they were
+        found by, a body cell standing for its table. A table reads what its
+        passes read but do not recompute: its result and argument cells and
+        the precedents of its plan outside the plan, never its input cell.
+        Built once per generation of plans and dropped with them.
+        """
+        if self._order is not None:
+            return self._order
+        g = self.graph
+        owner = {a: t for t in self.workspace.tables for row in t.grid for a in row}
+        readers = g.dependents_closure(owner)
+        edges: dict = {a: {owner.get(p, p) for p in g.precedents[a]} for a in readers}
+        for t in self.workspace.tables:
+            planned = {a for head, c in self.dependents_plan(t) for a in (c if head is None else (head,))}
+            reads = {p for a in planned for p in g.precedents[a]} | {*t.results, *t.arguments}
+            reads -= planned | {t.input_cell}
+            edges[t] = {owner.get(p, p) for p in reads if p in owner or p in readers}
+        self._order = (self._ordered_components(set(edges), edges=edges), edges)
+        return self._order
 
     def run_plan(self, plan: list, stats: EvalStats) -> None:
         for head, payload in plan:

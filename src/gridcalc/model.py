@@ -588,9 +588,6 @@ class Workbook:
             sheet = self._sheets[name.casefold()] = Sheet(name)
         return sheet
 
-    def sheet_index(self, name: str) -> int:
-        return list(self._sheets).index(name.casefold())
-
 
 @dataclass
 class CalcConfig:

@@ -10,8 +10,9 @@ restores the input cell's original content.
 Body cells of *every* table are frozen during any table's evaluation (they
 carry no formulas, so no recomputation can reach them). That one rule makes
 scheduling sequential-and-isolated and means calls can neither nest nor
-recurse: an inner table read by an outer function body keeps its stale
-values for the whole outer evaluation.
+recurse: an inner table read by an outer function body runs first and keeps
+its values for the whole outer evaluation, and a table that reads its own
+body, directly or through other cells and tables, is a ``#CYCLE!``.
 """
 
 from __future__ import annotations
@@ -49,11 +50,14 @@ class DataTableRegion:
     Its cells are computed once, when it is made: ``results`` (the result
     formulas), ``arguments`` (the input values) and ``grid``, where
     ``grid[i][j]`` receives result ``j`` for argument ``i``. A table is a
-    value: its fields are never reassigned, and equality, hashing and
-    ``repr`` read the four it is made from.
+    value: its fields are never reassigned, equality and ``repr`` read the
+    four it is made from, and hashing reads its id. ``sort_key`` is its first
+    body cell's, which no formula holds: tables sort as their anchors do.
     """
 
-    __slots__ = ("table_id", "region", "orientation", "input_cell", "results", "arguments", "grid")
+    __slots__ = (
+        "table_id", "region", "orientation", "input_cell", "results", "arguments", "grid", "sort_key"
+    )
 
     def __init__(self, table_id: int, region: RangeRef, orientation: str, input_cell: CellAddress) -> None:
         self.table_id = table_id
@@ -70,6 +74,7 @@ class DataTableRegion:
             self.results = tuple([tl.moved(tl.column, r) for r in rows])
             self.arguments = tuple([tl.moved(c, tl.row) for c in cols])
             self.grid = tuple([tuple([tl.moved(c, r) for r in rows]) for c in cols])
+        self.sort_key = self.grid[0][0].sort_key
 
     def _fields(self) -> tuple:
         return (self.table_id, self.region, self.orientation, self.input_cell)
@@ -80,7 +85,7 @@ class DataTableRegion:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self.table_id)
 
     def __repr__(self) -> str:
         return (
@@ -208,19 +213,11 @@ def evaluate_table(engine, table: DataTableRegion, stats) -> set:
     return changed
 
 
-def schedule_tables(engine, stats) -> set:
-    """Evaluate every table, strictly one after another, in position order:
-    workbook name, sheet position, anchor row, anchor column. Each table
+def schedule_tables(engine, stats) -> None:
+    """Evaluate every table, strictly one after another, each after the
+    cells and tables it reads (:meth:`Engine.table_order`), and re-evaluate
+    on the way each formula that reads a changed table body. Each table
     restores the shared input cell before the next one starts, so the final
     state does not depend on how many tables share an input."""
-    ws = engine.workspace
-
-    def key(table: DataTableRegion):
-        tl = table.region.top_left
-        wb = ws.workbook(tl.workbook)
-        return (tl.sheet_key[0], wb.sheet_index(tl.sheet), tl.row, tl.column)
-
-    changed: set = set()
-    for table in sorted(ws.tables, key=key):
-        changed |= evaluate_table(engine, table, stats)
-    return changed
+    comps, edges = engine.table_order()
+    engine.walk(comps, set(), stats, edges)

@@ -428,6 +428,22 @@ def test_iterative_calculation_enables_side_effects():
     assert second > first  # the counter observably advanced across a recalc
 
 
+def test_iterative_cycle_is_swept_only_when_a_changed_value_reaches_it():
+    # G1 reads a volatile cell that keeps its value, F1 a table body that
+    # keeps its value: neither counter moves after the first recalc
+    eng = fresh(CalcConfig(iterative=True, max_iterations=5))
+    eng.set_formula(at("D1"), "A10*2")
+    eng.set_formula(at("B4"), "D1")
+    eng.set_literal(at("A5"), 1.0)
+    eng.declare_table(rng_("A4:B5"), COLUMN_INPUT, at("A10"))
+    eng.set_formula(at("E1"), 'INDIRECT("A5")')
+    eng.set_formula(at("F1"), "F1+B5")
+    eng.set_formula(at("G1"), "G1+E1")
+    for _ in range(3):
+        eng.full_recalc()
+        assert (eng.get_value(at("F1")), eng.get_value(at("G1"))) == (10.0, 5.0)
+
+
 # ---------------------------------------------------------------------------
 # nesting (the freeze rule)
 # ---------------------------------------------------------------------------
@@ -436,7 +452,7 @@ def test_iterative_calculation_enables_side_effects():
 def nested_engine(inner_first: bool) -> Engine:
     """An inner 2x2 call whose argument depends on the outer call's input,
     read by the outer function's body. Regions are anchored so the inner
-    table runs either before or after the outer one."""
+    table sits either above or below the outer one."""
     eng = fresh()
     inner_top, outer_top = (4, 8) if inner_first else (8, 4)
     # inner function: input D1, result G1 = D1 & "!"
@@ -465,11 +481,73 @@ def test_inner_call_is_frozen_during_outer_passes():
 
 
 def test_inner_call_is_frozen_regardless_of_anchor_order():
-    # outer table runs first: the inner body is still blank during its pass
-    eng = nested_engine(inner_first=False)
-    eng.full_recalc()
-    assert eng.get_value(at("B9")) == "-in!"  # inner computed afterwards
-    assert eng.get_value(at("B5")) == "b"  # outer saw a blank inner body
+    # the inner table runs before the outer one that reads its body,
+    # whichever sits first, and stays frozen during the outer passes
+    for inner_first in (True, False):
+        eng = nested_engine(inner_first=inner_first)
+        inner, outer = (at("B5"), at("B9")) if inner_first else (at("B9"), at("B5"))
+        for _ in range(3):
+            eng.full_recalc()
+            assert eng.get_value(inner) == "-in!", inner_first  # inner result for blank E1
+            assert eng.get_value(outer) == "-in!b", inner_first  # frozen inner value, not "b-in!"
+
+
+@pytest.mark.parametrize("iterative", [False, True], ids=["plain", "iterative"])
+@pytest.mark.parametrize("cyclic_first", [True, False], ids=["cycle-above", "cycle-below"])
+def test_link_reading_its_own_body_is_a_cycle(iterative, cyclic_first):
+    # a call whose result reads its own body is recursion: #CYCLE!, with
+    # iteration on or off, while a call beside it on the same input runs
+    eng = fresh(CalcConfig(iterative=iterative))
+    cyc, plain = (4, 8) if cyclic_first else (8, 4)
+    eng.set_formula(at(f"B{cyc}"), f"B{cyc + 1}+1")
+    eng.set_literal(at(f"A{cyc + 1}"), 1.0)
+    eng.set_formula(at("D1"), "A10*2")
+    eng.set_formula(at(f"B{plain}"), "D1")
+    eng.set_literal(at(f"A{plain + 1}"), 3.0)
+    eng.set_formula(at("E1"), f"B{cyc}&\"\"")  # reads the cycle from outside it
+    for top in (4, 8):
+        eng.declare_table(rng_(f"A{top}:B{top + 1}"), COLUMN_INPUT, at("A10"))
+    for _ in range(3):
+        eng.full_recalc()
+        for cell in (f"B{cyc + 1}", f"B{cyc}", "E1"):
+            assert eng.get_value(at(cell)) is Error.CYCLE, cell
+        assert eng.get_value(at(f"B{plain + 1}")) == 6.0
+
+
+@pytest.mark.parametrize("reader_first", [True, False], ids=["reader-above", "reader-below"])
+def test_link_reading_another_tables_body_waits_for_it(reader_first):
+    # B4 = B15*100+A10 (or with the anchors swapped): the reading table
+    # runs after the table it reads, wherever it sits
+    eng = fresh()
+    reader, read = (4, 14) if reader_first else (14, 4)
+    eng.set_formula(at("D1"), "A10*2")
+    eng.set_formula(at(f"B{read}"), "D1")
+    eng.set_literal(at(f"A{read + 1}"), 1.0)
+    eng.set_formula(at(f"B{reader}"), f"B{read + 1}*100+A10")
+    eng.set_literal(at(f"A{reader + 1}"), 1.0)
+    for top in (4, 14):
+        eng.declare_table(rng_(f"A{top}:B{top + 1}"), COLUMN_INPUT, at("A10"))
+    for _ in range(3):
+        eng.full_recalc()
+        assert eng.get_value(at(f"B{reader + 1}")) == 201.0
+
+
+@pytest.mark.parametrize("reader_first", [True, False], ids=["reader-above", "reader-below"])
+def test_argument_reading_another_tables_body_is_up_to_date(reader_first):
+    # A13 = B5*10 (or with the anchors swapped): the argument cell is
+    # brought up to date before its table takes its value
+    eng = fresh()
+    reader, read = (4, 12) if reader_first else (12, 4)
+    eng.set_formula(at("D1"), "A10*2")
+    eng.set_formula(at(f"B{read}"), "D1")
+    eng.set_literal(at(f"A{read + 1}"), 0.5)
+    eng.set_formula(at(f"B{reader}"), "D1+1")
+    eng.set_formula(at(f"A{reader + 1}"), f"B{read + 1}*10")
+    for top in (4, 12):
+        eng.declare_table(rng_(f"A{top}:B{top + 1}"), COLUMN_INPUT, at("A10"))
+    for _ in range(3):
+        eng.full_recalc()
+        assert eng.get_value(at(f"B{reader + 1}")) == 21.0
 
 
 @pytest.mark.parametrize("link", ["B5*100", "D12"], ids=["result", "body-cell"])
@@ -519,14 +597,17 @@ def test_literal_edits_keep_plans_and_formula_edits_drop_them():
     eng = engine_for("isbn_basic.gwb")
     eng.full_recalc()
     table = next(t for t in eng.workspace.tables if t.region.top_left.sheet == "Batch")
-    plan = eng.dependents_plan(table)
+    plan, order = eng.dependents_plan(table), eng.table_order()
     eng.set_literal(batch_addr("A5"), "0201038021")
     eng.set_literal(batch_addr("E1"), 1.0)
     assert eng.dependents_plan(table) is plan
+    assert eng.table_order() is order
     eng.full_recalc()
     assert eng.get_value(batch_addr("B5")) == "valid"
+    assert eng.table_order() is order  # not rebuilt by a recalc
     eng.set_formula(batch_addr("E1"), "1")
     assert eng.dependents_plan(table) is not plan
+    assert eng.table_order() is not order
 
 
 def test_volatile_cell_feeding_a_result_is_rerun_each_pass():
@@ -576,11 +657,14 @@ _TABLE_ROW_STEP = 6  # tables sit at rows 10, 16, 22 in columns A..C
 
 
 @st.composite
-def call_workbooks(draw):
+def call_workbooks(draw, cross: bool = False):
     """Function bodies in C1..C4 over the inputs A1/A2 (some through
-    INDIRECT), and 1-3 column-input tables whose inputs may coincide."""
+    INDIRECT), and 1-3 column-input tables whose inputs may coincide. With
+    *cross*, result links and argument cells may also read any table's
+    body, their own table's included, and argument cells may be formulas."""
     ints = st.integers(-3, 3).map(lambda n: f"{n}")
-    literals = {a: draw(st.none() | st.integers(-5, 5).map(float)) for a in _INPUTS}
+    values = st.none() | st.integers(-5, 5).map(float)
+    literals = {a: draw(values) for a in _INPUTS}
 
     def operand(refs):
         return draw(st.sampled_from(refs) | ints | st.sampled_from(['INDIRECT("A1")', 'INDIRECT("A2")']))
@@ -595,18 +679,22 @@ def call_workbooks(draw):
     body = {}
     for i in range(1, draw(st.integers(1, 4)) + 1):
         body[f"C{i}"] = expression(list(_INPUTS) + list(body))
-    tables = []
+    shapes = []  # (top row, links, argument rows)
     for k in range(draw(st.integers(1, 3))):
-        top = 10 + _TABLE_ROW_STEP * k
-        links = [expression(list(_INPUTS) + list(body)) for _ in range(draw(st.integers(1, 2)))]
-        args = draw(st.lists(st.none() | st.integers(-5, 5).map(float), min_size=1, max_size=3))
+        shapes.append((10 + _TABLE_ROW_STEP * k, draw(st.integers(1, 2)), draw(st.integers(1, 3))))
+    bodies = [f"{'BC'[j]}{top + 1 + i}" for top, n, rows in shapes for i in range(rows) for j in range(n)]
+    refs = list(_INPUTS) + list(body) + (bodies if cross else [])
+    tables = []
+    for top, n, rows in shapes:
+        links = [expression(refs) for _ in range(n)]
+        args = [draw(values) if not cross or draw(st.booleans()) else expression(refs) for _ in range(rows)]
         tables.append((top, draw(st.sampled_from(_INPUTS)), links, args))
     return literals, body, tables
 
 
-def _build(spec, with_tables: bool) -> Engine:
+def _build(spec, with_tables: bool, table_recalc: str = "manual") -> Engine:
     literals, body, tables = spec
-    eng = fresh(CalcConfig(table_recalc="manual"))
+    eng = fresh(CalcConfig(table_recalc=table_recalc))
     for addr, v in literals.items():
         if v is not None:
             eng.set_literal(at(addr), v)
@@ -616,12 +704,48 @@ def _build(spec, with_tables: bool) -> Engine:
         for j, source in enumerate(links):
             eng.set_formula(at(f"{'BC'[j]}{top}"), source)
         for i, v in enumerate(args):
-            if v is not None:
+            if isinstance(v, str):
+                eng.set_formula(at(f"A{top + 1 + i}"), v)
+            elif v is not None:
                 eng.set_literal(at(f"A{top + 1 + i}"), v)
         if with_tables:
             region = rng_(f"A{top}:{'BC'[len(links) - 1]}{top + len(args)}")
             eng.declare_table(region, COLUMN_INPUT, at(input_text))
     return eng
+
+
+def whole_grid(eng: Engine) -> dict:
+    """Every cell's value, table bodies included."""
+    return {
+        (wb.name, sheet.name, key): cell.cached
+        for wb in eng.workspace.workbooks()
+        for sheet in wb.sheets()
+        for key, cell in sheet.cells.items()
+    }
+
+
+def assert_same_grid(before: dict, after: dict) -> None:
+    assert set(before) == set(after)
+    for key in before:
+        assert values_equal(before[key], after[key]), (key, before[key], after[key])
+
+
+@settings(max_examples=80, deadline=None)
+@given(call_workbooks(cross=True))
+def test_unchanged_workbook_recalculates_to_the_same_grid(spec):
+    # tables whose links and arguments read table bodies, their own
+    # included: the first recalc settles, in both table modes
+    auto = _build(spec, with_tables=True, table_recalc="auto")
+    auto.full_recalc()
+    first = whole_grid(auto)
+    auto.full_recalc()
+    assert_same_grid(first, whole_grid(auto))
+    manual = _build(spec, with_tables=True)
+    manual.full_recalc()
+    manual.recalc_tables()
+    assert_same_grid(first, whole_grid(manual))
+    manual.recalc_tables()
+    assert_same_grid(first, whole_grid(manual))
 
 
 @settings(max_examples=60, deadline=None)

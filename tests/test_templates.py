@@ -354,6 +354,39 @@ def test_line_break_repros_raise_before_reaching_a_cell():
     assert ws.cell(SHEET) is None
 
 
+@pytest.mark.parametrize(
+    "source, ast",
+    [('"a\nb"', formula.Literal("a\nb")), ("1+", formula.Literal(1.0)), ("1+2", formula.Literal(3.0))],
+    ids=["line-break", "no-parse", "other-ast"],
+)
+def test_hand_built_formula_whose_source_gives_another_ast_is_rejected(source, ast):
+    # a dump writes the source: these would dump to a file that does not load
+    ws = Workspace()
+    ws.add_workbook("Book1").ensure_sheet("Sheet1")
+    eng = Engine(ws)
+    with pytest.raises(ValueError):
+        eng.set_cell(SHEET, Formula(source, ast))
+    assert ws.cell(SHEET) is None
+    assert not eng.graph.precedents
+
+
+def test_hand_built_formula_that_matches_its_source_round_trips(tmp_path):
+    ws = Workspace()
+    ws.add_workbook("Book1").ensure_sheet("Sheet1")
+    eng = Engine(ws)
+    eng.set_literal(SHEET, 4.0)
+    eng.set_cell(at("B1"), Formula("A1*2", parse_formula("A1*2", at("B1"))))
+    eng.set_cell(at("B2"), Formula("A2*2", parse_formula("A2*2", at("B2"))))
+    made = [ws.cell(at(a)).content for a in ("B1", "B2")]
+    assert made[0].template is made[1].template is not None  # one shape, parsed once
+    eng.full_recalc()
+    assert (eng.get_value(at("B1")), eng.get_value(at("B2"))) == (8.0, 0.0)
+    text = dump_workbook_source(ws, "Book1")
+    path = tmp_path / "Book1.gwb"
+    path.write_text(text, encoding="utf-8")
+    assert dump_workbook_source(load_workspace([path]), "Book1") == text
+
+
 def test_source_that_spells_out_a_shape_is_not_taken_for_it():
     templates: dict = {}
     shared_formula("A1+1", at("B2"), templates)
