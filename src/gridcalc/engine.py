@@ -6,16 +6,14 @@ poisoned with ``#CYCLE!`` or iterated to a bounded fixed point, and two
 consecutive recalculations of an unchanged workspace produce identical
 grids.
 
-A full recalculation runs in two phases:
-
-1. every dirty or volatile formula cell outside data-table bodies is
-   evaluated in topological order;
-2. with ``table_recalc=auto``, one walk of :meth:`Engine.table_order` runs
-   every data table (see :mod:`gridcalc.tables`) after the cells and tables
-   it reads, and re-evaluates each formula that reads a table body once a
-   body it reads has changed. Each table pass runs the table's plan (see
-   :meth:`Engine.dependents_plan`). A cycle through a table is a recursive
-   call: its cells and table bodies become ``#CYCLE!``.
+A recalculation is one walk (:meth:`Engine.walk`) of one order, built for
+it by :meth:`Engine.components`: the dirty and volatile formula cells, with
+``table_recalc=auto`` every data table (see :mod:`gridcalc.tables`), and all
+they reach through dependents, condensed into strongly connected components
+and listed so that what a node reads comes first. Each cell or cycle of
+cells runs when a cell of it needs it, and every table runs, its passes
+running the table's plan (:meth:`Engine.dependents_plan`). A cycle through
+a table is a recursive call: its cells and table bodies become ``#CYCLE!``.
 
 Volatility has one source: ``Builtin.volatile`` in the function registry,
 read by :func:`gridcalc.formula.static_dependencies`.
@@ -216,8 +214,10 @@ class Engine:
         self.workspace = workspace
         self.graph = self.build_graph()
         self.dirty: set[CellAddress] = set(self._formula_addresses())
-        self._plans: dict[int, list] = {}  # table id -> dependents_plan
-        self._order: tuple | None = None  # table_order, dropped with the plans
+        # table id -> (dependents_plan, its edges in components, the edges of
+        # the cells that read its body); with iterative calculation, input
+        # cell -> its dependents if they hold a cycle
+        self._plans: dict = {}
 
     # -- graph construction ---------------------------------------------------
 
@@ -287,8 +287,7 @@ class Engine:
         newly_dirty = {addr} | self.graph.dependents_closure({addr})
         self.dirty |= newly_dirty
         if was_formula or isinstance(content, Formula):
-            self._plans.clear()  # plans and the order hold graph edges and formula cells only
-            self._order = None
+            self._plans.clear()  # plans hold graph edges and formula cells only
         return newly_dirty
 
     def set_literal(self, addr: CellAddress, value) -> set:
@@ -306,24 +305,24 @@ class Engine:
         """Declare a data table on the live workspace (see tables module)."""
         table = tables.declare_table(self.workspace, region, orientation, input_cell)
         self._plans.clear()
-        self._order = None
         return table
 
     # -- recalculation -----------------------------------------------------------
 
     def full_recalc(self, rng: random.Random | None = None) -> EvalStats:
-        """Recalculate the whole workspace; returns evaluation statistics.
-
-        *rng*, when given, randomizes topological tie-breaking; final values
-        must not depend on it (confluence).
+        """Recalculate the whole workspace in one :meth:`walk` (with
+        ``table_recalc=auto`` through :func:`tables.schedule_tables`, running
+        every table); returns evaluation statistics. *rng*, when given,
+        randomizes topological tie-breaking; final values must not depend on it.
         """
         stats = EvalStats()
         t0 = time.perf_counter()
-        targets = {a for a in self.dirty if self._is_formula(a)} | set(self.graph.volatile)
-        self._run_targets(targets, stats, rng)
-        self.dirty.clear()
+        needs = {a for a in self.dirty if a in self.graph.precedents} | self.graph.volatile
         if self.workspace.config.table_recalc == "auto":
-            tables.schedule_tables(self, stats)
+            tables.schedule_tables(self, stats, needs, rng)
+        else:
+            self.walk(needs, (), stats, rng)
+        self.dirty.clear()
         stats.wall_time = time.perf_counter() - t0
         return stats
 
@@ -331,14 +330,14 @@ class Engine:
         """Explicitly evaluate all data tables (manual-mode trigger).
 
         It runs on top of a :meth:`full_recalc` and does not evaluate dirty
-        cells itself: it makes the same walk of :meth:`table_order` as
-        :meth:`full_recalc`, where each pass re-runs only the table's plan
-        (see :meth:`dependents_plan`) and a formula outside every plan is
-        re-evaluated only once a table body it reads has changed.
+        cells itself: its :meth:`walk` runs every table, where each pass
+        re-runs only the table's plan (see :meth:`dependents_plan`), and
+        re-evaluates a formula outside every plan only once a table body it
+        reads has changed.
         """
         stats = EvalStats()
         t0 = time.perf_counter()
-        tables.schedule_tables(self, stats)
+        tables.schedule_tables(self, stats, set())
         stats.wall_time = time.perf_counter() - t0
         return stats
 
@@ -346,32 +345,53 @@ class Engine:
         return self.workspace.value(addr)
 
     def resolve_cycles(self) -> dict:
-        """Recalculate, then report final values of every cell in a cycle."""
+        """Recalculate, then report the final value of every cell on a cycle,
+        a table on one standing for its body cells."""
         self.full_recalc()
-        out = {}
-        for comp in self._ordered_components(set(self.graph.precedents)):
-            if self._is_cyclic(comp, self.graph.precedents):
-                for addr in comp:
-                    out[addr] = self.workspace.value(addr)
-        return out
+        comps, edges = self.components([*self.graph.precedents, *self.workspace.tables])
+        cyclic = [n for comp in comps if self._is_cyclic(comp, edges) for n in comp]
+        cells = [a for n in cyclic for a in ((n,) if isinstance(n, CellAddress) else n.body_cells())]
+        return {a: self.workspace.value(a) for a in cells}
 
     # -- internals ----------------------------------------------------------------
-
-    def _is_formula(self, addr: CellAddress) -> bool:
-        cell = self.workspace.cell(addr)
-        return cell is not None and isinstance(cell.content, Formula)
 
     def _is_cyclic(self, comp: list, edges: dict) -> bool:
         return len(comp) > 1 or comp[0] in edges.get(comp[0], ())
 
-    def _run_targets(self, targets: set, stats: EvalStats, rng: random.Random | None) -> None:
-        closure = targets | {a for a in self.graph.dependents_closure(targets) if self._is_formula(a)}
-        self.walk(self._ordered_components(closure, rng), set(targets), stats, self.graph.precedents)
+    def components(self, seeds: Iterable, rng: random.Random | None = None) -> tuple:
+        """The order one recalculation walks, as ``(components, edges)``: the
+        nodes are *seeds* (formula cells and tables) and all they reach
+        through dependents, a table reaching the dependents of its body;
+        each node's edges are what it reads. A cell reads its precedents, a
+        body cell standing for its table; a table reads its result and
+        argument cells and its plan's precedents outside the plan, never its
+        input cell. What a node reads comes first (:meth:`_ordered_components`).
+        """
+        g = self.graph
+        nodes = set(seeds)
+        stack = list(nodes)
+        edges: dict = {}
+        while stack:
+            node = stack.pop()
+            if isinstance(node, tables.DataTableRegion):
+                self.dependents_plan(node)  # keeps the table's edges and its readers' with its plan
+                _, edges[node], reached = self._plans[node.table_id]
+                edges.update(reached)
+            else:
+                edges.setdefault(node, g.precedents[node])  # a reader's are set by its table
+                reached = g.dependents.get(node, ())
+            for d in reached:
+                if d not in nodes:
+                    nodes.add(d)
+                    stack.append(d)
+        return self._ordered_components(nodes, rng, edges), edges
 
-    def walk(self, comps: list, needs: set, stats: EvalStats, edges: dict) -> None:
-        """Evaluate *comps*, found by the precedents *edges*, in order: every
-        table, and each cell or cycle of cells that holds a cell in *needs*;
-        a value that changes puts its dependents in *needs*."""
+    def walk(self, needs: set, calls: Iterable, stats: EvalStats, rng: random.Random | None = None) -> None:
+        """Walk the :meth:`components` of *needs* and the tables *calls* once,
+        in order: run every table, and each cell or cycle of cells that holds
+        a cell in *needs*; a value that changes puts its dependents in
+        *needs*."""
+        comps, edges = self.components([*needs, *calls], rng)
         for comp in comps:
             node = comp[0]
             if self._is_cyclic(comp, edges):
@@ -401,7 +421,7 @@ class Engine:
         stats.cell_evaluations += 1
 
     def _eval_cycle(self, comp: list, stats: EvalStats) -> set:
-        """Evaluate one strongly connected component of the graph or the table order.
+        """Evaluate one strongly connected component of the order a walk takes.
 
         Without iterative calculation, or when it holds a table (a recursive
         call), every member cell and table body becomes ``#CYCLE!``; else
@@ -446,56 +466,44 @@ class Engine:
         order = sorted(nodes, key=lambda a: a.sort_key)
         if rng is not None:
             rng.shuffle(order)
-        index: dict[CellAddress, int] = {}
-        low: dict[CellAddress, int] = {}
-        on_stack: set = set()
+        index: dict = {}  # a node's visit number; len(nodes) once its component is out
+        low: dict = {}
         stack: list = []
+        work: list = []  # (node, iterator over its unvisited reads), depth first
         comps: list[list] = []
-        counter = [0]
+        done = len(nodes)
 
-        def neighbors(a):
+        def visit(a):
+            index[a] = low[a] = len(index)
+            stack.append(a)
             out = [p for p in edges.get(a, ()) if p in nodes]
             if rng is not None:
                 rng.shuffle(out)
-            return out
+            work.append((a, iter(out)))
 
         for root in order:
             if root in index:
                 continue
-            work = [(root, iter(neighbors(root)))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
+            visit(root)
             while work:
                 node, it = work[-1]
-                advanced = False
                 for nxt in it:
                     if nxt not in index:
-                        index[nxt] = low[nxt] = counter[0]
-                        counter[0] += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, iter(neighbors(nxt))))
-                        advanced = True
+                        visit(nxt)
                         break
-                    if nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        comp.append(member)
-                        if member is node or member == node:
-                            break
-                    comps.append(comp)
+                    if index[nxt] < low[node]:
+                        low[node] = index[nxt]
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] == index[node]:
+                        comp = []
+                        while not comp or comp[-1] is not node:
+                            comp.append(stack.pop())
+                            index[comp[-1]] = done
+                        comps.append(comp)
         return comps
 
     # -- data-table support ---------------------------------------------------------
@@ -509,20 +517,22 @@ class Engine:
         topologically ordered; table-body cells hold no formulas and never
         appear. Every other cell the passes read, another table's body
         included, is up to date before the table runs (see
-        :meth:`table_order`), so a result the plan does not hold keeps its
+        :meth:`components`), so a result the plan does not hold keeps its
         value. The plan is built by a reverse walk from the result formulas,
         so its cost is the size of the body, not of the workbook around it.
         The one exception: with iterative calculation on and a cycle among
         the input cell's dependents, the plan covers every dependent, so a
-        self-referential counter observes each pass.
+        self-referential counter observes each pass; that check is made
+        once per input cell.
 
-        A plan depends only on graph edges and on which cells hold formulas:
-        it is dropped when a formula is entered or replaced and when a table
-        is declared, not on literal edits.
+        A plan, and the edges kept with it (see :meth:`components`), depend
+        only on graph edges and on which cells hold formulas: they are dropped
+        when a formula is entered or replaced and when a table is declared,
+        not on literal edits.
         """
-        plan = self._plans.get(table.table_id)
-        if plan is not None:
-            return plan
+        kept = self._plans.get(table.table_id)
+        if kept is not None:
+            return kept[0]
         g = self.graph
         body = {a for a in table.results if a in g.precedents}
         inner: dict = {}  # cell -> its dependents inside the body
@@ -541,10 +551,14 @@ class Engine:
                 if d not in nodes:
                     nodes.add(d)
                     stack.append(d)
-        if self.workspace.config.iterative:
-            forward = g.dependents_closure({table.input_cell})
-            if any(self._is_cyclic(c, g.precedents) for c in self._ordered_components(forward)):
-                nodes |= forward
+        if self.workspace.config.iterative:  # is there a cycle among the input's dependents?
+            forward = self._plans.get(table.input_cell)  # found once per input cell
+            if forward is None:
+                forward = g.dependents_closure({table.input_cell})
+                if not any(self._is_cyclic(c, g.precedents) for c in self._ordered_components(forward)):
+                    forward = set()
+                self._plans[table.input_cell] = forward
+            nodes |= forward
         nodes.discard(table.input_cell)
         plan = []
         for comp in self._ordered_components(nodes):
@@ -553,32 +567,18 @@ class Engine:
             else:
                 addr = comp[0]
                 plan.append((addr, self.workspace.cell(addr)))
-        self._plans[table.table_id] = plan
+        outside = {p for a in nodes for p in g.precedents[a]} - nodes
+        reads = {self._node(p) for p in (*table.results, *table.arguments, *outside)} - {table.input_cell}
+        edges = {n for n in reads if n in g.precedents or isinstance(n, tables.DataTableRegion)}
+        readers = {d for row in table.grid for a in row for d in g.dependents.get(a, ())}
+        reader_edges = {d: {self._node(p) for p in g.precedents[d]} for d in readers}
+        self._plans[table.table_id] = (plan, edges, reader_edges)
         return plan
 
-    def table_order(self) -> tuple:
-        """Every table and every formula cell that reads a table body,
-        directly or through other cells, as ``(components, edges)``: the
-        strongly connected components listed so that what a node reads
-        comes first (ties by ``sort_key``), and the precedents they were
-        found by, a body cell standing for its table. A table reads what its
-        passes read but do not recompute: its result and argument cells and
-        the precedents of its plan outside the plan, never its input cell.
-        Built once per generation of plans and dropped with them.
-        """
-        if self._order is not None:
-            return self._order
-        g = self.graph
-        owner = {a: t for t in self.workspace.tables for row in t.grid for a in row}
-        readers = g.dependents_closure(owner)
-        edges: dict = {a: {owner.get(p, p) for p in g.precedents[a]} for a in readers}
-        for t in self.workspace.tables:
-            planned = {a for head, c in self.dependents_plan(t) for a in (c if head is None else (head,))}
-            reads = {p for a in planned for p in g.precedents[a]} | {*t.results, *t.arguments}
-            reads -= planned | {t.input_cell}
-            edges[t] = {owner.get(p, p) for p in reads if p in owner or p in readers}
-        self._order = (self._ordered_components(set(edges), edges=edges), edges)
-        return self._order
+    def _node(self, addr: CellAddress):
+        """What an edge to *addr* points at: a table body cell's table, else the cell."""
+        table = self.workspace.table_at(addr)
+        return table if table is not None and table.is_body_cell(addr) else addr
 
     def run_plan(self, plan: list, stats: EvalStats) -> None:
         for head, payload in plan:

@@ -213,11 +213,11 @@ def evaluate_table(engine, table: DataTableRegion, stats) -> set:
     return changed
 
 
-def schedule_tables(engine, stats) -> None:
-    """Evaluate every table, strictly one after another, each after the
-    cells and tables it reads (:meth:`Engine.table_order`), and re-evaluate
-    on the way each formula that reads a changed table body. Each table
-    restores the shared input cell before the next one starts, so the final
-    state does not depend on how many tables share an input."""
-    comps, edges = engine.table_order()
-    engine.walk(comps, set(), stats, edges)
+def schedule_tables(engine, stats, needs: set, rng=None) -> None:
+    """Run every table, strictly one after another, in one walk
+    (:meth:`Engine.walk`) with the cells in *needs* and what their changes
+    reach: each table runs after the cells and tables it reads, and a
+    formula that reads a table body after that table. Each table restores
+    the shared input cell before the next one starts, so the final state
+    does not depend on how many tables share an input."""
+    engine.walk(needs, engine.workspace.tables, stats, rng)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridcalc import declare_table, functions
+from gridcalc import bench, declare_table, functions
 from gridcalc.engine import Engine, EvalStats, values_equal
 from gridcalc.model import (
     CalcConfig,
@@ -514,6 +515,32 @@ def test_link_reading_its_own_body_is_a_cycle(iterative, cyclic_first):
         assert eng.get_value(at(f"B{plain + 1}")) == 6.0
 
 
+def test_resolve_cycles_reports_a_cycle_through_a_table():
+    eng = fresh()
+    eng.set_formula(at("B4"), "B5+1")
+    eng.set_literal(at("A5"), 1.0)
+    eng.declare_table(rng_("A4:B5"), COLUMN_INPUT, at("A10"))
+    assert eng.resolve_cycles() == {at("B4"): Error.CYCLE, at("B5"): Error.CYCLE}
+
+
+def test_body_reader_is_evaluated_once_after_its_table():
+    # E1 and E2 are dirty on the first recalc and read the body: they wait
+    # for the table instead of running before it and again after it
+    eng = fresh()
+    eng.set_formula(at("D1"), "A1*2")
+    eng.set_formula(at("B4"), "D1")
+    eng.set_literal(at("A5"), 3.0)
+    eng.declare_table(rng_("A4:B5"), COLUMN_INPUT, at("A1"))
+    eng.set_formula(at("E1"), "B5+1")
+    eng.set_formula(at("E2"), "E1*10")
+    stats = eng.full_recalc()
+    assert stats.cell_evaluations == 8  # D1 and B4, 2 x (D1, B4) in the table, E1 and E2
+    assert eng.get_value(at("E2")) == 70.0
+    for _ in range(2):
+        assert eng.full_recalc().cell_evaluations == 4  # the pass and the restore
+        assert eng.get_value(at("E2")) == 70.0
+
+
 @pytest.mark.parametrize("reader_first", [True, False], ids=["reader-above", "reader-below"])
 def test_link_reading_another_tables_body_waits_for_it(reader_first):
     # B4 = B15*100+A10 (or with the anchors swapped): the reading table
@@ -597,17 +624,31 @@ def test_literal_edits_keep_plans_and_formula_edits_drop_them():
     eng = engine_for("isbn_basic.gwb")
     eng.full_recalc()
     table = next(t for t in eng.workspace.tables if t.region.top_left.sheet == "Batch")
-    plan, order = eng.dependents_plan(table), eng.table_order()
+    plan = eng.dependents_plan(table)
     eng.set_literal(batch_addr("A5"), "0201038021")
     eng.set_literal(batch_addr("E1"), 1.0)
     assert eng.dependents_plan(table) is plan
-    assert eng.table_order() is order
     eng.full_recalc()
     assert eng.get_value(batch_addr("B5")) == "valid"
-    assert eng.table_order() is order  # not rebuilt by a recalc
+    assert eng.dependents_plan(table) is plan  # not rebuilt by a recalc
     eng.set_formula(batch_addr("E1"), "1")
     assert eng.dependents_plan(table) is not plan
-    assert eng.table_order() is not order
+
+
+def test_tables_sharing_an_input_check_its_dependents_for_a_cycle_once(monkeypatch):
+    # with iterative calculation on, whether a cycle lies among the input
+    # cell's dependents is found once for the 64 calls on A2, not per call
+    ws = bench.build_workspace(64, "small", 1)
+    ws.config = CalcConfig(iterative=True)
+    eng = Engine(ws)
+    checked, closure = [], eng.graph.dependents_closure
+    monkeypatch.setattr(eng.graph, "dependents_closure", lambda s: checked.append(set(s)) or closure(s))
+    stats = eng.full_recalc()
+    assert checked == [{ws.tables[0].input_cell}]
+    assert (stats.body_passes, stats.table_restores) == (64, 64)
+    plain = Engine(bench.build_workspace(64, "small", 1))
+    plain.full_recalc()
+    assert_same_grid(whole_grid(plain), whole_grid(eng))
 
 
 def test_volatile_cell_feeding_a_result_is_rerun_each_pass():
@@ -746,6 +787,18 @@ def test_unchanged_workbook_recalculates_to_the_same_grid(spec):
     assert_same_grid(first, whole_grid(manual))
     manual.recalc_tables()
     assert_same_grid(first, whole_grid(manual))
+
+
+@settings(max_examples=60, deadline=None)
+@given(call_workbooks(cross=True))
+def test_shuffled_tie_breaking_gives_the_same_grid(spec):
+    # ties between tables, and between tables and cells, may go either way
+    want = _build(spec, with_tables=True, table_recalc="auto")
+    want.full_recalc()
+    for seed in range(3):
+        eng = _build(spec, with_tables=True, table_recalc="auto")
+        eng.full_recalc(rng=random.Random(seed))
+        assert_same_grid(whole_grid(want), whole_grid(eng))
 
 
 @settings(max_examples=60, deadline=None)
