@@ -15,6 +15,18 @@ cells runs when a cell of it needs it, and every table runs, its passes
 running the table's plan (:meth:`Engine.dependents_plan`). A cycle through
 a table is a recursive call: its cells and table bodies become ``#CYCLE!``.
 
+Formulas are compiled, not interpreted. Each formula shape
+(:class:`gridcalc.formula.Template`) is compiled once, on its first
+evaluation, to nested closures (:func:`compile_template`) that every
+formula of the shape runs over its own references (``Formula.refs``).
+Builtins, arity checks, operators and constants are bound then, and so is
+the depth limit: a node nested deeper than :data:`MAX_DEPTH` levels
+compiles to ``#VALUE!``, given only if it is evaluated. Special and
+reference builtins receive their arguments compiled, to evaluate as they
+need (:class:`gridcalc.functions.Arg`); scalar builtins and operators are
+lifted over arrays only when an array arrives
+(:func:`gridcalc.functions.array_lift`).
+
 Volatility has one source: ``Builtin.volatile`` in the function registry,
 read by :func:`gridcalc.formula.static_dependencies`.
 """
@@ -41,7 +53,8 @@ from .model import (
     values_equal,
 )
 
-DEFAULT_MAX_DEPTH = 64
+# Deepest node a formula evaluates, the root being one level deep.
+MAX_DEPTH = 64
 
 
 @dataclass
@@ -103,104 +116,189 @@ class DependencyGraph:
 
 
 class EvalContext:
-    """Per-evaluation view of the workspace, passed to builtin functions."""
+    """What one evaluation of a formula reads: the workspace, the formula's
+    own cell (ROW(), COLUMN() and INDIRECT's relative text read it) and its
+    references in the order its template reads them (``Formula.refs``)."""
 
-    __slots__ = ("workspace", "cell", "depth", "max_depth")
+    __slots__ = ("workspace", "cell", "refs")
 
-    def __init__(self, workspace: Workspace, cell: CellAddress, max_depth: int = DEFAULT_MAX_DEPTH):
+    def __init__(self, workspace: Workspace, cell: CellAddress, refs: tuple) -> None:
         self.workspace = workspace
         self.cell = cell
-        self.depth = 0
-        self.max_depth = max_depth
+        self.refs = refs
 
-    # -- evaluation ----------------------------------------------------------
 
-    def eval(self, node):
-        self.depth += 1
-        if self.depth > self.max_depth:
-            self.depth -= 1
-            return Error.VALUE
-        try:
-            t = type(node)
-            if t is formula.Ref:
-                target = node.target
-                if isinstance(target, str):
-                    target = self.workspace.resolve_name(target)
-                    if target is None:
-                        return Error.NAME
-                return self.ref_value(target)
-            if t is formula.Literal:
-                return node.value
-            if t is formula.Binary:
-                return functions.apply_binary(node.op, self.eval(node.left), self.eval(node.right))
-            if t is formula.Call:
-                return self._call(node)
-            if t is formula.Unary:
-                return functions.apply_unary(node.op, self.eval(node.operand))
-            raise TypeError(f"cannot evaluate {node!r}")
-        finally:
-            self.depth -= 1
+def evaluate(workspace: Workspace, cell: CellAddress, f: Formula):
+    """The value of formula *f* in *cell*: its template's closure tree,
+    compiled on first use, run over *f*'s own references. An array result
+    is returned whole."""
+    template = f.template
+    code = template.code or compile_template(template)
+    return code(EvalContext(workspace, cell, f.refs))
 
-    def _call(self, node):
-        spec = functions.REGISTRY.get(node.name.upper())
-        if spec is None:
-            return Error.NAME
-        if not spec.min_args <= len(node.args) <= spec.max_args:
-            return Error.VALUE
-        if spec.kind == "special":
-            return spec.fn(self, node.args)
-        if spec.kind == "reference":
-            ref = spec.fn(self, node.args)
-            return ref if isinstance(ref, Error) else self.ref_value(ref)
-        args = [None if a is formula.OMITTED else self.eval(a) for a in node.args]
-        if spec.kind == "scalar":
-            return functions.array_lift(spec.fn, args)
-        for a in args:
-            if isinstance(a, Error):
-                return a
-        return spec.fn(self, args)
 
-    # -- references ----------------------------------------------------------
-
-    def ref_value(self, target):
-        """Dereference an address (cached value) or range (array of values)."""
-        if isinstance(target, CellAddress):
-            sheet = self.workspace.resolve_sheet(target)
-            if sheet is None:
-                return Error.REF
-            return sheet.value(target.row, target.column)
-        sheet = self.workspace.resolve_sheet(target.top_left)
+def ref_value(workspace: Workspace, target):
+    """Dereference an address (cached value) or range (array of values): the
+    one place a compiled formula reads cells through."""
+    if type(target) is CellAddress:
+        sheet = workspace.resolve_sheet(target)
         if sheet is None:
             return Error.REF
-        tl, br = target.top_left, target.bottom_right
-        return Array(
-            [
-                [sheet.value(r, c) for c in range(tl.column, br.column + 1)]
-                for r in range(tl.row, br.row + 1)
-            ]
-        )
+        return sheet.value(target.row, target.column)
+    sheet = workspace.resolve_sheet(target.top_left)
+    if sheet is None:
+        return Error.REF
+    tl, br = target.top_left, target.bottom_right
+    return Array(
+        [
+            [sheet.value(r, c) for c in range(tl.column, br.column + 1)]
+            for r in range(tl.row, br.row + 1)
+        ]
+    )
 
-    def as_reference(self, node):
-        """Resolve a node to the reference it denotes, if any.
 
-        Returns an address/range, an Error (unresolved name, or what a
-        reference builtin such as OFFSET or INDIRECT gave), or None when the
-        node is not a reference expression at all.
-        """
+def compile_template(template: formula.Template):
+    """Compile *template*'s AST once to nested closures, each taking an
+    :class:`EvalContext`; the result is kept as ``template.code``.
+
+    A reference reads the evaluated formula's own target by its place in
+    ``template.nodes``; a defined name is resolved when it is read.
+    Builtins, their arity checks, operators and constants are bound here. A
+    node nested deeper than :data:`MAX_DEPTH` (the root being one
+    level, each argument or operand one more) compiles to ``#VALUE!``, which
+    it gives only if it is evaluated: ``IF(TRUE,1,<deep>)`` is 1. A special
+    or reference builtin receives each argument as a :class:`functions.Arg`;
+    an argument read as a reference costs no level, so the arguments of a
+    reference builtin read that way sit one level below their reader.
+    """
+    positions = {id(node): i for i, node in enumerate(template.nodes)}
+    argument_lists: dict = {}  # (id of a call, its depth) -> its compiled arguments
+
+    def value(node, depth: int):
+        if depth > MAX_DEPTH:
+            return _constant(Error.VALUE)
+        if isinstance(node, formula.Literal):
+            return _constant(node.value)
         if isinstance(node, formula.Ref):
             if isinstance(node.target, str):
-                target = self.workspace.resolve_name(node.target)
-                return Error.NAME if target is None else target
-            return node.target
+                return _read(reference(node, depth))
+            return _ref_value(positions[id(node)])
+        if isinstance(node, formula.Binary):
+            operands = [value(node.left, depth + 1), value(node.right, depth + 1)]
+            return _lifted(functions.BINARY_FNS[node.op], operands)
+        if isinstance(node, formula.Unary):
+            operand = value(node.operand, depth + 1)
+            return operand if node.op == "+" else _lifted(functions.negate, [operand])
         if isinstance(node, formula.Call):
-            spec = functions.REGISTRY.get(node.name.upper())
-            if (
-                spec is not None
-                and spec.kind == "reference"
-                and spec.min_args <= len(node.args) <= spec.max_args
-            ):
-                return spec.fn(self, node.args)
-        return None
+            spec = _builtin(node)
+            if not isinstance(spec, functions.Builtin):
+                return _constant(spec)
+            if spec.kind == "special":
+                return _special(spec.fn, arguments(node, depth))
+            if spec.kind == "reference":
+                return _read(reference(node, depth))
+            codes = [_NONE if a is formula.OMITTED else value(a, depth + 1) for a in node.args]
+            if spec.kind == "scalar":
+                return _lifted(spec.fn, codes)
+            return _strict(spec.fn, codes)
+        raise TypeError(f"cannot compile {node!r}")
+
+    def reference(node, depth: int):
+        """The reference *node* denotes, read by a builtin *depth* deep."""
+        if isinstance(node, formula.Ref):
+            target = node.target
+            if isinstance(target, str):
+                return _name_reference(target.casefold())
+            return _ref_target(positions[id(node)])
+        if isinstance(node, formula.Call):
+            spec = _builtin(node)
+            if isinstance(spec, functions.Builtin) and spec.kind == "reference":
+                return _special(spec.fn, arguments(node, depth))
+        return _NONE
+
+    def arguments(node, depth: int) -> tuple:
+        # kept, so that a chain of reference calls compiles in polynomial time
+        key = (id(node), depth)
+        args = argument_lists.get(key)
+        if args is None:
+            args = argument_lists[key] = tuple(
+                a if a is formula.OMITTED else functions.Arg(value(a, depth + 1), reference(a, depth))
+                for a in node.args
+            )
+        return args
+
+    template.code = value(template.ast, 1)
+    return template.code
+
+
+def _builtin(node):
+    """The builtin *node* calls, or the error it gives: ``#NAME?`` for an
+    unknown name, ``#VALUE!`` for a wrong number of arguments."""
+    spec = functions.REGISTRY.get(node.name.upper())
+    if spec is None:
+        return Error.NAME
+    if not spec.min_args <= len(node.args) <= spec.max_args:
+        return Error.VALUE
+    return spec
+
+
+def _constant(v):
+    return lambda ctx: v
+
+
+_NONE = _constant(None)  # an omitted argument's value; what a non-reference denotes
+
+
+def _ref_value(i: int):
+    return lambda ctx: ref_value(ctx.workspace, ctx.refs[i])
+
+
+def _ref_target(i: int):
+    return lambda ctx: ctx.refs[i]
+
+
+def _name_reference(key: str):
+    def target(ctx):
+        entry = ctx.workspace.defined_names.get(key)
+        return Error.NAME if entry is None else entry[1]
+
+    return target
+
+
+def _lifted(fn, codes: list):
+    lift = functions.array_lift
+    if len(codes) == 1:
+        (a,) = codes
+        return lambda ctx: lift(fn, (a(ctx),))
+    if len(codes) == 2:
+        a, b = codes
+        return lambda ctx: lift(fn, (a(ctx), b(ctx)))
+    return lambda ctx: lift(fn, [c(ctx) for c in codes])
+
+
+def _strict(fn, codes: list):
+    def call(ctx):
+        args = [c(ctx) for c in codes]
+        for a in args:
+            if type(a) is Error:
+                return a
+        return fn(ctx, args)
+
+    return call
+
+
+def _special(fn, args: tuple):
+    return lambda ctx: fn(ctx, args)
+
+
+def _read(reference):
+    """The value at the reference *reference* gives, or the error it gives."""
+
+    def read(ctx):
+        ref = reference(ctx)
+        return ref if type(ref) is Error else ref_value(ctx.workspace, ref)
+
+    return read
 
 
 class Engine:
@@ -246,12 +344,16 @@ class Engine:
         """Construct the dependency graph from scratch.
 
         ``engine.graph == engine.build_graph()`` must hold after any edit;
-        the incremental updates in :meth:`set_cell` preserve it.
+        the incremental updates in :meth:`set_cell` preserve it. A formula
+        set on a sheet by hand, with no template, is given one of its own
+        AST here, which no other cell shares.
         """
         g = DependencyGraph()
         names = self._name_targets()
         for addr in self._formula_addresses():
             cell = self.workspace.cell(addr)
+            if cell.content.template is None:  # set on the sheet by hand
+                cell.content = formula.Template(cell.content.ast, addr).at(addr, cell.content.source)
             precedents, volatile = self._node_edges(cell.content, names)
             g.set_node(addr, precedents, volatile)
         return g
@@ -411,8 +513,7 @@ class Engine:
                 needs.update(self.graph.dependents.get(addr, ()))
 
     def _eval_cell(self, addr: CellAddress, cell, stats: EvalStats) -> None:
-        ctx = EvalContext(self.workspace, addr)
-        v = ctx.eval(cell.content.ast)
+        v = evaluate(self.workspace, addr, cell.content)
         if isinstance(v, Array):
             v = top_left(v)
         if v is None:

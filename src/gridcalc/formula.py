@@ -14,7 +14,8 @@ cell reference written as an offset from the formula's own cell, the
 relative R1C1 form: ``A1+$B$1`` in C2 and ``A2+$B$1`` in C3 have one shape.
 A column of copied formulas has few shapes, so :func:`shared_formula`
 parses each shape once per sheet and gives every copy that template's AST
-moved to the copy's own cell (:class:`Template`).
+and references moved to the copy's own cell (:class:`Template`); the engine
+compiles each template once, not each copy.
 """
 
 from __future__ import annotations
@@ -459,6 +460,51 @@ class DependencyInfo:
             self.unresolved_names = set()
 
 
+def _scan(ast: Node) -> tuple[list, list, bool]:
+    """The Ref nodes of *ast* that hold a cell or range, in source order;
+    the defined names it reads; whether it is volatile (see
+    :func:`static_dependencies`)."""
+    from . import functions  # local import: functions depends on this module
+
+    nodes: list = []
+    named: list = []
+    volatile = False
+    stack = [ast]  # walked without recursion, as a chain can be long
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Binary):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, Ref):
+            if isinstance(node.target, str):
+                named.append(node.target)
+            else:
+                nodes.append(node)
+        elif isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, Call):
+            spec = functions.REGISTRY.get(node.name.upper())
+            if spec is not None and spec.volatile:
+                volatile = True
+            elif node.name.casefold() == "xadr":
+                if not (len(node.args) == 1 and isinstance(node.args[0], Ref)):
+                    volatile = True
+            stack.extend([arg for arg in reversed(node.args) if arg is not OMITTED])
+    return nodes, named, volatile
+
+
+def _dependency_info(targets, named, volatile: bool, names: Mapping[str, Reference] | None) -> DependencyInfo:
+    names = names or {}
+    info = DependencyInfo(set(targets), volatile)
+    for name in named:
+        target = names.get(name.casefold())
+        if target is None:
+            info.unresolved_names.add(name)
+        else:
+            info.refs.add(target)
+    return info
+
+
 def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None) -> DependencyInfo:
     """Collect every statically known reference in *ast*.
 
@@ -469,41 +515,8 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
     because their true read set is unknowable before evaluation; which
     builtins are volatile is read from the function registry.
     """
-    from . import functions  # local import: functions depends on this module
-
-    names = names or {}
-    info = DependencyInfo(set())
-
-    def walk(node) -> None:
-        # an operator chain is left-deep: loop down its spine rather than
-        # recurse once per term, so a long chain cannot exhaust the stack
-        while isinstance(node, Binary):
-            walk(node.right)
-            node = node.left
-        if isinstance(node, Ref):
-            if isinstance(node.target, str):
-                target = names.get(node.target.casefold())
-                if target is None:
-                    info.unresolved_names.add(node.target)
-                else:
-                    info.refs.add(target)
-            else:
-                info.refs.add(node.target)
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Call):
-            spec = functions.REGISTRY.get(node.name.upper())
-            if spec is not None and spec.volatile:
-                info.volatile = True
-            elif node.name.casefold() == "xadr":
-                if not (len(node.args) == 1 and isinstance(node.args[0], Ref)):
-                    info.volatile = True
-            for arg in node.args:
-                if arg is not OMITTED:
-                    walk(arg)
-
-    walk(ast)
-    return info
+    nodes, named, volatile = _scan(ast)
+    return _dependency_info([node.target for node in nodes], named, volatile, names)
 
 
 # ---------------------------------------------------------------------------
@@ -549,87 +562,95 @@ def _shape(source: str, anchor: CellAddress, words: list) -> str:
 
 
 class Template:
-    """One parse of a formula shape, made at the cell it was first met in,
-    with the corners of its cell references as written there (``words``).
+    """One parse of a formula shape, made at the cell it was first met in.
 
-    When a second cell of the shape is met, the template learns how to move
-    its AST (:meth:`at`). ``slots`` then lists the Ref nodes that hold a
-    relative part, each with its corners (column, row, and whether each
-    moves) and the cell it is relative to: None for the formula's own
-    sheet, else an address on the named sheet. ``spine`` holds the ids of
-    those nodes and of every node above one; the other subtrees (array
-    constants, text, absolute references) are shared by every formula of
-    the shape. ``fixed`` holds the references that do not move, ``names``
-    the defined names read and ``volatile`` whether the shape is volatile.
-    A shape met only once is never walked: it costs its key and its parse.
+    ``nodes`` lists the Ref nodes that hold a cell or range, in source
+    order, and ``refs`` their targets as written there: a formula of the
+    shape holds its own targets in that order (``Formula.refs``), which is
+    how the shape's one compiled closure tree (``code``, made by
+    :mod:`gridcalc.engine` on first evaluation) reads the references of
+    every formula of the shape. ``names`` holds the defined names read and
+    ``volatile`` whether the shape is volatile.
+
+    With the corners of its references as written (``words``, from
+    :func:`_shape`), the template learns how to move its AST (:meth:`at`)
+    when a second cell of the shape is met. ``slots`` then lists the
+    references that hold a relative part: each one's place in ``refs``, its
+    Ref node, the cell it is relative to (None for the formula's own sheet,
+    else an address on the named sheet) and its corners (column, row, and
+    whether each moves). ``spine`` holds the ids of those nodes and of every
+    node above one; the other subtrees (array constants, text, absolute
+    references) are shared by every formula of the shape. Without ``words``
+    (a formula built by hand) nothing moves.
     """
 
-    __slots__ = ("ast", "anchor", "words", "slots", "spine", "fixed", "names", "volatile", "__weakref__")
+    __slots__ = ("ast", "anchor", "words", "nodes", "refs", "names", "volatile", "slots", "spine", "code", "__weakref__")
 
-    def __init__(self, ast: Node, anchor: CellAddress, words: list) -> None:
+    def __init__(self, ast: Node, anchor: CellAddress, words: list | None = None) -> None:
         self.ast = ast
         self.anchor = anchor
         self.words = words
-        self.slots = None
+        self.nodes, self.names, self.volatile = _scan(ast)
+        self.refs = tuple([node.target for node in self.nodes])
+        self.slots = None if words is not None else []
+        self.spine = None
+        self.code = None
 
     def _learn(self) -> None:
-        self.slots, self.spine, self.fixed = [], set(), []
-        self._walk(self.ast, iter(self.words))
+        """Find ``slots`` and ``spine``, taking each reference's corners as
+        written from ``words`` in source order."""
+        self.slots = []
+        corners = iter(self.words)
+        for index, node in enumerate(self.nodes):
+            target = node.target
+            written = [next(corners) for _ in range(2 if isinstance(target, RangeRef) else 1)]
+            if any(c[2] or c[3] for c in written):
+                head = target.top_left if isinstance(target, RangeRef) else target
+                base = None if head.sheet_key == self.anchor.sheet_key else head
+                self.slots.append((index, node, base, written))
         self.words = None
-        info = static_dependencies(self.ast)
-        self.names = tuple(info.unresolved_names)
-        self.volatile = info.volatile
+        self.spine = {id(node) for _, node, _, _ in self.slots}
+        self._mark(self.ast, self.spine)
 
-    def _walk(self, node, corners) -> bool:
-        """Record *node*'s references, taking their corners as written from
-        *corners* in source order; whether one of them moves."""
+    def _mark(self, node, spine: set) -> bool:
+        """Add to *spine*, which holds the ids of the moving Ref nodes, the
+        ids of the nodes above one under *node*; whether *node* holds one."""
         if isinstance(node, Binary):
             chain = []  # a left-deep operator chain, walked without recursion
             while isinstance(node, Binary):
                 chain.append(node)
                 node = node.left
-            moves = self._walk(node, corners)
+            moves = self._mark(node, spine)
             for link in reversed(chain):
-                moves = self._walk(link.right, corners) | moves
+                moves = self._mark(link.right, spine) | moves
                 if moves:
-                    self.spine.add(id(link))
+                    spine.add(id(link))
             return moves
-        if isinstance(node, Ref):
-            target = node.target
-            if isinstance(target, str):
-                return False
-            written = [next(corners) for _ in range(2 if isinstance(target, RangeRef) else 1)]
-            if not any(c[2] or c[3] for c in written):
-                self.fixed.append(target)
-                return False
-            head = target.top_left if isinstance(target, RangeRef) else target
-            base = None if head.sheet_key == self.anchor.sheet_key else head
-            self.slots.append((node, base, written))
-            moves = True
-        elif isinstance(node, Unary):
-            moves = self._walk(node.operand, corners)
+        if isinstance(node, Unary):
+            moves = self._mark(node.operand, spine)
         elif isinstance(node, Call):
             moves = False
             for arg in node.args:
                 if arg is not OMITTED:
-                    moves = self._walk(arg, corners) | moves
+                    moves = self._mark(arg, spine) | moves
         else:
-            return False
+            return id(node) in spine
         if moves:
-            self.spine.add(id(node))
+            spine.add(id(node))
         return moves
 
     def at(self, anchor: CellAddress, source: str) -> Formula:
         """The formula *source* of this shape in cell *anchor*: this
-        template's AST with every relative part moved to *anchor*."""
+        template's AST and references with every relative part moved to
+        *anchor*."""
         dc, dr = anchor.column - self.anchor.column, anchor.row - self.anchor.row
-        if dc == dr == 0:  # its own cell
-            return Formula(source, self.ast, self)
-        if self.slots is None:
+        if self.slots is None and (dc or dr):
             self._learn()
-        refs = list(self.fixed)
+        if not self.slots or dc == dr == 0:  # nothing moves
+            return Formula(source, self.ast, self, self.refs)
+        refs = list(self.refs)
         moved = {}
-        for node, base, written in self.slots:
+        for index, node, base, written in self.slots:
             if base is None:
                 base = anchor
             corners = [
@@ -637,7 +658,7 @@ class Template:
                 for c, r, c_moves, r_moves in written
             ]
             target = corners[0] if len(corners) == 1 else RangeRef.normalized(*corners)
-            refs.append(target)
+            refs[index] = target
             moved[id(node)] = Ref(target)
         return Formula(source, self._rebuild(self.ast, moved), self, tuple(refs))
 
@@ -678,21 +699,10 @@ def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping) 
 
 
 def formula_dependencies(f: Formula, names: Mapping[str, Reference] | None = None) -> DependencyInfo:
-    """:func:`static_dependencies` of *f*'s AST, read off its template when
-    *f* was moved from one (it then holds its ``refs``) instead of walking
-    the AST again."""
-    if f.refs is None:
-        return static_dependencies(f.ast, names)
+    """:func:`static_dependencies` of *f*'s AST, read off its ``refs`` and
+    its template instead of walking the AST again."""
     template = f.template
-    names = names or {}
-    info = DependencyInfo(set(f.refs), template.volatile)
-    for name in template.names:
-        target = names.get(name.casefold())
-        if target is None:
-            info.unresolved_names.add(name)
-        else:
-            info.refs.add(target)
-    return info
+    return _dependency_info(f.refs, template.names, template.volatile, names)
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,26 @@
 
 Four calling conventions, recorded per function in the registry:
 
-* ``scalar``    -- a scalar implementation that the engine lifts element-wise
-  over array arguments (scalars broadcast, mismatched shapes fill the result
-  with ``#VALUE!``, error elements propagate element-wise).
+* ``scalar``    -- a scalar implementation, lifted element-wise over array
+  arguments by :func:`array_lift` (as is every operator).
 * ``value``     -- receives fully evaluated arguments; a scalar error among
   them is the result.
-* ``special``   -- receives unevaluated argument nodes plus the evaluation
-  context, for lazy evaluation (IF, ISBLANK) and reference arguments (XADR).
+* ``special``   -- receives the evaluation context and its arguments
+  compiled but not evaluated (:class:`Arg`): it evaluates the ones it needs
+  (IF and ISBLANK are lazy) or takes the reference one denotes (ROW, ROWS,
+  XADR). The engine compiles each formula shape once, so these are bound
+  once per shape, like every builtin and operator.
 * ``reference`` -- like ``special``, but returns a reference (OFFSET,
   INDIRECT): the engine reads its value, or takes the reference itself where
   one is wanted.
 
-Each rule about values is written once: ``_BINARY_FNS`` maps every operator
+The lifting rule: a call with no array argument is a plain strict call,
+the first error being the result. With one array, the function runs once
+per element, the other arguments held; several arrays must share one shape,
+else the result is a ``#VALUE!``-filled rectangle of the largest extent.
+Scalars broadcast, and per element the first error in argument order wins.
+
+Each rule about values is written once: ``BINARY_FNS`` maps every operator
 to its scalar function, ``_order_key`` orders values for comparisons and
 MATCH, and ``_finite`` turns a number result that is not a finite real into
 ``#NUM!``.
@@ -53,38 +61,55 @@ OMITTED = formula.OMITTED
 # ---------------------------------------------------------------------------
 
 
-def array_lift(fn: Callable, args: list) -> object:
+def array_lift(fn: Callable, args) -> object:
     """Apply a scalar function element-wise across array arguments.
 
-    With no arrays present this is a plain strict call. Arrays must share
-    one shape; otherwise the result is a ``#VALUE!``-filled rectangle of the
-    maximum shape. Scalars broadcast; error elements short-circuit per cell.
+    With no array among *args* this is a plain strict call: the first error
+    is the result. With one array, *fn* runs once per element, the other
+    arguments held. Several arrays must share one shape; otherwise the
+    result is a ``#VALUE!``-filled rectangle of the largest extent. Scalars
+    broadcast, and per element the first error in argument order wins.
     """
-    arrays = [a for a in args if isinstance(a, Array)]
-    if not arrays:
-        for a in args:
-            if isinstance(a, Error):
-                return a
-        return fn(*args)
-    shapes = {(a.n_rows, a.n_cols) for a in arrays}
+    err = None
+    for a in args:
+        if type(a) is Array:
+            return _lift(fn, args)
+        if err is None and type(a) is Error:
+            err = a
+    return fn(*args) if err is None else err
+
+
+def _lift(fn: Callable, args) -> Array:
+    at = [k for k, a in enumerate(args) if type(a) is Array]
+    if len(at) == 1:  # the common case: a loop over the array's own rows
+        k = at[0]
+        head, tail = args[:k], args[k + 1 :]
+        first = next((a for a in head if type(a) is Error), None)
+        last = next((a for a in tail if type(a) is Error), None)
+        rows = args[k].rows
+        if first is not None:
+            out = [(first,) * len(row) for row in rows]
+        elif last is not None:
+            out = [tuple([e if type(e) is Error else last for e in row]) for row in rows]
+        elif head or tail:
+            out = [tuple([e if type(e) is Error else fn(*head, e, *tail) for e in row]) for row in rows]
+        else:
+            out = [tuple([e if type(e) is Error else fn(e) for e in row]) for row in rows]
+        return Array.trusted(tuple(out))
+    shapes = {(args[k].n_rows, args[k].n_cols) for k in at}
     n_rows = max(r for r, _ in shapes)
     n_cols = max(c for _, c in shapes)
     if len(shapes) > 1:
-        return Array([[Error.VALUE] * n_cols for _ in range(n_rows)])
+        return Array.trusted(((Error.VALUE,) * n_cols,) * n_rows)
     out = []
-    for i in range(1, n_rows + 1):
+    for i in range(n_rows):
         row = []
-        for j in range(1, n_cols + 1):
-            elems = []
-            err = None
-            for a in args:
-                e = a.get(i, j) if isinstance(a, Array) else a
-                if err is None and isinstance(e, Error):
-                    err = e
-                elems.append(e)
-            row.append(err if err is not None else fn(*elems))
-        out.append(row)
-    return Array(out)
+        for j in range(n_cols):
+            elems = [a.rows[i][j] if type(a) is Array else a for a in args]
+            err = next((e for e in elems if type(e) is Error), None)
+            row.append(fn(*elems) if err is None else err)
+        out.append(tuple(row))
+    return Array.trusted(tuple(out))
 
 
 def _as_array(v) -> Array:
@@ -176,7 +201,7 @@ def _concat(a, b):
 
 
 # The one map from an operator token to its scalar function.
-_BINARY_FNS = {
+BINARY_FNS = {
     "+": _arithmetic(operator.add),
     "-": _arithmetic(operator.sub),
     "*": _arithmetic(operator.mul),
@@ -192,19 +217,9 @@ _BINARY_FNS = {
 }
 
 
-def apply_binary(op: str, a, b):
-    return array_lift(_BINARY_FNS[op], [a, b])
-
-
-def _negate(v):
+def negate(v):
     n = to_number(v)
     return n if isinstance(n, Error) else -n
-
-
-def apply_unary(op: str, v):
-    if op == "+":
-        return v  # identity, no coercion
-    return array_lift(_negate, [v])
 
 
 # ---------------------------------------------------------------------------
@@ -392,36 +407,53 @@ def _fn_address(ctx, args):
 # ---------------------------------------------------------------------------
 
 
-def _fn_if(ctx, nodes):
-    cond = None if nodes[0] is OMITTED else top_left(ctx.eval(nodes[0]))
+class Arg:
+    """A compiled argument of a ``special`` or ``reference`` builtin.
+
+    ``value(ctx)`` evaluates it. ``reference(ctx)`` gives the reference it
+    denotes: an address or range, an error (an unresolved defined name, or
+    what a reference builtin such as OFFSET gave), or None when it is not a
+    reference expression (a cell or range, a defined name, or a call of a
+    reference builtin). An omitted argument is ``OMITTED`` instead.
+    """
+
+    __slots__ = ("value", "reference")
+
+    def __init__(self, value: Callable, reference: Callable) -> None:
+        self.value = value
+        self.reference = reference
+
+
+def _fn_if(ctx, args):
+    cond = None if args[0] is OMITTED else top_left(args[0].value(ctx))
     if isinstance(cond, Error):
         return cond
     b = to_boolean(cond)
     if isinstance(b, Error):
         return b
     if b:
-        branch = nodes[1]
+        branch = args[1]
     else:
-        branch = nodes[2] if len(nodes) == 3 else None
+        branch = args[2] if len(args) == 3 else None
     if branch is None:
         return False
     if branch is OMITTED:
         return 0.0
-    return ctx.eval(branch)
+    return branch.value(ctx)
 
 
-def _fn_isblank(ctx, nodes):
+def _fn_isblank(ctx, args):
     # evaluated here, not before the call: an error argument is not blank
-    return nodes[0] is OMITTED or top_left(ctx.eval(nodes[0])) is None
+    return args[0] is OMITTED or top_left(args[0].value(ctx)) is None
 
 
-def indirect_ref(ctx, nodes):
+def indirect_ref(ctx, args):
     """Reference named by INDIRECT's text argument, or an error value."""
-    v = None if nodes[0] is OMITTED else top_left(ctx.eval(nodes[0]))
+    v = None if args[0] is OMITTED else top_left(args[0].value(ctx))
     if isinstance(v, Error):
         return v
-    if len(nodes) == 2 and nodes[1] is not OMITTED:
-        a1 = to_boolean(top_left(ctx.eval(nodes[1])))
+    if len(args) == 2 and args[1] is not OMITTED:
+        a1 = to_boolean(top_left(args[1].value(ctx)))
         if isinstance(a1, Error):
             return a1
         if not a1:
@@ -433,29 +465,29 @@ def indirect_ref(ctx, nodes):
         return Error.REF
 
 
-def offset_ref(ctx, nodes):
+def offset_ref(ctx, args):
     """Reference produced by OFFSET's reference arithmetic, or an error."""
-    base = ctx.as_reference(nodes[0]) if nodes[0] is not OMITTED else None
+    base = args[0].reference(ctx) if args[0] is not OMITTED else None
     if isinstance(base, Error):
         return base
     if base is None:
         return Error.VALUE
     if isinstance(base, CellAddress):
         base = RangeRef(base, base)
-    drow = _int_of(None if nodes[1] is OMITTED else top_left(ctx.eval(nodes[1])))
+    drow = _int_of(None if args[1] is OMITTED else top_left(args[1].value(ctx)))
     if isinstance(drow, Error):
         return drow
-    dcol = _int_of(None if nodes[2] is OMITTED else top_left(ctx.eval(nodes[2])))
+    dcol = _int_of(None if args[2] is OMITTED else top_left(args[2].value(ctx)))
     if isinstance(dcol, Error):
         return dcol
     height = base.n_rows
     width = base.n_cols
-    if len(nodes) >= 4 and nodes[3] is not OMITTED:
-        height = _int_of(top_left(ctx.eval(nodes[3])))
+    if len(args) >= 4 and args[3] is not OMITTED:
+        height = _int_of(top_left(args[3].value(ctx)))
         if isinstance(height, Error):
             return height
-    if len(nodes) == 5 and nodes[4] is not OMITTED:
-        width = _int_of(top_left(ctx.eval(nodes[4])))
+    if len(args) == 5 and args[4] is not OMITTED:
+        width = _int_of(top_left(args[4].value(ctx)))
         if isinstance(width, Error):
             return width
     if height < 1 or width < 1:
@@ -471,12 +503,12 @@ def offset_ref(ctx, nodes):
     return RangeRef(a, a.moved(col + width - 1, row + height - 1))
 
 
-def _fn_position(axis: str, ctx, nodes):
+def _fn_position(axis: str, ctx, args):
     """ROW or COLUMN (*axis* ``row`` or ``column``): the numbers of the
     reference's rows or columns, or of the formula's own cell."""
-    if not nodes or nodes[0] is OMITTED:
+    if not args or args[0] is OMITTED:
         return float(getattr(ctx.cell, axis))
-    ref = ctx.as_reference(nodes[0])
+    ref = args[0].reference(ctx)
     if isinstance(ref, Error):
         return ref
     if ref is None:
@@ -490,25 +522,25 @@ def _fn_position(axis: str, ctx, nodes):
     return Array([[n] for n in nums]) if axis == "row" else Array([nums])
 
 
-def _fn_extent(size: str, ctx, nodes):
+def _fn_extent(size: str, ctx, args):
     """ROWS or COLUMNS (*size* ``n_rows`` or ``n_cols``) of a reference or array."""
-    if nodes[0] is OMITTED:
+    if args[0] is OMITTED:
         return Error.VALUE
-    ref = ctx.as_reference(nodes[0])
+    ref = args[0].reference(ctx)
     if isinstance(ref, Error):
         return ref
     if ref is not None:
         return 1.0 if isinstance(ref, CellAddress) else float(getattr(ref, size))
-    v = ctx.eval(nodes[0])
+    v = args[0].value(ctx)
     if isinstance(v, Error):
         return v
     return float(getattr(v, size)) if isinstance(v, Array) else 1.0
 
 
-def _fn_xadr(ctx, nodes):
-    if nodes[0] is OMITTED:
+def _fn_xadr(ctx, args):
+    if args[0] is OMITTED:
         return Error.VALUE
-    ref = ctx.as_reference(nodes[0])
+    ref = args[0].reference(ctx)
     if isinstance(ref, Error):
         return ref
     if ref is None:

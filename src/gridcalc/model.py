@@ -123,6 +123,14 @@ class Array:
                     raise ValueError("arrays cannot contain arrays")
         self.rows = rows
 
+    @classmethod
+    def trusted(cls, rows: tuple) -> "Array":
+        """An array of *rows*, taken as they are: a non-empty tuple of
+        equally long non-empty tuples of scalars, which the caller vouches for."""
+        array = cls.__new__(cls)
+        array.rows = rows
+        return array
+
     @property
     def n_rows(self) -> int:
         return len(self.rows)
@@ -500,8 +508,9 @@ class Formula:
 
     One made by :func:`gridcalc.formula.shared_formula` also holds its
     shape's template, which keeps the template cached while the formula
-    lives; one moved from another cell's template also holds ``refs``, the
-    cell and range references in its AST.
+    lives, and ``refs``, the cell and range references in its AST in the
+    order the template reads them. The engine gives a formula set on a
+    sheet by hand a template of its own.
     """
 
     source: str

@@ -1,0 +1,380 @@
+"""A tree-walking formula interpreter, the reference for the engine's
+compiled evaluator: :class:`EvalContext` walks an AST node by node,
+counting its depth as it goes, and the special and reference builtins below
+take AST nodes. Scalar and value builtins and the operators' scalar functions are
+the engine's own (``functions.REGISTRY``, ``functions.BINARY_FNS``).
+"""
+
+from __future__ import annotations
+
+import re
+from functools import partial
+from typing import Callable
+
+from gridcalc import formula, functions
+from gridcalc.functions import _int_of
+from gridcalc.model import (
+    MAX_COLUMNS,
+    MAX_ROWS,
+    AddressError,
+    Array,
+    CellAddress,
+    Error,
+    RangeRef,
+    Workspace,
+    column_to_letters,
+    format_reference,
+    letters_to_column,
+    parse_address,
+    to_boolean,
+    to_text,
+    top_left,
+    values_equal,
+)
+
+DEFAULT_MAX_DEPTH = 64
+OMITTED = formula.OMITTED
+
+
+# ---------------------------------------------------------------------------
+# Element-wise lifting and operators
+# ---------------------------------------------------------------------------
+
+
+def array_lift(fn: Callable, args: list) -> object:
+    """Apply a scalar function element-wise across array arguments.
+
+    With no arrays present this is a plain strict call. Arrays must share
+    one shape; otherwise the result is a ``#VALUE!``-filled rectangle of the
+    maximum shape. Scalars broadcast; error elements short-circuit per cell.
+    """
+    arrays = [a for a in args if isinstance(a, Array)]
+    if not arrays:
+        for a in args:
+            if isinstance(a, Error):
+                return a
+        return fn(*args)
+    shapes = {(a.n_rows, a.n_cols) for a in arrays}
+    n_rows = max(r for r, _ in shapes)
+    n_cols = max(c for _, c in shapes)
+    if len(shapes) > 1:
+        return Array([[Error.VALUE] * n_cols for _ in range(n_rows)])
+    out = []
+    for i in range(1, n_rows + 1):
+        row = []
+        for j in range(1, n_cols + 1):
+            elems = []
+            err = None
+            for a in args:
+                e = a.get(i, j) if isinstance(a, Array) else a
+                if err is None and isinstance(e, Error):
+                    err = e
+                elems.append(e)
+            row.append(err if err is not None else fn(*elems))
+        out.append(row)
+    return Array(out)
+
+
+def apply_binary(op: str, a, b):
+    return array_lift(functions.BINARY_FNS[op], [a, b])
+
+
+def apply_unary(op: str, v):
+    if op == "+":
+        return v  # identity, no coercion
+    return array_lift(functions.negate, [v])
+
+
+# ---------------------------------------------------------------------------
+# The interpreter
+# ---------------------------------------------------------------------------
+
+
+class EvalContext:
+    """Per-evaluation view of the workspace, passed to builtin functions."""
+
+    __slots__ = ("workspace", "cell", "depth", "max_depth")
+
+    def __init__(self, workspace: Workspace, cell: CellAddress, max_depth: int = DEFAULT_MAX_DEPTH):
+        self.workspace = workspace
+        self.cell = cell
+        self.depth = 0
+        self.max_depth = max_depth
+
+    # -- evaluation ----------------------------------------------------------
+
+    def eval(self, node):
+        self.depth += 1
+        if self.depth > self.max_depth:
+            self.depth -= 1
+            return Error.VALUE
+        try:
+            t = type(node)
+            if t is formula.Ref:
+                target = node.target
+                if isinstance(target, str):
+                    target = self.workspace.resolve_name(target)
+                    if target is None:
+                        return Error.NAME
+                return self.ref_value(target)
+            if t is formula.Literal:
+                return node.value
+            if t is formula.Binary:
+                return apply_binary(node.op, self.eval(node.left), self.eval(node.right))
+            if t is formula.Call:
+                return self._call(node)
+            if t is formula.Unary:
+                return apply_unary(node.op, self.eval(node.operand))
+            raise TypeError(f"cannot evaluate {node!r}")
+        finally:
+            self.depth -= 1
+
+    def _call(self, node):
+        spec = functions.REGISTRY.get(node.name.upper())
+        if spec is None:
+            return Error.NAME
+        if not spec.min_args <= len(node.args) <= spec.max_args:
+            return Error.VALUE
+        if spec.kind == "special":
+            return SPECIALS[spec.name](self, node.args)
+        if spec.kind == "reference":
+            ref = SPECIALS[spec.name](self, node.args)
+            return ref if isinstance(ref, Error) else self.ref_value(ref)
+        args = [None if a is formula.OMITTED else self.eval(a) for a in node.args]
+        if spec.kind == "scalar":
+            return array_lift(spec.fn, args)
+        for a in args:
+            if isinstance(a, Error):
+                return a
+        return spec.fn(self, args)
+
+    # -- references ----------------------------------------------------------
+
+    def ref_value(self, target):
+        """Dereference an address (cached value) or range (array of values)."""
+        if isinstance(target, CellAddress):
+            sheet = self.workspace.resolve_sheet(target)
+            if sheet is None:
+                return Error.REF
+            return sheet.value(target.row, target.column)
+        sheet = self.workspace.resolve_sheet(target.top_left)
+        if sheet is None:
+            return Error.REF
+        tl, br = target.top_left, target.bottom_right
+        return Array(
+            [
+                [sheet.value(r, c) for c in range(tl.column, br.column + 1)]
+                for r in range(tl.row, br.row + 1)
+            ]
+        )
+
+    def as_reference(self, node):
+        """Resolve a node to the reference it denotes, if any.
+
+        Returns an address/range, an Error (unresolved name, or what a
+        reference builtin such as OFFSET or INDIRECT gave), or None when the
+        node is not a reference expression at all.
+        """
+        if isinstance(node, formula.Ref):
+            if isinstance(node.target, str):
+                target = self.workspace.resolve_name(node.target)
+                return Error.NAME if target is None else target
+            return node.target
+        if isinstance(node, formula.Call):
+            spec = functions.REGISTRY.get(node.name.upper())
+            if (
+                spec is not None
+                and spec.kind == "reference"
+                and spec.min_args <= len(node.args) <= spec.max_args
+            ):
+                return SPECIALS[spec.name](self, node.args)
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Special builtins, on AST nodes
+# ---------------------------------------------------------------------------
+
+
+def _fn_if(ctx, nodes):
+    cond = None if nodes[0] is OMITTED else top_left(ctx.eval(nodes[0]))
+    if isinstance(cond, Error):
+        return cond
+    b = to_boolean(cond)
+    if isinstance(b, Error):
+        return b
+    if b:
+        branch = nodes[1]
+    else:
+        branch = nodes[2] if len(nodes) == 3 else None
+    if branch is None:
+        return False
+    if branch is OMITTED:
+        return 0.0
+    return ctx.eval(branch)
+
+
+def _fn_isblank(ctx, nodes):
+    # evaluated here, not before the call: an error argument is not blank
+    return nodes[0] is OMITTED or top_left(ctx.eval(nodes[0])) is None
+
+
+def indirect_ref(ctx, nodes):
+    """Reference named by INDIRECT's text argument, or an error value."""
+    v = None if nodes[0] is OMITTED else top_left(ctx.eval(nodes[0]))
+    if isinstance(v, Error):
+        return v
+    if len(nodes) == 2 and nodes[1] is not OMITTED:
+        a1 = to_boolean(top_left(ctx.eval(nodes[1])))
+        if isinstance(a1, Error):
+            return a1
+        if not a1:
+            return Error.VALUE
+    text = to_text(v)
+    try:
+        return parse_address(text, ctx.cell)
+    except AddressError:
+        return Error.REF
+
+
+def offset_ref(ctx, nodes):
+    """Reference produced by OFFSET's reference arithmetic, or an error."""
+    base = ctx.as_reference(nodes[0]) if nodes[0] is not OMITTED else None
+    if isinstance(base, Error):
+        return base
+    if base is None:
+        return Error.VALUE
+    if isinstance(base, CellAddress):
+        base = RangeRef(base, base)
+    drow = _int_of(None if nodes[1] is OMITTED else top_left(ctx.eval(nodes[1])))
+    if isinstance(drow, Error):
+        return drow
+    dcol = _int_of(None if nodes[2] is OMITTED else top_left(ctx.eval(nodes[2])))
+    if isinstance(dcol, Error):
+        return dcol
+    height = base.n_rows
+    width = base.n_cols
+    if len(nodes) >= 4 and nodes[3] is not OMITTED:
+        height = _int_of(top_left(ctx.eval(nodes[3])))
+        if isinstance(height, Error):
+            return height
+    if len(nodes) == 5 and nodes[4] is not OMITTED:
+        width = _int_of(top_left(ctx.eval(nodes[4])))
+        if isinstance(width, Error):
+            return width
+    if height < 1 or width < 1:
+        return Error.REF
+    tl = base.top_left
+    row = tl.row + drow
+    col = tl.column + dcol
+    if row < 1 or col < 1 or row + height - 1 > MAX_ROWS or col + width - 1 > MAX_COLUMNS:
+        return Error.REF
+    a = tl.moved(col, row)
+    if height == 1 and width == 1:
+        return a
+    return RangeRef(a, a.moved(col + width - 1, row + height - 1))
+
+
+def _fn_position(axis: str, ctx, nodes):
+    """ROW or COLUMN (*axis* ``row`` or ``column``): the numbers of the
+    reference's rows or columns, or of the formula's own cell."""
+    if not nodes or nodes[0] is OMITTED:
+        return float(getattr(ctx.cell, axis))
+    ref = ctx.as_reference(nodes[0])
+    if isinstance(ref, Error):
+        return ref
+    if ref is None:
+        return Error.VALUE
+    if isinstance(ref, CellAddress):
+        ref = RangeRef(ref, ref)
+    first, last = getattr(ref.top_left, axis), getattr(ref.bottom_right, axis)
+    if first == last:
+        return float(first)
+    nums = [float(n) for n in range(first, last + 1)]
+    return Array([[n] for n in nums]) if axis == "row" else Array([nums])
+
+
+def _fn_extent(size: str, ctx, nodes):
+    """ROWS or COLUMNS (*size* ``n_rows`` or ``n_cols``) of a reference or array."""
+    if nodes[0] is OMITTED:
+        return Error.VALUE
+    ref = ctx.as_reference(nodes[0])
+    if isinstance(ref, Error):
+        return ref
+    if ref is not None:
+        return 1.0 if isinstance(ref, CellAddress) else float(getattr(ref, size))
+    v = ctx.eval(nodes[0])
+    if isinstance(v, Error):
+        return v
+    return float(getattr(v, size)) if isinstance(v, Array) else 1.0
+
+
+def _fn_xadr(ctx, nodes):
+    if nodes[0] is OMITTED:
+        return Error.VALUE
+    ref = ctx.as_reference(nodes[0])
+    if isinstance(ref, Error):
+        return ref
+    if ref is None:
+        return Error.VALUE  # computed arrays are not references
+    return format_reference(ref, "qualified")
+
+
+SPECIALS = {
+    "IF": _fn_if,
+    "ISBLANK": _fn_isblank,
+    "INDIRECT": indirect_ref,
+    "OFFSET": offset_ref,
+    "ROW": partial(_fn_position, "row"),
+    "COLUMN": partial(_fn_position, "column"),
+    "ROWS": partial(_fn_extent, "n_rows"),
+    "COLUMNS": partial(_fn_extent, "n_cols"),
+    "XADR": _fn_xadr,
+}
+
+
+# ---------------------------------------------------------------------------
+# Comparing the compiled evaluator with the reference
+# ---------------------------------------------------------------------------
+
+
+def same_value(a, b) -> bool:
+    """:func:`values_equal`, arrays compared element by element."""
+    if isinstance(a, Array) and isinstance(b, Array):
+        return len(a.rows) == len(b.rows) and all(
+            len(r) == len(s) and all(values_equal(x, y) for x, y in zip(r, s)) for r, s in zip(a.rows, b.rows)
+        )
+    return values_equal(a, b)
+
+
+def moved_source(source: str, dc: int, dr: int) -> str:
+    """*source* copied *dc* columns right and *dr* rows down: every relative
+    part of its cell references moved (sheet and workbook names must not
+    look like cell references)."""
+    out, pos = [], 0
+    for tok in formula.tokenize(source):
+        if tok.kind == formula.CELLREF:
+            m = re.fullmatch(r"(\$?)([A-Za-z]+)(\$?)(\d+)", tok.lexeme)
+            column, row = letters_to_column(m[2]), int(m[4])
+            column += 0 if m[1] else dc
+            row += 0 if m[3] else dr
+            out.append(source[pos : tok.start] + f"{m[1]}{column_to_letters(column)}{m[3]}{row}")
+            pos = tok.end
+    return "".join(out) + source[pos:]
+
+
+def compiled_and_reference(ws: Workspace, source: str, anchor: CellAddress, dc: int, dr: int) -> list:
+    """``(compiled, reference)`` values of *source* at *anchor*, where its
+    template is made, and of its copy moved by (*dc*, *dr*), a formula made
+    from that template."""
+    from gridcalc.engine import evaluate
+
+    copy_anchor = anchor.moved(anchor.column + dc, anchor.row + dr)
+    copy = moved_source(source, dc, dr)
+    own = formula.shared_formula(source, anchor, ws.templates)
+    moved = formula.shared_formula(copy, copy_anchor, ws.templates)
+    assert moved.template is own.template, (source, copy)
+    return [
+        (evaluate(ws, at, f), EvalContext(ws, at).eval(formula.parse_formula(text, at)))
+        for at, f, text in ((anchor, own, source), (copy_anchor, moved, copy))
+    ]

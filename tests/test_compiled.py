@@ -1,0 +1,163 @@
+"""The compiled evaluator gives the value the tree-walking reference
+interpreter (``reference_eval``) gives, at a template's own cell and at a
+copy moved from it."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridcalc import functions
+from gridcalc.model import CellAddress, Error, Literal, RangeRef, Workspace
+from reference_eval import compiled_and_reference, same_value
+
+HOME = CellAddress("B", "S", 1, 1)
+ANCHOR = HOME.moved(7, 7)  # G7
+
+# What the grid holds, cycled over S!A1:N14 (None leaves a cell blank): text
+# that INDIRECT reads as a reference, numeric text, errors, booleans.
+_PALETTE = [None, 1.0, -2.5, 0.0, "3", "abc", "", True, False, Error.DIV0, Error.NA, "A1", "C3:D4", "8320425395"]
+
+
+def workspace() -> Workspace:
+    ws = Workspace()
+    book = ws.add_workbook("B")
+    sheet = book.ensure_sheet("S")
+    for row in range(1, 15):
+        for column in range(1, 15):
+            v = _PALETTE[(row * 7 + column * 3) % len(_PALETTE)]
+            if v is not None:
+                sheet.set_content(row, column, Literal(v))
+    other = book.ensure_sheet("T")
+    for row in range(1, 6):
+        other.set_content(row, 2, Literal(float(row)))
+    ws.define_name("Rate", HOME.moved(3, 3))
+    ws.define_name("Span", RangeRef(HOME.moved(3, 3), HOME.moved(4, 5)))
+    return ws
+
+
+def chain(terms: int, term: str = "1") -> str:
+    return "+".join([term] * terms)
+
+
+# ---------------------------------------------------------------------------
+# random formulas
+# ---------------------------------------------------------------------------
+
+_SCALARS = ["0", "1", "2.5", "1e308", '"x"', '"3"', '""', '"A1"', '"C3:D4"', "TRUE", "FALSE", "#N/A", "#DIV/0!"]
+# array constants of several shapes, with error elements in every position
+_ARRAYS = ["{1;2;3}", "{1,2}", "{1,#N/A;\"a\",TRUE}", "{#DIV/0!;2}", "{\"1\";\"2\"}", "{3}", "{1,2,3;4,5,#REF!}"]
+# the sheet's own, another sheet, one qualified in full, a missing sheet and workbook
+_QUALIFIERS = ["", "", "", "T!", "[B]S!", "Nope!", "[Zed]S!"]
+_NAMES = ["Rate", "Span", "Missing"]
+_OPERATORS = ["+", "-", "*", "/", "^", "&", "=", "<>", "<", "<=", ">", ">="]
+_FUNCTIONS = sorted(functions.REGISTRY) + ["NOPE"]
+_TAKING_NODES = sorted(n for n, b in functions.REGISTRY.items() if b.kind in ("special", "reference"))
+
+
+def _corner(draw) -> str:
+    # rows and columns 3..12 stay on the grid when a copy moves them by up to 2
+    column, row = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    letters = "ABCDEFGHIJKLMN"[column - 1]
+    return f"{'$' if draw(st.booleans()) else ''}{letters}{'$' if draw(st.booleans()) else ''}{row}"
+
+
+@st.composite
+def references(draw) -> str:
+    corners = [_corner(draw) for _ in range(draw(st.integers(1, 2)))]
+    return draw(st.sampled_from(_QUALIFIERS)) + ":".join(corners)
+
+
+@st.composite
+def deep(draw) -> str:
+    """An operator chain around the depth limit, in a few nested calls, or
+    in OFFSET calls read as references (which cost no level)."""
+    calls = draw(st.integers(0, 4))
+    term = draw(st.sampled_from(["0", "1", "C4", "{1;2}", '"a"']))
+    inner = chain(draw(st.integers(58, 68)), term)
+    if draw(st.booleans()):
+        return "SUM(" * calls + inner + ")" * calls
+    reader = draw(st.sampled_from(["ROW", "ROWS", "XADR", "SUM"]))
+    return f"{reader}(" + "OFFSET(" * calls + f"OFFSET(C3:C4,{inner},0)" + ",0,0)" * calls + ")"
+
+
+@st.composite
+def expressions(draw, budget: int = 4) -> str:
+    leaf = st.one_of(
+        st.sampled_from(_SCALARS),
+        st.sampled_from(_ARRAYS),
+        references(),
+        st.sampled_from(_NAMES),
+    )
+    kind = draw(st.sampled_from(["leaf"] * 4 + ["deep"] + ["call"] * 6 + ["binary"] * 3 + ["unary"]))
+    if budget == 0 or kind == "leaf":
+        return draw(leaf)
+    if kind == "deep":
+        return draw(deep())
+    if kind == "binary":
+        left, right = draw(expressions(budget - 1)), draw(expressions(budget - 1))
+        return f"({left}){draw(st.sampled_from(_OPERATORS))}({right})"
+    if kind == "unary":
+        return draw(st.sampled_from(["-", "+"])) + f"({draw(expressions(budget - 1))})"
+    name = draw(st.sampled_from(_TAKING_NODES) | st.sampled_from(_FUNCTIONS))
+    spec = functions.REGISTRY.get(name)
+    if spec is None or draw(st.integers(0, 9)) == 0:
+        count = draw(st.integers(0, 5))  # arity violations included
+    else:
+        count = draw(st.integers(spec.min_args, min(spec.max_args, spec.min_args + 3)))
+    args = []
+    for _ in range(count):
+        omitted = draw(st.integers(0, 5)) == 0
+        args.append("" if omitted else draw(expressions(budget - 1)))
+    return f"{name}({','.join(args)})"
+
+
+_moves = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda m: m != (0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(), _moves)
+def test_compiled_formula_agrees_with_the_reference_interpreter(source, move):
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, *move):
+        assert same_value(compiled, reference), (source, compiled, reference)
+
+
+# ---------------------------------------------------------------------------
+# pinned cases: every special and reference builtin, omitted arguments,
+# names, missing sheets and the depth limit
+# ---------------------------------------------------------------------------
+
+PINNED = [
+    "IF(,1,2)", "IF(TRUE,,2)", "IF(FALSE,1)", "IF(C3,D4,E5)", "IF(#N/A,1,2)", "IF({TRUE;FALSE},1,2)",
+    "ISBLANK()", "ISBLANK(A2)", "ISBLANK(C3:D4)", "ISBLANK(Missing)", "ISBLANK(1/0)",
+    "INDIRECT(\"C3\")", "INDIRECT(\"C3:D4\")", "INDIRECT(L5)", "INDIRECT(,TRUE)", "INDIRECT(\"C3\",FALSE)",
+    "INDIRECT(\"Nope!A1\")", "INDIRECT(#N/A)",
+    "OFFSET(C3,1,1)", "OFFSET(C3:D4,1,0,2,3)", "OFFSET(Span,1,1)", "OFFSET(Missing,1,1)", "OFFSET(5,1,1)",
+    "OFFSET(,1,1)", "OFFSET(C3,,)", "OFFSET(C3,1,1,,)", "OFFSET(OFFSET(C3,1,0),0,1)", "OFFSET(INDIRECT(\"C3\"),1,1)",
+    "OFFSET(C3,-5,0)", "OFFSET(C3,0,0,0,1)", "SUM(OFFSET(C3,0,0,2,2))", "OFFSET(C3,1)",
+    "ROW()", "ROW(C3:C6)", "ROW(Span)", "ROW(Missing)", "ROW(5)", "ROW(OFFSET(C3,1,1))", "ROW(,)",
+    "COLUMN()", "COLUMN(C3:F3)", "COLUMN(Nope!A1)", "COLUMN(INDIRECT(\"D5\"))",
+    "ROWS(C3:C6)", "ROWS({1;2;3})", "ROWS(5)", "ROWS(1/0)", "ROWS(Span)", "ROWS(Missing)", "ROWS()",
+    "COLUMNS({1,2})", "COLUMNS(OFFSET(C3,0,0,1,3))", "COLUMNS(OFFSET(C3))",
+    "XADR(C3)", "XADR(Span)", "XADR(Missing)", "XADR({1;2})", "XADR(OFFSET(C3,1,1))", "XADR(INDIRECT(\"Q9\"))",
+    "XADR(T!A1:A2)", "XADR(NOPE(1))",
+    "Rate+1", "SUM(Span)", "Missing", "Nope!A1", "[Zed]S!A1:B2", "SUM(Nope!A1:B2)", "T!B1:B3*2",
+    "MID(\"abcdef\",{1;2;3},{1,2})", "{1;2}+{1;2;3}", "#N/A+{1;2}", "{1;2}+#N/A", "MID(#REF!,{1;2},1)",
+    "MID(\"ab\",{1;2},#N/A)", "RIGHT(\"abc\",)", "ADDRESS(1,1,,,\"S\")", "MATCH(1,{1;2},)", "INDEX({1,2;3,4},2,)",
+    chain(64), chain(65), f"IF(FALSE,1,{chain(63)})", f"IF(FALSE,1,{chain(64)})", f"IF(TRUE,1,{chain(65)})",
+    f"ISBLANK({chain(66)})", f"ROWS({chain(70)})", "SUM(" * 40 + chain(30) + ")" * 40,
+    "OFFSET(" * 30 + "C3" + ",0,0)" * 30, "ROWS(" + "INDIRECT(" * 20 + '"C3"' + ")" * 20 + ")",
+    "-" * 30 + "(" + chain(40) + ")",
+    # an argument of OFFSET read as a reference sits one level below the reader
+    f"ROWS(OFFSET(C3:C4,{chain(63, '0')},0))", f"ROWS(OFFSET(C3:C4,{chain(64, '0')},0))",
+    f"SUM(OFFSET(C3:C4,{chain(62, '0')},0))", f"SUM(OFFSET(C3:C4,{chain(63, '0')},0))",
+    f"XADR(OFFSET(OFFSET(C3,{chain(63, '0')},0),0,0))", f"XADR(OFFSET(OFFSET(C3,{chain(64, '0')},0),0,0))",
+]
+
+
+@pytest.mark.parametrize("source", PINNED)
+def test_pinned_formula_agrees_with_the_reference_interpreter(source):
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
+        assert same_value(compiled, reference), (compiled, reference)

@@ -89,6 +89,28 @@ def test_depth_limit_guards_runaway_nesting():
     assert eng.get_value(at("A2")) == 20.0
 
 
+def chain(terms: int) -> str:
+    return "+".join(["1"] * terms)
+
+
+@pytest.mark.parametrize(
+    "source, value",
+    [
+        (chain(64), 64.0),  # the innermost term is 64 levels deep
+        (chain(65), Error.VALUE),
+        (f"IF(FALSE,1,{chain(63)})", 63.0),  # a branch is one level below IF
+        (f"IF(FALSE,1,{chain(64)})", Error.VALUE),
+        (f"IF(TRUE,1,{chain(65)})", 1.0),  # a branch not taken is never too deep
+    ],
+    ids=["sum-64", "sum-65", "if-63", "if-64", "if-untaken-65"],
+)
+def test_depth_limit_at_its_boundary(source, value):
+    eng = fresh()
+    eng.set_formula(at("A1"), source)
+    eng.full_recalc()
+    assert values_equal(eng.get_value(at("A1")), value)
+
+
 # ---------------------------------------------------------------------------
 # recalc accounting
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -373,34 +375,69 @@ def test_sheet_qualified_range():
 def test_static_dependencies_cover_actual_reads(monkeypatch):
     # for formulas without INDIRECT/OFFSET, every cell the evaluator touches
     # must appear among the statically extracted references
-    from gridcalc.engine import EvalContext
-    from gridcalc.model import Sheet, Workspace
+    from gridcalc import engine
+    from gridcalc.formula import shared_formula
+    from gridcalc.model import Workspace
 
     ws = Workspace()
     sheet = ws.add_workbook("Book1").ensure_sheet("Sheet1")
     sheet.set_content(2, 1, Literal("8320425395"))
 
     reads = []
-    original = Sheet.value
+    original = engine.ref_value
 
-    def spy(self, row, col):
-        reads.append((self.name.casefold(), row, col))
-        return original(self, row, col)
+    def spy(workspace, target):  # every compiled reference reads through it
+        reads.append(target)
+        return original(workspace, target)
 
-    monkeypatch.setattr(Sheet, "value", spy)
+    monkeypatch.setattr(engine, "ref_value", spy)
+
+    def cells(targets):
+        return {
+            (c.sheet.casefold(), c.row, c.column)
+            for r in targets
+            for c in (r.cells() if hasattr(r, "cells") else [r])
+        }
+
     for source in CORPUS:
         if "INDIRECT" in source or "OFFSET" in source:
             continue
-        ast = parse_formula(source, CTX)
-        info = static_dependencies(ast)
+        f = shared_formula(source, CTX, ws.templates)
+        info = static_dependencies(f.ast)
         reads.clear()
-        EvalContext(ws, CTX).eval(ast)
-        allowed = set()
-        for r in info.refs:
-            cells = r.cells() if hasattr(r, "cells") else [r]
-            for c in cells:
-                allowed.add((c.sheet.casefold(), c.row, c.column))
-        assert set(reads) <= allowed, source
+        engine.evaluate(ws, CTX, f)
+        assert cells(reads) <= cells(info.refs), source
+        # ROW, COLUMN, ROWS and COLUMNS take a reference without reading it
+        if info.refs and not re.search(r"\b(ROWS?|COLUMNS?)\(", source):
+            assert reads, source
+
+
+def corpus_workspace():
+    from gridcalc.model import Workspace
+
+    ws = Workspace()
+    values = {
+        ("Book1", "Sheet1"): {(2, 1): "8320425395", (4, 2): "A5:D5", (4, 3): "020103803X", (6, 2): "9780201134476"},
+        ("Book2", "Sheet1"): {(1, 1): "x", (3, 2): 2.0},
+        ("Book2", "Sheet2"): {(3, 2): "y"},
+        ("lib", "ISBN10check"): {(11, 3): "valid"},
+    }
+    for (book, name), cells in values.items():
+        wb = ws.workbook(book) or ws.add_workbook(book)
+        sheet = wb.ensure_sheet(name)
+        for (row, column), v in cells.items():
+            sheet.set_content(row, column, Literal(v))
+    for column, text in enumerate(["0", "201", "03803", "X"], start=1):
+        ws.workbook("Book1").sheet("Sheet1").set_content(5, column, Literal(text))
+    return ws
+
+
+@pytest.mark.parametrize("source", CORPUS)
+def test_compiled_corpus_formula_agrees_with_the_reference_interpreter(source):
+    from reference_eval import compiled_and_reference, same_value
+
+    for compiled, reference in compiled_and_reference(corpus_workspace(), source, CTX, 1, 2):
+        assert same_value(compiled, reference), (compiled, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridcalc import isbn
-from gridcalc.engine import Engine, EvalContext
-from gridcalc.formula import parse_formula
-from gridcalc.functions import REGISTRY, apply_binary, array_lift
+from gridcalc.engine import Engine, evaluate
+from gridcalc.formula import parse_formula, shared_formula
+from gridcalc.functions import BINARY_FNS, REGISTRY, array_lift
 from gridcalc.model import (
     Array,
     CellAddress,
@@ -49,7 +49,7 @@ def addr(col: int, row: int) -> CellAddress:
 def ev(source: str, ws: Workspace | None = None, at: CellAddress | None = None):
     ws = ws or scratch()
     at = at or addr(8, 8)
-    return EvalContext(ws, at).eval(parse_formula(source, at))
+    return evaluate(ws, at, shared_formula(source, at, ws.templates))
 
 
 def put(ws: Workspace, a: CellAddress, value) -> None:
@@ -58,6 +58,11 @@ def put(ws: Workspace, a: CellAddress, value) -> None:
 
 def col(*values) -> Array:
     return Array([[v] for v in values])
+
+
+def apply_binary(op: str, a, b):
+    """Operator *op* applied as a compiled formula applies it."""
+    return array_lift(BINARY_FNS[op], (a, b))
 
 
 # ---------------------------------------------------------------------------

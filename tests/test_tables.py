@@ -665,6 +665,17 @@ def test_volatile_cell_feeding_a_result_is_rerun_each_pass():
 
 
 def test_exception_mid_table_restores_input_and_other_cells(monkeypatch):
+    mid = functions.REGISTRY["MID"]
+    armed = []  # the input value MID fails on, once the first recalc is done
+
+    def mid_failing_on_second_pass(*args):
+        if armed and ws.value(table.input_cell) == armed[0]:
+            raise RuntimeError("injected")
+        return mid.fn(*args)
+
+    # a formula binds its builtins when its shape is compiled, on its first
+    # evaluation: the patch goes in before that and is armed after it
+    monkeypatch.setitem(functions.REGISTRY, "MID", replace(mid, fn=mid_failing_on_second_pass))
     eng = engine_for("isbn_basic.gwb")
     eng.full_recalc()
     ws = eng.workspace
@@ -672,14 +683,7 @@ def test_exception_mid_table_restores_input_and_other_cells(monkeypatch):
     second = ws.value(table.value_cells()[1])
     before = grid_without_bodies(eng)
     input_before = ws.cell(table.input_cell)
-    mid = functions.REGISTRY["MID"]
-
-    def mid_failing_on_second_pass(*args):
-        if ws.value(table.input_cell) == second:
-            raise RuntimeError("injected")
-        return mid.fn(*args)
-
-    monkeypatch.setitem(functions.REGISTRY, "MID", replace(mid, fn=mid_failing_on_second_pass))
+    armed.append(second)
     with pytest.raises(RuntimeError, match="injected"):
         evaluate_table(eng, table, EvalStats())
     assert ws.cell(table.input_cell) is input_before  # blank A2 stays blank
