@@ -28,7 +28,8 @@ lifted over arrays only when an array arrives
 (:func:`gridcalc.functions.array_lift`).
 
 Volatility has one source: ``Builtin.volatile`` in the function registry,
-read by :func:`gridcalc.formula.static_dependencies`.
+read once per formula shape, when its :class:`gridcalc.formula.Template`
+scans its AST (``formula._scan``).
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ input values along the other, and a body of locked cells. Evaluating the
 table substitutes each candidate into the input cell, re-runs the table's
 function body (the cells between the input cell and the result formulas),
 collects the result formulas' values into the body row, and finally
-restores the input cell's original content.
+restores the input cell's original content and the function body's values
+as they were before the first pass. A call costs one run of the function
+body per candidate and none for the restore: the body's values are kept,
+not recomputed.
 
 Body cells of *every* table are frozen during any table's evaluation (they
 carry no formulas, so no recomputation can reach them). That one rule makes
@@ -97,12 +100,6 @@ class DataTableRegion:
     def anchor(self) -> CellAddress:
         return self.region.top_left
 
-    def formula_cells(self) -> list[CellAddress]:
-        return list(self.results)
-
-    def value_cells(self) -> list[CellAddress]:
-        return list(self.arguments)
-
     def is_body_cell(self, addr: CellAddress) -> bool:
         """Whether *addr*, a cell of this region, is a body cell."""
         tl = self.region.top_left
@@ -178,9 +175,14 @@ def evaluate_table(engine, table: DataTableRegion, stats) -> set:
     function body only, all table bodies frozen), and copy each result
     formula's value into the matching body cell. Afterwards, on every exit
     path including an exception, the input cell's original content and
-    cached value are restored and the plan runs once more, so nothing
-    outside table bodies keeps any trace of the passes. Returns the body
-    cells whose value changed.
+    cached value are restored, and so is each plan cell's value as it was
+    before the first pass, so nothing outside table bodies keeps any trace
+    of the passes. Those values are what a run of the plan would give: every
+    plan cell is up to date before its table starts (see
+    :meth:`Engine.components`). A plan that holds a cycle runs once more
+    instead: with iterative calculation on, a self-referential counter sees
+    the restore as it saw each pass. Returns the body cells whose value
+    changed.
     """
     ws = engine.workspace
     plan = engine.dependents_plan(table)
@@ -189,6 +191,8 @@ def evaluate_table(engine, table: DataTableRegion, stats) -> set:
     saved_cell = sheet.cells.get(key)
     saved = None if saved_cell is None else (saved_cell.content, saved_cell.cached)
     values = [ws.value(a) for a in table.arguments]  # snapshot before any pass
+    # the plan's values before any pass, put back by the restore
+    kept = None if any(head is None for head, _ in plan) else [(c, c.cached) for _, c in plan]
     changed: set = set()
     try:
         for v, body_row in zip(values, table.grid):
@@ -208,7 +212,11 @@ def evaluate_table(engine, table: DataTableRegion, stats) -> set:
         else:
             sheet.cells[key] = saved_cell
             saved_cell.content, saved_cell.cached = saved
-        engine.run_plan(plan, stats)
+        if kept is None:
+            engine.run_plan(plan, stats)
+        else:
+            for cell, cached in kept:
+                cell.cached = cached
         stats.table_restores += 1
     return changed
 

@@ -75,15 +75,16 @@ def test_out_of_grid_call_count_rejected():
 
 @pytest.mark.parametrize("n", [100, 300])
 def test_evaluation_counts_are_linear_in_calls(n):
-    # small: N+2 cells in phase 1, then per call one pass and one restore of
-    # the 3-cell body; large: 3 in phase 1, then N passes and one restore.
-    # Later recalcs have nothing dirty and nothing volatile: phase 1 is empty.
+    # small: N+2 dirty cells, then per call one pass of the 3-cell body;
+    # large: 3 dirty cells, then N passes. A restore puts the body's kept
+    # values back and evaluates nothing. Later recalcs have nothing dirty
+    # and nothing volatile: only the passes run.
     (small, small2), _ = bench.run(n, "small", repeat=2)
     (large, large2), _ = bench.run(n, "large", repeat=2)
-    assert small.stats.cell_evaluations == 7 * n + 2
-    assert large.stats.cell_evaluations == 3 * n + 6
-    assert small2.stats.cell_evaluations == 6 * n
-    assert large2.stats.cell_evaluations == 3 * n + 3
+    assert small.stats.cell_evaluations == 4 * n + 2
+    assert large.stats.cell_evaluations == 3 * n + 3
+    assert small2.stats.cell_evaluations == 3 * n
+    assert large2.stats.cell_evaluations == 3 * n
 
 
 @pytest.mark.parametrize("mode", ["small", "large"])
@@ -104,6 +105,6 @@ def test_recalc_runs_plans_through_the_wrapped_entry_points(monkeypatch, mode):
     eng = Engine(bench.build_workspace(20, mode, 1))
     for recalcs in (1, 2):
         stats = eng.full_recalc()
-        assert calls["run_plan"] == stats.body_passes + stats.table_restores
+        assert calls["run_plan"] == stats.body_passes  # a restore runs no plan
         assert calls["schedule_tables"] == recalcs
         calls["run_plan"] = 0

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridcalc import bench, declare_table, functions
-from gridcalc.engine import Engine, EvalStats, values_equal
+from gridcalc.engine import Engine, EvalStats, evaluate, values_equal
 from gridcalc.model import (
     CalcConfig,
     CellAddress,
@@ -72,8 +73,8 @@ def test_declared_region_geometry():
     table = next(t for t in eng.workspace.tables if t.region.top_left.sheet == "Batch")
     assert table.orientation == COLUMN_INPUT
     assert table.input_cell == batch_addr("A2")
-    assert table.formula_cells() == [batch_addr("B4")]
-    assert table.value_cells() == [batch_addr(f"A{r}") for r in range(5, 10)]
+    assert table.results == (batch_addr("B4"),)
+    assert table.arguments == tuple(batch_addr(f"A{r}") for r in range(5, 10))
     assert table.body_cells() == [batch_addr(f"B{r}") for r in range(5, 10)]
     assert table.marker_text() == "{=TABLE(,A2)}"
     for addr in table.body_cells():
@@ -125,8 +126,8 @@ def test_declare_rejects_input_in_another_body():
 def test_row_input_is_the_transpose():
     eng = fresh()
     table = declare_table(eng.workspace, rng_("A1:D2"), ROW_INPUT, at("F1"))
-    assert table.formula_cells() == [at("A2")]
-    assert table.value_cells() == [at("B1"), at("C1"), at("D1")]
+    assert table.results == (at("A2"),)
+    assert table.arguments == (at("B1"), at("C1"), at("D1"))
     assert table.body_cells() == [at("B2"), at("C2"), at("D2")]
     assert table.marker_text() == "{=TABLE(F1,)}"
 
@@ -534,10 +535,10 @@ def test_body_reader_is_evaluated_once_after_its_table():
     eng.set_formula(at("E1"), "B5+1")
     eng.set_formula(at("E2"), "E1*10")
     stats = eng.full_recalc()
-    assert stats.cell_evaluations == 8  # D1 and B4, 2 x (D1, B4) in the table, E1 and E2
+    assert stats.cell_evaluations == 6  # D1 and B4, (D1, B4) in the pass, E1 and E2
     assert eng.get_value(at("E2")) == 70.0
     for _ in range(2):
-        assert eng.full_recalc().cell_evaluations == 4  # the pass and the restore
+        assert eng.full_recalc().cell_evaluations == 2  # the pass; the restore runs nothing
         assert eng.get_value(at("E2")) == 70.0
 
 
@@ -617,7 +618,7 @@ def test_plan_holds_only_its_own_function_body():
     for table in calls:
         planned = {addr for addr, _ in eng.dependents_plan(table)}
         body = {parse_address(a, table.anchor) for a in ("B2", "C2", "D2")}
-        assert planned == body | set(table.formula_cells())
+        assert planned == body | set(table.results)
 
 
 def test_literal_edits_keep_plans_and_formula_edits_drop_them():
@@ -680,7 +681,7 @@ def test_exception_mid_table_restores_input_and_other_cells(monkeypatch):
     eng.full_recalc()
     ws = eng.workspace
     table = next(t for t in ws.tables if t.region.top_left.sheet == "Batch")
-    second = ws.value(table.value_cells()[1])
+    second = ws.value(table.arguments[1])
     before = grid_without_bodies(eng)
     input_before = ws.cell(table.input_cell)
     armed.append(second)
@@ -825,3 +826,77 @@ def test_table_calls_equal_substitution_and_touch_only_bodies(spec):
                 got = eng.get_value(at(f"{'BC'[j]}{top + 1 + i}"))
                 want = plain.get_value(at(f"{'BC'[j]}{top}"))
                 assert values_equal(got, want), (top, i, j)
+
+
+# ---------------------------------------------------------------------------
+# property: the restore puts back what a run of the plan would give
+# ---------------------------------------------------------------------------
+
+
+class Injected(Exception):
+    pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(call_workbooks(cross=True))
+def test_restored_plan_equals_a_run_of_the_plan(spec):
+    # after every table a recalc runs, a forced run of its plan, with the
+    # input cell back, changes no plan cell: the values kept before the
+    # first pass are current, in both table modes
+    def then_run_the_plan(eng, table, stats):
+        changed = evaluate_table(eng, table, stats)
+        plan = eng.dependents_plan(table)
+        restored = [(addr, cell, cell.cached) for addr, cell in plan]
+        eng.run_plan(plan, EvalStats())
+        for addr, cell, cached in restored:
+            assert values_equal(cached, cell.cached), (table, addr, cached, cell.cached)
+        return changed
+
+    with mock.patch("gridcalc.tables.evaluate_table", then_run_the_plan):
+        auto = _build(spec, with_tables=True, table_recalc="auto")
+        auto.full_recalc()
+        auto.full_recalc()
+        manual = _build(spec, with_tables=True)
+        manual.full_recalc()
+        manual.recalc_tables()
+
+
+@settings(max_examples=80, deadline=None)
+@given(call_workbooks(cross=True), st.data())
+def test_exception_in_any_pass_changes_nothing_outside_bodies(spec, data):
+    # a pass of some table fails after running part of its plan: every cell
+    # outside table bodies keeps its value, each input cell is the same Cell
+    # as before, and no formula (so no builtin) is evaluated after the raise
+    eng = _build(spec, with_tables=True, table_recalc="auto")
+    passes = eng.full_recalc().body_passes
+    assume(passes > 0)
+    failing = data.draw(st.integers(1, passes), label="failing pass")
+    cut = data.draw(st.integers(0, 6), label="plan entries run before the failure")
+    ws = eng.workspace
+    before = grid_without_bodies(eng)
+    inputs = {t.input_cell: ws.cell(t.input_cell) for t in ws.tables}
+    seen = {"passes": 0, "raised": False, "evaluated_after": 0}
+    run_plan = eng.run_plan
+
+    def failing_run_plan(plan, stats):
+        seen["passes"] += 1
+        if seen["passes"] == failing:
+            run_plan(plan[:cut], stats)
+            seen["raised"] = True
+            raise Injected
+        run_plan(plan, stats)
+
+    def counting_evaluate(*args):
+        seen["evaluated_after"] += seen["raised"]
+        return evaluate(*args)
+
+    eng.run_plan = failing_run_plan
+    with mock.patch("gridcalc.engine.evaluate", counting_evaluate), pytest.raises(Injected):
+        eng.full_recalc()
+    assert seen["evaluated_after"] == 0
+    for addr, cell in inputs.items():
+        assert ws.cell(addr) is cell, addr
+    after = grid_without_bodies(eng)
+    assert set(before) == set(after)
+    for addr in before:
+        assert values_equal(before[addr], after[addr]), addr
