@@ -25,7 +25,12 @@ compiles to ``#VALUE!``, given only if it is evaluated. Special and
 reference builtins receive their arguments compiled, to evaluate as they
 need (:class:`gridcalc.functions.Arg`); scalar builtins and operators are
 lifted over arrays only when an array arrives
-(:func:`gridcalc.functions.array_lift`).
+(:func:`gridcalc.functions.lifted`). Their parameter kinds
+(``Builtin.kinds``) are bound at compile time too, as one coercer per
+argument, and a literal or ``{...}`` constant in a typed position is
+coerced then, once, where that succeeds. A constant that fails to coerce
+is left to run time, where raw errors come first and then coercion errors,
+each in argument order, so that ``MID("ab","x",#N/A)`` stays ``#N/A``.
 
 Volatility has one source: ``Builtin.volatile`` in the function registry,
 read once per formula shape, when its :class:`gridcalc.formula.Template`
@@ -164,7 +169,9 @@ def compile_template(template: formula.Template):
 
     A reference reads the evaluated formula's own target by its place in
     ``template.nodes``; a defined name is resolved when it is read.
-    Builtins, their arity checks, operators and constants are bound here. A
+    Builtins, their arity checks, operators and constants are bound here,
+    and so is the coercer of each argument of a scalar builtin or operator;
+    a constant in a typed position is coerced here, once, if it can be. A
     node nested deeper than :data:`MAX_DEPTH` (the root being one
     level, each argument or operand one more) compiles to ``#VALUE!``, which
     it gives only if it is evaluated: ``IF(TRUE,1,<deep>)`` is 1. A special
@@ -185,11 +192,11 @@ def compile_template(template: formula.Template):
                 return _read(reference(node, depth))
             return _ref_value(positions[id(node)])
         if isinstance(node, formula.Binary):
-            operands = [value(node.left, depth + 1), value(node.right, depth + 1)]
-            return _lifted(functions.BINARY_FNS[node.op], operands)
+            return scalar(functions.BINARY_FNS[node.op], (node.left, node.right), depth)
         if isinstance(node, formula.Unary):
-            operand = value(node.operand, depth + 1)
-            return operand if node.op == "+" else _lifted(functions.negate, [operand])
+            if node.op == "+":
+                return value(node.operand, depth + 1)
+            return scalar(functions.NEGATE, (node.operand,), depth)
         if isinstance(node, formula.Call):
             spec = _builtin(node)
             if not isinstance(spec, functions.Builtin):
@@ -198,11 +205,28 @@ def compile_template(template: formula.Template):
                 return _special(spec.fn, arguments(node, depth))
             if spec.kind == "reference":
                 return _read(reference(node, depth))
-            codes = [_NONE if a is formula.OMITTED else value(a, depth + 1) for a in node.args]
             if spec.kind == "scalar":
-                return _lifted(spec.fn, codes)
+                return scalar(spec, node.args, depth)
+            codes = [_NONE if a is formula.OMITTED else value(a, depth + 1) for a in node.args]
             return _strict(spec.fn, codes)
         raise TypeError(f"cannot compile {node!r}")
+
+    def scalar(spec: functions.Builtin, args, depth: int):
+        """Scalar *spec* applied to *args*, lifted over arrays, each argument
+        coerced by its parameter's kind: a constant here, once, where that
+        succeeds (a failing one must still lose to a raw error in a later
+        argument, so it is coerced when it is read)."""
+        codes, coercers = [], list(spec.coercers[: len(args)])
+        for i, a in enumerate(args):
+            constant = _NOT_CONSTANT
+            if coercers[i] is not None and depth < MAX_DEPTH:
+                constant = _coerced_constant(a, coercers[i])
+            if constant is _NOT_CONSTANT:
+                codes.append(_NONE if a is formula.OMITTED else value(a, depth + 1))
+            else:
+                codes.append(_constant(constant))
+                coercers[i] = None
+        return _lifted(spec.fn, tuple(coercers), codes)
 
     def reference(node, depth: int):
         """The reference *node* denotes, read by a builtin *depth* deep."""
@@ -266,15 +290,39 @@ def _name_reference(key: str):
     return target
 
 
-def _lifted(fn, codes: list):
-    lift = functions.array_lift
+_NOT_CONSTANT = object()
+
+
+def _coerced_constant(node, coerce):
+    """The literal or omitted argument *node* coerced by *coerce*, an array
+    element by element; ``_NOT_CONSTANT`` if *node* is neither or a
+    coercion fails."""
+    if node is formula.OMITTED:
+        v = None
+    elif isinstance(node, formula.Literal):
+        v = node.value
+    else:
+        return _NOT_CONSTANT
+    if type(v) is not Array:
+        c = coerce(v)
+        return _NOT_CONSTANT if type(c) is Error and type(v) is not Error else c
+    rows = tuple(tuple(map(coerce, row)) for row in v.rows)
+    for row, coerced in zip(v.rows, rows):
+        for e, c in zip(row, coerced):
+            if type(c) is Error and type(e) is not Error:
+                return _NOT_CONSTANT
+    return Array.trusted(rows)
+
+
+def _lifted(fn, coercers: tuple, codes: list):
+    call = functions.lifted(fn, coercers)
     if len(codes) == 1:
         (a,) = codes
-        return lambda ctx: lift(fn, (a(ctx),))
+        return lambda ctx: call(a(ctx))
     if len(codes) == 2:
         a, b = codes
-        return lambda ctx: lift(fn, (a(ctx), b(ctx)))
-    return lambda ctx: lift(fn, [c(ctx) for c in codes])
+        return lambda ctx: call(a(ctx), b(ctx))
+    return lambda ctx: call(*[c(ctx) for c in codes])
 
 
 def _strict(fn, codes: list):

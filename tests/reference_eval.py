@@ -1,18 +1,22 @@
 """A tree-walking formula interpreter, the reference for the engine's
 compiled evaluator: :class:`EvalContext` walks an AST node by node,
 counting its depth as it goes, and the special and reference builtins below
-take AST nodes. Scalar and value builtins and the operators' scalar functions are
-the engine's own (``functions.REGISTRY``, ``functions.BINARY_FNS``).
+take AST nodes. The scalar builtins and the operators' scalar functions
+below take their arguments as they come and coerce them by hand, so they
+share nothing with the engine's declared kinds and its coercion step. Value
+builtins are the engine's own (``functions.REGISTRY``).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from functools import partial
 from typing import Callable
 
 from gridcalc import formula, functions
-from gridcalc.functions import _int_of
+from gridcalc.functions import _divide, _modulo, _power
 from gridcalc.model import (
     MAX_COLUMNS,
     MAX_ROWS,
@@ -27,6 +31,7 @@ from gridcalc.model import (
     letters_to_column,
     parse_address,
     to_boolean,
+    to_number,
     to_text,
     top_left,
     values_equal,
@@ -75,14 +80,144 @@ def array_lift(fn: Callable, args: list) -> object:
     return Array(out)
 
 
+def _int_of(v):
+    n = to_number(v)
+    return n if isinstance(n, Error) else int(n)
+
+
+def _finite(r):
+    return r if isinstance(r, float) and math.isfinite(r) else Error.NUM
+
+
+def _arithmetic(op: Callable) -> Callable:
+    """Scalar function of two numbers: coerce both operands, apply *op*,
+    check the result."""
+
+    def apply(a, b):
+        a = to_number(a)
+        if isinstance(a, Error):
+            return a
+        b = to_number(b)
+        if isinstance(b, Error):
+            return b
+        r = op(a, b)
+        return r if isinstance(r, Error) else _finite(r)
+
+    return apply
+
+
+def _order_key(v) -> tuple:
+    if isinstance(v, str):
+        return (1, v.casefold())
+    return (2, v) if isinstance(v, bool) else (0, v)
+
+
+def _blank_as(other):
+    if isinstance(other, str):
+        return ""
+    return False if isinstance(other, bool) else 0.0
+
+
+def _comparison(op: Callable) -> Callable:
+    def apply(a, b):
+        if a is None:
+            a = _blank_as(b)
+        if b is None:
+            b = _blank_as(a)
+        return op(_order_key(a), _order_key(b))
+
+    return apply
+
+
+def _concat(a, b):
+    ta = to_text(a)
+    if isinstance(ta, Error):
+        return ta
+    tb = to_text(b)
+    return tb if isinstance(tb, Error) else ta + tb
+
+
+def negate(v):
+    n = to_number(v)
+    return n if isinstance(n, Error) else -n
+
+
+BINARY = {
+    "+": _arithmetic(operator.add),
+    "-": _arithmetic(operator.sub),
+    "*": _arithmetic(operator.mul),
+    "/": _arithmetic(_divide),
+    "^": _arithmetic(_power),
+    "&": _concat,
+    "=": _comparison(operator.eq),
+    "<>": _comparison(operator.ne),
+    "<": _comparison(operator.lt),
+    "<=": _comparison(operator.le),
+    ">": _comparison(operator.gt),
+    ">=": _comparison(operator.ge),
+}
+
+
+def _fn_value(v):
+    if isinstance(v, float) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str):
+        return to_number(v)
+    return Error.VALUE  # blanks and booleans are not numeric text
+
+
+def _fn_mid(text, start, count):
+    t = to_text(text)
+    if isinstance(t, Error):
+        return t
+    s = _int_of(start)
+    if isinstance(s, Error):
+        return s
+    c = _int_of(count)
+    if isinstance(c, Error):
+        return c
+    if s < 1 or c < 0:
+        return Error.VALUE
+    return t[s - 1 : s - 1 + c]
+
+
+def _fn_right(text, count=None):
+    t = to_text(text)
+    if isinstance(t, Error):
+        return t
+    if count is None:
+        c = 1
+    else:
+        c = _int_of(count)
+        if isinstance(c, Error):
+            return c
+        if c < 0:
+            return Error.VALUE
+    return t[-c:] if c else ""
+
+
+def _fn_len(v):
+    t = to_text(v)
+    return t if isinstance(t, Error) else float(len(t))
+
+
+SCALARS = {
+    "MOD": _arithmetic(_modulo),
+    "VALUE": _fn_value,
+    "MID": _fn_mid,
+    "RIGHT": _fn_right,
+    "LEN": _fn_len,
+}
+
+
 def apply_binary(op: str, a, b):
-    return array_lift(functions.BINARY_FNS[op], [a, b])
+    return array_lift(BINARY[op], [a, b])
 
 
 def apply_unary(op: str, v):
     if op == "+":
         return v  # identity, no coercion
-    return array_lift(functions.negate, [v])
+    return array_lift(negate, [v])
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +248,7 @@ class EvalContext:
             if t is formula.Ref:
                 target = node.target
                 if isinstance(target, str):
-                    target = self.workspace.resolve_name(target)
+                    target = self.resolve_name(target)
                     if target is None:
                         return Error.NAME
                 return self.ref_value(target)
@@ -142,13 +277,18 @@ class EvalContext:
             return ref if isinstance(ref, Error) else self.ref_value(ref)
         args = [None if a is formula.OMITTED else self.eval(a) for a in node.args]
         if spec.kind == "scalar":
-            return array_lift(spec.fn, args)
+            return array_lift(SCALARS[spec.name], args)
         for a in args:
             if isinstance(a, Error):
                 return a
         return spec.fn(self, args)
 
     # -- references ----------------------------------------------------------
+
+    def resolve_name(self, name: str):
+        """The reference defined name *name* (any case) stands for, or None."""
+        entry = self.workspace.defined_names.get(name.casefold())
+        return None if entry is None else entry[1]
 
     def ref_value(self, target):
         """Dereference an address (cached value) or range (array of values)."""
@@ -177,7 +317,7 @@ class EvalContext:
         """
         if isinstance(node, formula.Ref):
             if isinstance(node.target, str):
-                target = self.workspace.resolve_name(node.target)
+                target = self.resolve_name(node.target)
                 return Error.NAME if target is None else target
             return node.target
         if isinstance(node, formula.Call):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcalc import functions
-from gridcalc.model import CellAddress, Error, Literal, RangeRef, Workspace
+from gridcalc.model import Array, CellAddress, Error, Literal, RangeRef, Workspace
 from reference_eval import compiled_and_reference, same_value
 
 HOME = CellAddress("B", "S", 1, 1)
@@ -161,3 +161,69 @@ def test_pinned_formula_agrees_with_the_reference_interpreter(source):
     ws = workspace()
     for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
         assert same_value(compiled, reference), (compiled, reference)
+
+
+# ---------------------------------------------------------------------------
+# every scalar builtin and operator, each argument drawn from every kind of
+# value a coercion can meet
+# ---------------------------------------------------------------------------
+
+BLANK = "P20"  # outside the filled grid
+# an error, a blank cell, booleans, numeric and non-numeric text, fractional
+# and negative numbers, array constants holding an error element, a range
+_ARGUMENTS = [
+    "#N/A", "#VALUE!", "1/0", BLANK, "TRUE", "FALSE", '"3"', '" 2.5 "', '"-1e1"', '"abc"', '""', '"X"',
+    "2.9", "-1.5", "0.5", "-3", "0", "{1;#N/A}", '{"a",#DIV/0!}', '{2.5;"x";#REF!}', '{1;"2";TRUE}', "C3:C5",
+]
+_SCALAR_BUILTINS = sorted(n for n, b in functions.REGISTRY.items() if b.kind == "scalar")
+
+
+def test_every_scalar_builtin_declares_a_kind_per_parameter():
+    from gridcalc.model import COERCERS
+
+    for spec in [*(functions.REGISTRY[n] for n in _SCALAR_BUILTINS), *functions.BINARY_FNS.values(), functions.NEGATE]:
+        assert len(spec.kinds) == spec.max_args, spec.name
+        assert set(spec.kinds) <= set(COERCERS) - {"boolean"}, spec.name
+
+
+@st.composite
+def typed_calls(draw) -> str:
+    argument = st.sampled_from(_ARGUMENTS)
+    form = draw(st.sampled_from(["call", "binary", "negate"]))
+    if form == "binary":
+        return f"({draw(argument)}){draw(st.sampled_from(_OPERATORS))}({draw(argument)})"
+    if form == "negate":
+        return f"-({draw(argument)})"
+    spec = functions.REGISTRY[draw(st.sampled_from(_SCALAR_BUILTINS))]
+    args = [draw(argument | st.just("")) for _ in range(draw(st.integers(spec.min_args, spec.max_args)))]
+    return f"{spec.name}({','.join(args)})"
+
+
+@settings(max_examples=400, deadline=None)
+@given(typed_calls(), _moves)
+def test_typed_call_agrees_with_the_reference_interpreter(source, move):
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, *move):
+        assert same_value(compiled, reference), (source, compiled, reference)
+
+
+# raw errors first, then coercion errors, each in argument order; omitted
+# and blank counts of RIGHT mean 1
+TYPED_PINNED = [
+    ('MOD("x",#N/A)', Error.NA),
+    ('MID("ab","x",#N/A)', Error.NA),
+    ('MID("abc",{1;"x"},"y")', Array([[Error.VALUE], [Error.VALUE]])),
+    ('MID("abcd",2.9,1.9)', "b"),
+    ("LEN(TRUE)", 4.0),
+    ("VALUE(TRUE)", Error.VALUE),
+    ('RIGHT("abc",)', "c"),
+    (f'RIGHT("abc",{BLANK})', "c"),
+]
+
+
+@pytest.mark.parametrize("source, expected", TYPED_PINNED)
+def test_typed_call_gives_the_pinned_value(source, expected):
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
+        assert same_value(compiled, expected), (compiled, expected)
+        assert same_value(reference, expected), (reference, expected)

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from gridcalc import isbn
 from gridcalc.engine import Engine, evaluate
 from gridcalc.formula import parse_formula, shared_formula
-from gridcalc.functions import BINARY_FNS, REGISTRY, array_lift
+from gridcalc.functions import BINARY_FNS, REGISTRY, array_lift, lifted
 from gridcalc.model import (
     Array,
     CellAddress,
@@ -62,7 +62,7 @@ def col(*values) -> Array:
 
 def apply_binary(op: str, a, b):
     """Operator *op* applied as a compiled formula applies it."""
-    return array_lift(BINARY_FNS[op], (a, b))
+    return lifted(BINARY_FNS[op].fn, BINARY_FNS[op].coercers)(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_mismatched_shapes_fill_with_value_error():
 
 
 def test_scalar_error_broadcasts_elementwise():
-    out = array_lift(lambda a, b: a, [Error.REF, col(1.0, 2.0)])
+    out = array_lift(lambda a, b: a, (None, None), [Error.REF, col(1.0, 2.0)])
     assert out == col(Error.REF, Error.REF)
 
 

@@ -55,7 +55,7 @@ table A4:B5 colinput=A2
     assert sheet.value(2, 1) == 'with "quotes" inside'
     assert sheet.value(3, 1) == -1.5
     assert isinstance(sheet.cell(1, 2).content, Formula)
-    assert ws.resolve_name("answer") == parse_address("[wb]Main!B1", CellAddress("wb", "Main", 1, 1))
+    assert ws.defined_names["answer"][1] == parse_address("[wb]Main!B1", CellAddress("wb", "Main", 1, 1))
     assert len(ws.tables) == 1
     assert isinstance(sheet.cell(5, 2).content, TableBody)
 

@@ -146,8 +146,8 @@ def test_lib_alone_shows_harmless_ref_errors():
 def test_library_output_cells_carry_function_names():
     eng = engine_for("lib.gwb")
     ws = eng.workspace
-    assert ws.resolve_name("ISBN10check") == a("B9", "lib", "ISBN10check")
-    assert ws.resolve_name("issncheck") == a("B5", "lib", "ISSNcheck")
+    assert ws.defined_names["isbn10check"] == ("ISBN10check", a("B9", "lib", "ISBN10check"))
+    assert ws.defined_names["issncheck"] == ("ISSNcheck", a("B5", "lib", "ISSNcheck"))
 
 
 def test_named_output_is_callable_by_name():

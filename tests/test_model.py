@@ -313,6 +313,16 @@ def test_coerce_booleans():
     assert coerce("nope", "boolean") is Error.VALUE
 
 
+def test_coerce_to_integer_truncates_toward_zero_and_any_keeps_the_value():
+    assert coerce(2.9, "integer") == 2 and coerce(-2.9, "integer") == -2
+    assert coerce(" 7 ", "integer") == 7
+    assert coerce(None, "integer") == 0
+    assert coerce("x", "integer") is Error.VALUE
+    assert coerce(True, "any") is True and coerce(None, "any") is None
+    with pytest.raises(ValueError):
+        coerce(1.0, "date")
+
+
 def test_coerce_number_to_text_canonical():
     assert coerce(3803.0, "text") == "3803"
     assert coerce(0.5, "text") == "0.5"
