@@ -393,9 +393,9 @@ class Engine:
         """Construct the dependency graph from scratch.
 
         ``engine.graph == engine.build_graph()`` must hold after any edit;
-        the incremental updates in :meth:`set_cell` preserve it. A formula
-        set on a sheet by hand, with no template, is given one of its own
-        AST here, which no other cell shares.
+        the incremental updates in :meth:`set_cell` preserve it. Edges come
+        from each formula's ``refs`` and template, never from an AST. A
+        formula set on a sheet by hand is given a template of its own here.
         """
         g = DependencyGraph()
         names = self._name_targets()
@@ -426,7 +426,7 @@ class Engine:
             raise ValueError("table body cells are created by table declarations only")
         if isinstance(content, Formula) and content.template is None:
             made = formula.shared_formula(content.source, addr, self.workspace.templates)
-            if made.ast != content.ast:
+            if made.ast != content.ast:  # derives made's tree, for this check only
                 raise ValueError(f"{addr!r}: source {content.source!r} does not parse to the AST given")
             content = made
         was_formula = existing is not None and isinstance(existing.content, Formula)

@@ -13,9 +13,9 @@ A formula's *shape* is its source with each relative row or column of a
 cell reference written as an offset from the formula's own cell, the
 relative R1C1 form: ``A1+$B$1`` in C2 and ``A2+$B$1`` in C3 have one shape.
 A column of copied formulas has few shapes, so :func:`shared_formula`
-parses each shape once per sheet and gives every copy that template's AST
-and references moved to the copy's own cell (:class:`Template`); the engine
-compiles each template once, not each copy.
+parses each shape once per sheet and gives every copy that template and its
+references moved to the copy's own cell (:class:`Template`), not a tree of
+its own; the engine compiles each template once, not each copy.
 """
 
 from __future__ import annotations
@@ -570,21 +570,21 @@ class Template:
     how the shape's one compiled closure tree (``code``, made by
     :mod:`gridcalc.engine` on first evaluation) reads the references of
     every formula of the shape. ``names`` holds the defined names read and
-    ``volatile`` whether the shape is volatile.
+    ``volatile`` whether the shape is volatile. ``ast`` is the shape's only
+    tree: another cell's formula of the shape is derived from it on demand
+    (:meth:`tree`), never kept.
 
     With the corners of its references as written (``words``, from
-    :func:`_shape`), the template learns how to move its AST (:meth:`at`)
-    when a second cell of the shape is met. ``slots`` then lists the
-    references that hold a relative part: each one's place in ``refs``, its
-    Ref node, the cell it is relative to (None for the formula's own sheet,
+    :func:`_shape`), the template learns how to move its references
+    (:meth:`at`) when a second cell of the shape is met. ``slots`` then
+    lists the references that hold a relative part: each one's place in
+    ``refs``, the cell it is relative to (None for the formula's own sheet,
     else an address on the named sheet) and its corners (column, row, and
-    whether each moves). ``spine`` holds the ids of those nodes and of every
-    node above one; the other subtrees (array constants, text, absolute
-    references) are shared by every formula of the shape. Without ``words``
-    (a formula built by hand) nothing moves.
+    whether each moves). Without ``words`` (a formula built by hand)
+    nothing moves.
     """
 
-    __slots__ = ("ast", "anchor", "words", "nodes", "refs", "names", "volatile", "slots", "spine", "code", "__weakref__")
+    __slots__ = ("ast", "anchor", "words", "nodes", "refs", "names", "volatile", "slots", "code", "__weakref__")
 
     def __init__(self, ast: Node, anchor: CellAddress, words: list | None = None) -> None:
         self.ast = ast
@@ -593,95 +593,64 @@ class Template:
         self.nodes, self.names, self.volatile = _scan(ast)
         self.refs = tuple([node.target for node in self.nodes])
         self.slots = None if words is not None else []
-        self.spine = None
         self.code = None
 
     def _learn(self) -> None:
-        """Find ``slots`` and ``spine``, taking each reference's corners as
-        written from ``words`` in source order."""
+        """Find ``slots``, taking each reference's corners as written from
+        ``words`` in source order."""
         self.slots = []
         corners = iter(self.words)
-        for index, node in enumerate(self.nodes):
-            target = node.target
+        for index, target in enumerate(self.refs):
             written = [next(corners) for _ in range(2 if isinstance(target, RangeRef) else 1)]
             if any(c[2] or c[3] for c in written):
                 head = target.top_left if isinstance(target, RangeRef) else target
                 base = None if head.sheet_key == self.anchor.sheet_key else head
-                self.slots.append((index, node, base, written))
+                self.slots.append((index, base, written))
         self.words = None
-        self.spine = {id(node) for _, node, _, _ in self.slots}
-        self._mark(self.ast, self.spine)
-
-    def _mark(self, node, spine: set) -> bool:
-        """Add to *spine*, which holds the ids of the moving Ref nodes, the
-        ids of the nodes above one under *node*; whether *node* holds one."""
-        if isinstance(node, Binary):
-            chain = []  # a left-deep operator chain, walked without recursion
-            while isinstance(node, Binary):
-                chain.append(node)
-                node = node.left
-            moves = self._mark(node, spine)
-            for link in reversed(chain):
-                moves = self._mark(link.right, spine) | moves
-                if moves:
-                    spine.add(id(link))
-            return moves
-        if isinstance(node, Unary):
-            moves = self._mark(node.operand, spine)
-        elif isinstance(node, Call):
-            moves = False
-            for arg in node.args:
-                if arg is not OMITTED:
-                    moves = self._mark(arg, spine) | moves
-        else:
-            return id(node) in spine
-        if moves:
-            spine.add(id(node))
-        return moves
 
     def at(self, anchor: CellAddress, source: str) -> Formula:
         """The formula *source* of this shape in cell *anchor*: this
-        template's AST and references with every relative part moved to
+        template and its references with every relative part moved to
         *anchor*."""
         dc, dr = anchor.column - self.anchor.column, anchor.row - self.anchor.row
         if self.slots is None and (dc or dr):
             self._learn()
         if not self.slots or dc == dr == 0:  # nothing moves
-            return Formula(source, self.ast, self, self.refs)
+            return Formula(source, template=self, refs=self.refs)
         refs = list(self.refs)
-        moved = {}
-        for index, node, base, written in self.slots:
+        for index, base, written in self.slots:
             if base is None:
                 base = anchor
             corners = [
                 base.moved(c + dc if c_moves else c, r + dr if r_moves else r)
                 for c, r, c_moves, r_moves in written
             ]
-            target = corners[0] if len(corners) == 1 else RangeRef.normalized(*corners)
-            refs[index] = target
-            moved[id(node)] = Ref(target)
-        return Formula(source, self._rebuild(self.ast, moved), self, tuple(refs))
+            refs[index] = corners[0] if len(corners) == 1 else RangeRef.normalized(*corners)
+        return Formula(source, template=self, refs=tuple(refs))
 
-    def _rebuild(self, node, moved: dict):
-        """*node* with the Ref nodes keyed in *moved* (by id) replaced, and
-        every node above one made anew."""
-        spine = self.spine
-        if id(node) not in spine:
-            return node
-        if isinstance(node, Binary):
-            chain = []
-            while isinstance(node, Binary) and id(node) in spine:
-                chain.append(node)
-                node = node.left
-            out = self._rebuild(node, moved)
-            for link in reversed(chain):
-                out = Binary(link.op, out, self._rebuild(link.right, moved))
-            return out
-        if isinstance(node, Call):
-            return Call(node.name, tuple([self._rebuild(arg, moved) for arg in node.args]))
-        if isinstance(node, Unary):
-            return Unary(node.op, self._rebuild(node.operand, moved))
-        return moved[id(node)]
+    def tree(self, refs: tuple) -> Node:
+        """The AST of the formula of this shape that holds *refs*: made anew
+        on each call, with each of ``nodes`` that *refs* moves replaced."""
+        moved = {id(node): Ref(target) for node, target in zip(self.nodes, refs) if target != node.target}
+        return _replaced(self.ast, moved) if moved else self.ast
+
+
+def _replaced(node, moved: dict):
+    """*node* with the nodes keyed in *moved* (by id) replaced."""
+    if isinstance(node, Binary):
+        chain = []  # a left-deep operator chain, walked without recursion
+        while isinstance(node, Binary):
+            chain.append(node)
+            node = node.left
+        out = _replaced(node, moved)
+        for link in reversed(chain):
+            out = Binary(link.op, out, _replaced(link.right, moved))
+        return out
+    if isinstance(node, Unary):
+        return Unary(node.op, _replaced(node.operand, moved))
+    if isinstance(node, Call):
+        return Call(node.name, tuple([_replaced(arg, moved) for arg in node.args]))
+    return moved.get(id(node), node)
 
 
 def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping) -> Formula:

@@ -34,8 +34,9 @@ share one shape, else the result is a ``#VALUE!``-filled rectangle of the
 largest extent.
 
 Each rule about values is written once: ``BINARY_FNS`` maps every operator
-to its scalar function, ``_order_key`` orders values for comparisons and
-MATCH, and ``_finite`` turns a number result that is not a finite real into
+to its scalar function, ``_order_key`` orders values for comparisons (an
+exact MATCH compares values of one type directly, as ``=`` does), and
+``_finite`` turns a number result that is not a finite real into
 ``#NUM!``.
 """
 
@@ -382,10 +383,16 @@ def _fn_match(ctx, args):
         elems = [row[0] for row in rows]
     else:
         return Error.NA
-    if needle is not None:  # a blank matches nothing, nor does a blank or error element
-        kind, key = type(needle), _order_key(needle)
+    # a blank matches nothing, nor does a blank or error element
+    kind = type(needle)
+    if kind is str:  # text matches text case-insensitively
+        needle = needle.casefold()
         for idx, e in enumerate(elems, start=1):
-            if type(e) is kind and _order_key(e) == key:
+            if type(e) is str and e.casefold() == needle:
+                return float(idx)
+    elif needle is not None:
+        for idx, e in enumerate(elems, start=1):
+            if type(e) is kind and e == needle:
                 return float(idx)
     return Error.NA
 

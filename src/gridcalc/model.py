@@ -20,7 +20,7 @@ another cell of an already-checked sheet without checking its names again.
 A :class:`Workspace` is a plain value: it may be moved freely between
 threads, and all mutation goes through the engine under a single-writer
 contract. The only sharing inside it is immutable: formulas of one shape
-share the parts of their ASTs that no reference moves through.
+share one AST, their template's.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Union
 
 # Grid limits, enforced when references are parsed.
@@ -518,21 +518,43 @@ class Literal:
     value: Value
 
 
-@dataclass
 class Formula:
-    """A formula's source text (written back by dumps as is) and its AST.
+    """A formula's source text (written back by dumps as is) and ``refs``,
+    the cell and range references of its AST in source order.
 
-    One made by :func:`gridcalc.formula.shared_formula` also holds its
-    shape's template, which keeps the template cached while the formula
-    lives, and ``refs``, the cell and range references in its AST in the
-    order the template reads them. The engine gives a formula set on a
-    sheet by hand a template of its own.
+    One made by :func:`gridcalc.formula.shared_formula` holds its shape's
+    template (kept cached while the formula lives), whose AST is the only
+    one the shape has. One built by hand holds the AST it was given and no
+    template; the engine gives it one of its own. :attr:`ast` reads either.
+
+    Formulas are equal when their source and ``refs`` are: the source fixes
+    the tree but for the sheet and cell it is read in, and ``refs`` fix
+    those. One source on two sheets makes two formulas; one built by hand
+    equals the one its source loads to in the same cell.
     """
 
-    source: str
-    ast: Any
-    template: Any = field(default=None, compare=False, repr=False)
-    refs: tuple | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("source", "template", "refs", "_ast")
+
+    def __init__(self, source: str, ast: Any = None, template: Any = None, refs: tuple | None = None) -> None:
+        if refs is None:  # built by hand: read its references off its AST
+            from .formula import _scan  # local import: formula depends on this module
+
+            refs = tuple([node.target for node in _scan(ast)[0]])
+        self.source, self.template, self.refs, self._ast = source, template, refs, ast
+
+    @property
+    def ast(self) -> Any:
+        """The AST as given, or else the template's for these ``refs``
+        (:meth:`gridcalc.formula.Template.tree`), derived anew on each read."""
+        return self._ast if self.template is None else self.template.tree(self.refs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self.source == other.source and self.refs == other.refs
+
+    def __repr__(self) -> str:
+        return f"Formula({self.source!r}, refs={self.refs!r})"
 
 
 @dataclass

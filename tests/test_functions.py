@@ -174,6 +174,25 @@ def test_match_no_cross_type_matches():
     assert ev("MATCH(1,{TRUE;1},0)") == 2.0
 
 
+def test_match_folds_text_and_never_crosses_types():
+    assert ev('MATCH("straße",{"x";"STRASSE"},0)') == 2.0  # casefold, not lower
+    assert ev('MATCH("ABC",{"abd";"aBc"},0)') == 2.0
+    assert ev("MATCH(1,{TRUE;FALSE},0)") is Error.NA
+    assert ev("MATCH(TRUE,{1;TRUE},0)") == 2.0
+    assert ev("MATCH(FALSE,{0;TRUE;FALSE},0)") == 3.0
+    assert ev('MATCH(1,{"1";1},0)') == 2.0
+
+
+def test_match_blank_needle_or_element_is_na():
+    ws = scratch()
+    put(ws, addr(2, 1), "a")
+    assert ev("MATCH(A1,B1:B3,0)", ws) is Error.NA  # blank needle, blank elements too
+    assert ev('MATCH(A1,{"";0;FALSE},0)', ws) is Error.NA
+    assert ev('MATCH("",B2:B3,0)', ws) is Error.NA  # blank elements
+    assert ev("MATCH(0,B2:B3,0)", ws) is Error.NA
+    assert ev("MATCH(FALSE,B2:B3,0)", ws) is Error.NA
+
+
 def test_match_blank_and_error_elements_match_nothing():
     ws = scratch()
     put(ws, addr(1, 2), "")

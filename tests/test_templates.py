@@ -44,14 +44,19 @@ def count_parses(monkeypatch) -> list:
 
 
 def outcome(make):
-    """``("ok", ast, dependencies)`` of what *make* returns, or the error it raises."""
+    """``("ok", ast, refs, dependencies)`` of what *make* returns, or the
+    error it raises. For a plain parse, ``refs`` are the targets of its Ref
+    nodes in source order (``formula._scan``), the order in which compiled
+    closures read a formula's ``refs``; for a formula, its AST is derived
+    from its template and ``refs``."""
     try:
         made = make()
     except FormulaError as exc:
         return ("error", type(exc), exc.message, exc.offset)
     if isinstance(made, Formula):
-        return ("ok", made.ast, formula_dependencies(made, NAMES))
-    return ("ok", made, static_dependencies(made, NAMES))
+        return ("ok", made.ast, made.refs, formula_dependencies(made, NAMES))
+    targets = tuple([node.target for node in formula._scan(made)[0]])
+    return ("ok", made, targets, static_dependencies(made, NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +242,74 @@ def test_copied_formulas_round_trip_and_recalculate_like_plain_parses(cells):
 # ---------------------------------------------------------------------------
 
 
+def _copied_sheet(path: Path, rows: int) -> Path:
+    lines = [f'A{r} : "x"\nB{r} = IF(LEN(A{r})=1,$A$1&A{r},{{1;2}})\nC{r} = SUM(A$1:B{r})' for r in range(1, rows + 1)]
+    path.write_text("sheet Sheet1\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def test_copies_down_a_column_share_one_parse(monkeypatch, tmp_path):
-    rows = [f'A{r} : "x"\nB{r} = IF(LEN(A{r})=1,$A$1&A{r},{{1;2}})\nC{r} = SUM(A$1:B{r})' for r in range(1, 51)]
-    path = tmp_path / "wb.gwb"
-    path.write_text("sheet Sheet1\n" + "\n".join(rows) + "\n", encoding="utf-8")
     calls = count_parses(monkeypatch)
-    ws = load_workspace([path])
+    ws = load_workspace([_copied_sheet(tmp_path / "wb.gwb", 50)])
     assert len(calls) == len(ws.templates) == 2  # one shape per column
     sheet = ws.workbook("wb").sheet("Sheet1")
-    asts = [sheet.cell(r, 2).content.ast for r in (1, 50)]
-    # the array constant is one object; the reference to A50 is B50's own
-    assert asts[0].args[2] is asts[1].args[2]
-    assert asts[1] == parse_formula(sheet.cell(50, 2).content.source, CellAddress("wb", "Sheet1", 2, 50))
+    b50 = sheet.cell(50, 2).content
+    assert b50.ast == parse_formula(b50.source, CellAddress("wb", "Sheet1", 2, 50))
+
+
+def _live_tree_nodes() -> int:
+    gc.collect()
+    kinds = (formula.Ref, formula.Call, formula.Binary, formula.Unary)
+    return sum(1 for obj in gc.get_objects() if type(obj) in kinds)
+
+
+def test_copies_hold_no_tree_of_their_own(tmp_path):
+    # every tree node a loaded sheet keeps alive is one of its templates'
+    held = []
+    for rows in (10, 1000):
+        before = _live_tree_nodes()
+        ws = load_workspace([_copied_sheet(tmp_path / "wb.gwb", rows)])
+        held.append(_live_tree_nodes() - before)
+        assert len(ws.templates) == 2
+        del ws
+    assert held[0] == held[1] > 0
+
+
+def test_load_recalc_and_edit_parse_each_shape_once(monkeypatch, tmp_path):
+    calls = count_parses(monkeypatch)
+    derived: list = []
+    monkeypatch.setattr(formula.Template, "tree", lambda template, refs: derived.append(refs))
+    ws = load_workspace([_copied_sheet(tmp_path / "wb.gwb", 40)])
+    eng = Engine(ws)
+    eng.full_recalc()
+    b, c = CellAddress("wb", "Sheet1", 2, 41), CellAddress("wb", "Sheet1", 3, 41)
+    eng.set_formula(b, "=IF(LEN(A41)=1,$A$1&A41,{1;2})")
+    eng.set_formula(c, "=SUM(A$1:B41)")
+    eng.full_recalc()
+    assert len(calls) == len(ws.templates) == 2
+    assert derived == []  # nor is any copy's tree derived
+    assert ws.cell(c).content.template is ws.cell(CellAddress("wb", "Sheet1", 3, 40)).content.template
+
+
+def test_formulas_are_equal_by_source_and_refs():
+    ws = Workspace()
+    book = ws.add_workbook("Book1")
+    for name in ("Sheet1", "Sheet2"):
+        book.ensure_sheet(name)
+    other = CellAddress("Book1", "Sheet2", 2, 1)
+    made = shared_formula("A1*2", at("B1"), ws.templates)
+    # one source on two sheets reads two cells
+    assert made != shared_formula("A1*2", other, ws.templates)
+    # a copy and the template it was moved from differ in their refs
+    assert shared_formula("A2*2", at("B2"), ws.templates) != made
+    # a formula built by hand equals the one its source loads to
+    hand = Formula("A1*2", parse_formula("A1*2", at("B1")))
+    assert hand == made and hand.refs == made.refs == (at("A1"),)
+    eng = Engine(ws)
+    eng.set_cell(at("B1"), hand)
+    assert ws.cell(at("B1")).content == hand and ws.cell(at("B1")).content.template is made.template
+    # an absolute formula is one formula in every cell of its sheet
+    assert shared_formula("$A$1*2", at("C7"), ws.templates) == shared_formula("$A$1*2", at("D9"), ws.templates)
 
 
 def test_text_that_looks_like_a_reference_keeps_copies_apart():
