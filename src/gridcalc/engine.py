@@ -32,6 +32,20 @@ coerced then, once, where that succeeds. A constant that fails to coerce
 is left to run time, where raw errors come first and then coercion errors,
 each in argument order, so that ``MID("ab","x",#N/A)`` stays ``#N/A``.
 
+A chain of scalar builtins and operators around one ``{...}`` constant
+compiles to one element kernel (:func:`_kernel`): a scalar call whose
+arguments hold exactly one array source, the constant or another such
+call, is a link of it, and its other arguments are held. Which calls are
+links is found once per ``(node, depth)`` at compile time, like
+everything else. Each evaluation reads every link's held arguments once,
+then applies each link to the elements the one below it gave
+(:func:`gridcalc.functions.lift_elements`, the one-array rule that lifted
+calls use too) and builds one array at the end. The run-time guard: a held
+argument that arrives as an array (a range, a defined name, OFFSET or
+INDIRECT) sends the values already read through
+:func:`gridcalc.functions.array_lift`, link by link, as nested lifted
+calls would; no subtree is compiled twice and nothing is evaluated twice.
+
 Volatility has one source: ``Builtin.volatile`` in the function registry,
 read once per formula shape, when its :class:`gridcalc.formula.Template`
 scans its AST (``formula._scan``).
@@ -39,9 +53,11 @@ scans its AST (``formula._scan``).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from . import formula, functions, tables
@@ -172,6 +188,8 @@ def compile_template(template: formula.Template):
     Builtins, their arity checks, operators and constants are bound here,
     and so is the coercer of each argument of a scalar builtin or operator;
     a constant in a typed position is coerced here, once, if it can be. A
+    scalar call with exactly one array source among its arguments compiles,
+    with the chain below it, to one element kernel (:func:`_kernel`). A
     node nested deeper than :data:`MAX_DEPTH` (the root being one
     level, each argument or operand one more) compiles to ``#VALUE!``, which
     it gives only if it is evaluated: ``IF(TRUE,1,<deep>)`` is 1. A special
@@ -181,6 +199,7 @@ def compile_template(template: formula.Template):
     """
     positions = {id(node): i for i, node in enumerate(template.nodes)}
     argument_lists: dict = {}  # (id of a call, its depth) -> its compiled arguments
+    sources: dict = {}  # (id of a scalar call, its depth) -> where its one array source is
 
     def value(node, depth: int):
         if depth > MAX_DEPTH:
@@ -191,12 +210,15 @@ def compile_template(template: formula.Template):
             if isinstance(node.target, str):
                 return _read(reference(node, depth))
             return _ref_value(positions[id(node)])
-        if isinstance(node, formula.Binary):
-            return scalar(functions.BINARY_FNS[node.op], (node.left, node.right), depth)
-        if isinstance(node, formula.Unary):
-            if node.op == "+":
-                return value(node.operand, depth + 1)
-            return scalar(functions.NEGATE, (node.operand,), depth)
+        if isinstance(node, formula.Unary) and node.op == "+":
+            return value(node.operand, depth + 1)
+        link = _scalar_link(node)
+        if link is not None:
+            if source(node, depth) is not None:
+                return _kernel(*kernel(node, depth))
+            spec, args = link
+            codes, coercers = operands(spec, args, depth)
+            return _lifted(spec.fn, tuple(coercers), codes)
         if isinstance(node, formula.Call):
             spec = _builtin(node)
             if not isinstance(spec, functions.Builtin):
@@ -205,19 +227,20 @@ def compile_template(template: formula.Template):
                 return _special(spec.fn, arguments(node, depth))
             if spec.kind == "reference":
                 return _read(reference(node, depth))
-            if spec.kind == "scalar":
-                return scalar(spec, node.args, depth)
             codes = [_NONE if a is formula.OMITTED else value(a, depth + 1) for a in node.args]
             return _strict(spec.fn, codes)
         raise TypeError(f"cannot compile {node!r}")
 
-    def scalar(spec: functions.Builtin, args, depth: int):
-        """Scalar *spec* applied to *args*, lifted over arrays, each argument
-        coerced by its parameter's kind: a constant here, once, where that
-        succeeds (a failing one must still lose to a raw error in a later
-        argument, so it is coerced when it is read)."""
+    def operands(spec: functions.Builtin, args, depth: int, skip=None) -> tuple:
+        """The compiled arguments of scalar *spec* but the one at *skip*,
+        and the coercer of each argument: a constant is coerced here, once,
+        where that succeeds, and its coercer dropped (a failing one must
+        still lose to a raw error in a later argument, so it is coerced when
+        it is read)."""
         codes, coercers = [], list(spec.coercers[: len(args)])
         for i, a in enumerate(args):
+            if i == skip:
+                continue
             constant = _NOT_CONSTANT
             if coercers[i] is not None and depth < MAX_DEPTH:
                 constant = _coerced_constant(a, coercers[i])
@@ -226,7 +249,48 @@ def compile_template(template: formula.Template):
             else:
                 codes.append(_constant(constant))
                 coercers[i] = None
-        return _lifted(spec.fn, tuple(coercers), codes)
+        return codes, coercers
+
+    def source(node, depth: int):
+        """The position of the one array source among the operands of the
+        scalar call *node*, *depth* deep; None if it has none or several."""
+        key = (id(node), depth)
+        if key not in sources:
+            found = [i for i, a in enumerate(_scalar_link(node)[1]) if is_array_source(a, depth + 1)]
+            sources[key] = found[0] if len(found) == 1 else None
+        return sources[key]
+
+    def is_array_source(node, depth: int) -> bool:
+        """Whether *node*, *depth* deep, is a ``{...}`` constant or a scalar
+        call with one array source: one whose value an element kernel makes."""
+        if depth > MAX_DEPTH:
+            return False
+        if isinstance(node, formula.Literal):
+            return type(node.value) is Array
+        if isinstance(node, formula.Unary) and node.op == "+":
+            return is_array_source(node.operand, depth + 1)
+        return _scalar_link(node) is not None and source(node, depth) is not None
+
+    def kernel(node, depth: int) -> tuple:
+        """The element kernel of the array source *node*, *depth* deep: its
+        ``{...}`` constant and its links, innermost first, each link a
+        scalar call's ``(fn, coercers, held codes, position of its source)``.
+        The constant is coerced here, once, for the innermost link where
+        that succeeds."""
+        while isinstance(node, formula.Unary) and node.op == "+":
+            node, depth = node.operand, depth + 1
+        if isinstance(node, formula.Literal):
+            return node.value, []
+        spec, args = _scalar_link(node)
+        k = source(node, depth)
+        constant, links = kernel(args[k], depth + 1)
+        codes, coercers = operands(spec, args, depth, k)
+        if not links and coercers[k] is not None:
+            coerced = _coerced_array(constant, coercers[k])
+            if coerced is not _NOT_CONSTANT:
+                constant, coercers[k] = coerced, None
+        links.append((spec.fn, tuple(coercers), codes, k))
+        return constant, links
 
     def reference(node, depth: int):
         """The reference *node* denotes, read by a builtin *depth* deep."""
@@ -303,15 +367,68 @@ def _coerced_constant(node, coerce):
         v = node.value
     else:
         return _NOT_CONSTANT
-    if type(v) is not Array:
-        c = coerce(v)
-        return _NOT_CONSTANT if type(c) is Error and type(v) is not Error else c
+    if type(v) is Array:
+        return _coerced_array(v, coerce)
+    c = coerce(v)
+    return _NOT_CONSTANT if type(c) is Error and type(v) is not Error else c
+
+
+def _coerced_array(v: Array, coerce):
+    """*v* coerced element by element, or ``_NOT_CONSTANT`` if an element
+    that is not an error fails."""
     rows = tuple(tuple(map(coerce, row)) for row in v.rows)
     for row, coerced in zip(v.rows, rows):
         for e, c in zip(row, coerced):
             if type(c) is Error and type(e) is not Error:
                 return _NOT_CONSTANT
     return Array.trusted(rows)
+
+
+def _scalar_link(node):
+    """The scalar builtin or operator *node* applies and its operands, or
+    None if it applies none (``+x`` is *x* itself)."""
+    if isinstance(node, formula.Binary):
+        return functions.BINARY_FNS[node.op], (node.left, node.right)
+    if isinstance(node, formula.Unary):
+        return (functions.NEGATE, (node.operand,)) if node.op == "-" else None
+    if isinstance(node, formula.Call):
+        spec = _builtin(node)
+        if isinstance(spec, functions.Builtin) and spec.kind == "scalar":
+            return spec, node.args
+    return None
+
+
+def _kernel(constant: Array, links: list):
+    """An element kernel: each link's held arguments evaluated once, then
+    each link, innermost first, applied to the elements the one below it
+    gave (:func:`functions.lift_elements`), as a plain list; one array is
+    built at the end. If a held argument is an array (a range, a name,
+    OFFSET or INDIRECT), the values already evaluated go to
+    :func:`functions.array_lift` instead, link by link, as nested lifted
+    calls would give them."""
+    elements = list(chain.from_iterable(constant.rows))
+    n_cols = constant.n_cols
+
+    def run(ctx):
+        helds = [[c(ctx) for c in codes] for _, _, codes, _ in links]
+        for held in helds:
+            if Array in map(type, held):
+                return _lifted_links(constant, links, helds)
+        out = elements
+        for (fn, coercers, _, k), held in zip(links, helds):
+            out = functions.lift_elements(fn, coercers, held, k, out)
+        return functions.shaped(out, n_cols)
+
+    return run
+
+
+def _lifted_links(constant: Array, links: list, helds: list):
+    """The kernel's chain as nested lifted calls: each link's held values
+    and the array the link below it gives, through :func:`functions.array_lift`."""
+    v = constant
+    for (fn, coercers, _, k), held in zip(links, helds):
+        v = functions.array_lift(fn, coercers, [*held[:k], v, *held[k:]])
+    return v
 
 
 def _lifted(fn, coercers: tuple, codes: list):
@@ -348,6 +465,23 @@ def _read(reference):
         return ref if type(ref) is Error else ref_value(ctx.workspace, ref)
 
     return read
+
+
+def _checked_literal(addr: CellAddress, content: Literal) -> Literal:
+    """*content* as a cell holds it: a finite float, text, a boolean or an
+    error; an ``int`` becomes the equal float. Any other value raises
+    ``ValueError``, as no formula could read it and no dump could write it."""
+    v = content.value
+    if type(v) in (str, bool, Error):
+        return content
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:  # an int beyond every float
+            x = math.inf
+        if math.isfinite(x):
+            return content if type(v) is float else Literal(x)
+    raise ValueError(f"{addr!r}: a literal is a finite number, text, a boolean or an error, not {v!r}")
 
 
 class Engine:
@@ -414,7 +548,9 @@ class Engine:
 
         Returns the freshly dirtied cells. Writing into a data-table body
         cell is rejected: body cells belong to their table. So is a formula
-        whose source does not parse to its AST, as a dump writes the source.
+        whose source does not parse to its AST, as a dump writes the source,
+        and a literal that is not a finite number, text, a boolean or an
+        error (an ``int`` is taken as the equal float).
         """
         sheet = self.workspace.resolve_sheet(addr)
         if sheet is None:
@@ -424,9 +560,11 @@ class Engine:
             raise tables.TableIntegrityError(f"{addr!r} is part of a data table and cannot be edited")
         if isinstance(content, TableBody):
             raise ValueError("table body cells are created by table declarations only")
+        if isinstance(content, Literal):
+            content = _checked_literal(addr, content)
         if isinstance(content, Formula) and content.template is None:
             made = formula.shared_formula(content.source, addr, self.workspace.templates)
-            if made.ast != content.ast:  # derives made's tree, for this check only
+            if not formula.same_tree(made.ast, content.ast):  # derives made's tree, for this check only
                 raise ValueError(f"{addr!r}: source {content.source!r} does not parse to the AST given")
             content = made
         was_formula = existing is not None and isinstance(existing.content, Formula)

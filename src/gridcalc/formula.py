@@ -493,6 +493,31 @@ def _scan(ast: Node) -> tuple[list, list, bool]:
     return nodes, named, volatile
 
 
+def same_tree(a: Node, b: Node) -> bool:
+    """Whether the ASTs *a* and *b* are equal, node by node; walked without
+    recursion, as a chain can be long."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Binary):
+            if x.op != y.op:
+                return False
+            stack += [(x.right, y.right), (x.left, y.left)]
+        elif isinstance(x, Unary):
+            if x.op != y.op:
+                return False
+            stack.append((x.operand, y.operand))
+        elif isinstance(x, Call):
+            if x.name != y.name or len(x.args) != len(y.args):
+                return False
+            stack += zip(x.args, y.args)
+        elif x != y:  # a literal, a reference or an omitted argument
+            return False
+    return True
+
+
 def _dependency_info(targets, named, volatile: bool, names: Mapping[str, Reference] | None) -> DependencyInfo:
     names = names or {}
     info = DependencyInfo(set(targets), volatile)

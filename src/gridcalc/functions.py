@@ -29,9 +29,14 @@ The lifting rule: a call with no array argument is a plain strict call.
 With one array, the function runs once per element, each element coerced
 once and the other arguments held and coerced once per call; per element,
 a raw error held before the array wins, then the element's own raw error,
-then one held after it, then the first coercion error. Several arrays must
-share one shape, else the result is a ``#VALUE!``-filled rectangle of the
-largest extent.
+then one held after it, then the first coercion error. That one-array rule
+is written once, in :func:`lift_elements`, which maps it over a list of
+elements: :func:`array_lift` applies it to an array argument, and the
+engine's element kernels apply it link by link to a chain of scalar calls
+around one ``{...}`` constant, with no array between the links; a kernel
+whose held argument arrives as an array lifts through :func:`array_lift`
+instead. Several arrays must share one shape, else the result is a
+``#VALUE!``-filled rectangle of the largest extent.
 
 Each rule about values is written once: ``BINARY_FNS`` maps every operator
 to its scalar function, ``_order_key`` orders values for comparisons (an
@@ -149,29 +154,50 @@ def _lift(fn: Callable, coercers, args, types: list) -> Array:
     k = types.index(Array)
     if types.count(Array) > 1:
         return _lift_arrays(fn, coercers, args)
-    n_cols = args[k].n_cols
-    elems = list(chain.from_iterable(args[k].rows))
-    stop = None  # what every element gives but one that is a raw error
-    if Error in types:
-        stop = args[types.index(Error)]
-        if types.index(Error) < k:  # a raw error held before the array beats an element's own
-            return _shaped([stop] * len(elems), n_cols)
-    else:
-        held = _coerced(args, (*coercers[:k], None, *coercers[k + 1 :]))
-        if type(held) is Error:
-            # every coercer fails with #VALUE!, so an element's own
-            # coercion error, first or not, gives the same
-            stop = held
-        else:
-            args = held
-            if coercers[k] is not None:
-                elems = list(map(coercers[k], elems))  # a raw error stays itself
-    head, tail = args[:k], args[k + 1 :]
-    if stop is not None:
-        out = [e if type(e) is Error else stop for e in elems]
-    else:
-        out = [e if type(e) is Error else fn(*head, e, *tail) for e in elems]
-    return _shaped(out, n_cols)
+    array = args[k]
+    held = [*args[:k], *args[k + 1 :]]
+    return shaped(lift_elements(fn, coercers, held, k, list(chain.from_iterable(array.rows))), array.n_cols)
+
+
+def lift_elements(fn: Callable, coercers, held: list, k: int, elements: list) -> list:
+    """The one-array lifting rule, written once: *fn*'s value at each of
+    *elements*, the elements of the one array argument, at position *k*; the
+    other arguments are *held*, in order, and the same for every element.
+    Each element is coerced by ``coercers[k]``, each held argument by its
+    own, once.
+
+    A raw error held before the array wins for every element, then the
+    element's own raw error, then a raw error held after it, then the first
+    coercion error. Every coercer fails with ``#VALUE!``, so a held one that
+    fails gives what every element but a raw error gives, first or not.
+    """
+    args, failed = [], None
+    for i, a in enumerate(held):
+        if type(a) is Error:
+            if i < k:
+                return [a] * len(elements)
+            return [e if type(e) is Error else a for e in elements]
+        coerce = coercers[i + (i >= k)]
+        if coerce is not None and failed is None:
+            a = coerce(a)
+            if type(a) is Error:
+                failed = a
+        args.append(a)
+    if failed is not None:
+        return [e if type(e) is Error else failed for e in elements]
+    coerce = coercers[k]
+    if coerce is not None:
+        elements = [coerce(e) for e in elements]  # a raw error stays itself
+    # the body called without unpacking for VALUE(x) and MID(t,x,n), the
+    # shapes of the shipped check-digit chains, where unpacking took about
+    # a sixth of a chain's time
+    if not args:
+        return [e if type(e) is Error else fn(e) for e in elements]
+    if len(args) == 2 and k == 1:
+        a, b = args
+        return [e if type(e) is Error else fn(a, e, b) for e in elements]
+    head, tail = args[:k], args[k:]
+    return [e if type(e) is Error else fn(*head, e, *tail) for e in elements]
 
 
 def _lift_arrays(fn: Callable, coercers, args) -> Array:
@@ -191,7 +217,7 @@ def _lift_arrays(fn: Callable, coercers, args) -> Array:
             if type(err) is not Error:
                 err = fn(*err)
         out.append(err)
-    return _shaped(out, n_cols)
+    return shaped(out, n_cols)
 
 
 def _elements(args) -> Iterator[tuple]:
@@ -200,7 +226,7 @@ def _elements(args) -> Iterator[tuple]:
     return zip(*[chain.from_iterable(a.rows) if type(a) is Array else repeat(a) for a in args])
 
 
-def _shaped(values: list, n_cols: int) -> Array:
+def shaped(values: list, n_cols: int) -> Array:
     """*values*, row by row, as an array *n_cols* wide."""
     return Array.trusted(tuple(zip(*[iter(values)] * n_cols)))
 

@@ -153,6 +153,9 @@ PINNED = [
     f"ROWS(OFFSET(C3:C4,{chain(63, '0')},0))", f"ROWS(OFFSET(C3:C4,{chain(64, '0')},0))",
     f"SUM(OFFSET(C3:C4,{chain(62, '0')},0))", f"SUM(OFFSET(C3:C4,{chain(63, '0')},0))",
     f"XADR(OFFSET(OFFSET(C3,{chain(63, '0')},0),0,0))", f"XADR(OFFSET(OFFSET(C3,{chain(64, '0')},0),0,0))",
+    # element kernels as deep as the limit lets them, and just past it
+    "VALUE(" * 63 + "{1;2}" + ")" * 63, "-" * 63 + "{1;2}", "{1;2}" + "+1" * 63, "{1;2}" + "+1" * 64,
+    "LEN(" * 20 + "MID(C3:C4," * 20 + "{1;2}" + ",1)" * 20 + ")" * 20,
 ]
 
 
@@ -227,3 +230,99 @@ def test_typed_call_gives_the_pinned_value(source, expected):
     for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
         assert same_value(compiled, expected), (compiled, expected)
         assert same_value(reference, expected), (reference, expected)
+
+
+# ---------------------------------------------------------------------------
+# element kernels: a chain of scalar builtins and operators around one
+# array constant runs as one kernel, and gives what nested lifted calls give
+# ---------------------------------------------------------------------------
+
+# what a link holds beside the array: plain values, raw errors (before and
+# after the array), text no number coercion reads, single cells, ranges and
+# names (a range arrives as an array at run time); an omitted argument too
+_HELD = st.one_of(st.sampled_from(_SCALARS), references(), st.sampled_from(["Span", "Rate"]))
+_KERNEL_OPERATORS = ["+", "-", "*", "/", "&", "=", "<", ">="]
+
+
+@st.composite
+def kernel_chains(draw) -> str:
+    """A chain of one to four scalar links around one ``{...}`` constant;
+    each link holds its other arguments, drawn from ``_HELD``."""
+    expr = draw(st.sampled_from(_ARRAYS))
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 5)) == 0:
+            expr = f"+({expr})"  # no link of its own
+        form = draw(st.sampled_from(["call", "call", "binary", "negate"]))
+        if form == "negate":
+            expr = f"-({expr})"
+        elif form == "binary":
+            held = draw(_HELD)
+            op = draw(st.sampled_from(_KERNEL_OPERATORS))
+            expr = f"({expr}){op}({held})" if draw(st.booleans()) else f"({held}){op}({expr})"
+        else:
+            spec = functions.REGISTRY[draw(st.sampled_from(_SCALAR_BUILTINS))]
+            count = draw(st.integers(spec.min_args, spec.max_args))
+            args = [draw(_HELD | st.just("")) for _ in range(count)]
+            args[draw(st.integers(0, count - 1))] = expr
+            expr = f"{spec.name}({','.join(args)})"
+    return expr
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_chains(), _moves)
+def test_kernel_chain_agrees_with_the_reference_interpreter(source, move):
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, *move):
+        assert same_value(compiled, reference), (source, compiled, reference)
+
+
+# a held argument that is an array at run time: the chain is lifted link by
+# link over the values the kernel has already read
+KERNEL_GUARD_PINNED = [
+    "MID(C3:C4,{1;2},1)",
+    "VALUE(MID(C3:C4,{1;2},1))",
+    "VALUE(MID(C3:D4,{1;2},1))",
+    "MID(C3:D5,{1;2},1)&\"x\"",
+    "MID(Span,{1,2;3,4;5,6},1)",
+    "LEN(MID(Span,{1;2},{1;2}))",
+    "VALUE(Rate&{1;2})",
+    "VALUE(MID(INDIRECT(\"C3:D4\"),{1,2;3,4},1))",
+    "-MID(OFFSET(C3,0,0,2,1),{1;2},1)",
+    "VALUE(MID(\"123\",{1;2;3},1))&C3:C5",
+]
+
+
+@pytest.mark.parametrize("source", KERNEL_GUARD_PINNED)
+def test_kernel_with_an_array_held_agrees_with_the_reference_interpreter(source):
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
+        assert same_value(compiled, reference), (compiled, reference)
+
+
+def test_kernel_reads_a_held_range_once(monkeypatch):
+    from gridcalc import engine
+
+    reads = []
+    real = engine.ref_value
+    monkeypatch.setattr(engine, "ref_value", lambda ws, target: reads.append(target) or real(ws, target))
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, "VALUE(MID(C3:C4&\"1\",{1;2},1))", ANCHOR, 1, 2):
+        assert same_value(compiled, reference), (compiled, reference)
+    assert len(reads) == 2  # once at the template's cell, once at the copy
+
+
+def test_isbn_body_runs_its_chain_as_one_kernel(monkeypatch):
+    from gridcalc import engine
+    from conftest import engine_for
+
+    eng = engine_for("bench_body.gwb")
+    a2 = CellAddress("bench_body", "Bench", 1, 2)
+    b2 = a2.moved(2, 2)
+    eng.set_literal(a2, "0306406152")
+    lifts = []
+    real = functions.array_lift
+    monkeypatch.setattr(functions, "array_lift", lambda *args: lifts.append(args) or real(*args))
+    eng.full_recalc()
+    assert eng.get_value(b2) == "valid"
+    assert engine.evaluate(eng.workspace, b2, eng.workspace.cell(b2).content) == "valid"
+    assert lifts == []

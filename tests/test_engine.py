@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from gridcalc import dump_sheet
+from gridcalc import dump_sheet, dump_workbook_source
 from gridcalc.engine import Engine, values_equal
 from gridcalc.model import (
+    Array,
     CalcConfig,
     CellAddress,
     Error,
@@ -231,6 +232,39 @@ def test_table_body_writes_rejected():
     body = CellAddress("isbn_basic", "Batch", 2, 5)  # B5
     with pytest.raises(TableIntegrityError):
         eng.set_literal(body, 1.0)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Array([[1.0], [2.0]]), 5.0 + 0j, float("inf"), float("-inf"), float("nan"), 10**400, [1.0], object()],
+    ids=["array", "complex", "inf", "-inf", "nan", "huge-int", "list", "object"],
+)
+def test_literal_that_no_formula_can_read_is_rejected(value):
+    eng = fresh()
+    with pytest.raises(ValueError, match=r"\[T\]S!A1"):
+        eng.set_literal(at("A1"), value)
+    assert eng.workspace.cell(at("A1")) is None and not eng.dirty
+
+
+def test_int_literal_is_held_as_the_equal_float():
+    eng = fresh()
+    eng.set_literal(at("A1"), 5)
+    eng.set_literal(at("A2"), True)  # a boolean stays a boolean
+    eng.set_formula(at("B1"), "A1*2")
+    eng.full_recalc()
+    assert [eng.workspace.cell(at(a)).content.value for a in ("A1", "A2")] == [5.0, True]
+    assert type(eng.get_value(at("A1"))) is float and eng.get_value(at("B1")) == 10.0
+    assert "A1 : 5\n" in dump_workbook_source(eng.workspace, "T")
+
+
+def test_array_literal_repro_is_rejected_before_it_reaches_a_recalc():
+    eng = fresh()
+    eng.set_literal(at("A2"), "3")
+    with pytest.raises(ValueError):
+        eng.set_literal(at("A1"), Array([[1.0], [2.0]]))
+    eng.set_formula(at("B1"), 'SUMPRODUCT(VALUE(MID(A1:A2&"23",{1;2;3},1)))')
+    eng.full_recalc()
+    assert eng.get_value(at("B1")) == Error.VALUE  # A1:A2 meets a 3-row constant
 
 
 # ---------------------------------------------------------------------------

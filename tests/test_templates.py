@@ -415,10 +415,19 @@ def test_line_break_repros_raise_before_reaching_a_cell():
     assert ws.cell(SHEET) is None
 
 
+# an operator chain too long for a recursive comparison of two trees
+LONG_CHAIN = "+".join(f"A{row}" for row in range(2, 3002))
+
+
 @pytest.mark.parametrize(
     "source, ast",
-    [('"a\nb"', formula.Literal("a\nb")), ("1+", formula.Literal(1.0)), ("1+2", formula.Literal(3.0))],
-    ids=["line-break", "no-parse", "other-ast"],
+    [
+        ('"a\nb"', formula.Literal("a\nb")),
+        ("1+", formula.Literal(1.0)),
+        ("1+2", formula.Literal(3.0)),
+        (LONG_CHAIN, parse_formula(LONG_CHAIN[: -len("A3001")] + "A3002", SHEET)),
+    ],
+    ids=["line-break", "no-parse", "other-ast", "long-chain-other-ast"],
 )
 def test_hand_built_formula_whose_source_gives_another_ast_is_rejected(source, ast):
     # a dump writes the source: these would dump to a file that does not load
@@ -429,6 +438,17 @@ def test_hand_built_formula_whose_source_gives_another_ast_is_rejected(source, a
         eng.set_cell(SHEET, Formula(source, ast))
     assert ws.cell(SHEET) is None
     assert not eng.graph.precedents
+
+
+def test_hand_built_long_operator_chain_that_matches_its_source_is_accepted():
+    ws = Workspace()
+    ws.add_workbook("Book1").ensure_sheet("Sheet1")
+    eng = Engine(ws)
+    hand = Formula(LONG_CHAIN, parse_formula(LONG_CHAIN, SHEET))
+    eng.set_cell(SHEET, hand)
+    made = ws.cell(SHEET).content
+    assert made.template is not None and made == hand
+    assert len(eng.graph.precedents[SHEET]) == 3000
 
 
 def test_hand_built_formula_that_matches_its_source_round_trips(tmp_path):
