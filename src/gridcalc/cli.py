@@ -75,6 +75,11 @@ def _cmd_get(args) -> int:
     if not isinstance(ref, CellAddress):
         print("get takes a single cell, not a range", file=sys.stderr)
         return 2
+    if ws.resolve_sheet(ref) is None:
+        book, sheet = ref.workbook, ref.sheet
+        where = f"workbook {book!r}" if ws.workbook(book) is None else f"sheet {sheet!r} in workbook {book!r}"
+        print(f"unknown {where}", file=sys.stderr)
+        return 2
     engine.full_recalc()
     print(gwb.render_value(ws.value(ref)))
     return 0

@@ -46,6 +46,19 @@ INDIRECT) sends the values already read through
 :func:`gridcalc.functions.array_lift`, link by link, as nested lifted
 calls would; no subtree is compiled twice and nothing is evaluated twice.
 
+Two value builtins that reduce constants are specialised the same way,
+once per ``(node, depth)``. A SUMPRODUCT whose arguments are all array
+sources, ``{...}`` constants or element kernels, of one static shape (a
+kernel's is its constant's) compiles to one reduction
+(:func:`_sum_of_products`) over the kernels' element lists and the
+constants' elements: no array is built and no shape is checked. Its guard:
+a kernel that lifted through ``array_lift`` gives an array, and then the
+values already read go, as arrays, to the builtin itself, which checks the
+shapes. An exact MATCH in a one-row or one-column ``{...}`` constant (its
+mode a literal or omitted argument that gives 0) indexes the constant once
+(:func:`gridcalc.functions.match_index`) and looks each needle up
+(:func:`_match`). Every other SUMPRODUCT or MATCH runs the builtin.
+
 Volatility has one source: ``Builtin.volatile`` in the function registry,
 read once per formula shape, when its :class:`gridcalc.formula.Template`
 scans its AST (``formula._scan``).
@@ -71,6 +84,7 @@ from .model import (
     RangeRef,
     TableBody,
     Workspace,
+    to_integer,
     top_left,
     values_equal,
 )
@@ -189,10 +203,11 @@ def compile_template(template: formula.Template):
     and so is the coercer of each argument of a scalar builtin or operator;
     a constant in a typed position is coerced here, once, if it can be. A
     scalar call with exactly one array source among its arguments compiles,
-    with the chain below it, to one element kernel (:func:`_kernel`). A
-    node nested deeper than :data:`MAX_DEPTH` (the root being one
-    level, each argument or operand one more) compiles to ``#VALUE!``, which
-    it gives only if it is evaluated: ``IF(TRUE,1,<deep>)`` is 1. A special
+    with the chain below it, to one element kernel (:func:`_kernel`), and a
+    SUMPRODUCT or an exact MATCH over constants to one reduction. A node
+    nested deeper than :data:`MAX_DEPTH` (the root being one level, each
+    argument or operand one more) compiles to ``#VALUE!``, which it gives
+    only if it is evaluated: ``IF(TRUE,1,<deep>)`` is 1. A special
     or reference builtin receives each argument as a :class:`functions.Arg`;
     an argument read as a reference costs no level, so the arguments of a
     reference builtin read that way sit one level below their reader.
@@ -200,6 +215,7 @@ def compile_template(template: formula.Template):
     positions = {id(node): i for i, node in enumerate(template.nodes)}
     argument_lists: dict = {}  # (id of a call, its depth) -> its compiled arguments
     sources: dict = {}  # (id of a scalar call, its depth) -> where its one array source is
+    reductions: dict = {}  # (id of a value call, its depth) -> its specialised code, or None
 
     def value(node, depth: int):
         if depth > MAX_DEPTH:
@@ -227,6 +243,9 @@ def compile_template(template: formula.Template):
                 return _special(spec.fn, arguments(node, depth))
             if spec.kind == "reference":
                 return _read(reference(node, depth))
+            code = specialised(node, spec, depth)
+            if code is not None:
+                return code
             codes = [_NONE if a is formula.OMITTED else value(a, depth + 1) for a in node.args]
             return _strict(spec.fn, codes)
         raise TypeError(f"cannot compile {node!r}")
@@ -270,6 +289,46 @@ def compile_template(template: formula.Template):
         if isinstance(node, formula.Unary) and node.op == "+":
             return is_array_source(node.operand, depth + 1)
         return _scalar_link(node) is not None and source(node, depth) is not None
+
+    def specialised(node, spec: functions.Builtin, depth: int):
+        """The value call *node*, *depth* deep, compiled to a reduction over
+        constants, or None if it is not one: SUMPRODUCT whose arguments are
+        array sources of one shape (:func:`_sum_of_products`), or an exact
+        MATCH in a one-row or one-column ``{...}`` constant, whose mode is a
+        literal or omitted argument that gives 0 (:func:`_match`)."""
+        key = (id(node), depth)
+        if key not in reductions:
+            reductions[key] = None
+            args = node.args
+            if spec.fn is functions._fn_sumproduct:
+                if all(is_array_source(a, depth + 1) for a in args):
+                    shapes = {(c.n_rows, c.n_cols) for c in [constant_of(a, depth + 1) for a in args]}
+                    if len(shapes) == 1:
+                        ((_, n_cols),) = shapes
+                        reductions[key] = _sum_of_products([elements(a, depth + 1) for a in args], n_cols)
+            elif spec.fn is functions._fn_match and len(args) == 3 and depth < MAX_DEPTH:
+                lookup, mode = _literal(args[1]), _literal(args[2])
+                exact = mode is not _NOT_CONSTANT and to_integer(top_left(mode)) == 0
+                if exact and type(lookup) is Array and min(lookup.n_rows, lookup.n_cols) == 1:
+                    keys = lookup.rows[0] if lookup.n_rows == 1 else [row[0] for row in lookup.rows]
+                    needle = _NONE if args[0] is formula.OMITTED else value(args[0], depth + 1)
+                    reductions[key] = _match(needle, functions.match_index(keys))
+        return reductions[key]
+
+    def constant_of(node, depth: int) -> Array:
+        """The ``{...}`` constant at the bottom of the array source *node*."""
+        while not isinstance(node, formula.Literal):
+            if isinstance(node, formula.Unary) and node.op == "+":
+                node, depth = node.operand, depth + 1
+            else:
+                node, depth = _scalar_link(node)[1][source(node, depth)], depth + 1
+        return node.value
+
+    def elements(node, depth: int):
+        """The array source *node*'s code for a reduction: its flat element
+        list (:func:`_elements`), or the constant's elements."""
+        constant, links = kernel(node, depth)
+        return _elements(constant, links) if links else _constant(tuple(chain.from_iterable(constant.rows)))
 
     def kernel(node, depth: int) -> tuple:
         """The element kernel of the array source *node*, *depth* deep: its
@@ -357,16 +416,21 @@ def _name_reference(key: str):
 _NOT_CONSTANT = object()
 
 
+def _literal(node):
+    """The value of the literal or omitted argument *node*;
+    ``_NOT_CONSTANT`` if it is neither."""
+    if node is formula.OMITTED:
+        return None
+    return node.value if isinstance(node, formula.Literal) else _NOT_CONSTANT
+
+
 def _coerced_constant(node, coerce):
     """The literal or omitted argument *node* coerced by *coerce*, an array
     element by element; ``_NOT_CONSTANT`` if *node* is neither or a
     coercion fails."""
-    if node is formula.OMITTED:
-        v = None
-    elif isinstance(node, formula.Literal):
-        v = node.value
-    else:
-        return _NOT_CONSTANT
+    v = _literal(node)
+    if v is _NOT_CONSTANT:
+        return v
     if type(v) is Array:
         return _coerced_array(v, coerce)
     c = coerce(v)
@@ -399,15 +463,27 @@ def _scalar_link(node):
 
 
 def _kernel(constant: Array, links: list):
-    """An element kernel: each link's held arguments evaluated once, then
-    each link, innermost first, applied to the elements the one below it
-    gave (:func:`functions.lift_elements`), as a plain list; one array is
-    built at the end. If a held argument is an array (a range, a name,
-    OFFSET or INDIRECT), the values already evaluated go to
-    :func:`functions.array_lift` instead, link by link, as nested lifted
-    calls would give them."""
-    elements = list(chain.from_iterable(constant.rows))
+    """An element kernel: its elements (:func:`_elements`) as one array of
+    the constant's shape."""
+    elements = _elements(constant, links)
     n_cols = constant.n_cols
+
+    def run(ctx):
+        out = elements(ctx)
+        return out if type(out) is Array else functions.shaped(out, n_cols)
+
+    return run
+
+
+def _elements(constant: Array, links: list):
+    """An element kernel's loop: each link's held arguments evaluated once,
+    then each link, innermost first, applied to the elements the one below
+    it gave (:func:`functions.lift_elements`); the result is a flat list, in
+    row order, of the constant's size. If a held argument is an array (a
+    range, a name, OFFSET or INDIRECT), the values already evaluated go to
+    :func:`functions.array_lift` instead, link by link, as nested lifted
+    calls would give them, and the result is the array that gives."""
+    elements = list(chain.from_iterable(constant.rows))
 
     def run(ctx):
         helds = [[c(ctx) for c in codes] for _, _, codes, _ in links]
@@ -417,7 +493,43 @@ def _kernel(constant: Array, links: list):
         out = elements
         for (fn, coercers, _, k), held in zip(links, helds):
             out = functions.lift_elements(fn, coercers, held, k, out)
-        return functions.shaped(out, n_cols)
+        return out
+
+    return run
+
+
+def _sum_of_products(codes: list, n_cols: int):
+    """SUMPRODUCT over array sources of one shape, *n_cols* wide: each code
+    gives its source's flat element list, and
+    :func:`functions.sum_of_products` reduces them, with no array built and
+    no shape checked. The guard: a kernel that lifted through
+    :func:`functions.array_lift` gives an array, and then every value
+    already read goes, as an array, to SUMPRODUCT's own builtin, which
+    checks the shapes."""
+
+    def run(ctx):
+        columns = [c(ctx) for c in codes]
+        if Array in map(type, columns):
+            arrays = [c if type(c) is Array else functions.shaped(c, n_cols) for c in columns]
+            return functions._fn_sumproduct(ctx, arrays)
+        return functions.sum_of_products(columns)
+
+    return run
+
+
+def _match(needle, index: dict):
+    """An exact MATCH in a constant: the needle's
+    :func:`functions.match_key` looked up in the constant's *index*
+    (:func:`functions.match_index`). An error needle is the result; a blank
+    one, like every needle the index lacks, is ``#N/A``."""
+
+    def run(ctx):
+        v = needle(ctx)
+        if type(v) is Array:
+            v = v.rows[0][0]
+        if type(v) is Error:
+            return v
+        return index.get(functions.match_key(v), Error.NA)
 
     return run
 

@@ -39,10 +39,14 @@ instead. Several arrays must share one shape, else the result is a
 ``#VALUE!``-filled rectangle of the largest extent.
 
 Each rule about values is written once: ``BINARY_FNS`` maps every operator
-to its scalar function, ``_order_key`` orders values for comparisons (an
-exact MATCH compares values of one type directly, as ``=`` does), and
+to its scalar function, ``_order_key`` orders values for comparisons,
 ``_finite`` turns a number result that is not a finite real into
-``#NUM!``.
+``#NUM!``, :func:`sum_of_products` is SUMPRODUCT's product rule over flat
+element lists, and :func:`match_key` is what an exact MATCH compares (text
+casefolded, other values only within their type, as ``=`` does), indexed
+by :func:`match_index`. The SUMPRODUCT and MATCH builtins apply these
+after their shape checks; the engine's reductions over constants apply
+them with no array built (see :mod:`gridcalc.engine`).
 """
 
 from __future__ import annotations
@@ -378,19 +382,27 @@ def _fn_sumproduct(ctx, args):
     for a in arrays[1:]:
         if (a.n_rows, a.n_cols) != shape:
             return Error.VALUE
+    return sum_of_products([chain.from_iterable(a.rows) for a in arrays])
+
+
+def sum_of_products(sequences: list):
+    """SUMPRODUCT's rule, written once: the sum, over each position, of the
+    product of the elements that *sequences*, flat element lists of one
+    length, hold there. The first error in element-then-argument order is the result; a
+    non-number multiplies by 0.0; the total must be finite (:func:`_finite`).
+    """
     total = 0.0
-    for rows in zip(*[a.rows for a in arrays]):
-        for elems in zip(*rows):
-            product = 1.0
-            for e in elems:
-                t = type(e)
-                if t is float:
-                    product *= e
-                elif t is Error:
-                    return e
-                else:
-                    product *= 0.0  # multiplied, not set: an overflowed product stays #NUM!
-            total += product
+    for elems in zip(*sequences):
+        product = 1.0
+        for e in elems:
+            t = type(e)
+            if t is float:
+                product *= e
+            elif t is Error:
+                return e
+            else:
+                product *= 0.0  # multiplied, not set: an overflowed product stays #NUM!
+        total += product
     return _finite(total)
 
 
@@ -409,18 +421,37 @@ def _fn_match(ctx, args):
         elems = [row[0] for row in rows]
     else:
         return Error.NA
-    # a blank matches nothing, nor does a blank or error element
-    kind = type(needle)
-    if kind is str:  # text matches text case-insensitively
-        needle = needle.casefold()
-        for idx, e in enumerate(elems, start=1):
-            if type(e) is str and e.casefold() == needle:
-                return float(idx)
-    elif needle is not None:
-        for idx, e in enumerate(elems, start=1):
-            if type(e) is kind and e == needle:
-                return float(idx)
+    # a scan, not match_index: it stops at the first match, and builds
+    # nothing for a lookup it makes once
+    needle = match_key(needle)
+    if needle is not None:
+        for i, key in enumerate(map(match_key, elems), start=1):
+            if key == needle:
+                return float(i)
     return Error.NA
+
+
+def match_key(v):
+    """What an exact MATCH compares *v* by: text casefolded, a number or a
+    boolean tagged with its type (1 never matches TRUE); None for a blank or
+    an error, which match nothing."""
+    t = type(v)
+    if t is str:
+        return v.casefold()
+    if t is float or t is bool:
+        return (t, v)
+    return None
+
+
+def match_index(elements) -> dict:
+    """The exact-MATCH index of *elements*: each :func:`match_key` among
+    them to the first 1-based position that has it, as a number; an exact
+    MATCH gives the needle's key's position, as its scan does."""
+    index: dict = {}
+    for i, key in enumerate(map(match_key, elements), start=1):
+        if key is not None:
+            index.setdefault(key, float(i))
+    return index
 
 
 def _fn_index(ctx, args):

@@ -655,7 +655,7 @@ class CalcConfig:
             raise ValueError(f"table_recalc must be 'auto' or 'manual', got {self.table_recalc!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.max_change < 0:
+        if not self.max_change >= 0:  # NaN too: no change would ever be within it
             raise ValueError("max_change must be >= 0")
 
 

@@ -3,8 +3,10 @@ compiled evaluator: :class:`EvalContext` walks an AST node by node,
 counting its depth as it goes, and the special and reference builtins below
 take AST nodes. The scalar builtins and the operators' scalar functions
 below take their arguments as they come and coerce them by hand, so they
-share nothing with the engine's declared kinds and its coercion step. Value
-builtins are the engine's own (``functions.REGISTRY``).
+share nothing with the engine's declared kinds and its coercion step.
+SUMPRODUCT and MATCH have their own bodies below too, as the engine
+compiles both to reductions over constants; the other value builtins are
+the engine's own (``functions.REGISTRY``).
 """
 
 from __future__ import annotations
@@ -210,6 +212,62 @@ SCALARS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Value builtins the engine specialises
+# ---------------------------------------------------------------------------
+
+
+def _as_array(v) -> Array:
+    return v if isinstance(v, Array) else Array([[v]])
+
+
+def _fn_sumproduct(ctx, args):
+    arrays = [_as_array(a) for a in args]
+    shape = (arrays[0].n_rows, arrays[0].n_cols)
+    for a in arrays[1:]:
+        if (a.n_rows, a.n_cols) != shape:
+            return Error.VALUE
+    total = 0.0
+    for rows in zip(*[a.rows for a in arrays]):
+        for elems in zip(*rows):
+            product = 1.0
+            for e in elems:
+                if isinstance(e, Error):
+                    return e
+                # a non-number is multiplied by 0.0, so an overflowed product stays #NUM!
+                product *= e if type(e) is float else 0.0
+            total += product
+    return _finite(total)
+
+
+def _fn_match(ctx, args):
+    needle = top_left(args[0])
+    if isinstance(needle, Error):
+        return needle
+    # 1 is the spreadsheet default; only exact match (0) is supported
+    mode = _int_of(top_left(args[2])) if len(args) == 3 else 1
+    if mode != 0:
+        return mode if isinstance(mode, Error) else Error.VALUE
+    rows = _as_array(args[1]).rows
+    if len(rows) == 1:
+        elems = rows[0]
+    elif len(rows[0]) == 1:
+        elems = [row[0] for row in rows]
+    else:
+        return Error.NA
+    # a blank matches nothing, nor does a blank or error element; text
+    # matches text case-insensitively, other values only their own type
+    if needle is None:
+        return Error.NA
+    for idx, e in enumerate(elems, start=1):
+        if type(e) is type(needle) and (e.casefold() == needle.casefold() if type(e) is str else e == needle):
+            return float(idx)
+    return Error.NA
+
+
+VALUES = {"SUMPRODUCT": _fn_sumproduct, "MATCH": _fn_match}
+
+
 def apply_binary(op: str, a, b):
     return array_lift(BINARY[op], [a, b])
 
@@ -281,7 +339,7 @@ class EvalContext:
         for a in args:
             if isinstance(a, Error):
                 return a
-        return spec.fn(self, args)
+        return VALUES.get(spec.name, spec.fn)(self, args)
 
     # -- references ----------------------------------------------------------
 

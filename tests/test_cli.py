@@ -25,6 +25,18 @@ def test_get_undeclared_cell_prints_empty_line(capsys):
     assert out == "\n"
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("Nope!A1", "unknown sheet 'Nope' in workbook 'isbn_basic'"),
+        ("[zz]Single!A1", "unknown workbook 'zz'"),
+    ],
+)
+def test_get_on_a_missing_sheet_or_workbook_exits_2(capsys, cell, message):
+    code, out, err = run(capsys, "get", *assets("isbn_basic.gwb"), cell)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_get_defaults_to_first_workbook_and_sheet(capsys):
     code, out, _ = run(capsys, "get", *assets("isbn_basic.gwb"), "D2")
     assert code == 0
@@ -156,6 +168,16 @@ def test_bad_calc_flag_value_exits_2(capsys):
     code, _, err = run(capsys, "recalc", "--max-iter", "0", *assets("isbn_basic.gwb"))
     assert code == 2
     assert "max_iterations" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_max_change_that_is_not_at_least_zero_exits_2(capsys, tmp_path, value):
+    wb = tmp_path / "halve.gwb"
+    wb.write_text("A1 = A1/2+1\n", encoding="utf-8")
+    code, out, err = run(capsys, "recalc", "--iterative", "--max-change", value, "--stats", wb)
+    assert code == 2
+    assert out == ""
+    assert "max_change" in err
 
 
 def test_iterative_flags_flow_through(capsys, tmp_path):

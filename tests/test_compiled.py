@@ -4,11 +4,14 @@ copy moved from it."""
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcalc import functions
-from gridcalc.model import Array, CellAddress, Error, Literal, RangeRef, Workspace
+from gridcalc.model import Array, CellAddress, Error, Literal, RangeRef, Workspace, parse_address
 from reference_eval import compiled_and_reference, same_value
 
 HOME = CellAddress("B", "S", 1, 1)
@@ -245,11 +248,12 @@ _KERNEL_OPERATORS = ["+", "-", "*", "/", "&", "=", "<", ">="]
 
 
 @st.composite
-def kernel_chains(draw) -> str:
-    """A chain of one to four scalar links around one ``{...}`` constant;
-    each link holds its other arguments, drawn from ``_HELD``."""
-    expr = draw(st.sampled_from(_ARRAYS))
-    for _ in range(draw(st.integers(1, 4))):
+def kernel_chains(draw, arrays=_ARRAYS, links=4) -> str:
+    """A chain of one to *links* scalar links around one ``{...}`` constant
+    drawn from *arrays*; each link holds its other arguments, drawn from
+    ``_HELD``."""
+    expr = draw(st.sampled_from(arrays))
+    for _ in range(draw(st.integers(1, links))):
         if draw(st.integers(0, 5)) == 0:
             expr = f"+({expr})"  # no link of its own
         form = draw(st.sampled_from(["call", "call", "binary", "negate"]))
@@ -326,3 +330,166 @@ def test_isbn_body_runs_its_chain_as_one_kernel(monkeypatch):
     assert eng.get_value(b2) == "valid"
     assert engine.evaluate(eng.workspace, b2, eng.workspace.cell(b2).content) == "valid"
     assert lifts == []
+
+
+# ---------------------------------------------------------------------------
+# reductions over constants: SUMPRODUCT over array sources of one shape and
+# an exact MATCH in a one-row or one-column constant are compiled to one
+# reduction each; every other form takes the builtin's own path
+# ---------------------------------------------------------------------------
+
+# beside _ARRAYS, shapes they share (3x1, 2x1, 2x2), numeric text and
+# booleans (which multiply by 0), and products that overflow
+_SUMPRODUCT_ARRAYS = _ARRAYS + [
+    "{1e308;1e308;1}", "{1e308;-1e308;2}", "{2;\"x\";#NUM!}", "{TRUE;2}", "{#N/A;#DIV/0!}", "{1,2;3,4}",
+    "{1e308,1;1,1e308}",
+]
+
+
+@st.composite
+def sumproducts(draw) -> str:
+    """SUMPRODUCT of one to three arguments: array constants, element
+    kernels over them (both array sources) and, for the builtin's own
+    path, scalars, cells, ranges and names."""
+    source = st.one_of(
+        st.sampled_from(_SUMPRODUCT_ARRAYS),
+        kernel_chains(_SUMPRODUCT_ARRAYS, 3),
+        st.sampled_from(_SCALARS),
+        references(),
+        st.sampled_from(["Span", "Rate"]),
+    )
+    return f"SUMPRODUCT({','.join(draw(st.lists(source, min_size=1, max_size=3)))})"
+
+
+@settings(max_examples=400, deadline=None)
+@given(sumproducts(), _moves)
+def test_sumproduct_agrees_with_the_reference_interpreter(source, move):
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, *move):
+        assert same_value(compiled, reference), (source, compiled, reference)
+
+
+# first error in element-then-argument order, a non-number multiplied by
+# 0.0 (so an overflowed product stays #NUM!), an overflowing total
+SUMPRODUCT_PINNED = [
+    ("SUMPRODUCT({1e308;1},{1e308;1},{\"x\";1})", Error.NUM),
+    ("SUMPRODUCT({\"x\";1},{1e308;1},{1e308;1})", 1.0),
+    ("SUMPRODUCT({1;#N/A},{#DIV/0!;1})", Error.DIV0),
+    ("SUMPRODUCT({1;2},{#REF!;#N/A})", Error.REF),
+    ("SUMPRODUCT(VALUE({\"2\";\"x\";\"1\"}),{3;1;#N/A})", Error.VALUE),
+    ("SUMPRODUCT({1e308;1e308},{9;9})", Error.NUM),
+    ("SUMPRODUCT({TRUE;\"2\";2},-{1;1;1})", -2.0),
+    ("SUMPRODUCT({1;2},{1,2})", Error.VALUE),
+    ("SUMPRODUCT({1,2;3,4},{1,2;3,4}*{1,0;0,1})", 17.0),
+]
+
+
+@pytest.mark.parametrize("source, expected", SUMPRODUCT_PINNED)
+def test_sumproduct_gives_the_pinned_value(source, expected):
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
+        assert same_value(compiled, expected), (compiled, expected)
+        assert same_value(reference, expected), (reference, expected)
+
+
+# needles of every type: blank cells and omitted needles, errors, arrays
+# and ranges (their top-left element is the needle), numbers against
+# booleans, text against its casefold pair
+_NEEDLES = [
+    "", BLANK, "#N/A", "1/0", "1", "0", "2", "TRUE", "FALSE", '"1"', '"a"', '"A"', '"STRASSE"', '"straße"',
+    '""', '{"b";1}', "{#REF!,1}", "C3:C4", "C3", "E5", "MID(\"ab\",{1;2},1)", "RIGHT(C3)", "Rate", "Span",
+]
+# one row, one column and one element; mixed types, duplicates, casefold
+# pairs, blanks of no kind and error elements; and a 2x2 constant
+_LOOKUPS = [
+    '{"0";"1";"2";"3";"4";"5";"6";"7";"8";"9";"X"}', '{1,"1",TRUE,"a","A",1}', '{"straße";"STRASSE";2}',
+    '{#N/A;"";0;FALSE}', '{TRUE}', '{"b",#DIV/0!,"B"}', "{1,2;3,4}", '{2.5;-1;"x";1}',
+]
+_MODES = [None, "", "0", "FALSE", '"0"', "0.5", "-0.5", "1", "TRUE", "#N/A", "{0,1}", BLANK, "C5"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_NEEDLES), st.sampled_from(_LOOKUPS), st.sampled_from(_MODES), _moves)
+def test_match_in_a_constant_agrees_with_the_reference_interpreter(needle, lookup, mode, move):
+    source = f"MATCH({needle},{lookup})" if mode is None else f"MATCH({needle},{lookup},{mode})"
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, *move):
+        assert same_value(compiled, reference), (source, compiled, reference)
+
+
+# a kernel whose held argument arrives as an array: the values already read
+# go, as arrays, to SUMPRODUCT's own builtin, which checks their shapes
+SUMPRODUCT_GUARD_PINNED = [
+    'SUMPRODUCT(VALUE(MID(C3:C4&"1",{1;2},1)),{1;2})',
+    "SUMPRODUCT(VALUE(MID(Span,{1;2;3},1)),{1;2;3})",
+    "SUMPRODUCT(LEN(MID(Span,{1,2;3,4;5,6},1)),{1,2;3,4;5,6})",
+    'SUMPRODUCT(VALUE(MID(INDIRECT("C3:D4"),{1,2;3,4},1)),{1,2;3,4})',
+    'SUMPRODUCT({1,2;3,4},LEN(MID(INDIRECT("C3:D4"),{1,2;3,4},1)),LEN({"a","bb";"","ccc"}))',
+    "SUMPRODUCT(LEN(OFFSET(C3,0,0,2,1)&{1;2}),{1;2})",
+]
+
+
+@pytest.mark.parametrize("source", SUMPRODUCT_GUARD_PINNED)
+def test_sumproduct_over_a_kernel_with_an_array_held_agrees_with_the_reference_interpreter(source):
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
+        assert same_value(compiled, reference), (compiled, reference)
+
+
+def test_sumproduct_guard_reads_a_held_range_once(monkeypatch):
+    from gridcalc import engine
+
+    reads = []
+    real = engine.ref_value
+    monkeypatch.setattr(engine, "ref_value", lambda ws, target: reads.append(target) or real(ws, target))
+    ws = workspace()
+    source = 'SUMPRODUCT(VALUE(MID(C3:C4&"1",{1;2},1)),{1;2})'
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
+        assert same_value(compiled, reference), (compiled, reference)
+    assert len(reads) == 2  # once at the template's cell, once at the copy
+
+
+@contextmanager
+def calls_of(*fns):
+    """Count the calls of *fns*, by name, however they are reached."""
+    codes = {fn.__code__: fn.__name__ for fn in fns}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(None)
+
+
+# the check-digit bodies the workloads run: an ISBN-10 body, an ISBN-13 row
+# and lib's ISSN check, each given a valid input
+SHIPPED_BODIES = [
+    (("bench_body.gwb",), "[bench_body]Bench!A2", "0306406152", ["[bench_body]Bench!B2"], ["valid"]),
+    (("isbn_basic.gwb",), "[isbn_basic]Single!A2", "9780306406157", ["[isbn_basic]Single!C2"], ["valid"]),
+    (("lib.gwb",), "[lib]ISSNcheck!A2", "03785955", ["[lib]ISSNcheck!B2", "[lib]ISSNcheck!B3"], [160.0, 6.0]),
+]
+
+
+@pytest.mark.parametrize("books, input_cell, text, cells, expected", SHIPPED_BODIES)
+def test_shipped_bodies_reduce_their_constants_without_the_builtins(books, input_cell, text, cells, expected):
+    from gridcalc import engine
+    from conftest import engine_for
+
+    eng = engine_for(*books)
+    context = CellAddress(books[0].removesuffix(".gwb"), "Sheet1", 1, 1)
+    eng.set_formula(parse_address(input_cell, context), f'"{text}"')
+    with calls_of(functions._fn_sumproduct, functions._fn_match, functions.sum_of_products) as counts:
+        eng.full_recalc()
+        values = []
+        for cell in cells:
+            addr = parse_address(cell, context)
+            values.append(engine.evaluate(eng.workspace, addr, eng.workspace.cell(addr).content))
+            assert same_value(eng.get_value(addr), values[-1])
+    assert values == expected
+    assert counts["_fn_sumproduct"] == counts["_fn_match"] == 0
+    assert counts["sum_of_products"] > 0

@@ -10,6 +10,7 @@ from gridcalc.model import (
     MAX_ROWS,
     AddressError,
     Array,
+    CalcConfig,
     CellAddress,
     Error,
     RangeRef,
@@ -363,3 +364,14 @@ def test_errors_are_coercion_fixed_points(err, target):
 def test_number_to_text_round_trips_through_float():
     for x in (0.1, 2.5, 123456.789, 1 / 3, 2.0**60):
         assert float(number_to_text(x)) == x
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, -float("inf")])
+def test_config_rejects_a_max_change_that_is_not_at_least_zero(bad):
+    with pytest.raises(ValueError, match="max_change"):
+        CalcConfig(iterative=True, max_change=bad)
+
+
+def test_config_takes_zero_and_infinite_max_change():
+    assert CalcConfig(max_change=0.0).max_change == 0.0
+    assert CalcConfig(max_change=float("inf")).max_change == float("inf")
