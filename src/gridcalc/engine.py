@@ -23,37 +23,38 @@ Builtins, arity checks, operators and constants are bound then, and so is
 the depth limit: a node nested deeper than :data:`MAX_DEPTH` levels
 compiles to ``#VALUE!``, given only if it is evaluated. Special and
 reference builtins receive their arguments compiled, to evaluate as they
-need (:class:`gridcalc.functions.Arg`); scalar builtins and operators are
-lifted over arrays only when an array arrives
-(:func:`gridcalc.functions.lifted`). Their parameter kinds
+need (:class:`gridcalc.functions.Arg`). A scalar builtin or operator
+compiles to one closure (:func:`_lifted`) that runs its function in line
+when no array and no raw error arrives, and otherwise lifts it over arrays
+(:func:`gridcalc.functions.array_lift`). Their parameter kinds
 (``Builtin.kinds``) are bound at compile time too, as one coercer per
 argument, and a literal or ``{...}`` constant in a typed position is
 coerced then, once, where that succeeds. A constant that fails to coerce
 is left to run time, where raw errors come first and then coercion errors,
 each in argument order, so that ``MID("ab","x",#N/A)`` stays ``#N/A``.
 
-A chain of scalar builtins and operators around one ``{...}`` constant
-compiles to one element kernel (:func:`_kernel`): a scalar call whose
-arguments hold exactly one array source, the constant or another such
-call, is a link of it, and its other arguments are held. Which calls are
-links is found once per ``(node, depth)`` at compile time, like
-everything else. Each evaluation reads every link's held arguments once,
-then applies each link to the elements the one below it gave
-(:func:`gridcalc.functions.lift_elements`, the one-array rule that lifted
-calls use too) and builds one array at the end. The run-time guard: a held
-argument that arrives as an array (a range, a defined name, OFFSET or
-INDIRECT) sends the values already read through
-:func:`gridcalc.functions.array_lift`, link by link, as nested lifted
-calls would; no subtree is compiled twice and nothing is evaluated twice.
+One analysis finds the element kernels, once per ``(node, depth)`` and
+kept beside the argument lists: a kernel is a ``{...}`` constant and the
+links around it, innermost first. A ``{...}`` constant is a kernel with no
+links, ``+x`` is *x*'s kernel, and a scalar call whose operands hold
+exactly one kernel is that kernel plus one link, its other operands held.
+Such a call compiles to one element kernel (:func:`_kernel`). Each
+evaluation reads every link's held arguments once, then applies each link
+to the elements the one below it gave
+(:func:`gridcalc.functions.lift_elements`, the one-array rule that
+``array_lift`` uses too) and builds one array at the end. The run-time
+guard: a held argument that arrives as an array (a range, a defined name,
+OFFSET or INDIRECT) sends the values already read through ``array_lift``,
+link by link, as nested scalar calls would; no subtree is compiled twice
+and nothing is evaluated twice.
 
-Two value builtins that reduce constants are specialised the same way,
-once per ``(node, depth)``. A SUMPRODUCT whose arguments are all array
-sources, ``{...}`` constants or element kernels, of one static shape (a
-kernel's is its constant's) compiles to one reduction
-(:func:`_sum_of_products`) over the kernels' element lists and the
-constants' elements: no array is built and no shape is checked. Its guard:
-a kernel that lifted through ``array_lift`` gives an array, and then the
-values already read go, as arrays, to the builtin itself, which checks the
+Two value builtins that reduce constants read the same analysis. A
+SUMPRODUCT whose arguments are all kernels of one shape (a kernel's is its
+constant's) compiles to one reduction (:func:`_sum_of_products`) over the
+kernels' flat element lists (:func:`_elements`, a constant's being its own
+elements): no array is built and no shape is checked. Its guard: a kernel
+that lifted through ``array_lift`` gives an array, and then the values
+already read go, as arrays, to the builtin itself, which checks the
 shapes. An exact MATCH in a one-row or one-column ``{...}`` constant (its
 mode a literal or omitted argument that gives 0) indexes the constant once
 (:func:`gridcalc.functions.match_index`) and looks each needle up
@@ -202,9 +203,10 @@ def compile_template(template: formula.Template):
     Builtins, their arity checks, operators and constants are bound here,
     and so is the coercer of each argument of a scalar builtin or operator;
     a constant in a typed position is coerced here, once, if it can be. A
-    scalar call with exactly one array source among its arguments compiles,
-    with the chain below it, to one element kernel (:func:`_kernel`), and a
-    SUMPRODUCT or an exact MATCH over constants to one reduction. A node
+    scalar call whose operands hold exactly one element kernel (``kernel``,
+    a ``{...}`` constant being one with no links) compiles, with the chain
+    below it, to one (:func:`_kernel`), and a SUMPRODUCT or an exact MATCH
+    over constants to one reduction. A node
     nested deeper than :data:`MAX_DEPTH` (the root being one level, each
     argument or operand one more) compiles to ``#VALUE!``, which it gives
     only if it is evaluated: ``IF(TRUE,1,<deep>)`` is 1. A special
@@ -214,8 +216,7 @@ def compile_template(template: formula.Template):
     """
     positions = {id(node): i for i, node in enumerate(template.nodes)}
     argument_lists: dict = {}  # (id of a call, its depth) -> its compiled arguments
-    sources: dict = {}  # (id of a scalar call, its depth) -> where its one array source is
-    reductions: dict = {}  # (id of a value call, its depth) -> its specialised code, or None
+    kernels: dict = {}  # (id of a node, its depth) -> its element kernel, or None
 
     def value(node, depth: int):
         if depth > MAX_DEPTH:
@@ -230,8 +231,9 @@ def compile_template(template: formula.Template):
             return value(node.operand, depth + 1)
         link = _scalar_link(node)
         if link is not None:
-            if source(node, depth) is not None:
-                return _kernel(*kernel(node, depth))
+            found = kernel(node, depth)
+            if found is not None:
+                return _kernel(*found)
             spec, args = link
             codes, coercers = operands(spec, args, depth)
             return _lifted(spec.fn, tuple(coercers), codes)
@@ -270,86 +272,59 @@ def compile_template(template: formula.Template):
                 coercers[i] = None
         return codes, coercers
 
-    def source(node, depth: int):
-        """The position of the one array source among the operands of the
-        scalar call *node*, *depth* deep; None if it has none or several."""
-        key = (id(node), depth)
-        if key not in sources:
-            found = [i for i, a in enumerate(_scalar_link(node)[1]) if is_array_source(a, depth + 1)]
-            sources[key] = found[0] if len(found) == 1 else None
-        return sources[key]
-
-    def is_array_source(node, depth: int) -> bool:
-        """Whether *node*, *depth* deep, is a ``{...}`` constant or a scalar
-        call with one array source: one whose value an element kernel makes."""
+    def kernel(node, depth: int):
+        """The element kernel whose value *node*, *depth* deep, is: its
+        ``{...}`` constant and its links, innermost first, each link a
+        scalar call's ``(fn, coercers, held codes, position of its array
+        source)``; None if *node* has none. A ``{...}`` literal is a kernel
+        with no links, ``+x`` is *x*'s kernel, and a scalar call whose
+        operands hold exactly one kernel is that kernel and one more link.
+        The constant is coerced here, once, for the innermost link where
+        that succeeds."""
         if depth > MAX_DEPTH:
-            return False
-        if isinstance(node, formula.Literal):
-            return type(node.value) is Array
-        if isinstance(node, formula.Unary) and node.op == "+":
-            return is_array_source(node.operand, depth + 1)
-        return _scalar_link(node) is not None and source(node, depth) is not None
+            return None
+        key = (id(node), depth)
+        if key in kernels:
+            return kernels[key]
+        found, link = None, _scalar_link(node)
+        if isinstance(node, formula.Literal) and type(node.value) is Array:
+            found = node.value, ()
+        elif isinstance(node, formula.Unary) and node.op == "+":
+            found = kernel(node.operand, depth + 1)
+        elif link is not None:
+            spec, args = link
+            inner = [i for i, a in enumerate(args) if kernel(a, depth + 1) is not None]
+            if len(inner) == 1:
+                (i,) = inner
+                constant, links = kernel(args[i], depth + 1)
+                codes, coercers = operands(spec, args, depth, i)
+                if not links and coercers[i] is not None:
+                    coerced = _coerced_array(constant, coercers[i])
+                    if coerced is not _NOT_CONSTANT:
+                        constant, coercers[i] = coerced, None
+                found = constant, (*links, (spec.fn, tuple(coercers), codes, i))
+        kernels[key] = found
+        return found
 
     def specialised(node, spec: functions.Builtin, depth: int):
         """The value call *node*, *depth* deep, compiled to a reduction over
         constants, or None if it is not one: SUMPRODUCT whose arguments are
-        array sources of one shape (:func:`_sum_of_products`), or an exact
+        all kernels of one shape (:func:`_sum_of_products`), or an exact
         MATCH in a one-row or one-column ``{...}`` constant, whose mode is a
         literal or omitted argument that gives 0 (:func:`_match`)."""
-        key = (id(node), depth)
-        if key not in reductions:
-            reductions[key] = None
-            args = node.args
-            if spec.fn is functions._fn_sumproduct:
-                if all(is_array_source(a, depth + 1) for a in args):
-                    shapes = {(c.n_rows, c.n_cols) for c in [constant_of(a, depth + 1) for a in args]}
-                    if len(shapes) == 1:
-                        ((_, n_cols),) = shapes
-                        reductions[key] = _sum_of_products([elements(a, depth + 1) for a in args], n_cols)
-            elif spec.fn is functions._fn_match and len(args) == 3 and depth < MAX_DEPTH:
-                lookup, mode = _literal(args[1]), _literal(args[2])
-                exact = mode is not _NOT_CONSTANT and to_integer(top_left(mode)) == 0
-                if exact and type(lookup) is Array and min(lookup.n_rows, lookup.n_cols) == 1:
-                    keys = lookup.rows[0] if lookup.n_rows == 1 else [row[0] for row in lookup.rows]
-                    needle = _NONE if args[0] is formula.OMITTED else value(args[0], depth + 1)
-                    reductions[key] = _match(needle, functions.match_index(keys))
-        return reductions[key]
-
-    def constant_of(node, depth: int) -> Array:
-        """The ``{...}`` constant at the bottom of the array source *node*."""
-        while not isinstance(node, formula.Literal):
-            if isinstance(node, formula.Unary) and node.op == "+":
-                node, depth = node.operand, depth + 1
-            else:
-                node, depth = _scalar_link(node)[1][source(node, depth)], depth + 1
-        return node.value
-
-    def elements(node, depth: int):
-        """The array source *node*'s code for a reduction: its flat element
-        list (:func:`_elements`), or the constant's elements."""
-        constant, links = kernel(node, depth)
-        return _elements(constant, links) if links else _constant(tuple(chain.from_iterable(constant.rows)))
-
-    def kernel(node, depth: int) -> tuple:
-        """The element kernel of the array source *node*, *depth* deep: its
-        ``{...}`` constant and its links, innermost first, each link a
-        scalar call's ``(fn, coercers, held codes, position of its source)``.
-        The constant is coerced here, once, for the innermost link where
-        that succeeds."""
-        while isinstance(node, formula.Unary) and node.op == "+":
-            node, depth = node.operand, depth + 1
-        if isinstance(node, formula.Literal):
-            return node.value, []
-        spec, args = _scalar_link(node)
-        k = source(node, depth)
-        constant, links = kernel(args[k], depth + 1)
-        codes, coercers = operands(spec, args, depth, k)
-        if not links and coercers[k] is not None:
-            coerced = _coerced_array(constant, coercers[k])
-            if coerced is not _NOT_CONSTANT:
-                constant, coercers[k] = coerced, None
-        links.append((spec.fn, tuple(coercers), codes, k))
-        return constant, links
+        args = node.args
+        if spec.fn is functions._fn_sumproduct:
+            found = [kernel(a, depth + 1) for a in args]
+            if None not in found and len({(c.n_rows, c.n_cols) for c, _ in found}) == 1:
+                return _sum_of_products(found)
+        elif spec.fn is functions._fn_match and len(args) == 3 and depth < MAX_DEPTH:
+            lookup, mode = _literal(args[1]), _literal(args[2])
+            exact = mode is not _NOT_CONSTANT and to_integer(top_left(mode)) == 0
+            if exact and type(lookup) is Array and min(lookup.n_rows, lookup.n_cols) == 1:
+                keys = lookup.rows[0] if lookup.n_rows == 1 else [row[0] for row in lookup.rows]
+                needle = _NONE if args[0] is formula.OMITTED else value(args[0], depth + 1)
+                return _match(needle, functions.match_index(keys))
+        return None
 
     def reference(node, depth: int):
         """The reference *node* denotes, read by a builtin *depth* deep."""
@@ -462,7 +437,7 @@ def _scalar_link(node):
     return None
 
 
-def _kernel(constant: Array, links: list):
+def _kernel(constant: Array, links: tuple):
     """An element kernel: its elements (:func:`_elements`) as one array of
     the constant's shape."""
     elements = _elements(constant, links)
@@ -475,15 +450,18 @@ def _kernel(constant: Array, links: list):
     return run
 
 
-def _elements(constant: Array, links: list):
+def _elements(constant: Array, links: tuple):
     """An element kernel's loop: each link's held arguments evaluated once,
     then each link, innermost first, applied to the elements the one below
     it gave (:func:`functions.lift_elements`); the result is a flat list, in
-    row order, of the constant's size. If a held argument is an array (a
-    range, a name, OFFSET or INDIRECT), the values already evaluated go to
+    row order, of the constant's size, and with no links the constant's own
+    elements. If a held argument is an array (a range, a name, OFFSET or
+    INDIRECT), the values already evaluated go to
     :func:`functions.array_lift` instead, link by link, as nested lifted
     calls would give them, and the result is the array that gives."""
     elements = list(chain.from_iterable(constant.rows))
+    if not links:
+        return _constant(elements)
 
     def run(ctx):
         helds = [[c(ctx) for c in codes] for _, _, codes, _ in links]
@@ -498,14 +476,16 @@ def _elements(constant: Array, links: list):
     return run
 
 
-def _sum_of_products(codes: list, n_cols: int):
-    """SUMPRODUCT over array sources of one shape, *n_cols* wide: each code
-    gives its source's flat element list, and
+def _sum_of_products(kernels: list):
+    """SUMPRODUCT over element kernels of one shape: each kernel gives its
+    flat element list (:func:`_elements`), and
     :func:`functions.sum_of_products` reduces them, with no array built and
     no shape checked. The guard: a kernel that lifted through
     :func:`functions.array_lift` gives an array, and then every value
     already read goes, as an array, to SUMPRODUCT's own builtin, which
     checks the shapes."""
+    codes = [_elements(constant, links) for constant, links in kernels]
+    n_cols = kernels[0][0].n_cols
 
     def run(ctx):
         columns = [c(ctx) for c in codes]
@@ -534,7 +514,7 @@ def _match(needle, index: dict):
     return run
 
 
-def _lifted_links(constant: Array, links: list, helds: list):
+def _lifted_links(constant: Array, links: tuple, helds: list):
     """The kernel's chain as nested lifted calls: each link's held values
     and the array the link below it gives, through :func:`functions.array_lift`."""
     v = constant
@@ -544,14 +524,46 @@ def _lifted_links(constant: Array, links: list, helds: list):
 
 
 def _lifted(fn, coercers: tuple, codes: list):
-    call = functions.lifted(fn, coercers)
+    """A scalar call, *fn* applied to its arguments' values as
+    :func:`functions.array_lift` applies it: with one or two arguments, a
+    call that meets no array and no raw error coerces them and runs *fn* in
+    line, as two in three scalar calls of a steady ``call-large`` recalc do;
+    every other call goes to ``array_lift``."""
     if len(codes) == 1:
-        (a,) = codes
-        return lambda ctx: call(a(ctx))
+        (a,), (ca,) = codes, coercers
+
+        def call1(ctx):
+            x = a(ctx)
+            t = type(x)
+            if t is Array or t is Error:
+                return functions.array_lift(fn, coercers, (x,))
+            if ca is not None:
+                x = ca(x)
+                if type(x) is Error:
+                    return x
+            return fn(x)
+
+        return call1
     if len(codes) == 2:
-        a, b = codes
-        return lambda ctx: call(a(ctx), b(ctx))
-    return lambda ctx: call(*[c(ctx) for c in codes])
+        (a, b), (ca, cb) = codes, coercers
+
+        def call2(ctx):
+            x, y = a(ctx), b(ctx)
+            tx, ty = type(x), type(y)
+            if tx is Array or tx is Error or ty is Array or ty is Error:
+                return functions.array_lift(fn, coercers, (x, y))
+            if ca is not None:
+                x = ca(x)
+                if type(x) is Error:
+                    return x
+            if cb is not None:
+                y = cb(y)
+                if type(y) is Error:
+                    return y
+            return fn(x, y)
+
+        return call2
+    return lambda ctx: functions.array_lift(fn, coercers, [c(ctx) for c in codes])
 
 
 def _strict(fn, codes: list):
@@ -606,7 +618,7 @@ class Engine:
     def __init__(self, workspace: Workspace) -> None:
         self.workspace = workspace
         self.graph = self.build_graph()
-        self.dirty: set[CellAddress] = set(self._formula_addresses())
+        self.dirty: set[CellAddress] = set(self.graph.precedents)
         # table id -> (dependents_plan, its edges in components, the edges of
         # the cells that read its body); with iterative calculation, input
         # cell -> its dependents if they hold a cycle

@@ -486,9 +486,6 @@ def _scan(ast: Node) -> tuple[list, list, bool]:
             spec = functions.REGISTRY.get(node.name.upper())
             if spec is not None and spec.volatile:
                 volatile = True
-            elif node.name.casefold() == "xadr":
-                if not (len(node.args) == 1 and isinstance(node.args[0], Ref)):
-                    volatile = True
             stack.extend([arg for arg in reversed(node.args) if arg is not OMITTED])
     return nodes, named, volatile
 
@@ -535,10 +532,11 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
 
     Defined names are resolved through *names* (case-insensitive keys);
     unresolvable ones are reported rather than raised, since the cell then
-    simply evaluates to ``#NAME?``. Formulas using INDIRECT or OFFSET, or
-    applying XADR to anything but a plain reference, are flagged volatile
-    because their true read set is unknowable before evaluation; which
-    builtins are volatile is read from the function registry.
+    simply evaluates to ``#NAME?``. Formulas using INDIRECT or OFFSET are
+    flagged volatile because their true read set is unknowable before
+    evaluation; which builtins are volatile is read from the function
+    registry (``Builtin.volatile``), and nothing else makes a formula
+    volatile: XADR of anything but a reference is ``#VALUE!``.
     """
     nodes, named, volatile = _scan(ast)
     return _dependency_info([node.target for node in nodes], named, volatile, names)

@@ -3,8 +3,7 @@
 Four calling conventions, recorded per function in the registry:
 
 * ``scalar``    -- a scalar implementation, lifted element-wise over array
-  arguments by :func:`array_lift`, through :func:`lifted` (as is every
-  operator).
+  arguments by :func:`array_lift` (as is every operator).
 * ``value``     -- receives fully evaluated arguments; a scalar error among
   them is the result.
 * ``special``   -- receives the evaluation context and its arguments
@@ -111,47 +110,6 @@ def array_lift(fn: Callable, coercers, args) -> object:
         if type(err) is not Error:
             return fn(*err)
     return err
-
-
-def lifted(fn: Callable, coercers: tuple) -> Callable:
-    """*fn* as a function of its argument values, applied as
-    :func:`array_lift` applies it. With one or two parameters, a call that
-    meets no array and no raw error coerces its arguments and runs *fn* in
-    line: two in three lifted calls of a steady ``call-large`` recalc, where
-    this cuts ``recalc_s`` by 7% (perfbench, 10 pairs)."""
-    if len(coercers) == 1:
-        (ca,) = coercers
-
-        def lifted1(a):
-            t = type(a)
-            if t is Array or t is Error:
-                return array_lift(fn, coercers, (a,))
-            if ca is not None:
-                a = ca(a)
-                if type(a) is Error:
-                    return a
-            return fn(a)
-
-        return lifted1
-    if len(coercers) == 2:
-        ca, cb = coercers
-
-        def lifted2(a, b):
-            ta, tb = type(a), type(b)
-            if ta is Array or ta is Error or tb is Array or tb is Error:
-                return array_lift(fn, coercers, (a, b))
-            if ca is not None:
-                a = ca(a)
-                if type(a) is Error:
-                    return a
-            if cb is not None:
-                b = cb(b)
-                if type(b) is Error:
-                    return b
-            return fn(a, b)
-
-        return lifted2
-    return lambda *args: array_lift(fn, coercers, args)
 
 
 def _lift(fn: Callable, coercers, args, types: list) -> Array:

@@ -333,9 +333,10 @@ def test_isbn_body_runs_its_chain_as_one_kernel(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# reductions over constants: SUMPRODUCT over array sources of one shape and
-# an exact MATCH in a one-row or one-column constant are compiled to one
-# reduction each; every other form takes the builtin's own path
+# reductions over constants: SUMPRODUCT over element kernels of one shape
+# (a constant being one with no links) and an exact MATCH in a one-row or
+# one-column constant are compiled to one reduction each; every other form
+# takes the builtin's own path
 # ---------------------------------------------------------------------------
 
 # beside _ARRAYS, shapes they share (3x1, 2x1, 2x2), numeric text and
@@ -348,9 +349,9 @@ _SUMPRODUCT_ARRAYS = _ARRAYS + [
 
 @st.composite
 def sumproducts(draw) -> str:
-    """SUMPRODUCT of one to three arguments: array constants, element
-    kernels over them (both array sources) and, for the builtin's own
-    path, scalars, cells, ranges and names."""
+    """SUMPRODUCT of one to three arguments: array constants and element
+    kernels over them (both kernels to the compiler) and, for the
+    builtin's own path, scalars, cells, ranges and names."""
     source = st.one_of(
         st.sampled_from(_SUMPRODUCT_ARRAYS),
         kernel_chains(_SUMPRODUCT_ARRAYS, 3),
@@ -493,3 +494,24 @@ def test_shipped_bodies_reduce_their_constants_without_the_builtins(books, input
     assert values == expected
     assert counts["_fn_sumproduct"] == counts["_fn_match"] == 0
     assert counts["sum_of_products"] > 0
+
+
+# each constant is indexed, and coerced for a kernel, once for each depth
+# its node compiles at: XADR reads its OFFSET argument both as a value and
+# as a reference, one level apart, so the MATCH inside compiles twice
+COMPILE_ONCE = [
+    ('MATCH(A1,{"a";"b"},0)', 1, 0),
+    ('IF(A1,MATCH(A1,{"a";"b"},0),1)', 1, 0),
+    ('XADR(OFFSET(A1,MATCH(B1,{"a";"b"},0),0))', 2, 0),
+    ('SUMPRODUCT(VALUE(MID(A2,{1;2;3},1)),{3;2;1})+MATCH(RIGHT(A2),{"0";"X"},0)', 1, 1),
+]
+
+
+@pytest.mark.parametrize("source, indexes, coercions", COMPILE_ONCE)
+def test_each_constant_is_indexed_and_coerced_once(source, indexes, coercions):
+    from gridcalc import engine, formula
+
+    template = formula.shared_formula(source, ANCHOR, workspace().templates).template
+    with calls_of(functions.match_index, engine._coerced_array) as counts:
+        engine.compile_template(template)
+    assert counts == {"match_index": indexes, "_coerced_array": coercions}

@@ -180,6 +180,16 @@ def test_value_change_propagates_through_volatile_cells():
     assert eng.get_value(at("D1")) == 30.0
 
 
+def test_xadr_of_a_non_reference_is_not_volatile():
+    eng = fresh()
+    cells = {"A1": "XADR(5)", "A2": "XADR(INDEX(C1:C2,1))", "A3": "XADR(1+1)"}
+    for cell, source in cells.items():
+        eng.set_formula(at(cell), source)
+    assert eng.full_recalc().cell_evaluations == 3
+    assert eng.full_recalc().cell_evaluations == 0  # only a volatile builtin makes a formula volatile
+    assert [eng.get_value(at(cell)) for cell in cells] == [Error.VALUE] * 3
+
+
 # ---------------------------------------------------------------------------
 # graph invariants
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gridcalc import isbn
+from gridcalc import engine, isbn
 from gridcalc.engine import Engine, evaluate
 from gridcalc.formula import parse_formula, shared_formula
-from gridcalc.functions import BINARY_FNS, REGISTRY, array_lift, lifted
+from gridcalc.functions import BINARY_FNS, NEGATE, REGISTRY, array_lift
 from gridcalc.model import (
     Array,
     CellAddress,
@@ -60,9 +60,15 @@ def col(*values) -> Array:
     return Array([[v] for v in values])
 
 
+def applied(spec, *args):
+    """Scalar builtin or operator *spec* applied to the values *args* as a
+    compiled formula applies it."""
+    return engine._lifted(spec.fn, spec.coercers[: len(args)], [engine._constant(a) for a in args])(None)
+
+
 def apply_binary(op: str, a, b):
     """Operator *op* applied as a compiled formula applies it."""
-    return lifted(BINARY_FNS[op].fn, BINARY_FNS[op].coercers)(a, b)
+    return applied(BINARY_FNS[op], a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +522,20 @@ def test_match_agrees_with_equality(a, b):
 def test_arithmetic_gives_a_finite_number_or_an_error(op, a, b):
     r = apply_binary(op, a, b)
     assert isinstance(r, Error) or (type(r) is float and math.isfinite(r)), r
+
+
+ERRORS = st.sampled_from([Error.VALUE, Error.NA, Error.DIV0, Error.NUM, Error.REF])
+
+
+@given(
+    st.sampled_from([*BINARY_FNS.values(), NEGATE, *(REGISTRY[n] for n in ("MID", "RIGHT", "LEN", "VALUE", "MOD"))]),
+    st.data(),
+)
+def test_compiled_scalar_call_agrees_with_array_lift(spec, data):
+    n = data.draw(st.integers(spec.min_args, spec.max_args))
+    args = [data.draw(SCALARS | ERRORS) for _ in range(n)]
+    got, expected = applied(spec, *args), array_lift(spec.fn, spec.coercers[:n], args)
+    assert type(got) is type(expected) and got == expected, (spec.name, args, got, expected)
 
 
 def test_unknown_function_and_name():
