@@ -17,48 +17,34 @@ a table is a recursive call: its cells and table bodies become ``#CYCLE!``.
 
 Formulas are compiled, not interpreted. Each formula shape
 (:class:`gridcalc.formula.Template`) is compiled once, on its first
-evaluation, to nested closures (:func:`compile_template`) that every
-formula of the shape runs over its own references (``Formula.refs``).
-Builtins, arity checks, operators and constants are bound then, and so is
-the depth limit: a node nested deeper than :data:`MAX_DEPTH` levels
-compiles to ``#VALUE!``, given only if it is evaluated. Special and
-reference builtins receive their arguments compiled, to evaluate as they
-need (:class:`gridcalc.functions.Arg`). A scalar builtin or operator
-compiles to one closure (:func:`_lifted`) that runs its function in line
-when no array and no raw error arrives, and otherwise lifts it over arrays
-(:func:`gridcalc.functions.array_lift`). Their parameter kinds
-(``Builtin.kinds``) are bound at compile time too, as one coercer per
-argument, and a literal or ``{...}`` constant in a typed position is
-coerced then, once, where that succeeds. A constant that fails to coerce
-is left to run time, where raw errors come first and then coercion errors,
-each in argument order, so that ``MID("ab","x",#N/A)`` stays ``#N/A``.
+evaluation (:func:`compile_template`), to the source of one Python
+function, one statement per node, each writing a temporary; a workspace
+keeps the code object of each source text (``Workspace.codes``). Every
+formula of the shape runs it over its own references (``Formula.refs``).
+Constants, builtins, coercers and name keys reach the function through its
+namespace, never as text. IF is an ``if`` statement: only the branch taken
+runs. Special and reference builtins receive each argument as two emitted
+functions, its value and its reference (:class:`gridcalc.functions.Arg`).
+A node nested deeper than :data:`MAX_DEPTH` gives ``#VALUE!``, only if it
+is evaluated, and so the limit bounds the emitted nesting too.
 
-One analysis finds the element kernels, once per ``(node, depth)`` and
-kept beside the argument lists: a kernel is a ``{...}`` constant and the
-links around it, innermost first. A ``{...}`` constant is a kernel with no
-links, ``+x`` is *x*'s kernel, and a scalar call whose operands hold
-exactly one kernel is that kernel plus one link, its other operands held.
-Such a call compiles to one element kernel (:func:`_kernel`). Each
-evaluation reads every link's held arguments once, then applies each link
-to the elements the one below it gave
-(:func:`gridcalc.functions.lift_elements`, the one-array rule that
-``array_lift`` uses too) and builds one array at the end. The run-time
-guard: a held argument that arrives as an array (a range, a defined name,
-OFFSET or INDIRECT) sends the values already read through ``array_lift``,
-link by link, as nested scalar calls would; no subtree is compiled twice
-and nothing is evaluated twice.
+A scalar builtin or operator runs in line when no array and no raw error
+arrives, else it lifts (:func:`gridcalc.functions.array_lift`). Its kinds
+(``Builtin.kinds``) give one coercer per argument; a constant in a typed
+position is coerced at compile time, once, where that succeeds. One that
+fails is left to run time, where raw errors come first, then coercion
+errors, each in argument order: ``MID("ab","x",#N/A)`` stays ``#N/A``.
 
-Two value builtins that reduce constants read the same analysis. A
-SUMPRODUCT whose arguments are all kernels of one shape (a kernel's is its
-constant's) compiles to one reduction (:func:`_sum_of_products`) over the
-kernels' flat element lists (:func:`_elements`, a constant's being its own
-elements): no array is built and no shape is checked. Its guard: a kernel
-that lifted through ``array_lift`` gives an array, and then the values
-already read go, as arrays, to the builtin itself, which checks the
-shapes. An exact MATCH in a one-row or one-column ``{...}`` constant (its
-mode a literal or omitted argument that gives 0) indexes the constant once
-(:func:`gridcalc.functions.match_index`) and looks each needle up
-(:func:`_match`). Every other SUMPRODUCT or MATCH runs the builtin.
+One analysis finds the element kernels, once per ``(node, depth)``: a
+``{...}`` constant and the scalar calls around it, innermost first, each a
+link whose other operands are held. Each link is one comprehension over
+the elements the one below it gave. The guards: a held argument that
+arrives as an array (a range, a name, OFFSET or INDIRECT) sends the values
+already read through ``array_lift``, link by link, as nested calls would;
+one that is or gives an error sends its link to the one-array rule
+(:func:`gridcalc.functions.lift_elements`). A SUMPRODUCT of kernels of one
+shape reduces their element lists, and an exact MATCH in a one-row or
+one-column constant looks the needle up in an index built at compile time.
 
 Volatility has one source: ``Builtin.volatile`` in the function registry,
 read once per formula shape, when its :class:`gridcalc.formula.Template`
@@ -67,11 +53,14 @@ scans its AST (``formula._scan``).
 
 from __future__ import annotations
 
+import builtins
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 from itertools import chain
+from types import CodeType, FunctionType
 from typing import Iterable
 
 from . import formula, functions, tables
@@ -85,6 +74,7 @@ from .model import (
     RangeRef,
     TableBody,
     Workspace,
+    to_boolean,
     to_integer,
     top_left,
     values_equal,
@@ -166,11 +156,11 @@ class EvalContext:
 
 
 def evaluate(workspace: Workspace, cell: CellAddress, f: Formula):
-    """The value of formula *f* in *cell*: its template's closure tree,
-    compiled on first use, run over *f*'s own references. An array result
-    is returned whole."""
+    """The value of formula *f* in *cell*: its template's function, compiled
+    on first use, run over *f*'s own references. An array result is
+    returned whole."""
     template = f.template
-    code = template.code or compile_template(template)
+    code = template.code or compile_template(template, workspace.codes)
     return code(EvalContext(workspace, cell, f.refs))
 
 
@@ -186,172 +176,330 @@ def ref_value(workspace: Workspace, target):
     if sheet is None:
         return Error.REF
     tl, br = target.top_left, target.bottom_right
-    return Array(
-        [
-            [sheet.value(r, c) for c in range(tl.column, br.column + 1)]
-            for r in range(tl.row, br.row + 1)
-        ]
-    )
+    columns = range(tl.column, br.column + 1)
+    return Array([[sheet.value(r, c) for c in columns] for r in range(tl.row, br.row + 1)])
 
 
-def compile_template(template: formula.Template):
-    """Compile *template*'s AST once to nested closures, each taking an
-    :class:`EvalContext`; the result is kept as ``template.code``.
+def compile_template(template: formula.Template, codes: dict | None = None):
+    """Compile *template*'s AST once to a Python function of an
+    :class:`EvalContext`, kept as ``template.code``: its source is emitted
+    (:class:`_Compiler`) and compiled, unless *codes* (source text -> code
+    object, a workspace's ``codes``) holds that text already. The root is
+    one level deep, each argument or operand one more, but an argument of
+    a special or reference builtin read as a reference costs no level."""
+    template.code = _Compiler(template, {} if codes is None else codes).function(template.ast, 1)
+    return template.code
 
-    A reference reads the evaluated formula's own target by its place in
-    ``template.nodes``; a defined name is resolved when it is read.
-    Builtins, their arity checks, operators and constants are bound here,
-    and so is the coercer of each argument of a scalar builtin or operator;
-    a constant in a typed position is coerced here, once, if it can be. A
-    scalar call whose operands hold exactly one element kernel (``kernel``,
-    a ``{...}`` constant being one with no links) compiles, with the chain
-    below it, to one (:func:`_kernel`), and a SUMPRODUCT or an exact MATCH
-    over constants to one reduction. A node
-    nested deeper than :data:`MAX_DEPTH` (the root being one level, each
-    argument or operand one more) compiles to ``#VALUE!``, which it gives
-    only if it is evaluated: ``IF(TRUE,1,<deep>)`` is 1. A special
-    or reference builtin receives each argument as a :class:`functions.Arg`;
-    an argument read as a reference costs no level, so the arguments of a
-    reference builtin read that way sit one level below their reader.
-    """
-    positions = {id(node): i for i, node in enumerate(template.nodes)}
-    argument_lists: dict = {}  # (id of a call, its depth) -> its compiled arguments
-    kernels: dict = {}  # (id of a node, its depth) -> its element kernel, or None
 
-    def value(node, depth: int):
+class _Unit:
+    """One emitted function's source lines and namespace, which names each
+    constant (``k0``, ...); each node's value is a temporary (``v1``, ...)."""
+
+    def __init__(self) -> None:
+        self.lines = ["def formula(ctx):"]
+        self.indent = 1
+        self.namespace = dict(_NAMESPACE)
+        self.temps = 0
+
+    def const(self, v) -> str:
+        name = f"k{len(self.namespace) - len(_NAMESPACE)}"
+        self.namespace[name] = v
+        return name
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"v{self.temps}"
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.indent + text)
+
+    def assign(self, expr: str, out: str | None = None) -> str:
+        """The temporary *out* (a new one by default), set to *expr*."""
+        out = out or self.temp()
+        self.line(f"{out} = {expr}")
+        return out
+
+    def choose(self, condition: str, expr: str, otherwise: str, out: str | None = None) -> str:
+        """A temporary set to *expr* if *condition* (none: never) holds, else to *otherwise*."""
+        return self.assign(f"{expr} if {condition} else {otherwise}" if condition else otherwise, out)
+
+
+def _any(test: str, exprs: list) -> str:
+    return " or ".join(test.format(e) for e in exprs)
+
+
+class _Compiler:
+    """One compilation of a template: its references' places, each call's
+    arguments and each node's element kernel, by ``(id of the node, its
+    depth)``, and the code objects to share."""
+
+    def __init__(self, template: formula.Template, codes: dict) -> None:
+        self.positions = {id(node): i for i, node in enumerate(template.nodes)}
+        self.codes = codes
+        self.argument_lists: dict = {}
+        self.kernels: dict = {}
+
+    def function(self, node, depth: int, reference: bool = False):
+        """The function of an :class:`EvalContext` that gives *node*'s value
+        *depth* deep, or with *reference* its reference; made from its code
+        object, so that no namespace holds it (and no cycle is made)."""
+        u = _Unit()
+        result = self.reference(u, node, depth) if reference else self.value(u, node, depth)
+        u.lines.append(f"    return {result}\n")
+        source = "\n".join(u.lines)
+        code = self.codes.get(source)
+        if code is None:  # the function's code is a constant of the module's
+            module = compile(source, "<formula>", "exec", dont_inherit=True)
+            code = self.codes[source] = next(c for c in module.co_consts if type(c) is CodeType)
+        return FunctionType(code, u.namespace)
+
+    def value(self, u: _Unit, node, depth: int) -> str:
+        """Emit *node*, *depth* deep, into *u*: the name of its value."""
+        if node is formula.OMITTED:
+            return u.const(None)
         if depth > MAX_DEPTH:
-            return _constant(Error.VALUE)
+            return u.const(Error.VALUE)
         if isinstance(node, formula.Literal):
-            return _constant(node.value)
+            return u.const(node.value)
         if isinstance(node, formula.Ref):
             if isinstance(node.target, str):
-                return _read(reference(node, depth))
-            return _ref_value(positions[id(node)])
+                return self.read(u, self.reference(u, node, depth))
+            return u.assign(f"engine.ref_value(ctx.workspace, ctx.refs[{self.positions[id(node)]}])")
         if isinstance(node, formula.Unary) and node.op == "+":
-            return value(node.operand, depth + 1)
+            return self.value(u, node.operand, depth + 1)
         link = _scalar_link(node)
         if link is not None:
-            found = kernel(node, depth)
+            found = self.kernel(node, depth)
             if found is not None:
-                return _kernel(*found)
-            spec, args = link
-            codes, coercers = operands(spec, args, depth)
-            return _lifted(spec.fn, tuple(coercers), codes)
+                return self.elements(u, *found, found[0].n_cols)
+            plans, coercers = self.operands(*link, depth)
+            return self.lifted(u, link[0].fn, coercers, [self.operand(u, plan) for plan in plans])
         if isinstance(node, formula.Call):
             spec = _builtin(node)
             if not isinstance(spec, functions.Builtin):
-                return _constant(spec)
+                return u.const(spec)
+            if spec.name == "IF":
+                return self.branch(u, node.args, depth)
             if spec.kind == "special":
-                return _special(spec.fn, arguments(node, depth))
+                return u.assign(f"{u.const(spec.fn)}(ctx, {u.const(self.arguments(node, depth))})")
             if spec.kind == "reference":
-                return _read(reference(node, depth))
-            code = specialised(node, spec, depth)
-            if code is not None:
-                return code
-            codes = [_NONE if a is formula.OMITTED else value(a, depth + 1) for a in node.args]
-            return _strict(spec.fn, codes)
+                return self.read(u, self.reference(u, node, depth))
+            return self.specialised(u, node, spec, depth) or self.strict(u, spec.fn, node.args, depth)
         raise TypeError(f"cannot compile {node!r}")
 
-    def operands(spec: functions.Builtin, args, depth: int, skip=None) -> tuple:
-        """The compiled arguments of scalar *spec* but the one at *skip*,
-        and the coercer of each argument: a constant is coerced here, once,
-        where that succeeds, and its coercer dropped (a failing one must
-        still lose to a raw error in a later argument, so it is coerced when
-        it is read)."""
-        codes, coercers = [], list(spec.coercers[: len(args)])
-        for i, a in enumerate(args):
-            if i == skip:
-                continue
-            constant = _NOT_CONSTANT
-            if coercers[i] is not None and depth < MAX_DEPTH:
-                constant = _coerced_constant(a, coercers[i])
-            if constant is _NOT_CONSTANT:
-                codes.append(_NONE if a is formula.OMITTED else value(a, depth + 1))
-            else:
-                codes.append(_constant(constant))
-                coercers[i] = None
-        return codes, coercers
+    def reference(self, u: _Unit, node, depth: int) -> str:
+        """Emit the reference *node* denotes, read by a builtin *depth* deep:
+        an address or range, an error, or None if it denotes none."""
+        if isinstance(node, formula.Ref):
+            if isinstance(node.target, str):
+                key, missing = u.const(node.target.casefold()), u.const(_NO_NAME)
+                return u.assign(f"ctx.workspace.defined_names.get({key}, {missing})[1]")
+            return u.assign(f"ctx.refs[{self.positions[id(node)]}]")
+        if isinstance(node, formula.Call):
+            spec = _builtin(node)
+            if isinstance(spec, functions.Builtin) and spec.kind == "reference":
+                return u.assign(f"{u.const(spec.fn)}(ctx, {u.const(self.arguments(node, depth))})")
+        return u.const(None)
 
-    def kernel(node, depth: int):
-        """The element kernel whose value *node*, *depth* deep, is: its
-        ``{...}`` constant and its links, innermost first, each link a
-        scalar call's ``(fn, coercers, held codes, position of its array
-        source)``; None if *node* has none. A ``{...}`` literal is a kernel
-        with no links, ``+x`` is *x*'s kernel, and a scalar call whose
-        operands hold exactly one kernel is that kernel and one more link.
-        The constant is coerced here, once, for the innermost link where
-        that succeeds."""
+    def read(self, u: _Unit, ref: str) -> str:
+        return u.choose(f"type({ref}) is Error", ref, f"engine.ref_value(ctx.workspace, {ref})")
+
+    def arguments(self, node, depth: int) -> tuple:
+        """Call *node*'s arguments as :class:`functions.Arg`, each its value's
+        function and its reference's; kept, so that a chain of reference
+        calls compiles in polynomial time."""
+        key = (id(node), depth)
+        args = self.argument_lists.get(key)
+        if args is None:
+            args = self.argument_lists[key] = tuple(
+                a if a is formula.OMITTED else functions.Arg(self.function(a, depth + 1), self.function(a, depth, True))
+                for a in node.args
+            )
+        return args
+
+    def operands(self, spec: functions.Builtin, args, depth: int, skip=None) -> tuple:
+        """The arguments of scalar *spec*, *depth* deep, but the one at
+        *skip*, as ``(constant or _NOT_CONSTANT, node, depth)``, and each
+        one's coercer. A constant is coerced here, once, where that succeeds,
+        and its coercer dropped; a failing one must still lose to a raw
+        error in a later argument, so it is coerced when it is read."""
+        plans, coercers = [], list(spec.coercers[: len(args)])
+        for i, a in enumerate(args):
+            if i != skip:
+                constant = _NOT_CONSTANT
+                if coercers[i] is not None and depth < MAX_DEPTH:
+                    constant = _coerced_constant(a, coercers[i])
+                if constant is not _NOT_CONSTANT:
+                    coercers[i] = None
+                plans.append((constant, a, depth + 1))
+        return plans, tuple(coercers)
+
+    def operand(self, u: _Unit, plan: tuple) -> str:
+        constant, node, depth = plan
+        return self.value(u, node, depth) if constant is _NOT_CONSTANT else u.const(constant)
+
+    def lifted(self, u: _Unit, fn, coercers: tuple, args: list) -> str:
+        """A scalar call of *fn*: with no array and no raw error among
+        *args*, each coerced and, if none fails, *fn* run in line; else
+        :func:`functions.array_lift`, which orders the errors."""
+        f = u.const(fn)
+        lift = f"functions.array_lift({f}, {u.const(coercers)}, ({', '.join(args)},))"
+        known = [type(u.namespace[a]) for a in args if a in u.namespace]
+        if Array in known or Error in known:
+            return u.assign(lift)
+        tests, values = [f"type({a}) in lifts" for a in args if a not in u.namespace], []
+        for a, coerce in zip(args, coercers):
+            if coerce is not None:
+                c = u.temp()
+                tests.append(f"type({c} := {u.const(coerce)}({a})) is Error")
+                a = c
+            values.append(a)
+        return u.choose(" or ".join(tests), lift, f"{f}({', '.join(values)})")
+
+    def strict(self, u: _Unit, fn, args, depth: int) -> str:
+        """A value builtin's call: the first error among its arguments'
+        values, else *fn* applied to them."""
+        values, unknown = [self.value(u, a, depth + 1) for a in args], []
+        for v in values:
+            if v not in u.namespace:
+                unknown.append(v)
+            elif type(u.namespace[v]) is Error:
+                call = v
+                break
+        else:
+            call = f"{u.const(fn)}(ctx, [{', '.join(values)}])"
+        first = f"next(x for x in ({', '.join(unknown)},) if type(x) is Error)"
+        return u.choose(_any("type({}) is Error", unknown), first, call)
+
+    def branch(self, u: _Unit, args, depth: int) -> str:
+        """IF in line: its condition, then only the branch taken."""
+        c = self.value(u, args[0], depth + 1)
+        test = u.assign(f"{c} if type({c}) is bool else to_boolean(top_left({c}))")
+        out = u.temp()
+        u.line(f"if type({test}) is Error:")
+        u.line(f"    {out} = {test}")
+        for header, i in ((f"elif {test}:", 1), ("else:", 2)):
+            u.line(header)
+            u.indent += 1
+            if i == len(args):
+                v = u.const(False)
+            else:
+                v = u.const(0.0) if args[i] is formula.OMITTED else self.value(u, args[i], depth + 1)
+            u.line(f"{out} = {v}")
+            u.indent -= 1
+        return out
+
+    def kernel(self, node, depth: int):
+        """The element kernel *node*, *depth* deep, is, or None: its
+        ``{...}`` constant and its links, innermost first, each a scalar
+        call's ``(fn, coercers, operands, position of its array source)``.
+        A ``{...}`` literal is a kernel with no links, ``+x`` is *x*'s, and
+        a scalar call whose operands hold exactly one kernel is that kernel
+        and one more link. The constant is coerced here, once, for the
+        innermost link where that succeeds."""
         if depth > MAX_DEPTH:
             return None
         key = (id(node), depth)
-        if key in kernels:
-            return kernels[key]
+        if key in self.kernels:
+            return self.kernels[key]
         found, link = None, _scalar_link(node)
         if isinstance(node, formula.Literal) and type(node.value) is Array:
             found = node.value, ()
         elif isinstance(node, formula.Unary) and node.op == "+":
-            found = kernel(node.operand, depth + 1)
+            found = self.kernel(node.operand, depth + 1)
         elif link is not None:
             spec, args = link
-            inner = [i for i, a in enumerate(args) if kernel(a, depth + 1) is not None]
+            inner = [i for i, a in enumerate(args) if self.kernel(a, depth + 1) is not None]
             if len(inner) == 1:
                 (i,) = inner
-                constant, links = kernel(args[i], depth + 1)
-                codes, coercers = operands(spec, args, depth, i)
+                constant, links = self.kernel(args[i], depth + 1)
+                plans, coercers = self.operands(spec, args, depth, i)
                 if not links and coercers[i] is not None:
                     coerced = _coerced_array(constant, coercers[i])
                     if coerced is not _NOT_CONSTANT:
-                        constant, coercers[i] = coerced, None
-                found = constant, (*links, (spec.fn, tuple(coercers), codes, i))
-        kernels[key] = found
+                        constant, coercers = coerced, (*coercers[:i], None, *coercers[i + 1 :])
+                found = constant, (*links, (spec.fn, coercers, plans, i))
+        self.kernels[key] = found
         return found
 
-    def specialised(node, spec: functions.Builtin, depth: int):
-        """The value call *node*, *depth* deep, compiled to a reduction over
-        constants, or None if it is not one: SUMPRODUCT whose arguments are
-        all kernels of one shape (:func:`_sum_of_products`), or an exact
-        MATCH in a one-row or one-column ``{...}`` constant, whose mode is a
-        literal or omitted argument that gives 0 (:func:`_match`)."""
+    def elements(self, u: _Unit, constant: Array, links: tuple, n_cols: int | None = None) -> str:
+        """Emit an element kernel: each link's held arguments, read once,
+        then each link (:meth:`link`), for a flat list in row order, or with
+        *n_cols* the array it makes; but if a held argument is an array,
+        the array :func:`_lifted_links` makes of the values read."""
+        flat = tuple(chain.from_iterable(constant.rows))
+        out = u.const(flat)
+        if not links:
+            return out
+        helds = [[self.operand(u, plan) for plan in plans] for _, _, plans, _ in links]
+        arrays = [h for held in helds for h in held if h not in u.namespace]
+        result = u.temp()
+        if arrays:
+            read = ", ".join(f"[{', '.join(held)}]" for held in helds)
+            u.line(f"if {_any('type({}) is Array', arrays)}:")
+            u.line(f"    {result} = lifted_links({u.const(constant)}, {u.const(links)}, [{read}])")
+            u.line("else:")
+            u.indent += 1
+        clean = Error not in map(type, flat)  # no error element to pass by
+        for i, ((fn, coercers, _, k), held) in enumerate(zip(links, helds)):
+            last = i == len(links) - 1 and n_cols is None
+            out = self.link(u, fn, coercers, held, k, out, clean and coercers[k] is None, result if last else None)
+            clean = False
+        if n_cols is not None:
+            u.line(f"{result} = shaped({out}, {n_cols})")
+        u.indent -= bool(arrays)
+        return result
+
+    def link(self, u: _Unit, fn, coercers: tuple, held: list, k: int, elements: str, clean: bool, out=None) -> str:
+        """One link of a kernel, into *out*: *fn* over *elements*, at *k*, a
+        raw error element (unless *clean*) staying itself, and *held*
+        coerced once; if one is or gives an error, the one-array rule
+        (:func:`functions.lift_elements`)."""
+        f = u.const(fn)
+        slow = f"lift_elements({f}, {u.const(coercers)}, [{', '.join(held)}], {k}, {elements})"
+        checks, args = [], []
+        for i, h in enumerate(held):
+            coerce = coercers[i + (i >= k)]
+            if coerce is not None:
+                h = u.assign(f"{u.const(coerce)}({h})")
+            elif h in u.namespace:
+                if type(u.namespace[h]) is Error:
+                    return u.assign(slow, out)
+                args.append(h)
+                continue
+            checks.append(h)
+            args.append(h)
+        call = f"{f}({', '.join([*args[:k], 'e', *args[k:]])})"
+        body = call if clean else f"e if type(e) is Error else {call}"
+        source = elements if coercers[k] is None else f"map({u.const(coercers[k])}, {elements})"
+        return u.choose(_any("type({}) is Error", checks), slow, f"[{body} for e in {source}]", out)
+
+    def specialised(self, u: _Unit, node, spec: functions.Builtin, depth: int):
+        """Emit value call *node* as a reduction over constants, or give
+        None. SUMPRODUCT of kernels of one shape: :func:`functions.sum_of_products`
+        of their element lists, unless one lifted to an array (then the
+        builtin checks the shapes). An exact MATCH in a one-row or
+        one-column constant: the needle's key looked up in its index."""
         args = node.args
         if spec.fn is functions._fn_sumproduct:
-            found = [kernel(a, depth + 1) for a in args]
+            found = [self.kernel(a, depth + 1) for a in args]
             if None not in found and len({(c.n_rows, c.n_cols) for c, _ in found}) == 1:
-                return _sum_of_products(found)
+                n_cols = found[0][0].n_cols
+                columns = [self.elements(u, *kernel) for kernel in found]
+                read = [c for c in columns if c not in u.namespace]
+                arrays = ", ".join(f"{c} if type({c}) is Array else shaped({c}, {n_cols})" for c in columns)
+                sumproduct = f"sumproduct(ctx, [{arrays}])"
+                return u.choose(_any("type({}) is Array", read), sumproduct, f"sum_of_products([{', '.join(columns)}])")
         elif spec.fn is functions._fn_match and len(args) == 3 and depth < MAX_DEPTH:
             lookup, mode = _literal(args[1]), _literal(args[2])
             exact = mode is not _NOT_CONSTANT and to_integer(top_left(mode)) == 0
             if exact and type(lookup) is Array and min(lookup.n_rows, lookup.n_cols) == 1:
                 keys = lookup.rows[0] if lookup.n_rows == 1 else [row[0] for row in lookup.rows]
-                needle = _NONE if args[0] is formula.OMITTED else value(args[0], depth + 1)
-                return _match(needle, functions.match_index(keys))
+                n = self.value(u, args[0], depth + 1)
+                index = u.const(functions.match_index(keys))
+                v = u.assign(f"{n}.rows[0][0] if type({n}) is Array else {n}")
+                return u.choose(f"type({v}) is Error", v, f"{index}.get(match_key({v}), {u.const(Error.NA)})")
         return None
-
-    def reference(node, depth: int):
-        """The reference *node* denotes, read by a builtin *depth* deep."""
-        if isinstance(node, formula.Ref):
-            target = node.target
-            if isinstance(target, str):
-                return _name_reference(target.casefold())
-            return _ref_target(positions[id(node)])
-        if isinstance(node, formula.Call):
-            spec = _builtin(node)
-            if isinstance(spec, functions.Builtin) and spec.kind == "reference":
-                return _special(spec.fn, arguments(node, depth))
-        return _NONE
-
-    def arguments(node, depth: int) -> tuple:
-        # kept, so that a chain of reference calls compiles in polynomial time
-        key = (id(node), depth)
-        args = argument_lists.get(key)
-        if args is None:
-            args = argument_lists[key] = tuple(
-                a if a is formula.OMITTED else functions.Arg(value(a, depth + 1), reference(a, depth))
-                for a in node.args
-            )
-        return args
-
-    template.code = value(template.ast, 1)
-    return template.code
 
 
 def _builtin(node):
@@ -365,30 +513,8 @@ def _builtin(node):
     return spec
 
 
-def _constant(v):
-    return lambda ctx: v
-
-
-_NONE = _constant(None)  # an omitted argument's value; what a non-reference denotes
-
-
-def _ref_value(i: int):
-    return lambda ctx: ref_value(ctx.workspace, ctx.refs[i])
-
-
-def _ref_target(i: int):
-    return lambda ctx: ctx.refs[i]
-
-
-def _name_reference(key: str):
-    def target(ctx):
-        entry = ctx.workspace.defined_names.get(key)
-        return Error.NAME if entry is None else entry[1]
-
-    return target
-
-
 _NOT_CONSTANT = object()
+_NO_NAME = (None, Error.NAME)  # what an undefined name's entry reads as
 
 
 def _literal(node):
@@ -437,83 +563,6 @@ def _scalar_link(node):
     return None
 
 
-def _kernel(constant: Array, links: tuple):
-    """An element kernel: its elements (:func:`_elements`) as one array of
-    the constant's shape."""
-    elements = _elements(constant, links)
-    n_cols = constant.n_cols
-
-    def run(ctx):
-        out = elements(ctx)
-        return out if type(out) is Array else functions.shaped(out, n_cols)
-
-    return run
-
-
-def _elements(constant: Array, links: tuple):
-    """An element kernel's loop: each link's held arguments evaluated once,
-    then each link, innermost first, applied to the elements the one below
-    it gave (:func:`functions.lift_elements`); the result is a flat list, in
-    row order, of the constant's size, and with no links the constant's own
-    elements. If a held argument is an array (a range, a name, OFFSET or
-    INDIRECT), the values already evaluated go to
-    :func:`functions.array_lift` instead, link by link, as nested lifted
-    calls would give them, and the result is the array that gives."""
-    elements = list(chain.from_iterable(constant.rows))
-    if not links:
-        return _constant(elements)
-
-    def run(ctx):
-        helds = [[c(ctx) for c in codes] for _, _, codes, _ in links]
-        for held in helds:
-            if Array in map(type, held):
-                return _lifted_links(constant, links, helds)
-        out = elements
-        for (fn, coercers, _, k), held in zip(links, helds):
-            out = functions.lift_elements(fn, coercers, held, k, out)
-        return out
-
-    return run
-
-
-def _sum_of_products(kernels: list):
-    """SUMPRODUCT over element kernels of one shape: each kernel gives its
-    flat element list (:func:`_elements`), and
-    :func:`functions.sum_of_products` reduces them, with no array built and
-    no shape checked. The guard: a kernel that lifted through
-    :func:`functions.array_lift` gives an array, and then every value
-    already read goes, as an array, to SUMPRODUCT's own builtin, which
-    checks the shapes."""
-    codes = [_elements(constant, links) for constant, links in kernels]
-    n_cols = kernels[0][0].n_cols
-
-    def run(ctx):
-        columns = [c(ctx) for c in codes]
-        if Array in map(type, columns):
-            arrays = [c if type(c) is Array else functions.shaped(c, n_cols) for c in columns]
-            return functions._fn_sumproduct(ctx, arrays)
-        return functions.sum_of_products(columns)
-
-    return run
-
-
-def _match(needle, index: dict):
-    """An exact MATCH in a constant: the needle's
-    :func:`functions.match_key` looked up in the constant's *index*
-    (:func:`functions.match_index`). An error needle is the result; a blank
-    one, like every needle the index lacks, is ``#N/A``."""
-
-    def run(ctx):
-        v = needle(ctx)
-        if type(v) is Array:
-            v = v.rows[0][0]
-        if type(v) is Error:
-            return v
-        return index.get(functions.match_key(v), Error.NA)
-
-    return run
-
-
 def _lifted_links(constant: Array, links: tuple, helds: list):
     """The kernel's chain as nested lifted calls: each link's held values
     and the array the link below it gives, through :func:`functions.array_lift`."""
@@ -523,72 +572,15 @@ def _lifted_links(constant: Array, links: tuple, helds: list):
     return v
 
 
-def _lifted(fn, coercers: tuple, codes: list):
-    """A scalar call, *fn* applied to its arguments' values as
-    :func:`functions.array_lift` applies it: with one or two arguments, a
-    call that meets no array and no raw error coerces them and runs *fn* in
-    line, as two in three scalar calls of a steady ``call-large`` recalc do;
-    every other call goes to ``array_lift``."""
-    if len(codes) == 1:
-        (a,), (ca,) = codes, coercers
-
-        def call1(ctx):
-            x = a(ctx)
-            t = type(x)
-            if t is Array or t is Error:
-                return functions.array_lift(fn, coercers, (x,))
-            if ca is not None:
-                x = ca(x)
-                if type(x) is Error:
-                    return x
-            return fn(x)
-
-        return call1
-    if len(codes) == 2:
-        (a, b), (ca, cb) = codes, coercers
-
-        def call2(ctx):
-            x, y = a(ctx), b(ctx)
-            tx, ty = type(x), type(y)
-            if tx is Array or tx is Error or ty is Array or ty is Error:
-                return functions.array_lift(fn, coercers, (x, y))
-            if ca is not None:
-                x = ca(x)
-                if type(x) is Error:
-                    return x
-            if cb is not None:
-                y = cb(y)
-                if type(y) is Error:
-                    return y
-            return fn(x, y)
-
-        return call2
-    return lambda ctx: functions.array_lift(fn, coercers, [c(ctx) for c in codes])
-
-
-def _strict(fn, codes: list):
-    def call(ctx):
-        args = [c(ctx) for c in codes]
-        for a in args:
-            if type(a) is Error:
-                return a
-        return fn(ctx, args)
-
-    return call
-
-
-def _special(fn, args: tuple):
-    return lambda ctx: fn(ctx, args)
-
-
-def _read(reference):
-    """The value at the reference *reference* gives, or the error it gives."""
-
-    def read(ctx):
-        ref = reference(ctx)
-        return ref if type(ref) is Error else ref_value(ctx.workspace, ref)
-
-    return read
+# What every emitted function reads besides its constants; ``lifts`` are the
+# types a scalar call lifts over. ``engine.ref_value`` and ``array_lift`` are
+# read through their modules at run time, so that a patched one is called.
+_NAMESPACE = dict(
+    __builtins__=builtins, engine=sys.modules[__name__], functions=functions, lifts=frozenset((Array, Error)),
+    Array=Array, Error=Error, top_left=top_left, to_boolean=to_boolean, shaped=functions.shaped,
+    lift_elements=functions.lift_elements, lifted_links=_lifted_links, sum_of_products=functions.sum_of_products,
+    sumproduct=functions._fn_sumproduct, match_key=functions.match_key,
+)
 
 
 def _checked_literal(addr: CellAddress, content: Literal) -> Literal:

@@ -590,8 +590,8 @@ class Template:
     ``nodes`` lists the Ref nodes that hold a cell or range, in source
     order, and ``refs`` their targets as written there: a formula of the
     shape holds its own targets in that order (``Formula.refs``), which is
-    how the shape's one compiled closure tree (``code``, made by
-    :mod:`gridcalc.engine` on first evaluation) reads the references of
+    how the shape's one compiled function (``code``, emitted and compiled
+    by :mod:`gridcalc.engine` on first evaluation) reads the references of
     every formula of the shape. ``names`` holds the defined names read and
     ``volatile`` whether the shape is volatile. ``ast`` is the shape's only
     tree: another cell's formula of the shape is derived from it on demand

@@ -8,9 +8,10 @@ Four calling conventions, recorded per function in the registry:
   them is the result.
 * ``special``   -- receives the evaluation context and its arguments
   compiled but not evaluated (:class:`Arg`): it evaluates the ones it needs
-  (IF and ISBLANK are lazy) or takes the reference one denotes (ROW, ROWS,
-  XADR). The engine compiles each formula shape once, so these are bound
-  once per shape, like every builtin and operator.
+  (ISBLANK is lazy) or takes the reference one denotes (ROW, ROWS, XADR).
+  The engine compiles each formula shape once, so these are bound once per
+  shape, like every builtin and operator. IF has no function: the engine
+  compiles it to an ``if`` statement, which evaluates only the branch taken.
 * ``reference`` -- like ``special``, but returns a reference (OFFSET,
   INDIRECT): the engine reads its value, or takes the reference itself where
   one is wanted.
@@ -32,10 +33,12 @@ then one held after it, then the first coercion error. That one-array rule
 is written once, in :func:`lift_elements`, which maps it over a list of
 elements: :func:`array_lift` applies it to an array argument, and the
 engine's element kernels apply it link by link to a chain of scalar calls
-around one ``{...}`` constant, with no array between the links; a kernel
-whose held argument arrives as an array lifts through :func:`array_lift`
-instead. Several arrays must share one shape, else the result is a
-``#VALUE!``-filled rectangle of the largest extent.
+around one ``{...}`` constant, with no array between the links. A kernel
+runs each link in line, as one comprehension, unless a held argument is
+or gives an error (then this rule runs) or arrives as an array (then the
+chain lifts through :func:`array_lift`). Several arrays must share one
+shape, else the result is a ``#VALUE!``-filled rectangle of the largest
+extent.
 
 Each rule about values is written once: ``BINARY_FNS`` maps every operator
 to its scalar function, ``_order_key`` orders values for comparisons,
@@ -150,14 +153,6 @@ def lift_elements(fn: Callable, coercers, held: list, k: int, elements: list) ->
     coerce = coercers[k]
     if coerce is not None:
         elements = [coerce(e) for e in elements]  # a raw error stays itself
-    # the body called without unpacking for VALUE(x) and MID(t,x,n), the
-    # shapes of the shipped check-digit chains, where unpacking took about
-    # a sixth of a chain's time
-    if not args:
-        return [e if type(e) is Error else fn(e) for e in elements]
-    if len(args) == 2 and k == 1:
-        a, b = args
-        return [e if type(e) is Error else fn(a, e, b) for e in elements]
     head, tail = args[:k], args[k:]
     return [e if type(e) is Error else fn(*head, e, *tail) for e in elements]
 
@@ -376,15 +371,21 @@ def _fn_match(ctx, args):
     if len(rows) == 1:
         elems = rows[0]
     elif len(rows[0]) == 1:
-        elems = [row[0] for row in rows]
+        elems = map(operator.itemgetter(0), rows)
     else:
         return Error.NA
     # a scan, not match_index: it stops at the first match, and builds
-    # nothing for a lookup it makes once
-    needle = match_key(needle)
-    if needle is not None:
-        for i, key in enumerate(map(match_key, elems), start=1):
-            if key == needle:
+    # nothing for a lookup it makes once. The needle's match_key is taken
+    # once; an element's is equal only if the element has the needle's type,
+    # and then it is its casefold (text) or itself, compared in line.
+    key, t = match_key(needle), type(needle)
+    if t is str:
+        for i, e in enumerate(elems, start=1):
+            if type(e) is str and e.casefold() == key:
+                return float(i)
+    elif key is not None:
+        for i, e in enumerate(elems, start=1):
+            if type(e) is t and e == needle:
                 return float(i)
     return Error.NA
 
@@ -491,24 +492,6 @@ class Arg:
     def __init__(self, value: Callable, reference: Callable) -> None:
         self.value = value
         self.reference = reference
-
-
-def _fn_if(ctx, args):
-    cond = None if args[0] is OMITTED else top_left(args[0].value(ctx))
-    if isinstance(cond, Error):
-        return cond
-    b = to_boolean(cond)
-    if isinstance(b, Error):
-        return b
-    if b:
-        branch = args[1]
-    else:
-        branch = args[2] if len(args) == 3 else None
-    if branch is None:
-        return False
-    if branch is OMITTED:
-        return 0.0
-    return branch.value(ctx)
 
 
 def _fn_isblank(ctx, args):
@@ -636,7 +619,7 @@ class Builtin:
     min_args: int
     max_args: int
     kind: str  # "scalar" | "value" | "special" | "reference"
-    fn: Callable
+    fn: Callable | None  # None for IF, which the engine compiles in line
     volatile: bool = False
     kinds: tuple = ()
 
@@ -674,7 +657,7 @@ NEGATE = Builtin("-", 1, 1, "scalar", operator.neg, kinds=("number",))
 REGISTRY: dict[str, Builtin] = {
     b.name: b
     for b in (
-        Builtin("IF", 2, 3, "special", _fn_if),
+        Builtin("IF", 2, 3, "special", None),  # an if statement in the emitted code (see engine)
         Builtin("MOD", 2, 2, "scalar", _arithmetic(_modulo), kinds=("number", "number")),
         Builtin("SUMPRODUCT", 1, 255, "value", _fn_sumproduct),
         Builtin("VALUE", 1, 1, "scalar", _fn_value, kinds=("any",)),

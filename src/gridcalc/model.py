@@ -676,6 +676,10 @@ class Workspace:
         self.table_index: dict[tuple, Any] = {}
         # formula templates by (sheet_key, shape), each kept while a formula uses it
         self.templates: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        # the code object of each function the templates compiled to, by its
+        # source text: shapes that differ only in references, names and
+        # constants share one (see gridcalc.engine.compile_template)
+        self.codes: dict = {}
         self.config = config if config is not None else CalcConfig()
 
     # -- workbooks / sheets -------------------------------------------------

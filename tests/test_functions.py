@@ -6,10 +6,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gridcalc import engine, isbn
+from gridcalc import isbn
 from gridcalc.engine import Engine, evaluate
 from gridcalc.formula import parse_formula, shared_formula
-from gridcalc.functions import BINARY_FNS, NEGATE, REGISTRY, array_lift
+from gridcalc.functions import BINARY_FNS, NEGATE, REGISTRY, array_lift, match_index, match_key
 from gridcalc.model import (
     Array,
     CellAddress,
@@ -62,8 +62,20 @@ def col(*values) -> Array:
 
 def applied(spec, *args):
     """Scalar builtin or operator *spec* applied to the values *args* as a
-    compiled formula applies it."""
-    return engine._lifted(spec.fn, spec.coercers[: len(args)], [engine._constant(a) for a in args])(None)
+    compiled formula applies it: each value is held in a cell (None leaves
+    it blank), so that it is coerced at run time, and the call reads them."""
+    ws = scratch()
+    cells = [f"{'ABC'[i]}1" for i in range(len(args))]
+    for i, v in enumerate(args):
+        if v is not None:
+            put(ws, addr(i + 1, 1), v)
+    if spec is NEGATE:
+        source = f"-{cells[0]}"
+    elif BINARY_FNS.get(spec.name) is spec:
+        source = f"{cells[0]}{spec.name}{cells[1]}"
+    else:
+        source = f"{spec.name}({','.join(cells)})"
+    return ev(source, ws)
 
 
 def apply_binary(op: str, a, b):
@@ -525,6 +537,18 @@ def test_arithmetic_gives_a_finite_number_or_an_error(op, a, b):
 
 
 ERRORS = st.sampled_from([Error.VALUE, Error.NA, Error.DIV0, Error.NUM, Error.REF])
+
+
+@given(st.lists(SCALARS | ERRORS, min_size=1, max_size=12), st.data())
+def test_runtime_match_scan_agrees_with_the_index(elements, data):
+    # the needle is often an element, its text in another case
+    needle = data.draw(st.sampled_from(elements) | SCALARS | ERRORS)
+    if type(needle) is str:
+        needle = data.draw(st.sampled_from([needle, needle.upper(), needle.lower(), needle.swapcase()]))
+    lookup = data.draw(st.sampled_from([Array([elements]), Array([[e] for e in elements])]))
+    expected = needle if type(needle) is Error else match_index(elements).get(match_key(needle), Error.NA)
+    got = REGISTRY["MATCH"].fn(None, [needle, lookup, 0.0])
+    assert type(got) is type(expected) and got == expected, (elements, needle, got, expected)
 
 
 @given(

@@ -46,8 +46,8 @@ def count_parses(monkeypatch) -> list:
 def outcome(make):
     """``("ok", ast, refs, dependencies)`` of what *make* returns, or the
     error it raises. For a plain parse, ``refs`` are the targets of its Ref
-    nodes in source order (``formula._scan``), the order in which compiled
-    closures read a formula's ``refs``; for a formula, its AST is derived
+    nodes in source order (``formula._scan``), the order in which a
+    compiled function reads a formula's ``refs``; for a formula, its AST is derived
     from its template and ``refs``."""
     try:
         made = make()
