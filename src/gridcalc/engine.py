@@ -23,8 +23,8 @@ keeps the code object of each source text (``Workspace.codes``). Every
 formula of the shape runs it over its own references (``Formula.refs``).
 Constants, builtins, coercers and name keys reach the function through its
 namespace, never as text. IF is an ``if`` statement: only the branch taken
-runs. Special and reference builtins receive each argument as two emitted
-functions, its value and its reference (:class:`gridcalc.functions.Arg`).
+runs. Special and reference builtins get each argument as emitted functions,
+its value and, if read, its reference (:class:`gridcalc.functions.Arg`).
 A node nested deeper than :data:`MAX_DEPTH` gives ``#VALUE!``, only if it
 is evaluated, and so the limit bounds the emitted nesting too.
 
@@ -281,7 +281,7 @@ class _Compiler:
             if spec.name == "IF":
                 return self.branch(u, node.args, depth)
             if spec.kind == "special":
-                return u.assign(f"{u.const(spec.fn)}(ctx, {u.const(self.arguments(node, depth))})")
+                return u.assign(f"{u.const(spec.fn)}(ctx, {u.const(self.arguments(node, spec, depth))})")
             if spec.kind == "reference":
                 return self.read(u, self.reference(u, node, depth))
             return self.specialised(u, node, spec, depth) or self.strict(u, spec.fn, node.args, depth)
@@ -298,21 +298,21 @@ class _Compiler:
         if isinstance(node, formula.Call):
             spec = _builtin(node)
             if isinstance(spec, functions.Builtin) and spec.kind == "reference":
-                return u.assign(f"{u.const(spec.fn)}(ctx, {u.const(self.arguments(node, depth))})")
+                return u.assign(f"{u.const(spec.fn)}(ctx, {u.const(self.arguments(node, spec, depth))})")
         return u.const(None)
 
     def read(self, u: _Unit, ref: str) -> str:
         return u.choose(f"type({ref}) is Error", ref, f"engine.ref_value(ctx.workspace, {ref})")
 
-    def arguments(self, node, depth: int) -> tuple:
-        """Call *node*'s arguments as :class:`functions.Arg`, each its value's
-        function and its reference's; kept, so that a chain of reference
-        calls compiles in polynomial time."""
+    def arguments(self, node, spec: functions.Builtin, depth: int) -> tuple:
+        """Call *node*'s arguments as :class:`functions.Arg` of *spec*; kept,
+        so that a chain of reference calls compiles in polynomial time."""
         key = (id(node), depth)
         args = self.argument_lists.get(key)
         if args is None:
+            function, reads = self.function, spec.reads_reference
             args = self.argument_lists[key] = tuple(
-                a if a is formula.OMITTED else functions.Arg(self.function(a, depth + 1), self.function(a, depth, True))
+                a if a is formula.OMITTED else functions.Arg(function(a, depth + 1), reads and function(a, depth, True))
                 for a in node.args
             )
         return args
@@ -618,14 +618,6 @@ class Engine:
 
     # -- graph construction ---------------------------------------------------
 
-    def _formula_addresses(self):
-        for wb in self.workspace.workbooks():
-            for sheet in wb.sheets():
-                home = CellAddress(wb.name, sheet.name, 1, 1)
-                for (row, col), cell in sheet.cells.items():
-                    if isinstance(cell.content, Formula):
-                        yield home.moved(col, row)
-
     def _name_targets(self) -> dict:
         return {key: target for key, (_, target) in self.workspace.defined_names.items()}
 
@@ -649,12 +641,15 @@ class Engine:
         """
         g = DependencyGraph()
         names = self._name_targets()
-        for addr in self._formula_addresses():
-            cell = self.workspace.cell(addr)
-            if cell.content.template is None:  # set on the sheet by hand
-                cell.content = formula.Template(cell.content.ast, addr).at(addr, cell.content.source)
-            precedents, volatile = self._node_edges(cell.content, names)
-            g.set_node(addr, precedents, volatile)
+        for wb in self.workspace.workbooks():
+            for sheet in wb.sheets():
+                home = CellAddress(wb.name, sheet.name, 1, 1)
+                for (row, col), cell in sheet.cells.items():
+                    if isinstance(cell.content, Formula):
+                        addr = home.moved(col, row)
+                        if cell.content.template is None:  # set on the sheet by hand
+                            cell.content = formula.Template(cell.content.ast, addr).at(addr, cell.content.source)
+                        g.set_node(addr, *self._node_edges(cell.content, names))
         return g
 
     # -- editing ----------------------------------------------------------------

@@ -15,7 +15,10 @@ relative R1C1 form: ``A1+$B$1`` in C2 and ``A2+$B$1`` in C3 have one shape.
 A column of copied formulas has few shapes, so :func:`shared_formula`
 parses each shape once per sheet and gives every copy that template and its
 references moved to the copy's own cell (:class:`Template`), not a tree of
-its own; the engine compiles each template once, not each copy.
+its own; the engine compiles each template once, not each copy. A loaded
+formula is first checked against the template of the formula above it
+(:meth:`Template.copied`), and its text is scanned for its shape only when
+that check fails.
 """
 
 from __future__ import annotations
@@ -26,12 +29,14 @@ from dataclasses import dataclass
 from typing import Mapping, MutableMapping, Union
 
 from .model import (
+    MAX_ROWS,
     NUMBER_RE,
     Array,
     CellAddress,
     Error,
     ERROR_CODES,
     CELL_RE,
+    Content,
     Formula,
     Literal,
     RangeRef,
@@ -554,6 +559,7 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
 # a reference when cell_coordinates accepts it. No match is empty, so the
 # last one ends the source.
 _CELL_WORD = rf"{CELL_RE.pattern}(?![$A-Za-z0-9_.])"
+_ROW_RE = re.compile("[0-9]+")
 _SHAPE_RE = re.compile(
     r'(?!\Z)(?P<pre>(?:[^"$A-Za-z_0-9.#\[]+'
     rf"|{NUMBER_RE.pattern}|{TEXT_RE.pattern}|{_WORD}\s*!|(?!{_CELL_WORD}){_WORD}"
@@ -565,8 +571,9 @@ _SHAPE_RE = re.compile(
 def _shape(source: str, anchor: CellAddress, words: list) -> str:
     r"""*source* with each cell reference as ``\n<column>,<row>\n``: a
     relative part as its offset from *anchor*, an absolute one as ``$``
-    and its number. Appends ``(column, row, column moves, row moves)`` of
-    each reference to *words*, in source order."""
+    and its number. Appends ``(column, row, column moves, row moves, end)``
+    of each reference to *words*, in source order, ``end`` being where the
+    reference ends."""
     column0, row0 = anchor.column, anchor.row
 
     def mark(m: re.Match) -> str:
@@ -576,7 +583,7 @@ def _shape(source: str, anchor: CellAddress, words: list) -> str:
             return m[0]
         column, row = coords
         column_moves, row_moves = word[0] != "$", "$" not in word[1:]
-        words.append((column, row, column_moves, row_moves))
+        words.append((column, row, column_moves, row_moves, m.end()))
         c = column - column0 if column_moves else f"${column}"
         r = row - row0 if row_moves else f"${row}"
         return f"{m['pre']}\n{c},{r}\n"
@@ -597,38 +604,55 @@ class Template:
     tree: another cell's formula of the shape is derived from it on demand
     (:meth:`tree`), never kept.
 
-    With the corners of its references as written (``words``, from
-    :func:`_shape`), the template learns how to move its references
-    (:meth:`at`) when a second cell of the shape is met. ``slots`` then
-    lists the references that hold a relative part: each one's place in
-    ``refs``, the cell it is relative to (None for the formula's own sheet,
-    else an address on the named sheet) and its corners (column, row, and
-    whether each moves). Without ``words`` (a formula built by hand)
-    nothing moves.
+    With the corners of its references as written and the source they were
+    read in (``words``, from :func:`_shape`), the template learns how to
+    move its references (:meth:`at`) when a second cell of the shape is
+    met, or a copy is offered (:meth:`copied`). ``slots`` then lists the
+    references that hold a relative part: each one's place in ``refs``, the
+    cell it is relative to (None for the formula's own sheet, else an
+    address on the named sheet) and its corners (column, row, and whether
+    each moves). ``pieces`` is that source cut at the digits of each
+    reference's row: for each reference, the text before its row's digits
+    (from the end of the last row, so its column letters and ``$``
+    included), its row and whether that moves; then the text after the
+    last row. Without ``words`` (a formula built by hand) nothing moves,
+    and no copy is recognised.
     """
 
-    __slots__ = ("ast", "anchor", "words", "nodes", "refs", "names", "volatile", "slots", "code", "__weakref__")
+    __slots__ = (
+        "ast", "anchor", "words", "pieces", "nodes", "refs", "names", "volatile", "slots", "code", "__weakref__"
+    )
 
-    def __init__(self, ast: Node, anchor: CellAddress, words: list | None = None) -> None:
+    def __init__(self, ast: Node, anchor: CellAddress, words: list | None = None, source: str | None = None) -> None:
         self.ast = ast
         self.anchor = anchor
-        self.words = words
+        self.words = None if words is None else (words, source)
+        self.pieces = None
         self.nodes, self.names, self.volatile = _scan(ast)
         self.refs = tuple([node.target for node in self.nodes])
         self.slots = None if words is not None else []
         self.code = None
 
     def _learn(self) -> None:
-        """Find ``slots``, taking each reference's corners as written from
-        ``words`` in source order."""
+        """Find ``slots`` and ``pieces``, taking each reference's corners as
+        written, and where it ends, from ``words`` in source order."""
+        words, source = self.words
         self.slots = []
-        corners = iter(self.words)
+        corners = iter(words)
         for index, target in enumerate(self.refs):
-            written = [next(corners) for _ in range(2 if isinstance(target, RangeRef) else 1)]
+            written = [next(corners)[:4] for _ in range(2 if isinstance(target, RangeRef) else 1)]
             if any(c[2] or c[3] for c in written):
                 head = target.top_left if isinstance(target, RangeRef) else target
                 base = None if head.sheet_key == self.anchor.sheet_key else head
                 self.slots.append((index, base, written))
+        pieces, end = [], 0
+        for _, row, _, row_moves, stop in words:
+            start = stop
+            while source[start - 1].isdigit():  # a letter or "$" comes before the row
+                start -= 1
+            pieces.append((source[end:start], row, row_moves))
+            end = stop
+        self.pieces = tuple(pieces), source[end:]
         self.words = None
 
     def at(self, anchor: CellAddress, source: str) -> Formula:
@@ -650,6 +674,31 @@ class Template:
             ]
             refs[index] = corners[0] if len(corners) == 1 else RangeRef.normalized(*corners)
         return Formula(source, template=self, refs=tuple(refs))
+
+    def copied(self, anchor: CellAddress, source: str) -> Formula | None:
+        """The formula *source* in cell *anchor*, made by :meth:`at` with no
+        scan, if *anchor* is in this template's column and sheet and
+        *source* is ``pieces`` with each row that moves moved as many rows
+        as *anchor* lies from the template's anchor: such a source has this
+        template's shape. None if it is not, or if a moved row leaves the
+        grid."""
+        if self.slots is None:
+            self._learn()
+        if self.pieces is None or anchor.column != self.anchor.column or anchor.sheet_key != self.anchor.sheet_key:
+            return None
+        dr = anchor.row - self.anchor.row
+        pieces, tail = self.pieces
+        pos = 0
+        for text, row, moves in pieces:
+            if not source.startswith(text, pos):
+                return None
+            digits = _ROW_RE.match(source, pos + len(text))
+            if moves:
+                row += dr
+            if digits is None or int(digits[0]) != row or not 0 < row <= MAX_ROWS:
+                return None
+            pos = digits.end()
+        return self.at(anchor, source) if source[pos:] == tail else None
 
     def tree(self, refs: tuple) -> Node:
         """The AST of the formula of this shape that holds *refs*: made anew
@@ -676,17 +725,26 @@ def _replaced(node, moved: dict):
     return moved.get(id(node), node)
 
 
-def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping) -> Formula:
+def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping, above: Content = None) -> Formula:
     """The formula *source* (no leading ``=``) in cell *anchor*, parsed once
     per shape and sheet: *templates* maps ``(anchor.sheet_key, shape)`` to
     the :class:`Template` of every shape parsed so far. A source that does
-    not parse raises as :func:`parse_formula` does and is not kept."""
+    not parse raises as :func:`parse_formula` does and is not kept.
+
+    *above* is the content of the cell above *anchor*, if any. When it is a
+    formula whose template recognises *source* as its copy
+    (:meth:`Template.copied`), that template serves, and *source* is not
+    scanned for its shape."""
+    if type(above) is Formula and above.template is not None:
+        made = above.template.copied(anchor, source)
+        if made is not None:
+            return made
     words: list = []
     key = (anchor.sheet_key, _shape(source, anchor, words))
     # a shape marks references with "\n", which no source that parses holds
     template = None if "\n" in source else templates.get(key)
     if template is None:
-        template = templates[key] = Template(parse_formula(source, anchor), anchor, words)
+        template = templates[key] = Template(parse_formula(source, anchor), anchor, words, source)
     return template.at(anchor, source)
 
 

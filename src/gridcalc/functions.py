@@ -484,7 +484,9 @@ class Arg:
     denotes: an address or range, an error (an unresolved defined name, or
     what a reference builtin such as OFFSET gave), or None when it is not a
     reference expression (a cell or range, a defined name, or a call of a
-    reference builtin). An omitted argument is ``OMITTED`` instead.
+    reference builtin). ``reference`` is False for a builtin that never
+    reads it (``Builtin.reads_reference``). An omitted argument is
+    ``OMITTED`` instead.
     """
 
     __slots__ = ("value", "reference")
@@ -612,7 +614,9 @@ class Builtin:
     A ``scalar`` builtin declares the kind of each parameter in ``kinds``
     (``text``, ``integer``, ``number`` or ``any``, keys of
     :data:`gridcalc.model.COERCERS`); :func:`array_lift` coerces each
-    argument by it before ``fn`` runs.
+    argument by it before ``fn`` runs. A ``special`` or ``reference``
+    builtin whose ``fn`` reads an argument's reference (``Arg.reference``)
+    says so in ``reads_reference``.
     """
 
     name: str
@@ -622,6 +626,7 @@ class Builtin:
     fn: Callable | None  # None for IF, which the engine compiles in line
     volatile: bool = False
     kinds: tuple = ()
+    reads_reference: bool = False
 
     @property
     def coercers(self) -> tuple:
@@ -668,13 +673,13 @@ REGISTRY: dict[str, Builtin] = {
         Builtin("ISBLANK", 1, 1, "special", _fn_isblank),
         Builtin("INDEX", 2, 3, "value", _fn_index),
         Builtin("INDIRECT", 1, 2, "reference", indirect_ref, volatile=True),
-        Builtin("OFFSET", 3, 5, "reference", offset_ref, volatile=True),
+        Builtin("OFFSET", 3, 5, "reference", offset_ref, volatile=True, reads_reference=True),
         Builtin("ADDRESS", 2, 5, "value", _fn_address),
-        Builtin("ROW", 0, 1, "special", partial(_fn_position, "row")),
-        Builtin("COLUMN", 0, 1, "special", partial(_fn_position, "column")),
-        Builtin("ROWS", 1, 1, "special", partial(_fn_extent, "n_rows")),
-        Builtin("COLUMNS", 1, 1, "special", partial(_fn_extent, "n_cols")),
-        Builtin("XADR", 1, 1, "special", _fn_xadr),
+        Builtin("ROW", 0, 1, "special", partial(_fn_position, "row"), reads_reference=True),
+        Builtin("COLUMN", 0, 1, "special", partial(_fn_position, "column"), reads_reference=True),
+        Builtin("ROWS", 1, 1, "special", partial(_fn_extent, "n_rows"), reads_reference=True),
+        Builtin("COLUMNS", 1, 1, "special", partial(_fn_extent, "n_cols"), reads_reference=True),
+        Builtin("XADR", 1, 1, "special", _fn_xadr, reads_reference=True),
         Builtin("SUM", 1, 255, "value", _fn_sum),
     )
 }

@@ -229,8 +229,9 @@ def _apply_literal(sheet: Sheet, addr: CellAddress, path, line_no: int, op: str,
 def _apply_formula(ws: Workspace, sheet: Sheet, addr: CellAddress, path, line_no: int, source: str) -> None:
     if not source:
         raise LoadError(path, line_no, "empty formula")
+    above = sheet.cells.get((addr.row - 1, addr.column))
     try:
-        content = shared_formula(source, addr, ws.templates)
+        content = shared_formula(source, addr, ws.templates, above and above.content)
     except FormulaError as exc:
         raise LoadError(path, line_no, f"{addr.local_text()}: {exc}") from exc
     sheet.set_content(addr.row, addr.column, content)

@@ -6,10 +6,11 @@ no reference cycle behind."""
 from __future__ import annotations
 
 import gc
+import inspect
 
 import pytest
 
-from gridcalc import engine, formula
+from gridcalc import engine, formula, functions
 from gridcalc.engine import MAX_DEPTH, Engine
 from gridcalc.model import Array, CellAddress, Error, Literal, Workspace
 from conftest import engine_for, load_assets
@@ -102,6 +103,32 @@ def test_each_workspace_compiles_its_own_shapes(compiles):
     assert compiles[:count] == compiles[count:]
     one, two = first.workspace.codes, second.workspace.codes
     assert one.keys() == two.keys() and all(one[k] is not two[k] for k in one)
+
+
+# ---------------------------------------------------------------------------
+# an argument's reference is emitted only for a builtin that reads it
+# ---------------------------------------------------------------------------
+
+
+def test_isblank_compiles_no_function_for_its_arguments_reference(compiles):
+    ws = workspace()
+    made = formula.shared_formula('IF(ISBLANK(A2),"",B2)', AT, ws.templates)
+    assert engine.evaluate(ws, AT, made) is None  # A2 holds "zz", B2 is blank
+    # the formula's function and the one of A2's value; none gives A2's reference
+    assert len(compiles) == 2
+    assert not any("= ctx.refs[0]\n" in source for source in compiles)
+    row = formula.shared_formula("ROW(A2)", AT, ws.templates)
+    assert engine.evaluate(ws, AT, row) == 2.0
+    assert any("= ctx.refs[0]\n" in source for source in compiles[2:])
+
+
+@pytest.mark.parametrize("name", sorted(n for n, b in functions.REGISTRY.items() if b.kind in ("special", "reference")))
+def test_reads_reference_says_whether_the_builtin_reads_one(name):
+    spec = functions.REGISTRY[name]
+    if spec.fn is None:  # IF, compiled in line
+        return
+    body = inspect.getsource(getattr(spec.fn, "func", spec.fn))
+    assert spec.reads_reference == (".reference(ctx)" in body)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from gridcalc.formula import (
     shared_formula,
     static_dependencies,
 )
-from gridcalc.model import CellAddress, Formula, Literal, Workspace, column_to_letters, parse_address
+from gridcalc.model import CellAddress, Error, Formula, Literal, Workspace, column_to_letters, parse_address
 from conftest import LINE_ENDINGS
 
 SHEET = CellAddress("Book1", "Sheet1", 1, 1)
@@ -132,6 +132,26 @@ def test_cached_formula_equals_a_plain_parse_at_any_anchor(pieces, a, b, sep):
             made.append(shared_formula(source, anchor, templates))
     if sep and len(made) == 2:  # separated pieces cannot merge into one word
         assert made[0].template is made[1].template
+
+
+@settings(max_examples=400, deadline=None)
+@given(shapes(), st.none() | shapes(), _anchors, _anchors, st.booleans(), st.sampled_from(["", " "]))
+def test_formula_checked_against_the_formula_above_equals_a_plain_parse(pieces, other, a, b, same_column, sep):
+    # the formula at a, of this shape or of another, is offered as the one
+    # above b, in b's column or in another
+    if same_column:
+        b = b.moved(a.column, b.row)
+    templates = WeakValueDictionary()
+    try:
+        above = shared_formula(render(other or pieces, a, sep), a, templates)
+    except FormulaError:
+        above = None
+    source = render(pieces, b, sep)
+    want = outcome(lambda: parse_formula(source, b))
+    assert outcome(lambda: shared_formula(source, b, templates, above)) == want
+    if want[0] == "ok":
+        checked = shared_formula(source, b, templates, above)
+        assert checked.template is shared_formula(source, b, templates).template
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,6 +275,60 @@ def test_copies_down_a_column_share_one_parse(monkeypatch, tmp_path):
     sheet = ws.workbook("wb").sheet("Sheet1")
     b50 = sheet.cell(50, 2).content
     assert b50.ast == parse_formula(b50.source, CellAddress("wb", "Sheet1", 2, 50))
+
+
+def test_copies_down_a_column_are_checked_not_scanned(monkeypatch, tmp_path):
+    scans: list = []
+    plain = formula._shape
+    monkeypatch.setattr(formula, "_shape", lambda *args: scans.append(args[0]) or plain(*args))
+    ws = load_workspace([_copied_sheet(tmp_path / "wb.gwb", 50)])
+    # only the first formula of each column is scanned for its shape
+    assert scans == ["IF(LEN(A1)=1,$A$1&A1,{1;2})", "SUM(A$1:B1)"]
+    sheet = ws.workbook("wb").sheet("Sheet1")
+    c50 = sheet.cell(50, 3).content
+    assert c50.template is sheet.cell(1, 3).content.template
+    assert c50.ast == parse_formula(c50.source, CellAddress("wb", "Sheet1", 3, 50))
+
+
+@pytest.mark.parametrize(
+    "above, cell, source, shared",
+    [
+        (("B5", "A5*2"), "B6", "A6*3", False),  # a digit of a constant changes
+        (("B7", '"A7"&A7'), "B8", '"A7"&A8', True),
+        (("B7", '"A7"&A7'), "B8", '"A8"&A8', False),  # the text literal changes
+        (("B5", "$A$5+1"), "B6", "$A$5+1", True),
+        (("B5", "A$5+1"), "B6", "A$6+1", False),  # an absolute row changes
+        (("B5", "Sheet2!A5+[Book9]Q1!$A$5"), "B6", "Sheet2!A6+[Book9]Q1!$A$5", True),
+        (("B5", "Sheet2!A5"), "B6", "Sheet3!A6", False),
+        (("B5", "[Book9]Q1!A5"), "B6", "[Book9]Q2!A6", False),
+        (("B7", "A07*2"), "B8", "A08*2", True),
+        (("B7", "A07*2"), "B8", "A8*2", True),  # one shape, as rows compare as numbers
+        (("B9", "A9*2"), "B10", "A10*2", True),
+        (("B10", "A10*2"), "B9", "A9*2", True),
+        (("B5", "A5*2"), "C6", "A6*2", False),  # another column
+        (("B5", "$A5*2"), "C6", "$A6*2", True),  # found by the scan
+        (("B5", "A5*2"), "[Book1]Sheet2!B6", "A6*2", False),  # another sheet
+        (("B1048575", "A1048576"), "B1048576", "A1048577", False),  # leaves the grid
+    ],
+)
+def test_copy_checked_against_the_formula_above(above, cell, source, shared):
+    templates: dict = {}
+    first = shared_formula(above[1], at(above[0]), templates)
+    want = outcome(lambda: parse_formula(source, at(cell)))
+    assert outcome(lambda: shared_formula(source, at(cell), templates, first)) == want
+    made = shared_formula(source, at(cell), templates, first)
+    assert made.template is shared_formula(source, at(cell), templates).template
+    assert (made.template is first.template) == shared
+
+
+def test_copy_whose_row_leaves_the_grid_reads_a_name(tmp_path):
+    path = tmp_path / "wb.gwb"
+    path.write_text("sheet Sheet1\nB1048575 = A1048576\nB1048576 = A1048577\n", encoding="utf-8")
+    ws = load_workspace([path])
+    Engine(ws).full_recalc()
+    sheet = ws.workbook("wb").sheet("Sheet1")
+    assert sheet.value(1048575, 2) == 0.0
+    assert sheet.value(1048576, 2) is Error.NAME
 
 
 def _live_tree_nodes() -> int:
