@@ -6,11 +6,13 @@ poisoned with ``#CYCLE!`` or iterated to a bounded fixed point, and two
 consecutive recalculations of an unchanged workspace produce identical
 grids.
 
-A recalculation is one walk (:meth:`Engine.walk`) of one order, built for
-it by :meth:`Engine.components`: the dirty and volatile formula cells, with
+A recalculation is one walk (:meth:`Engine.walk`) of one order, made by
+:meth:`Engine.components`: the dirty and volatile formula cells, with
 ``table_recalc=auto`` every data table (see :mod:`gridcalc.tables`), and all
 they reach through dependents, condensed into strongly connected components
-and listed so that what a node reads comes first. Each cell or cycle of
+and listed so that what a node reads comes first. The order of the tables
+alone is kept with their plans and reused while the dirty and volatile cells
+lie inside it; any other order is built for its walk. Each cell or cycle of
 cells runs when a cell of it needs it, and every table runs, its passes
 running the table's plan (:meth:`Engine.dependents_plan`). A cycle through
 a table is a recursive call: its cells and table bodies become ``#CYCLE!``.
@@ -103,11 +105,10 @@ class DependencyGraph:
         self.dependents: dict[CellAddress, set] = {}
         self.volatile: set[CellAddress] = set()
 
-    def set_node(self, addr: CellAddress, precedents: Iterable[CellAddress], volatile: bool) -> None:
-        self.remove_node(addr)
-        pset = frozenset(precedents)
-        self.precedents[addr] = pset
-        for p in pset:
+    def add_node(self, addr: CellAddress, precedents: frozenset, volatile: bool) -> None:
+        """Add *addr*, which the graph does not hold, with its *precedents*."""
+        self.precedents[addr] = precedents
+        for p in precedents:
             self.dependents.setdefault(p, set()).add(addr)
         if volatile:
             self.volatile.add(addr)
@@ -612,8 +613,9 @@ class Engine:
         self.graph = self.build_graph()
         self.dirty: set[CellAddress] = set(self.graph.precedents)
         # table id -> (dependents_plan, its edges in components, the edges of
-        # the cells that read its body); with iterative calculation, input
-        # cell -> its dependents if they hold a cycle
+        # the cells that read its body, its call slots); with iterative
+        # calculation, input cell -> its dependents if they hold a cycle; the
+        # tables a walk is given, as a tuple -> their closure's order
         self._plans: dict = {}
 
     # -- graph construction ---------------------------------------------------
@@ -621,15 +623,16 @@ class Engine:
     def _name_targets(self) -> dict:
         return {key: target for key, (_, target) in self.workspace.defined_names.items()}
 
-    def _node_edges(self, content: Formula, names: dict) -> tuple[set, bool]:
-        info = formula.formula_dependencies(content, names)
-        precedents: set = set()
-        for ref in info.refs:
-            if isinstance(ref, RangeRef):
-                precedents.update(ref.cells())
-            else:
-                precedents.add(ref)
-        return precedents, info.volatile
+    def _node_edges(self, content: Formula, names: dict) -> tuple[frozenset, bool]:
+        """A formula's precedent cells, made once, and whether it is volatile."""
+        template = content.template
+        refs = content.refs
+        if template.names:
+            refs = [*refs, *[names[k] for k in map(str.casefold, template.names) if k in names]]
+        cells = [r for r in refs if type(r) is CellAddress]
+        if len(cells) < len(refs):
+            cells += [a for r in refs if type(r) is RangeRef for a in r.cells()]
+        return frozenset(cells), template.volatile
 
     def build_graph(self) -> DependencyGraph:
         """Construct the dependency graph from scratch.
@@ -649,7 +652,7 @@ class Engine:
                         addr = home.moved(col, row)
                         if cell.content.template is None:  # set on the sheet by hand
                             cell.content = formula.Template(cell.content.ast, addr).at(addr, cell.content.source)
-                        g.set_node(addr, *self._node_edges(cell.content, names))
+                        g.add_node(addr, *self._node_edges(cell.content, names))
         return g
 
     # -- editing ----------------------------------------------------------------
@@ -683,7 +686,7 @@ class Engine:
         self.graph.remove_node(addr)
         if isinstance(content, Formula):
             precedents, volatile = self._node_edges(content, self._name_targets())
-            self.graph.set_node(addr, precedents, volatile)
+            self.graph.add_node(addr, precedents, volatile)
         newly_dirty = {addr} | self.graph.dependents_closure({addr})
         self.dirty |= newly_dirty
         if was_formula or isinstance(content, Formula):
@@ -766,6 +769,8 @@ class Engine:
         body cell standing for its table; a table reads its result and
         argument cells and its plan's precedents outside the plan, never its
         input cell. What a node reads comes first (:meth:`_ordered_components`).
+        The edges' keys are the nodes. :meth:`walk` keeps the order of its
+        tables alone, so a steady recalc builds none.
         """
         g = self.graph
         nodes = set(seeds)
@@ -775,7 +780,7 @@ class Engine:
             node = stack.pop()
             if isinstance(node, tables.DataTableRegion):
                 self.dependents_plan(node)  # keeps the table's edges and its readers' with its plan
-                _, edges[node], reached = self._plans[node.table_id]
+                _, edges[node], reached, _ = self._plans[node.table_id]
                 edges.update(reached)
             else:
                 edges.setdefault(node, g.precedents[node])  # a reader's are set by its table
@@ -790,11 +795,25 @@ class Engine:
         """Walk the :meth:`components` of *needs* and the tables *calls* once,
         in order: run every table, and each cell or cycle of cells that holds
         a cell in *needs*; a value that changes puts its dependents in
-        *needs*."""
-        comps, edges = self.components([*needs, *calls], rng)
-        for comp in comps:
+        *needs*.
+
+        The order of *calls* and all they reach is kept with the plans, keyed
+        by *calls*, and reused while every cell in *needs* lies inside it: it
+        is then the very order *needs* and *calls* would give. Any other
+        order is built afresh and not kept, and so is every order *rng*
+        shuffles. An edit outside the calls' closure costs the order of what
+        it reaches, not of the first recalc's dirty cells."""
+        calls = tuple(calls)
+        order = self._plans.get(calls) if rng is None else None
+        if order is None or not all(a in order[2] for a in needs):  # the edges' keys are the nodes
+            comps, edges = self.components([*needs, *calls], rng)
+            order = comps, [self._is_cyclic(comp, edges) for comp in comps], edges
+            if rng is None and not needs:  # the order of the calls' own closure
+                self._plans[calls] = order
+        comps, cyclic, _ = order
+        for comp, is_cycle in zip(comps, cyclic):
             node = comp[0]
-            if self._is_cyclic(comp, edges):
+            if is_cycle:
                 if needs.isdisjoint(comp) and all(isinstance(a, CellAddress) for a in comp):
                     continue
                 changed = self._eval_cycle(comp, stats)
@@ -924,10 +943,18 @@ class Engine:
         self-referential counter observes each pass; that check is made
         once per input cell.
 
-        A plan, and the edges kept with it (see :meth:`components`), depend
-        only on graph edges and on which cells hold formulas: they are dropped
-        when a formula is entered or replaced and when a table is declared,
-        not on literal edits.
+        Kept with the plan are its call slots, which every call
+        (:func:`tables.evaluate_table`) reads instead of finding them again:
+        the cells of the table's sheet; the ``(row, column)`` keys of its
+        input, argument and result cells; its body's ``(address, Cell)``
+        pairs by argument (a locked body keeps its ``Cell`` objects); and the
+        plan's cells, or None if the plan holds a cycle.
+
+        A plan, and the edges and slots kept with it (see :meth:`components`),
+        depend only on graph edges, on which cells hold formulas and on the
+        tables: they are dropped, with the orders :meth:`walk` keeps, when a
+        formula is entered or replaced and when a table is declared, not on
+        literal edits.
         """
         kept = self._plans.get(table.table_id)
         if kept is not None:
@@ -971,7 +998,16 @@ class Engine:
         edges = {n for n in reads if n in g.precedents or isinstance(n, tables.DataTableRegion)}
         readers = {d for row in table.grid for a in row for d in g.dependents.get(a, ())}
         reader_edges = {d: {self._node(p) for p in g.precedents[d]} for d in readers}
-        self._plans[table.table_id] = (plan, edges, reader_edges)
+        cells = self.workspace.resolve_sheet(table.input_cell).cells
+        slots = (
+            cells,
+            table.input_cell.sort_key[2:],
+            [a.sort_key[2:] for a in table.arguments],
+            [a.sort_key[2:] for a in table.results],
+            [[(a, cells[a.sort_key[2:]]) for a in row] for row in table.grid],
+            None if any(head is None for head, _ in plan) else [c for _, c in plan],
+        )
+        self._plans[table.table_id] = (plan, edges, reader_edges, slots)
         return plan
 
     def _node(self, addr: CellAddress):

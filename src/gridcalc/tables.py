@@ -2,13 +2,13 @@
 
 A declared table region holds result formulas along one edge, candidate
 input values along the other, and a body of locked cells. Evaluating the
-table substitutes each candidate into the input cell, re-runs the table's
-function body (the cells between the input cell and the result formulas),
-collects the result formulas' values into the body row, and finally
-restores the input cell's original content and the function body's values
-as they were before the first pass. A call costs one run of the function
-body per candidate and none for the restore: the body's values are kept,
-not recomputed.
+table binds each candidate to the input cell, re-runs the table's function
+body (the cells between the input cell and the result formulas), collects
+the result formulas' values into the body row, and finally restores the
+input cell and the function body's values as they were before the first
+pass. A call costs one run of the function body per candidate and none for
+the restore: the body's values are kept, not recomputed. What a call reads
+and writes (its cells' keys, its body's cells) is found once per plan.
 
 Body cells of *every* table are frozen during any table's evaluation (they
 carry no formulas, so no recomputation can reach them). That one rule makes
@@ -21,8 +21,8 @@ body, directly or through other cells and tables, is a ``#CYCLE!``.
 from __future__ import annotations
 
 from .model import (
+    Cell,
     CellAddress,
-    Literal,
     RangeRef,
     TableBody,
     Workspace,
@@ -159,63 +159,55 @@ def declare_table(
     return table
 
 
-def _write_input(ws: Workspace, addr: CellAddress, value) -> None:
-    sheet = ws.resolve_sheet(addr)
-    if value is None:
-        sheet.set_content(addr.row, addr.column, None)
-    else:
-        sheet.set_content(addr.row, addr.column, Literal(value))
+_BLANK = Cell(None)  # what a cell the sheet does not hold reads as
 
 
 def evaluate_table(engine, table: DataTableRegion, stats) -> set:
     """Run the substitute/recompute/collect/restore cycle for one table.
 
-    For each candidate value, in order: write it into the input cell as a
-    literal, run the table's plan (:meth:`Engine.dependents_plan`: its
-    function body only, all table bodies frozen), and copy each result
-    formula's value into the matching body cell. Afterwards, on every exit
-    path including an exception, the input cell's original content and
-    cached value are restored, and so is each plan cell's value as it was
-    before the first pass, so nothing outside table bodies keeps any trace
-    of the passes. Those values are what a run of the plan would give: every
-    plan cell is up to date before its table starts (see
-    :meth:`Engine.components`). A plan that holds a cycle runs once more
-    instead: with iterative calculation on, a self-referential counter sees
-    the restore as it saw each pass. Returns the body cells whose value
-    changed.
+    For each candidate value, in order: bind it to the input cell, as the
+    cached value of one ``Cell`` kept for the call (the input's own, or one
+    put in the sheet until the call ends), run the table's plan
+    (:meth:`Engine.dependents_plan`: its function body only, all table
+    bodies frozen), and copy each result's value into the matching body
+    cell. Afterwards, on every exit path including an exception, the input
+    cell and each plan cell get back their values from before the first
+    pass, so nothing outside table bodies keeps any trace of the passes.
+    Those values are what a run of the plan would give: every plan cell is
+    up to date before its table starts (see :meth:`Engine.components`). A
+    plan that holds a cycle runs once more instead: with iterative
+    calculation on, a self-referential counter sees the restore as it saw
+    each pass. Returns the body cells whose value changed.
     """
-    ws = engine.workspace
     plan = engine.dependents_plan(table)
-    sheet = ws.resolve_sheet(table.input_cell)
-    key = (table.input_cell.row, table.input_cell.column)
-    saved_cell = sheet.cells.get(key)
-    saved = None if saved_cell is None else (saved_cell.content, saved_cell.cached)
-    values = [ws.value(a) for a in table.arguments]  # snapshot before any pass
-    # the plan's values before any pass, put back by the restore
-    kept = None if any(head is None for head, _ in plan) else [(c, c.cached) for _, c in plan]
+    cells, key, arguments, results, body, plan_cells = engine._plans[table.table_id][3]  # its call slots
+    values = [cells.get(k, _BLANK).cached for k in arguments]  # snapshot before any pass
+    kept = None if plan_cells is None else [c.cached for c in plan_cells]
+    bound = cells.get(key)
+    made = bound is None
+    if made:
+        bound = cells[key] = Cell(None)
+    saved = bound.cached
     changed: set = set()
     try:
-        for v, body_row in zip(values, table.grid):
-            _write_input(ws, table.input_cell, v)
+        for v, row in zip(values, body):
+            bound.cached = v
             engine.run_plan(plan, stats)
-            for faddr, addr in zip(table.results, body_row):
-                result = ws.value(faddr)
-                body = ws.cell(addr)
-                if not values_equal(body.cached, result):
+            for result_key, (addr, cell) in zip(results, row):
+                result = cells.get(result_key, _BLANK).cached
+                if not values_equal(cell.cached, result):
                     changed.add(addr)
-                body.cached = result
+                cell.cached = result
             stats.body_passes += 1
     finally:
-        # put the very same Cell back: plans hold references to cell objects
-        if saved_cell is None:
-            sheet.cells.pop(key, None)
+        if made:
+            del cells[key]
         else:
-            sheet.cells[key] = saved_cell
-            saved_cell.content, saved_cell.cached = saved
+            bound.cached = saved
         if kept is None:
             engine.run_plan(plan, stats)
         else:
-            for cell, cached in kept:
+            for cell, cached in zip(plan_cells, kept):
                 cell.cached = cached
         stats.table_restores += 1
     return changed

@@ -6,12 +6,14 @@ import pytest
 
 from gridcalc import dump_sheet, dump_workbook_source
 from gridcalc.engine import Engine, values_equal
+from gridcalc.formula import formula_dependencies
 from gridcalc.model import (
     Array,
     CalcConfig,
     CellAddress,
     Error,
     Literal,
+    RangeRef,
     Workspace,
 )
 from gridcalc.tables import TableIntegrityError
@@ -215,6 +217,24 @@ def test_graph_matches_rebuild_after_random_edits():
         except Exception:
             raise
         assert eng.graph == eng.build_graph()
+
+
+def test_graph_edges_are_the_cells_each_formula_depends_on():
+    # the graph reads refs and defined names itself; formula_dependencies
+    # says what they must come to
+    eng = fresh()
+    eng.workspace.define_name("Rate", at("E1"))
+    eng.workspace.define_name("Block", at("E2:F3"))
+    sources = {"A1": "Rate*B1+SUM(Block)+SUM($C$1:C2)+Missing", "A2": 'INDIRECT("A1")+Rate+Rate', "A3": "1"}
+    for cell, source in sources.items():
+        eng.set_formula(at(cell), source)
+    for cell in sources:
+        info = formula_dependencies(eng.workspace.cell(at(cell)).content, eng._name_targets())
+        cells = {a for r in info.refs for a in (r.cells() if isinstance(r, RangeRef) else (r,))}
+        assert eng.graph.precedents[at(cell)] == cells
+        assert (at(cell) in eng.graph.volatile) == info.volatile
+    assert len(eng.graph.precedents[at("A1")]) == 8
+    assert eng.graph == eng.build_graph()
 
 
 def test_build_graph_reads_the_defined_names_once(monkeypatch):

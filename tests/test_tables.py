@@ -287,6 +287,9 @@ def test_manual_mode_skips_tables_until_triggered():
     stats = eng.recalc_tables()  # the explicit trigger
     assert stats.body_passes == 10
     assert eng.get_value(batch_addr("B5")) == "invalid"
+    stats = eng.full_recalc()  # the trigger's walk order is not this walk's
+    assert stats.body_passes == 0
+    assert eng.get_value(batch_addr("B5")) == "invalid"
 
 
 def test_unrelated_edit_still_refreshes_tables_in_auto_mode():
@@ -636,6 +639,67 @@ def test_literal_edits_keep_plans_and_formula_edits_drop_them():
     assert eng.dependents_plan(table) is not plan
 
 
+def test_a_steady_recalc_reuses_the_order_of_its_tables(monkeypatch):
+    # the first recalc builds one order and keeps none; a recalc with nothing
+    # dirty keeps the tables' order, and later ones reuse it while what they
+    # need lies inside it; a formula edit drops it with the plans
+    eng = engine_for("isbn_basic.gwb")
+    built = []
+    components = Engine.components
+    monkeypatch.setattr(Engine, "components", lambda self, *a: built.append(1) or components(self, *a))
+
+    def orders(recalc=eng.full_recalc) -> int:
+        built.clear()
+        recalc()
+        return len(built)
+
+    assert [orders(), orders(), orders()] == [1, 1, 0]
+    eng.set_literal(CellAddress(BOOK, "Single", 1, 2), "0201038021")  # its readers lie outside
+    assert [orders(), orders()] == [1, 0]
+    eng.set_literal(batch_addr("A5"), "0201038013")  # an argument: nothing outside runs
+    assert [orders(), orders(eng.recalc_tables)] == [0, 0]
+    eng.set_formula(batch_addr("E1"), "1")
+    assert [orders(), orders(), orders()] == [1, 1, 0]
+    assert eng.get_value(batch_addr("B5")) == "valid"
+
+
+@pytest.mark.parametrize("input_kind", ["blank", "literal", "formula"])
+def test_a_call_binds_one_cell_and_leaves_the_input_cell_as_it_was(monkeypatch, input_kind):
+    eng = fresh()
+    if input_kind == "literal":
+        eng.set_literal(at("A2"), "abc")
+    elif input_kind == "formula":
+        eng.set_formula(at("A2"), '"ab"&"c"')
+    eng.set_formula(at("D2"), 'IF(ISBLANK(A2),"blank",LEN(A2))')
+    eng.set_formula(at("B4"), "D2")
+    eng.set_literal(at("A5"), "four")  # A6 left blank
+    eng.set_literal(at("A7"), 2.0)
+    eng.declare_table(rng_("A4:B7"), COLUMN_INPUT, at("A2"))
+    eng.full_recalc()
+    cells = eng.workspace.resolve_sheet(at("A2")).cells
+    before = cells.get((2, 1))
+    kept = None if before is None else (before.content, before.cached)
+    bound = []
+    run_plan = Engine.run_plan
+
+    def recording(self, plan, stats):
+        bound.append(cells[(2, 1)])
+        return run_plan(self, plan, stats)
+
+    monkeypatch.setattr(Engine, "run_plan", recording)
+    for _ in range(2):
+        bound.clear()
+        eng.full_recalc()
+        assert [eng.get_value(at(f"B{r}")) for r in (5, 6, 7)] == [4.0, "blank", 1.0]
+        assert len(bound) == 3 and all(c is bound[0] for c in bound)  # one Cell for every pass
+        if before is None:
+            assert (2, 1) not in cells
+        else:
+            assert bound[0] is before and cells[(2, 1)] is before
+            assert (before.content, before.cached) == kept
+    assert eng.get_value(at("D2")) == ("blank" if before is None else 3.0)
+
+
 def test_tables_sharing_an_input_check_its_dependents_for_a_cycle_once(monkeypatch):
     # with iterative calculation on, whether a cycle lies among the input
     # cell's dependents is found once for the 64 calls on A2, not per call
@@ -792,6 +856,43 @@ def test_unchanged_workbook_recalculates_to_the_same_grid(spec):
     assert_same_grid(first, whole_grid(manual))
     manual.recalc_tables()
     assert_same_grid(first, whole_grid(manual))
+
+
+@settings(max_examples=60, deadline=None)
+@given(call_workbooks(cross=True), st.data())
+def test_kept_plans_and_orders_follow_edits_between_recalcs(spec, data):
+    # after each edit that may stale what a call or a walk keeps (a formula
+    # in a function body, a new reader of a table body, that table's
+    # argument, a new table), the grid is that of a fresh engine over the
+    # same workspace, and stays so over a recalc with nothing dirty
+    _, body, tables = spec
+    table_recalc = data.draw(st.sampled_from(["auto", "manual"]))
+    eng = _build(spec, with_tables=True, table_recalc=table_recalc)
+
+    def recalc(engine: Engine) -> dict:
+        engine.full_recalc()
+        if table_recalc == "manual":
+            engine.recalc_tables()
+        return whole_grid(engine)
+
+    recalc(eng)
+    recalc(eng)
+    top = tables[0][0]
+    edits = [
+        lambda: eng.set_formula(at(data.draw(st.sampled_from(sorted(body)))), "A1+A2*2"),
+        lambda: eng.set_formula(at("E1"), f"B{top + 1}*2"),
+        lambda: eng.set_literal(at(f"A{top + 1}"), data.draw(st.integers(-5, 5).map(float))),
+        lambda: (
+            eng.set_formula(at("B40"), data.draw(st.sampled_from(sorted(body)))),
+            eng.set_literal(at("A41"), 4.0),
+            eng.declare_table(rng_("A40:B41"), COLUMN_INPUT, at("A1")),
+        ),
+    ]
+    for edit in edits:
+        edit()
+        got = recalc(eng)
+        assert_same_grid(got, recalc(Engine(eng.workspace)))
+        assert_same_grid(got, recalc(eng))
 
 
 @settings(max_examples=60, deadline=None)
