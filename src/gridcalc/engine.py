@@ -40,10 +40,13 @@ errors, each in argument order: ``MID("ab","x",#N/A)`` stays ``#N/A``.
 One analysis finds the element kernels, once per ``(node, depth)``: a
 ``{...}`` constant and the scalar calls around it, innermost first, each a
 link whose other operands are held. Each link is one comprehension over
-the elements the one below it gave. The guards: a held argument that
-arrives as an array (a range, a name, OFFSET or INDIRECT) sends the values
-already read through ``array_lift``, link by link, as nested calls would;
-one that is or gives an error sends its link to the one-array rule
+the elements the one below it gave: MID at the constant's positions, for
+a constant count, takes slices made once (``functions.mid_slices``), and a
+one-operand link such as VALUE looks a one-digit text up in a table of its
+ten values (``digit_table``). The guards: a held argument that arrives as
+an array (a range, a name, OFFSET or INDIRECT) sends the values already
+read through ``array_lift``, link by link, as nested calls would; one that
+is or gives an error sends its link to the one-array rule
 (:func:`gridcalc.functions.lift_elements`). A SUMPRODUCT of kernels of one
 shape reduces their element lists, and an exact MATCH in a one-row or
 one-column constant looks the needle up in an index built at compile time.
@@ -114,14 +117,12 @@ class DependencyGraph:
             self.volatile.add(addr)
 
     def remove_node(self, addr: CellAddress) -> None:
-        old = self.precedents.pop(addr, None)
-        if old:
-            for p in old:
-                deps = self.dependents.get(p)
-                if deps is not None:
-                    deps.discard(addr)
-                    if not deps:
-                        del self.dependents[p]
+        for p in self.precedents.pop(addr, ()):
+            deps = self.dependents.get(p)
+            if deps is not None:
+                deps.discard(addr)
+                if not deps:
+                    del self.dependents[p]
         self.volatile.discard(addr)
 
     def dependents_closure(self, seeds: Iterable[CellAddress]) -> set:
@@ -455,24 +456,27 @@ class _Compiler:
         """One link of a kernel, into *out*: *fn* over *elements*, at *k*, a
         raw error element (unless *clean*) staying itself, and *held*
         coerced once; if one is or gives an error, the one-array rule
-        (:func:`functions.lift_elements`)."""
-        f = u.const(fn)
+        (:func:`functions.lift_elements`); MID takes constant slices if it
+        can, and one operand over a link's values first reads its ``digit_table``."""
+        f, known = u.const(fn), u.namespace.get
         slow = f"lift_elements({f}, {u.const(coercers)}, [{', '.join(held)}], {k}, {elements})"
         checks, args = [], []
         for i, h in enumerate(held):
             coerce = coercers[i + (i >= k)]
             if coerce is not None:
                 h = u.assign(f"{u.const(coerce)}({h})")
-            elif h in u.namespace:
-                if type(u.namespace[h]) is Error:
-                    return u.assign(slow, out)
-                args.append(h)
-                continue
-            checks.append(h)
+            elif type(known(h)) is Error:
+                return u.assign(slow, out)
+            if h not in u.namespace:
+                checks.append(h)
             args.append(h)
         call = f"{f}({', '.join([*args[:k], 'e', *args[k:]])})"
         body = call if clean else f"e if type(e) is Error else {call}"
         source = elements if coercers[k] is None else f"map({u.const(coercers[k])}, {elements})"
+        if fn is functions._fn_mid and k == 1 and (slices := functions.mid_slices(known(elements), known(args[1]))):
+            body, source = f"{args[0]}[e]", u.const(slices)
+        elif not held and elements not in u.namespace and (table := functions.digit_table(fn, coercers[0])):
+            body = "{0}[e] if e in {0} else {1}".format(u.const(table), body)
         return u.choose(_any("type({}) is Error", checks), slow, f"[{body} for e in {source}]", out)
 
     def specialised(self, u: _Unit, node, spec: functions.Builtin, depth: int):
@@ -833,9 +837,7 @@ class Engine:
         v = evaluate(self.workspace, addr, cell.content)
         if isinstance(v, Array):
             v = top_left(v)
-        if v is None:
-            v = 0.0  # a formula never yields blank
-        cell.cached = v
+        cell.cached = 0.0 if v is None else v  # a formula never yields blank
         stats.cell_evaluations += 1
 
     def _eval_cycle(self, comp: list, stats: EvalStats) -> set:
@@ -862,11 +864,9 @@ class Engine:
                     self._eval_cell(addr, cell, stats)
                     new = cell.cached
                     if isinstance(old, float) and isinstance(new, float):
-                        delta = abs(new - old)
-                    else:
-                        delta = 0.0 if values_equal(old, new) else float("inf")
-                    if delta > worst:
-                        worst = delta
+                        worst = max(worst, abs(new - old))
+                    elif not values_equal(old, new):
+                        worst = math.inf
                 if worst <= cfg.max_change:
                     break
         return {a for a, c in cells if not values_equal(before[a], c.cached)}

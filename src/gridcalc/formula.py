@@ -42,6 +42,7 @@ from .model import (
     RangeRef,
     Reference,
     cell_coordinates,
+    grid_coordinates,
     to_text,
 )
 
@@ -556,7 +557,7 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
 # whole (no reference in "A7" or in 1E5), and a workbook name after "[" and
 # a sheet name before "!" are kept as they stand. Characters that start no
 # such token (operators, punctuation, space) are read in runs. The word is
-# a reference when cell_coordinates accepts it. No match is empty, so the
+# a reference when its cell is inside the grid. No match is empty, so the
 # last one ends the source.
 _CELL_WORD = rf"{CELL_RE.pattern}(?![$A-Za-z0-9_.])"
 _ROW_RE = re.compile("[0-9]+")
@@ -566,6 +567,7 @@ _SHAPE_RE = re.compile(
     rf"|\[\s*(?:{_WORD}|{NUMBER_RE.pattern})|{_ERROR})*)"
     rf"(?P<cell>{_CELL_WORD})?"
 )
+_LETTERS = _SHAPE_RE.groupindex["cell"] + 1  # CELL_RE's groups: column letters, then row digits
 
 
 def _shape(source: str, anchor: CellAddress, words: list) -> str:
@@ -578,7 +580,7 @@ def _shape(source: str, anchor: CellAddress, words: list) -> str:
 
     def mark(m: re.Match) -> str:
         word = m["cell"]
-        coords = None if word is None else cell_coordinates(word)
+        coords = None if word is None else grid_coordinates(m[_LETTERS], m[_LETTERS + 1])
         if coords is None:
             return m[0]
         column, row = coords

@@ -48,7 +48,10 @@ element lists, and :func:`match_key` is what an exact MATCH compares (text
 casefolded, other values only within their type, as ``=`` does), indexed
 by :func:`match_index`. The SUMPRODUCT and MATCH builtins apply these
 after their shape checks; the engine's reductions over constants apply
-them with no array built (see :mod:`gridcalc.engine`).
+them with no array built (see :mod:`gridcalc.engine`). For the engine's
+kernels, :func:`mid_slices` makes MID's slices at constant positions from
+the one slice rule ``_fn_mid`` applies, and :func:`digit_table` a
+one-operand function's values at the digit texts by calling it.
 """
 
 from __future__ import annotations
@@ -285,10 +288,40 @@ def _fn_value(v):
     return Error.VALUE  # blanks and booleans are not numeric text
 
 
-def _fn_mid(text: str, start: int, count: int):
+_DIGITS = tuple("0123456789")
+
+
+def digit_table(fn: Callable, coerce) -> dict | None:
+    """One-operand scalar *fn*'s value at each one-character digit text, by
+    that text, where *coerce*, its parameter's own coercer (None for
+    ``any``), keeps a digit text as it is; else None, as no element *fn*
+    receives could then be one."""
+    if coerce is not None and tuple(map(coerce, _DIGITS)) != _DIGITS:
+        return None
+    return {d: fn(d) for d in _DIGITS}
+
+
+def _mid_span(start: int, count: int):
+    """The slice of its text MID takes, or ``#VALUE!``."""
     if start < 1 or count < 0:
         return Error.VALUE
-    return text[start - 1 : start - 1 + count]
+    return slice(start - 1, start - 1 + count)
+
+
+def _fn_mid(text: str, start: int, count: int):
+    span = _mid_span(start, count)
+    return span if type(span) is Error else text[span]
+
+
+def mid_slices(starts, count) -> tuple | None:
+    """MID's slices at each of *starts*, a kernel's constant positions, for
+    a constant *count*: ``text[s]`` is ``_fn_mid(text, start, count)``.
+    None unless the count and every start are integers that MID takes
+    (not an element to be coerced at run time, or one MID gives an error)."""
+    if type(count) is not int or type(starts) is not tuple or {type(s) for s in starts} != {int}:
+        return None
+    spans = [_mid_span(s, count) for s in starts]
+    return None if Error in map(type, spans) else tuple(spans)
 
 
 def _fn_right(text: str, count=None):

@@ -42,8 +42,8 @@ from .model import (
     TableBody,
     Workbook,
     Workspace,
-    cell_coordinates,
     column_to_letters,
+    grid_coordinates,
     parse_address,
     to_number,
     to_text,
@@ -66,6 +66,7 @@ class LoadError(Exception):
 
 
 _CELL_DIRECTIVE_RE = re.compile(rf"^(?P<cell>{CELL_RE.pattern})\s*(?P<op>::|[:=])\s*(?P<rest>.*)$")
+_LETTERS = _CELL_DIRECTIVE_RE.groupindex["cell"] + 1  # CELL_RE's groups: column letters, then row digits
 _SHEET_RE = re.compile(r"^sheet\s+(\S+)\s*$")
 _NAME_RE = re.compile(r"^name\s+(\S+)\s*=\s*(\S+)\s*$")
 _TABLE_RE = re.compile(r"^table\s+(\S+)((?:\s+\w+=\S+)+)\s*$")
@@ -173,7 +174,7 @@ def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
         m = _CELL_DIRECTIVE_RE.match(line)
         if m is not None:
             # the directive's cell is local, so it lies on the current sheet
-            coords = cell_coordinates(m["cell"])
+            coords = grid_coordinates(m[_LETTERS], m[_LETTERS + 1])
             if coords is None:
                 raise LoadError(path, line_no, f"reference {m['cell']!r} is outside the grid")
             addr = home().moved(*coords)

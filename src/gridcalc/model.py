@@ -343,10 +343,14 @@ _ADDR_RE = re.compile(
 def cell_coordinates(text: str) -> tuple[int, int] | None:
     """``(column, row)`` of cell text such as ``$B$7`` inside the grid, else None."""
     m = CELL_RE.fullmatch(text)
-    if m is None:
-        return None
-    col = letters_to_column(m.group(1))
-    row = int(m.group(2))
+    return None if m is None else grid_coordinates(*m.groups())
+
+
+def grid_coordinates(letters: str, digits: str) -> tuple[int, int] | None:
+    """``(column, row)`` of the column *letters* and row *digits* of a
+    :data:`CELL_RE` match, if that cell is inside the grid, else None."""
+    col = letters_to_column(letters)
+    row = int(digits)
     if row < 1 or row > MAX_ROWS or col > MAX_COLUMNS:
         return None
     return col, row
@@ -426,7 +430,7 @@ def to_number(v: Scalar) -> Union[float, Error]:
     if t is float or t is Error:
         return v
     if t is str:
-        if v.isascii() and v.isdigit():  # plain digits: 6% of call-large recalc_s
+        if v.isascii() and v.isdigit():  # plain digits need no pattern match
             n = float(v)
         else:
             text = v.strip()

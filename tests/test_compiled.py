@@ -245,14 +245,22 @@ def test_typed_call_gives_the_pinned_value(source, expected):
 # names (a range arrives as an array at run time); an omitted argument too
 _HELD = st.one_of(st.sampled_from(_SCALARS), references(), st.sampled_from(["Span", "Rate"]))
 _KERNEL_OPERATORS = ["+", "-", "*", "/", "&", "=", "<", ">="]
+# MID's positions as a kernel's constant, which MID takes as slices where
+# every position is an integer >= 1 and its count a constant >= 0: starts
+# below 1, fractions, text and errors among them, counts that are not such
+# a constant, and a cell
+_POSITIONS = ["{1;2;3}", "{3;1}", "{0;1}", "{-1;2}", "{2.9;1}", '{1;"x"}', "{9;12}", "{1,2;3,4}", "{2;#N/A}"]
+_COUNTS = ["0", "1", "2", "1.9", "-1", '"x"', "#N/A", "", "C3", "E5"]
 
 
 @st.composite
 def kernel_chains(draw, arrays=_ARRAYS, links=4) -> str:
     """A chain of one to *links* scalar links around one ``{...}`` constant
-    drawn from *arrays*; each link holds its other arguments, drawn from
-    ``_HELD``."""
+    drawn from *arrays*, or around MID at constant positions with the count
+    held; each link holds its other arguments, drawn from ``_HELD``."""
     expr = draw(st.sampled_from(arrays))
+    if draw(st.integers(0, 2)) == 0:
+        expr = f"MID({draw(_HELD)},{draw(st.sampled_from(_POSITIONS))},{draw(st.sampled_from(_COUNTS))})"
     for _ in range(draw(st.integers(1, links))):
         if draw(st.integers(0, 5)) == 0:
             expr = f"+({expr})"  # no link of its own
@@ -301,6 +309,51 @@ def test_kernel_with_an_array_held_agrees_with_the_reference_interpreter(source)
     ws = workspace()
     for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
         assert same_value(compiled, reference), (compiled, reference)
+
+
+# MID at a kernel's constant positions, over a held cell or range, and
+# VALUE over what it takes: digit text, text shorter than the positions
+# reach, text VALUE reads no number from, a non-ASCII digit and an error
+_TEXTS = ["0306406152", "12", "X", " ", "", "+", ".", "\u0661", Error.NA]
+MID_SLICE_PINNED = [
+    f"MID({held},{positions},{count})"
+    for held in ("$Q$1", "$Q$1:$Q$2")
+    for positions in ("{1;2;3}", "{3;1}", "{0;1}", "{-1;2}", "{2.9;1}", '{1;"x"}', "{9;12}")
+    for count in ("0", "1", "2", "1.9", "$Q$10")
+]
+MID_SLICE_PINNED += [f"VALUE(MID($Q${row},{{1;2;3}},{n}))" for row in range(1, len(_TEXTS) + 1) for n in (1, 2)]
+MID_SLICE_PINNED += [
+    "SUMPRODUCT(VALUE(MID($Q$1,{1;2;3;4;5;6;7;8;9},1)),{10;9;8;7;6;5;4;3;2})",
+    "LEN(MID($Q$1,{2;4},2))",
+]
+
+
+def text_workspace() -> Workspace:
+    """:func:`workspace`, with ``_TEXTS`` in S!Q1:Q9 and a count, 2, in Q10."""
+    ws = workspace()
+    sheet = ws.resolve_sheet(HOME)
+    for row, text in enumerate([*_TEXTS, 2.0], 1):
+        sheet.set_content(row, 17, Literal(text))
+    return ws
+
+
+@pytest.mark.parametrize("source", MID_SLICE_PINNED)
+def test_mid_at_constant_positions_agrees_with_the_reference_interpreter(source):
+    ws = text_workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
+        assert same_value(compiled, reference), (source, compiled, reference)
+
+
+def test_mid_at_constant_positions_takes_the_characters_at_them():
+    ws = text_workspace()
+    for source, expected in [
+        ("MID($Q$1,{1;2;10},1)", [["0"], ["3"], ["2"]]),
+        ("MID($Q$1,{9;11},2)", [["52"], [""]]),
+        ("VALUE(MID($Q$1,{2;3},2))", [[30.0], [6.0]]),
+    ]:
+        for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
+            assert same_value(compiled, Array(expected)), (source, compiled)
+            assert same_value(reference, Array(expected)), (source, reference)
 
 
 def test_kernel_reads_a_held_range_once(monkeypatch):
@@ -468,24 +521,32 @@ def calls_of(*fns):
 
 
 # the check-digit bodies the workloads run: an ISBN-10 body, an ISBN-13 row
-# and lib's ISSN check, each given a valid input
+# and lib's ISSN check, each given a valid input; the calls of VALUE that
+# evaluating them once makes, compiled: none per character (the ISBN-13
+# row's one is its scalar VALUE(RIGHT(A2)))
 SHIPPED_BODIES = [
-    (("bench_body.gwb",), "[bench_body]Bench!A2", "0306406152", ["[bench_body]Bench!B2"], ["valid"]),
-    (("isbn_basic.gwb",), "[isbn_basic]Single!A2", "9780306406157", ["[isbn_basic]Single!C2"], ["valid"]),
-    (("lib.gwb",), "[lib]ISSNcheck!A2", "03785955", ["[lib]ISSNcheck!B2", "[lib]ISSNcheck!B3"], [160.0, 6.0]),
+    (("bench_body.gwb",), "[bench_body]Bench!A2", "0306406152", ["[bench_body]Bench!B2"], ["valid"], 0),
+    (("isbn_basic.gwb",), "[isbn_basic]Single!A2", "9780306406157", ["[isbn_basic]Single!C2"], ["valid"], 1),
+    (("lib.gwb",), "[lib]ISSNcheck!A2", "03785955", ["[lib]ISSNcheck!B2", "[lib]ISSNcheck!B3"], [160.0, 6.0], 0),
 ]
 
 
-@pytest.mark.parametrize("books, input_cell, text, cells, expected", SHIPPED_BODIES)
-def test_shipped_bodies_reduce_their_constants_without_the_builtins(books, input_cell, text, cells, expected):
+@pytest.mark.parametrize("books, input_cell, text, cells, expected, value_calls", SHIPPED_BODIES)
+def test_shipped_bodies_reduce_their_constants_without_the_builtins(
+    books, input_cell, text, cells, expected, value_calls
+):
     from gridcalc import engine
     from conftest import engine_for
 
     eng = engine_for(*books)
     context = CellAddress(books[0].removesuffix(".gwb"), "Sheet1", 1, 1)
     eng.set_formula(parse_address(input_cell, context), f'"{text}"')
-    with calls_of(functions._fn_sumproduct, functions._fn_match, functions.sum_of_products) as counts:
+    reductions = (functions._fn_sumproduct, functions._fn_match, functions.sum_of_products)
+    with calls_of(*reductions) as counts:
         eng.full_recalc()
+    assert counts["_fn_sumproduct"] == counts["_fn_match"] == 0
+    assert counts["sum_of_products"] > 0
+    with calls_of(*reductions, functions._fn_mid, functions._fn_value) as counts:
         values = []
         for cell in cells:
             addr = parse_address(cell, context)
@@ -494,6 +555,7 @@ def test_shipped_bodies_reduce_their_constants_without_the_builtins(books, input
     assert values == expected
     assert counts["_fn_sumproduct"] == counts["_fn_match"] == 0
     assert counts["sum_of_products"] > 0
+    assert (counts["_fn_mid"], counts["_fn_value"]) == (0, value_calls)
 
 
 # each constant is indexed, and coerced for a kernel, once for each depth

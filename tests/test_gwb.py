@@ -107,10 +107,29 @@ def test_syntax_error_reports_line(tmp_path):
     assert e.line_no == 2
 
 
-@pytest.mark.parametrize("cell", ["A0", "XFE1", "A1048577"])
+# a row past MAX_ROWS, a column past MAX_COLUMNS, each also absolute or in
+# lower case, and row 0
+@pytest.mark.parametrize("cell", ["A0", "XFE1", "A1048577", "$XFE$7", "xfe1", "B$1048577", "XFE1048577"])
 def test_cell_directive_outside_the_grid_is_load_error(tmp_path, cell):
     e = err(tmp_path, f"A1 : 1\n{cell} : 2\n")
     assert (e.line_no, e.message) == (2, f"reference {cell!r} is outside the grid")
+    assert str(e).endswith(f"wb.gwb:2: reference {cell!r} is outside the grid")
+
+
+@pytest.mark.parametrize("cell, column, row", [("XFD1048576", 16_384, 1_048_576), ("$xfd$2", 16_384, 2), ("b$3", 2, 3)])
+def test_cell_directive_on_the_grid_edge_loads(tmp_path, cell, column, row):
+    ws = load_one(tmp_path, f"{cell} : 2\n")
+    assert ws.value(CellAddress("wb", "Sheet1", column, row)) == 2.0
+
+
+def test_cell_directive_is_read_from_its_own_match(tmp_path, monkeypatch):
+    from gridcalc import gwb
+
+    read = []
+    real = gwb.grid_coordinates
+    monkeypatch.setattr(gwb, "grid_coordinates", lambda *parts: read.append(parts) or real(*parts))
+    load_one(tmp_path, 'A1 : 1\n$xfd$2 = A1\nB$3 : "x"\n')
+    assert read == [("A", "1"), ("xfd", "2"), ("B", "3")]
 
 
 def test_duplicate_cell_rejected(tmp_path):
