@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import gwb, isbn, tables
 from .engine import Engine, EvalStats
-from .formula import parse_formula
-from .model import MAX_ROWS, CellAddress, Formula, Literal, RangeRef, Workspace
+from .formula import shared_formula
+from .model import MAX_ROWS, CellAddress, Literal, RangeRef, Workspace
 
 CSV_HEADER = "mode,calls,seconds,cell_evaluations,body_passes,table_restores"
 
@@ -66,7 +66,7 @@ def build_workspace(n: int, mode: str, seed: int) -> Workspace:
     if mode == "large":
         top = _FIRST_TABLE_ROW
         link = _addr(2, top)
-        sheet.set_content(top, 2, Formula("D2", parse_formula("D2", link)))
+        sheet.set_content(top, 2, shared_formula("D2", link, ws.templates))
         for i, text in enumerate(args):
             sheet.set_content(top + 1 + i, 1, Literal(text))
         region = RangeRef(_addr(1, top), _addr(2, top + n))
@@ -75,7 +75,7 @@ def build_workspace(n: int, mode: str, seed: int) -> Workspace:
         for i, text in enumerate(args):
             top = _FIRST_TABLE_ROW + 2 * i
             link = _addr(2, top)
-            sheet.set_content(top, 2, Formula("D2", parse_formula("D2", link)))
+            sheet.set_content(top, 2, shared_formula("D2", link, ws.templates))
             sheet.set_content(top + 1, 1, Literal(text))
             region = RangeRef(_addr(1, top), _addr(2, top + 1))
             tables.declare_table(ws, region, tables.COLUMN_INPUT, input_cell)

@@ -643,8 +643,7 @@ class Engine:
 
         ``engine.graph == engine.build_graph()`` must hold after any edit;
         the incremental updates in :meth:`set_cell` preserve it. Edges come
-        from each formula's ``refs`` and template, never from an AST. A
-        formula set on a sheet by hand is given a template of its own here.
+        from each formula's ``refs`` and template, never from an AST.
         """
         g = DependencyGraph()
         names = self._name_targets()
@@ -653,10 +652,7 @@ class Engine:
                 home = CellAddress(wb.name, sheet.name, 1, 1)
                 for (row, col), cell in sheet.cells.items():
                     if isinstance(cell.content, Formula):
-                        addr = home.moved(col, row)
-                        if cell.content.template is None:  # set on the sheet by hand
-                            cell.content = formula.Template(cell.content.ast, addr).at(addr, cell.content.source)
-                        g.add_node(addr, *self._node_edges(cell.content, names))
+                        g.add_node(home.moved(col, row), *self._node_edges(cell.content, names))
         return g
 
     # -- editing ----------------------------------------------------------------
@@ -664,12 +660,25 @@ class Engine:
     def set_cell(self, addr: CellAddress, content: Content) -> set:
         """Replace a cell's content and mark its dependents dirty.
 
-        Returns the freshly dirtied cells. Writing into a data-table body
-        cell is rejected: body cells belong to their table. So is a formula
-        whose source does not parse to its AST, as a dump writes the source,
-        and a literal that is not a finite number, text, a boolean or an
+        Returns the freshly dirtied cells. Of a formula only the source is
+        kept: the formula is made again from it at *addr*, as
+        :meth:`set_formula` makes it, so the cell reads what a dump of it
+        loads to, wherever the formula given was made. Writing into a
+        data-table body cell is rejected: body cells belong to their table.
+        So is a literal that is not a finite number, text, a boolean or an
         error (an ``int`` is taken as the equal float).
         """
+        return self._edit(addr, content.source if isinstance(content, Formula) else content)
+
+    def set_literal(self, addr: CellAddress, value) -> set:
+        return self.set_cell(addr, None if value is None else Literal(value))
+
+    def set_formula(self, addr: CellAddress, source: str) -> set:
+        return self._edit(addr, source[1:] if source.startswith("=") else source)
+
+    def _edit(self, addr: CellAddress, content: Content | str) -> set:
+        """:meth:`set_cell`, a formula given as its source (no leading ``=``),
+        which is read at *addr* here, once."""
         sheet = self.workspace.resolve_sheet(addr)
         if sheet is None:
             raise KeyError(f"no sheet at {addr!r}")
@@ -680,11 +689,8 @@ class Engine:
             raise ValueError("table body cells are created by table declarations only")
         if isinstance(content, Literal):
             content = _checked_literal(addr, content)
-        if isinstance(content, Formula) and content.template is None:
-            made = formula.shared_formula(content.source, addr, self.workspace.templates)
-            if not formula.same_tree(made.ast, content.ast):  # derives made's tree, for this check only
-                raise ValueError(f"{addr!r}: source {content.source!r} does not parse to the AST given")
-            content = made
+        elif isinstance(content, str):
+            content = formula.shared_formula(content, addr, self.workspace.templates)
         was_formula = existing is not None and isinstance(existing.content, Formula)
         sheet.set_content(addr.row, addr.column, content)
         self.graph.remove_node(addr)
@@ -696,14 +702,6 @@ class Engine:
         if was_formula or isinstance(content, Formula):
             self._plans.clear()  # plans hold graph edges and formula cells only
         return newly_dirty
-
-    def set_literal(self, addr: CellAddress, value) -> set:
-        return self.set_cell(addr, None if value is None else Literal(value))
-
-    def set_formula(self, addr: CellAddress, source: str) -> set:
-        if source.startswith("="):
-            source = source[1:]
-        return self.set_cell(addr, formula.shared_formula(source, addr, self.workspace.templates))
 
     def clear_cell(self, addr: CellAddress) -> set:
         return self.set_cell(addr, None)

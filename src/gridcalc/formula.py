@@ -496,43 +496,6 @@ def _scan(ast: Node) -> tuple[list, list, bool]:
     return nodes, named, volatile
 
 
-def same_tree(a: Node, b: Node) -> bool:
-    """Whether the ASTs *a* and *b* are equal, node by node; walked without
-    recursion, as a chain can be long."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Binary):
-            if x.op != y.op:
-                return False
-            stack += [(x.right, y.right), (x.left, y.left)]
-        elif isinstance(x, Unary):
-            if x.op != y.op:
-                return False
-            stack.append((x.operand, y.operand))
-        elif isinstance(x, Call):
-            if x.name != y.name or len(x.args) != len(y.args):
-                return False
-            stack += zip(x.args, y.args)
-        elif x != y:  # a literal, a reference or an omitted argument
-            return False
-    return True
-
-
-def _dependency_info(targets, named, volatile: bool, names: Mapping[str, Reference] | None) -> DependencyInfo:
-    names = names or {}
-    info = DependencyInfo(set(targets), volatile)
-    for name in named:
-        target = names.get(name.casefold())
-        if target is None:
-            info.unresolved_names.add(name)
-        else:
-            info.refs.add(target)
-    return info
-
-
 def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None) -> DependencyInfo:
     """Collect every statically known reference in *ast*.
 
@@ -544,8 +507,16 @@ def static_dependencies(ast: Node, names: Mapping[str, Reference] | None = None)
     registry (``Builtin.volatile``), and nothing else makes a formula
     volatile: XADR of anything but a reference is ``#VALUE!``.
     """
+    names = names or {}
     nodes, named, volatile = _scan(ast)
-    return _dependency_info([node.target for node in nodes], named, volatile, names)
+    info = DependencyInfo({node.target for node in nodes}, volatile)
+    for name in named:
+        target = names.get(name.casefold())
+        if target is None:
+            info.unresolved_names.add(name)
+        else:
+            info.refs.add(target)
+    return info
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +574,7 @@ class Template:
     by :mod:`gridcalc.engine` on first evaluation) reads the references of
     every formula of the shape. ``names`` holds the defined names read and
     ``volatile`` whether the shape is volatile. ``ast`` is the shape's only
-    tree: another cell's formula of the shape is derived from it on demand
-    (:meth:`tree`), never kept.
+    tree: no formula holds a tree of its own.
 
     With the corners of its references as written and the source they were
     read in (``words``, from :func:`_shape`), the template learns how to
@@ -617,23 +587,20 @@ class Template:
     reference's row: for each reference, the text before its row's digits
     (from the end of the last row, so its column letters and ``$``
     included), its row and whether that moves; then the text after the
-    last row. Without ``words`` (a formula built by hand) nothing moves,
-    and no copy is recognised.
+    last row.
     """
 
     __slots__ = (
         "ast", "anchor", "words", "pieces", "nodes", "refs", "names", "volatile", "slots", "code", "__weakref__"
     )
 
-    def __init__(self, ast: Node, anchor: CellAddress, words: list | None = None, source: str | None = None) -> None:
+    def __init__(self, ast: Node, anchor: CellAddress, words: list, source: str) -> None:
         self.ast = ast
         self.anchor = anchor
-        self.words = None if words is None else (words, source)
-        self.pieces = None
+        self.words = (words, source)
+        self.pieces = self.slots = self.code = None
         self.nodes, self.names, self.volatile = _scan(ast)
         self.refs = tuple([node.target for node in self.nodes])
-        self.slots = None if words is not None else []
-        self.code = None
 
     def _learn(self) -> None:
         """Find ``slots`` and ``pieces``, taking each reference's corners as
@@ -665,7 +632,7 @@ class Template:
         if self.slots is None and (dc or dr):
             self._learn()
         if not self.slots or dc == dr == 0:  # nothing moves
-            return Formula(source, template=self, refs=self.refs)
+            return Formula(source, self, self.refs)
         refs = list(self.refs)
         for index, base, written in self.slots:
             if base is None:
@@ -675,7 +642,7 @@ class Template:
                 for c, r, c_moves, r_moves in written
             ]
             refs[index] = corners[0] if len(corners) == 1 else RangeRef.normalized(*corners)
-        return Formula(source, template=self, refs=tuple(refs))
+        return Formula(source, self, tuple(refs))
 
     def copied(self, anchor: CellAddress, source: str) -> Formula | None:
         """The formula *source* in cell *anchor*, made by :meth:`at` with no
@@ -686,7 +653,7 @@ class Template:
         grid."""
         if self.slots is None:
             self._learn()
-        if self.pieces is None or anchor.column != self.anchor.column or anchor.sheet_key != self.anchor.sheet_key:
+        if anchor.column != self.anchor.column or anchor.sheet_key != self.anchor.sheet_key:
             return None
         dr = anchor.row - self.anchor.row
         pieces, tail = self.pieces
@@ -702,30 +669,6 @@ class Template:
             pos = digits.end()
         return self.at(anchor, source) if source[pos:] == tail else None
 
-    def tree(self, refs: tuple) -> Node:
-        """The AST of the formula of this shape that holds *refs*: made anew
-        on each call, with each of ``nodes`` that *refs* moves replaced."""
-        moved = {id(node): Ref(target) for node, target in zip(self.nodes, refs) if target != node.target}
-        return _replaced(self.ast, moved) if moved else self.ast
-
-
-def _replaced(node, moved: dict):
-    """*node* with the nodes keyed in *moved* (by id) replaced."""
-    if isinstance(node, Binary):
-        chain = []  # a left-deep operator chain, walked without recursion
-        while isinstance(node, Binary):
-            chain.append(node)
-            node = node.left
-        out = _replaced(node, moved)
-        for link in reversed(chain):
-            out = Binary(link.op, out, _replaced(link.right, moved))
-        return out
-    if isinstance(node, Unary):
-        return Unary(node.op, _replaced(node.operand, moved))
-    if isinstance(node, Call):
-        return Call(node.name, tuple([_replaced(arg, moved) for arg in node.args]))
-    return moved.get(id(node), node)
-
 
 def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping, above: Content = None) -> Formula:
     """The formula *source* (no leading ``=``) in cell *anchor*, parsed once
@@ -737,7 +680,7 @@ def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping, 
     formula whose template recognises *source* as its copy
     (:meth:`Template.copied`), that template serves, and *source* is not
     scanned for its shape."""
-    if type(above) is Formula and above.template is not None:
+    if type(above) is Formula:
         made = above.template.copied(anchor, source)
         if made is not None:
             return made
@@ -748,13 +691,6 @@ def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping, 
     if template is None:
         template = templates[key] = Template(parse_formula(source, anchor), anchor, words, source)
     return template.at(anchor, source)
-
-
-def formula_dependencies(f: Formula, names: Mapping[str, Reference] | None = None) -> DependencyInfo:
-    """:func:`static_dependencies` of *f*'s AST, read off its ``refs`` and
-    its template instead of walking the AST again."""
-    template = f.template
-    return _dependency_info(f.refs, template.names, template.volatile, names)
 
 
 # ---------------------------------------------------------------------------

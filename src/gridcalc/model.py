@@ -523,34 +523,24 @@ class Literal:
 
 
 class Formula:
-    """A formula's source text (written back by dumps as is) and ``refs``,
-    the cell and range references of its AST in source order.
+    """A formula's source text (written back by dumps as is), its shape's
+    template and ``refs``, the cell and range references of its source in
+    source order, as read in the cell that holds it.
 
-    One made by :func:`gridcalc.formula.shared_formula` holds its shape's
-    template (kept cached while the formula lives), whose AST is the only
-    one the shape has. One built by hand holds the AST it was given and no
-    template; the engine gives it one of its own. :attr:`ast` reads either.
+    A formula is made only by :func:`gridcalc.formula.shared_formula`, from
+    its source in its own cell: the template (kept cached while the formula
+    lives) holds the shape's only tree, and ``refs`` put this cell's
+    references into it.
 
     Formulas are equal when their source and ``refs`` are: the source fixes
     the tree but for the sheet and cell it is read in, and ``refs`` fix
-    those. One source on two sheets makes two formulas; one built by hand
-    equals the one its source loads to in the same cell.
+    those. One source on two sheets makes two formulas.
     """
 
-    __slots__ = ("source", "template", "refs", "_ast")
+    __slots__ = ("source", "template", "refs")
 
-    def __init__(self, source: str, ast: Any = None, template: Any = None, refs: tuple | None = None) -> None:
-        if refs is None:  # built by hand: read its references off its AST
-            from .formula import _scan  # local import: formula depends on this module
-
-            refs = tuple([node.target for node in _scan(ast)[0]])
-        self.source, self.template, self.refs, self._ast = source, template, refs, ast
-
-    @property
-    def ast(self) -> Any:
-        """The AST as given, or else the template's for these ``refs``
-        (:meth:`gridcalc.formula.Template.tree`), derived anew on each read."""
-        return self._ast if self.template is None else self.template.tree(self.refs)
+    def __init__(self, source: str, template: Any, refs: tuple) -> None:
+        self.source, self.template, self.refs = source, template, refs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):

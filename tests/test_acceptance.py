@@ -13,13 +13,12 @@ import time
 from gridcalc import Engine, dump_sheet, dump_workbook_source, load_workspace
 from gridcalc.bench import asset_path, run as bench_run
 from gridcalc.engine import values_equal
-from gridcalc.formula import parse_formula
+from gridcalc.formula import shared_formula
 from gridcalc.isbn import isbn10_check_char, isbn10_valid, isbn13_check_digit, isbn13_valid
 from gridcalc.model import (
     CalcConfig,
     CellAddress,
     Error,
-    Formula,
     Literal,
     Workspace,
     parse_address,
@@ -261,7 +260,7 @@ def test_criterion_10_oracle_equivalence():
     sheet = ws.workbook("T").sheet("S")
     for col, src in ((2, ISBN10_FORMULA), (3, ISBN13_FORMULA), (4, ROUTER_FORMULA)):
         at = CellAddress("T", "S", col, 2)
-        sheet.set_content(2, col, Formula(src, parse_formula(src, at)))
+        sheet.set_content(2, col, shared_formula(src, at, ws.templates))
     eng = Engine(ws)
     input_cell = CellAddress("T", "S", 1, 2)
     result_cell = CellAddress("T", "S", 4, 2)

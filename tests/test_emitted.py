@@ -52,9 +52,10 @@ def test_shapes_that_differ_only_in_text_constants_share_one_code_object(compile
     hostile = 'x"); import os; ("'
     made = [formula.shared_formula('"a"&A1', AT, ws.templates)]
     made.append(formula.shared_formula(formula.quote(hostile + "#") + "&A1", AT, ws.templates))
-    # a line break no formula source holds, in a tree built by hand
+    # a line break no formula source holds, in a template built from a tree:
+    # used only in the cell it is made for, it moves nothing and needs no words
     ast = formula.Binary("&", formula.Literal(hostile + "\n"), formula.Ref(HOME))
-    made.append(formula.Template(ast, AT).at(AT, "built by hand"))
+    made.append(formula.Template(ast, AT, [], "").at(AT, "no source"))
     values = [engine.evaluate(ws, AT, f) for f in made]
     assert values == ["ab", hostile + "#b", hostile + "\nb"]
     assert len({id(f.template) for f in made}) == 3

@@ -6,7 +6,7 @@ import pytest
 
 from gridcalc import dump_sheet, dump_workbook_source
 from gridcalc.engine import Engine, values_equal
-from gridcalc.formula import formula_dependencies
+from gridcalc.formula import parse_formula, static_dependencies
 from gridcalc.model import (
     Array,
     CalcConfig,
@@ -220,16 +220,16 @@ def test_graph_matches_rebuild_after_random_edits():
 
 
 def test_graph_edges_are_the_cells_each_formula_depends_on():
-    # the graph reads refs and defined names itself; formula_dependencies
-    # says what they must come to
+    # the graph reads refs and defined names itself; the dependencies of a
+    # fresh parse of each source in its cell say what they must come to
     eng = fresh()
     eng.workspace.define_name("Rate", at("E1"))
     eng.workspace.define_name("Block", at("E2:F3"))
     sources = {"A1": "Rate*B1+SUM(Block)+SUM($C$1:C2)+Missing", "A2": 'INDIRECT("A1")+Rate+Rate', "A3": "1"}
     for cell, source in sources.items():
         eng.set_formula(at(cell), source)
-    for cell in sources:
-        info = formula_dependencies(eng.workspace.cell(at(cell)).content, eng._name_targets())
+    for cell, source in sources.items():
+        info = static_dependencies(parse_formula(source, at(cell)), eng._name_targets())
         cells = {a for r in info.refs for a in (r.cells() if isinstance(r, RangeRef) else (r,))}
         assert eng.graph.precedents[at(cell)] == cells
         assert (at(cell) in eng.graph.volatile) == info.volatile

@@ -403,7 +403,7 @@ def test_static_dependencies_cover_actual_reads(monkeypatch):
         if "INDIRECT" in source or "OFFSET" in source:
             continue
         f = shared_formula(source, CTX, ws.templates)
-        info = static_dependencies(f.ast)
+        info = static_dependencies(parse_formula(source, CTX))
         reads.clear()
         engine.evaluate(ws, CTX, f)
         assert cells(reads) <= cells(info.refs), source

@@ -8,13 +8,12 @@ from hypothesis import given, strategies as st
 
 from gridcalc import isbn
 from gridcalc.engine import Engine, evaluate
-from gridcalc.formula import parse_formula, shared_formula
+from gridcalc.formula import shared_formula
 from gridcalc.functions import BINARY_FNS, NEGATE, REGISTRY, array_lift, match_index, match_key
 from gridcalc.model import (
     Array,
     CellAddress,
     Error,
-    Formula,
     Literal,
     Workspace,
 )
@@ -441,7 +440,7 @@ def test_isblank_never_propagates_errors():
     ws = scratch()
     sheet = ws.resolve_sheet(addr(1, 1))
     a1 = addr(1, 1)
-    sheet.set_content(1, 1, Formula("1/0", parse_formula("1/0", a1)))
+    sheet.set_content(1, 1, shared_formula("1/0", a1, ws.templates))
     eng = Engine(ws)
     eng.full_recalc()
     assert ws.value(a1) is Error.DIV0
@@ -586,7 +585,7 @@ def pipeline(candidate) -> str:
     if candidate is not None:
         sheet.set_content(2, 1, Literal(candidate))
     for at, src in ((b2, ISBN10_FORMULA), (c2, ISBN13_FORMULA), (d2, ROUTER_FORMULA)):
-        sheet.set_content(at.row, at.column, Formula(src, parse_formula(src, at)))
+        sheet.set_content(at.row, at.column, shared_formula(src, at, ws.templates))
     Engine(ws).full_recalc()
     return ws.value(d2)
 

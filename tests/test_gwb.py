@@ -353,7 +353,7 @@ def test_literal_cell_round_trips_through_source_dump(tmp_path, value):
     ws2 = load_one(tmp_path, text)
     content = ws2.cell(a1).content
     # TRUE, FALSE and error codes are written as formulas holding the literal
-    literal = content.ast if isinstance(content, Formula) else content
+    literal = content.template.ast if isinstance(content, Formula) else content
     assert isinstance(literal, Literal) and values_equal(literal.value, value)
     assert dump_workbook_source(ws2, "wb") == text
 

@@ -12,15 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcalc import Engine, dump_sheet, dump_workbook_source, formula, load_workspace
-from gridcalc.formula import (
-    FormulaError,
-    LexError,
-    formula_dependencies,
-    parse_formula,
-    shared_formula,
-    static_dependencies,
-)
-from gridcalc.model import CellAddress, Error, Formula, Literal, Workspace, column_to_letters, parse_address
+from gridcalc.formula import FormulaError, LexError, parse_formula, shared_formula, static_dependencies
+from gridcalc.model import CellAddress, Error, Formula, Literal, RangeRef, Workspace, column_to_letters, parse_address
 from conftest import LINE_ENDINGS
 
 SHEET = CellAddress("Book1", "Sheet1", 1, 1)
@@ -43,20 +36,47 @@ def count_parses(monkeypatch) -> list:
     return calls
 
 
+def tree_of(f: Formula) -> formula.Node:
+    """The tree of *f*: its template's, with *f*'s ``refs`` put in by
+    position in place of the template's Ref nodes (``Template.nodes``)."""
+    moved = {id(node): formula.Ref(target) for node, target in zip(f.template.nodes, f.refs)}
+    return _replaced(f.template.ast, moved)
+
+
+def _replaced(node, moved: dict):
+    """*node* with the nodes keyed in *moved* (by id) replaced."""
+    if isinstance(node, formula.Binary):
+        chain = []  # a left-deep operator chain, walked without recursion
+        while isinstance(node, formula.Binary):
+            chain.append(node)
+            node = node.left
+        out = _replaced(node, moved)
+        for link in reversed(chain):
+            out = formula.Binary(link.op, out, _replaced(link.right, moved))
+        return out
+    if isinstance(node, formula.Unary):
+        return formula.Unary(node.op, _replaced(node.operand, moved))
+    if isinstance(node, formula.Call):
+        return formula.Call(node.name, tuple([_replaced(arg, moved) for arg in node.args]))
+    return moved.get(id(node), node)
+
+
 def outcome(make):
-    """``("ok", ast, refs, dependencies)`` of what *make* returns, or the
-    error it raises. For a plain parse, ``refs`` are the targets of its Ref
-    nodes in source order (``formula._scan``), the order in which a
-    compiled function reads a formula's ``refs``; for a formula, its AST is derived
-    from its template and ``refs``."""
+    """``("ok", tree, refs)`` of what *make* returns, or the error it
+    raises. For a plain parse, ``refs`` are the targets of its Ref nodes in
+    source order (``formula._scan``), the order in which a compiled function
+    reads a formula's ``refs``; for a formula, its tree is :func:`tree_of`.
+    A formula's defined names and volatility are its template's, read off
+    the template's tree, so an equal tree has equal dependencies; the graph
+    edges they make are checked against :func:`static_dependencies` of a
+    plain parse in ``test_graph_edges_come_from_the_template``."""
     try:
         made = make()
     except FormulaError as exc:
         return ("error", type(exc), exc.message, exc.offset)
     if isinstance(made, Formula):
-        return ("ok", made.ast, made.refs, formula_dependencies(made, NAMES))
-    targets = tuple([node.target for node in formula._scan(made)[0]])
-    return ("ok", made, targets, static_dependencies(made, NAMES))
+        return ("ok", tree_of(made), made.refs)
+    return ("ok", made, tuple([node.target for node in formula._scan(made)[0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +249,8 @@ def _copy(pieces: list, dr: int, dc: int) -> str:
 @settings(max_examples=60, deadline=None)
 @given(copied_sheets())
 def test_copied_formulas_round_trip_and_recalculate_like_plain_parses(cells):
+    # each formula of the plain sheet has its own parse, in a template cache
+    # of its own: no shape is shared and no copy is checked
     lines = ["sheet Sheet1"]
     plain = Workspace()
     sheet = plain.add_workbook("wb").ensure_sheet("Sheet1")
@@ -243,7 +265,7 @@ def test_copied_formulas_round_trip_and_recalculate_like_plain_parses(cells):
             source = content
             lines.append(f"{name} = {source}")
             addr = home.moved(column, row)
-            sheet.set_content(row, column, Formula(source, parse_formula(source, addr)))
+            sheet.set_content(row, column, shared_formula(source, addr, {}))
     text = "\n".join(lines) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "wb.gwb"
@@ -274,7 +296,7 @@ def test_copies_down_a_column_share_one_parse(monkeypatch, tmp_path):
     assert len(calls) == len(ws.templates) == 2  # one shape per column
     sheet = ws.workbook("wb").sheet("Sheet1")
     b50 = sheet.cell(50, 2).content
-    assert b50.ast == parse_formula(b50.source, CellAddress("wb", "Sheet1", 2, 50))
+    assert tree_of(b50) == parse_formula(b50.source, CellAddress("wb", "Sheet1", 2, 50))
 
 
 def test_copies_down_a_column_are_checked_not_scanned(monkeypatch, tmp_path):
@@ -287,7 +309,7 @@ def test_copies_down_a_column_are_checked_not_scanned(monkeypatch, tmp_path):
     sheet = ws.workbook("wb").sheet("Sheet1")
     c50 = sheet.cell(50, 3).content
     assert c50.template is sheet.cell(1, 3).content.template
-    assert c50.ast == parse_formula(c50.source, CellAddress("wb", "Sheet1", 3, 50))
+    assert tree_of(c50) == parse_formula(c50.source, CellAddress("wb", "Sheet1", 3, 50))
 
 
 @pytest.mark.parametrize(
@@ -351,8 +373,6 @@ def test_copies_hold_no_tree_of_their_own(tmp_path):
 
 def test_load_recalc_and_edit_parse_each_shape_once(monkeypatch, tmp_path):
     calls = count_parses(monkeypatch)
-    derived: list = []
-    monkeypatch.setattr(formula.Template, "tree", lambda template, refs: derived.append(refs))
     ws = load_workspace([_copied_sheet(tmp_path / "wb.gwb", 40)])
     eng = Engine(ws)
     eng.full_recalc()
@@ -361,7 +381,6 @@ def test_load_recalc_and_edit_parse_each_shape_once(monkeypatch, tmp_path):
     eng.set_formula(c, "=SUM(A$1:B41)")
     eng.full_recalc()
     assert len(calls) == len(ws.templates) == 2
-    assert derived == []  # nor is any copy's tree derived
     assert ws.cell(c).content.template is ws.cell(CellAddress("wb", "Sheet1", 3, 40)).content.template
 
 
@@ -376,12 +395,12 @@ def test_formulas_are_equal_by_source_and_refs():
     assert made != shared_formula("A1*2", other, ws.templates)
     # a copy and the template it was moved from differ in their refs
     assert shared_formula("A2*2", at("B2"), ws.templates) != made
-    # a formula built by hand equals the one its source loads to
-    hand = Formula("A1*2", parse_formula("A1*2", at("B1")))
-    assert hand == made and hand.refs == made.refs == (at("A1"),)
-    eng = Engine(ws)
-    eng.set_cell(at("B1"), hand)
-    assert ws.cell(at("B1")).content == hand and ws.cell(at("B1")).content.template is made.template
+    # a formula made with a template cache of its own equals the one its
+    # source loads to, and set_cell makes it again with the workspace's
+    own = shared_formula("A1*2", at("B1"), {})
+    assert own == made and own.template is not made.template and own.refs == (at("A1"),)
+    Engine(ws).set_cell(at("B1"), own)
+    assert ws.cell(at("B1")).content == own and ws.cell(at("B1")).content.template is made.template
     # an absolute formula is one formula in every cell of its sheet
     assert shared_formula("$A$1*2", at("C7"), ws.templates) == shared_formula("$A$1*2", at("D9"), ws.templates)
 
@@ -391,9 +410,9 @@ def test_text_that_looks_like_a_reference_keeps_copies_apart():
     seven = shared_formula('"A7"&A7', at("B7"), templates)
     eight = shared_formula('"A8"&A8', at("B8"), templates)
     assert seven.template is not eight.template
-    assert eight.ast == parse_formula('"A8"&A8', at("B8"))
+    assert tree_of(eight) == parse_formula('"A8"&A8', at("B8"))
     again = shared_formula('"A7"&A8', at("B8"), templates)
-    assert again.template is seven.template and again.ast == parse_formula('"A7"&A8', at("B8"))
+    assert again.template is seven.template and tree_of(again) == parse_formula('"A7"&A8', at("B8"))
 
 
 def test_exponent_is_not_a_reference():
@@ -401,7 +420,7 @@ def test_exponent_is_not_a_reference():
     first = shared_formula("1E5+E5", at("F5"), templates)
     second = shared_formula("1E5+E6", at("F6"), templates)
     assert second.template is first.template
-    assert second.ast == parse_formula("1E5+E6", at("F6"))
+    assert tree_of(second) == parse_formula("1E5+E6", at("F6"))
     assert shared_formula("1E6+E6", at("F6"), templates).template is not first.template
 
 
@@ -410,11 +429,11 @@ def test_sheet_and_workbook_names_never_move():
     first = shared_formula("[b]Q1!A1+[A1]S!A1", at("B1"), templates)
     moved = shared_formula("[b]Q1!A2+[A1]S!A2", at("B2"), templates)
     assert moved.template is first.template
-    assert moved.ast == parse_formula("[b]Q1!A2+[A1]S!A2", at("B2"))
+    assert tree_of(moved) == parse_formula("[b]Q1!A2+[A1]S!A2", at("B2"))
     # Q2 in row 2 is another sheet, not Q1 moved down
     other = shared_formula("[b]Q2!A2+[A1]S!A2", at("B2"), templates)
     assert other.template is not first.template
-    assert other.ast == parse_formula("[b]Q2!A2+[A1]S!A2", at("B2"))
+    assert tree_of(other) == parse_formula("[b]Q2!A2+[A1]S!A2", at("B2"))
 
 
 def test_range_with_mixed_corners_is_normalized_again():
@@ -424,16 +443,22 @@ def test_range_with_mixed_corners_is_normalized_again():
         source = f"SUM(A$3:A{row})"
         f = shared_formula(source, at(f"B{row}"), templates)
         assert len(templates) == 1
-        assert f.ast == parse_formula(source, at(f"B{row}"))
+        assert tree_of(f) == parse_formula(source, at(f"B{row}"))
 
 
-def test_dependencies_come_from_the_template():
-    templates: dict = {}
-    shared_formula("Rate*A1+SUM($B$1:B2)+INDIRECT(C1)+Missing", at("D1"), templates)
-    f = shared_formula("Rate*A4+SUM($B$1:B5)+INDIRECT(C4)+Missing", at("D4"), templates)
-    info = formula_dependencies(f, NAMES)
-    assert info == static_dependencies(parse_formula(f.source, at("D4")), NAMES)
+def test_graph_edges_come_from_the_template():
+    ws = Workspace()
+    ws.add_workbook("Book1").ensure_sheet("Sheet1")
+    ws.define_name("Rate", NAMES["rate"])
+    eng = Engine(ws)
+    eng.set_formula(at("D1"), "Rate*A1+SUM($B$1:B2)+INDIRECT(C1)+Missing")
+    source = "Rate*A4+SUM($B$1:B5)+INDIRECT(C4)+Missing"
+    eng.set_formula(at("D4"), source)
+    assert ws.cell(at("D4")).content.template is ws.cell(at("D1")).content.template
+    info = static_dependencies(parse_formula(source, at("D4")), NAMES)
     assert info.volatile and info.unresolved_names == {"Missing"}
+    cells = {a for r in info.refs for a in (r.cells() if isinstance(r, RangeRef) else (r,))}
+    assert eng.graph.precedents[at("D4")] == cells and at("D4") in eng.graph.volatile
 
 
 def test_set_formula_reads_the_workspace_templates(monkeypatch):
@@ -478,62 +503,87 @@ def test_line_break_in_formula_is_lex_error(template, ch):
         shared_formula(source, SHEET, {})
 
 
+def given(source: str) -> Formula:
+    """A formula of *source* that holds another formula's template and
+    ``refs``: :meth:`Engine.set_cell` keeps only its source."""
+    other = shared_formula("A9*3", at("C9"), {})
+    return Formula(source, other.template, other.refs)
+
+
 def test_line_break_repros_raise_before_reaching_a_cell():
     ws = Workspace()
     ws.add_workbook("Book1").ensure_sheet("Sheet1")
     eng = Engine(ws)
     with pytest.raises(LexError):
-        eng.set_cell(SHEET, Formula('"a\nb"', parse_formula('"a\nb"', SHEET)))
+        eng.set_cell(SHEET, given('"a\nb"'))
     with pytest.raises(LexError):
         eng.set_formula(SHEET, "1+\n2")
     assert ws.cell(SHEET) is None
 
 
+# ---------------------------------------------------------------------------
+# formulas given to set_cell are made again in their cell
+# ---------------------------------------------------------------------------
+
 # an operator chain too long for a recursive comparison of two trees
 LONG_CHAIN = "+".join(f"A{row}" for row in range(2, 3002))
 
 
-@pytest.mark.parametrize(
-    "source, ast",
-    [
-        ('"a\nb"', formula.Literal("a\nb")),
-        ("1+", formula.Literal(1.0)),
-        ("1+2", formula.Literal(3.0)),
-        (LONG_CHAIN, parse_formula(LONG_CHAIN[: -len("A3001")] + "A3002", SHEET)),
-    ],
-    ids=["line-break", "no-parse", "other-ast", "long-chain-other-ast"],
-)
-def test_hand_built_formula_whose_source_gives_another_ast_is_rejected(source, ast):
-    # a dump writes the source: these would dump to a file that does not load
+def test_formula_given_whose_source_does_not_parse_is_rejected():
+    # a dump writes the source: this cell would dump to a file that does not load
     ws = Workspace()
     ws.add_workbook("Book1").ensure_sheet("Sheet1")
     eng = Engine(ws)
-    with pytest.raises(ValueError):
-        eng.set_cell(SHEET, Formula(source, ast))
+    with pytest.raises(FormulaError):
+        eng.set_cell(SHEET, given("1+"))
     assert ws.cell(SHEET) is None
     assert not eng.graph.precedents
 
 
-def test_hand_built_long_operator_chain_that_matches_its_source_is_accepted():
+@pytest.mark.parametrize("source", ["1+2", LONG_CHAIN], ids=["other-tree", "long-chain"])
+def test_formula_given_is_made_again_from_its_source(source):
     ws = Workspace()
     ws.add_workbook("Book1").ensure_sheet("Sheet1")
     eng = Engine(ws)
-    hand = Formula(LONG_CHAIN, parse_formula(LONG_CHAIN, SHEET))
-    eng.set_cell(SHEET, hand)
-    made = ws.cell(SHEET).content
-    assert made.template is not None and made == hand
-    assert len(eng.graph.precedents[SHEET]) == 3000
+    eng.set_cell(SHEET, given(source))
+    held = ws.cell(SHEET).content
+    made = shared_formula(source, SHEET, ws.templates)
+    assert held == made and held.template is made.template
+    assert eng.graph.precedents[SHEET] == set(made.refs)
 
 
-def test_hand_built_formula_that_matches_its_source_round_trips(tmp_path):
+@pytest.mark.parametrize("home", ["[Book1]Sheet2!B1", "[Book2]Sheet1!B1"], ids=["other-sheet", "other-workbook"])
+def test_formula_made_in_another_cell_reads_what_its_dump_loads_to(tmp_path, home):
+    # A1*2 made on another sheet or workbook reads that one's A1, but a dump
+    # writes only the source, which reloads to read this sheet's A1
+    ws = Workspace()
+    ws.add_workbook("Book1").ensure_sheet("Sheet1")
+    ws.workbook("Book1").ensure_sheet("Sheet2")
+    ws.add_workbook("Book2").ensure_sheet("Sheet1")
+    eng = Engine(ws)
+    for cell, value in (("A1", 1.0), ("Sheet2!A1", 100.0), ("[Book2]Sheet1!A1", 1000.0)):
+        eng.set_literal(at(cell), value)
+    eng.set_cell(at("B1"), shared_formula("A1*2", at(home), ws.templates))
+    assert ws.cell(at("B1")).content.refs == shared_formula("A1*2", at("B1"), {}).refs
+    eng.full_recalc()
+    paths = []
+    for book in ("Book1", "Book2"):
+        paths.append(tmp_path / f"{book}.gwb")
+        paths[-1].write_text(dump_workbook_source(ws, book), encoding="utf-8")
+    loaded = load_workspace(paths)
+    Engine(loaded).full_recalc()
+    assert ws.value(at("B1")) == loaded.value(at("B1")) == 2.0
+
+
+def test_formulas_given_share_the_workspace_templates_and_round_trip(tmp_path):
     ws = Workspace()
     ws.add_workbook("Book1").ensure_sheet("Sheet1")
     eng = Engine(ws)
     eng.set_literal(SHEET, 4.0)
-    eng.set_cell(at("B1"), Formula("A1*2", parse_formula("A1*2", at("B1"))))
-    eng.set_cell(at("B2"), Formula("A2*2", parse_formula("A2*2", at("B2"))))
+    eng.set_cell(at("B1"), shared_formula("A1*2", at("B1"), {}))
+    eng.set_cell(at("B2"), shared_formula("A2*2", at("B2"), {}))
     made = [ws.cell(at(a)).content for a in ("B1", "B2")]
-    assert made[0].template is made[1].template is not None  # one shape, parsed once
+    assert made[0].template is made[1].template  # one shape, parsed once
     eng.full_recalc()
     assert (eng.get_value(at("B1")), eng.get_value(at("B2"))) == (8.0, 0.0)
     text = dump_workbook_source(ws, "Book1")
