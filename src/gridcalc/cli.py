@@ -113,17 +113,13 @@ def _cmd_dump(args) -> int:
     try:
         sys.stdout.write(gwb.dump_sheet(ws, book, sheet, args.format))
     except KeyError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return 2
     return 0
 
 
 def _cmd_bench(args) -> int:
-    try:
-        rows, _ = bench.run(args.calls, args.mode, args.repeat, args.seed)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    rows, _ = bench.run(args.calls, args.mode, args.repeat, args.seed)
     sys.stdout.write(bench.format_csv(rows))
     return 0
 
@@ -169,7 +165,7 @@ def main(argv=None) -> int:
     except gwb.LoadError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ValueError as exc:  # bad flag combinations, e.g. --max-iter 0
+    except ValueError as exc:  # bad flag values, e.g. --max-iter 0 or a bench past the grid
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -220,7 +220,6 @@ _PRECEDENCE = {
     "*": 4, "/": 4,
     "^": 5,
 }
-_UNARY_PRECEDENCE = 6
 
 # The value of each kind of literal token, in formulas and array constants.
 _LITERAL_VALUES = {
@@ -694,74 +693,15 @@ def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping, 
 
 
 # ---------------------------------------------------------------------------
-# Unparsing (canonical text)
+# Literal text
 # ---------------------------------------------------------------------------
 
 
 def value_text(v) -> str:
     """A literal value as formula text: :func:`model.to_text`, with text
-    quoted, an error as its code and an array in braces."""
-    if isinstance(v, Array):
-        return "{" + ";".join(",".join(value_text(x) for x in row) for row in v.rows) + "}"
+    quoted and an error as its code."""
     if isinstance(v, str):
         return quote(v)
     if isinstance(v, Error):
         return v.code
     return to_text(v)
-
-
-def _is_identifier(text: str) -> bool:
-    try:
-        tokens = tokenize(text)
-    except LexError:
-        return False
-    return len(tokens) == 1 and tokens[0].kind == IDENTIFIER and tokens[0].lexeme == text
-
-
-def _ref_text(target: Union[Reference, str], context: CellAddress | None) -> str:
-    if isinstance(target, str):
-        return target
-    head = target.top_left if isinstance(target, RangeRef) else target
-    local = target.local_text()  # a one-cell range stays A1:A1, not A1
-    if context is not None and head.sheet_key[0] == context.sheet_key[0]:
-        if head.sheet_key == context.sheet_key:
-            return local
-        if _is_identifier(head.sheet):  # Sheet!A1 parses only for such names
-            return f"{head.sheet}!{local}"
-    return f"[{head.workbook}]{head.sheet}!{local}"
-
-
-def unparse(ast: Node, context: CellAddress | None = None) -> str:
-    """Render an AST back to formula text that reparses to an equal AST."""
-
-    def emit(node, parent_prec: int) -> str:
-        if isinstance(node, Literal):
-            return value_text(node.value)
-        if isinstance(node, Ref):
-            return _ref_text(node.target, context)
-        if isinstance(node, Unary):
-            inner = emit(node.operand, _UNARY_PRECEDENCE)
-            text = node.op + inner
-            return f"({text})" if parent_prec > _UNARY_PRECEDENCE else text
-        if isinstance(node, Binary):
-            # an operator chain is left-deep: loop down its spine rather than
-            # recurse once per term, so a long chain cannot exhaust the stack
-            spine = []
-            while isinstance(node, Binary):
-                spine.append(node)
-                node = node.left
-            text = emit(node, _PRECEDENCE[spine[-1].op])
-            for i in range(len(spine) - 1, -1, -1):
-                prec = _PRECEDENCE[spine[i].op]
-                right = emit(spine[i].right, prec + 1)  # left-associative
-                text = f"{text}{spine[i].op}{right}"
-                outer = _PRECEDENCE[spine[i - 1].op] if i else parent_prec
-                if outer > prec:
-                    text = f"({text})"
-            return text
-        if isinstance(node, Call):
-            args = ",".join("" if a is OMITTED else emit(a, 0) for a in node.args)
-            return f"{node.name}({args})"
-        raise TypeError(f"cannot unparse {node!r}")
-
-    return emit(ast, 0)

@@ -20,18 +20,27 @@ their position in the file. A ``.gws`` workspace file lists workbooks as
 
 Loading then dumping a workbook as source is a fixed point: the dump loads
 back into an identical workspace and dumps to identical text.
+
+Malformed input is a :class:`LoadError` with the file and line it is at.
+Each directive handler raises a plain ``ValueError`` (``AddressError``,
+``TableError`` and ``FormulaError`` are ones), and the loop over a file's
+lines, in ``_load_gws`` or ``_load_workbook_file``, makes it a
+``LoadError`` at its own line: a bad ``.gws`` line is reported at that
+line of the ``.gws`` file. Line 0 means the file as a whole: a file that
+cannot be read, or a ``.gwb`` given directly whose stem is not a new,
+valid workbook name.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from functools import partial
 from pathlib import Path
 
 from . import tables
 from .model import (
     CELL_RE,
-    AddressError,
     CalcConfig,
     CellAddress,
     Error,
@@ -75,19 +84,10 @@ _BODY_MARKER_RE = re.compile(r"^\{=TABLE\(\s*([^(),]*?)\s*,\s*([^(),]*?)\s*\)\}$
 _WORKBOOK_RE = re.compile(r"^workbook\s+(\S+)\s+(.+?)\s*$")
 
 
-def _at_line(path, line_no: int, fn, *args):
-    """``fn(*args)``, with an AddressError (a bad reference or name) reported
-    as a LoadError at *path*:*line_no*."""
-    try:
-        return fn(*args)
-    except AddressError as exc:
-        raise LoadError(path, line_no, str(exc)) from exc
-
-
 def _lines(path: Path):
     try:
         data = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
         raise LoadError(path, 0, f"cannot read file: {exc}") from exc
     try:
         text = data.decode("utf-8")
@@ -115,7 +115,11 @@ def load_workspace(paths, config: CalcConfig | None = None) -> Workspace:
         return _load_gws(paths[0], config)
     ws = Workspace(config)
     for path in paths:
-        _add_workbook(ws, path.stem, path)
+        try:
+            wb = ws.add_workbook(path.stem)
+        except ValueError as exc:  # a duplicate or malformed workbook name
+            raise LoadError(path, 0, str(exc)) from exc
+        _load_workbook_file(ws, wb, path)
     return ws
 
 
@@ -123,30 +127,24 @@ def _load_gws(path: Path, config: CalcConfig | None) -> Workspace:
     ws = Workspace(config)
     for line_no, line in _lines(path):
         m = _WORKBOOK_RE.match(line)
-        if m is None:
-            raise LoadError(path, line_no, f"bad workspace directive: {line!r}")
-        name, rel = m.group(1), m.group(2)
         try:
-            _add_workbook(ws, name, path.parent / rel)
+            if m is None:
+                raise ValueError(f"bad workspace directive: {line!r}")
+            wb = ws.add_workbook(m.group(1))
         except ValueError as exc:
             raise LoadError(path, line_no, str(exc)) from exc
+        _load_workbook_file(ws, wb, path.parent / m.group(2))
     return ws
-
-
-def _add_workbook(ws: Workspace, name: str, path: Path) -> None:
-    try:
-        wb = ws.add_workbook(name)
-    except ValueError as exc:  # a duplicate or malformed workbook name
-        raise LoadError(path, 0, str(exc)) from exc
-    _load_workbook_file(ws, wb, path)
 
 
 def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
     current: Sheet | None = None
     context: CellAddress | None = None  # A1 of the current sheet
     seen: set[tuple] = set()
-    placeholders: list[tuple[int, CellAddress, str, CellAddress]] = []
-    pending_tables: list[tuple[int, RangeRef, str, CellAddress]] = []
+    # what runs once every cell is in, with the line it came from: each
+    # table declaration, then each {=TABLE} marker's check against its table
+    declarations: list[tuple[int, partial]] = []
+    markers: list[tuple[int, partial]] = []
 
     def enter(sheet: Sheet) -> None:
         nonlocal current, context
@@ -159,62 +157,45 @@ def _load_workbook_file(ws: Workspace, wb: Workbook, path: Path) -> None:
         return context
 
     for line_no, line in _lines(path):
-        m = _SHEET_RE.match(line)
-        if m is not None:
-            enter(_at_line(path, line_no, wb.ensure_sheet, m.group(1)))
-            continue
-        m = _NAME_RE.match(line)
-        if m is not None:
-            _apply_name(ws, wb, path, line_no, m.group(1), m.group(2))
-            continue
-        m = _TABLE_RE.match(line)
-        if m is not None:
-            pending_tables.append(_parse_table_directive(home(), path, line_no, m))
-            continue
-        m = _CELL_DIRECTIVE_RE.match(line)
-        if m is not None:
-            # the directive's cell is local, so it lies on the current sheet
-            coords = grid_coordinates(m[_LETTERS], m[_LETTERS + 1])
-            if coords is None:
-                raise LoadError(path, line_no, f"reference {m['cell']!r} is outside the grid")
-            addr = home().moved(*coords)
-            if addr.sort_key in seen:
-                raise LoadError(path, line_no, f"cell {m['cell']} defined twice")
-            seen.add(addr.sort_key)
-            if m["op"] == "=":
-                marker = _BODY_MARKER_RE.match(m["rest"])
-                if marker is not None:
-                    placeholders.append(
-                        (line_no, addr) + _parse_body_marker(context, path, line_no, marker)
-                    )
-                else:
-                    _apply_formula(ws, current, addr, path, line_no, m["rest"])
-            else:
-                _apply_literal(current, addr, path, line_no, m["op"], m["rest"])
-            continue
-        raise LoadError(path, line_no, f"unrecognized directive: {line!r}")
-
-    for line_no, region, orientation, input_cell in pending_tables:
         try:
-            tables.declare_table(ws, region, orientation, input_cell)
-        except tables.TableError as exc:
+            if m := _SHEET_RE.match(line):
+                enter(wb.ensure_sheet(m.group(1)))
+            elif m := _NAME_RE.match(line):
+                _apply_name(ws, wb, m.group(1), m.group(2))
+            elif m := _TABLE_RE.match(line):
+                declarations.append((line_no, _table_directive(ws, home(), m)))
+            elif m := _CELL_DIRECTIVE_RE.match(line):
+                # the directive's cell is local, so it lies on the current sheet
+                coords = grid_coordinates(m[_LETTERS], m[_LETTERS + 1])
+                if coords is None:
+                    raise ValueError(f"reference {m['cell']!r} is outside the grid")
+                addr = home().moved(*coords)
+                if addr.sort_key in seen:
+                    raise ValueError(f"cell {m['cell']} defined twice")
+                seen.add(addr.sort_key)
+                if m["op"] != "=":
+                    _apply_literal(current, addr, m["op"], m["rest"])
+                elif marker := _BODY_MARKER_RE.match(m["rest"]):
+                    markers.append((line_no, _body_marker(ws, addr, context, marker)))
+                else:
+                    _apply_formula(ws, current, addr, m["rest"])
+            else:
+                raise ValueError(f"unrecognized directive: {line!r}")
+        except ValueError as exc:
             raise LoadError(path, line_no, str(exc)) from exc
 
-    for line_no, addr, orientation, input_cell in placeholders:
-        owner = ws.table_at(addr)
-        if owner is None or not owner.is_body_cell(addr):
-            raise LoadError(path, line_no, f"{addr.local_text()}: TABLE cell outside any declared table")
-        if owner.orientation != orientation or owner.input_cell != input_cell:
-            raise LoadError(
-                path, line_no, f"{addr.local_text()}: TABLE cell does not match its table declaration"
-            )
+    for line_no, finish in declarations + markers:
+        try:
+            finish()
+        except ValueError as exc:
+            raise LoadError(path, line_no, str(exc)) from exc
 
 
-def _apply_literal(sheet: Sheet, addr: CellAddress, path, line_no: int, op: str, rest: str) -> None:
+def _apply_literal(sheet: Sheet, addr: CellAddress, op: str, rest: str) -> None:
     if op == "::":  # text holding line breaks, as a JSON string
         try:
             value = json.loads(rest)
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: arrays nested too deep
             value = None
         if not isinstance(value, str):
             value = Error.VALUE  # as for number text that is not a number
@@ -223,63 +204,73 @@ def _apply_literal(sheet: Sheet, addr: CellAddress, path, line_no: int, op: str,
     else:
         value = to_number(rest)
     if isinstance(value, Error):
-        raise LoadError(path, line_no, f"bad literal {rest!r}")
+        raise ValueError(f"bad literal {rest!r}")
     sheet.set_content(addr.row, addr.column, Literal(value))
 
 
-def _apply_formula(ws: Workspace, sheet: Sheet, addr: CellAddress, path, line_no: int, source: str) -> None:
+def _apply_formula(ws: Workspace, sheet: Sheet, addr: CellAddress, source: str) -> None:
     if not source:
-        raise LoadError(path, line_no, "empty formula")
+        raise ValueError("empty formula")
     above = sheet.cells.get((addr.row - 1, addr.column))
     try:
         content = shared_formula(source, addr, ws.templates, above and above.content)
     except FormulaError as exc:
-        raise LoadError(path, line_no, f"{addr.local_text()}: {exc}") from exc
+        raise ValueError(f"{addr.local_text()}: {exc}") from exc
     sheet.set_content(addr.row, addr.column, content)
 
 
-def _apply_name(ws: Workspace, wb: Workbook, path, line_no: int, name: str, target_text: str) -> None:
+def _apply_name(ws: Workspace, wb: Workbook, name: str, target_text: str) -> None:
     if "!" not in target_text or "[" in target_text:
-        raise LoadError(path, line_no, "name targets are written Sheet!A1 or Sheet!A1:B2")
-    context = CellAddress(wb.name, DEFAULT_SHEET, 1, 1)
-    target = _at_line(path, line_no, parse_address, target_text, context)
-    try:
-        ws.define_name(name, target)
-    except ValueError as exc:
-        raise LoadError(path, line_no, str(exc)) from exc
+        raise ValueError("name targets are written Sheet!A1 or Sheet!A1:B2")
+    ws.define_name(name, parse_address(target_text, CellAddress(wb.name, DEFAULT_SHEET, 1, 1)))
 
 
-def _parse_table_directive(context: CellAddress, path, line_no: int, m: re.Match):
-    region = _at_line(path, line_no, parse_address, m.group(1), context)
+def _table_directive(ws: Workspace, context: CellAddress, m: re.Match) -> partial:
+    """The declaration a ``table`` directive makes, to run once every cell is in."""
+    region = parse_address(m.group(1), context)
     if isinstance(region, CellAddress):
         region = RangeRef(region, region)
-    opts = dict(_TABLE_OPT_RE.findall(m.group(2)))
+    opts: dict[str, str] = {}
+    for key, value in _TABLE_OPT_RE.findall(m.group(2)):
+        if key in opts:
+            raise ValueError(f"table option {key!r} given twice")
+        opts[key] = value
     if "colinput" in opts and "rowinput" in opts:
-        raise LoadError(path, line_no, "two-input data tables are not supported")
+        raise ValueError("two-input data tables are not supported")
     if "colinput" in opts:
         orientation, ref_text = tables.COLUMN_INPUT, opts.pop("colinput")
     elif "rowinput" in opts:
         orientation, ref_text = tables.ROW_INPUT, opts.pop("rowinput")
     else:
-        raise LoadError(path, line_no, "table needs colinput=<ref> or rowinput=<ref>")
+        raise ValueError("table needs colinput=<ref> or rowinput=<ref>")
     if opts:
-        raise LoadError(path, line_no, f"unknown table option {next(iter(opts))!r}")
-    return line_no, region, orientation, _input_cell(ref_text, context, path, line_no)
+        raise ValueError(f"unknown table option {next(iter(opts))!r}")
+    return partial(tables.declare_table, ws, region, orientation, _input_cell(ref_text, context))
 
 
-def _parse_body_marker(context: CellAddress, path, line_no: int, m: re.Match):
+def _body_marker(ws: Workspace, addr: CellAddress, context: CellAddress, m: re.Match) -> partial:
+    """The check of a ``{=TABLE(...)}`` marker at *addr* against its table,
+    to run once the tables are declared."""
     row_part, col_part = m.group(1), m.group(2)
     if bool(row_part) == bool(col_part):
-        raise LoadError(path, line_no, "TABLE takes exactly one input cell")
+        raise ValueError("TABLE takes exactly one input cell")
     orientation = tables.COLUMN_INPUT if col_part else tables.ROW_INPUT
-    return orientation, _input_cell(col_part or row_part, context, path, line_no)
+    return partial(_check_marker, ws, addr, orientation, _input_cell(col_part or row_part, context))
 
 
-def _input_cell(text: str, context: CellAddress, path, line_no: int) -> CellAddress:
+def _check_marker(ws: Workspace, addr: CellAddress, orientation: str, input_cell: CellAddress) -> None:
+    owner = ws.table_at(addr)
+    if owner is None or not owner.is_body_cell(addr):
+        raise ValueError(f"{addr.local_text()}: TABLE cell outside any declared table")
+    if owner.orientation != orientation or owner.input_cell != input_cell:
+        raise ValueError(f"{addr.local_text()}: TABLE cell does not match its table declaration")
+
+
+def _input_cell(text: str, context: CellAddress) -> CellAddress:
     """The input cell of a ``table`` directive or a ``{=TABLE(...)}`` marker."""
-    ref = _at_line(path, line_no, parse_address, text, context)
+    ref = parse_address(text, context)
     if not isinstance(ref, CellAddress):
-        raise LoadError(path, line_no, "the table input must be a single cell")
+        raise ValueError("the table input must be a single cell")
     return ref
 
 

@@ -93,7 +93,7 @@ def test_dump_source_whole_workbook(capsys):
 def test_dump_unknown_sheet_exits_2(capsys):
     code, _, err = run(capsys, "dump", *assets("isbn_basic.gwb"), "--sheet", "Missing")
     assert code == 2
-    assert "Missing" in err
+    assert err == "unknown sheet 'Missing'\n"
 
 
 def test_dump_needs_book_when_ambiguous(capsys):

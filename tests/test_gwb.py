@@ -157,11 +157,17 @@ def test_bad_literal_rejected(tmp_path):
     err(tmp_path, "A1 : 1e400\n")  # beyond the float range
     err(tmp_path, "A1 :: 5\n")  # escaped text must be a JSON string
     err(tmp_path, 'A1 :: "open\n')
+    err(tmp_path, "A1 :: " + "[" * 100_000 + "\n")  # nested past the recursion limit
 
 
 def test_two_input_tables_rejected(tmp_path):
     e = err(tmp_path, "B4 = 1\nA5 : 2\ntable A4:B5 colinput=A2 rowinput=B1\n")
     assert "two-input" in e.message
+
+
+def test_table_option_given_twice_rejected(tmp_path):
+    e = err(tmp_path, "B4 = 1\nA5 : 2\ntable A4:B5 colinput=A2 colinput=A3\n")
+    assert (e.line_no, e.message) == (3, "table option 'colinput' given twice")
 
 
 def test_table_region_violations_rejected(tmp_path):
@@ -245,6 +251,47 @@ def test_any_formula_line_loads_or_is_load_error(tmp_path, text):
         pass
 
 
+# Directive lines of every kind, well and badly formed, that whole files are
+# drawn from: sheets, names, tables with their options, literals, formulas,
+# {=TABLE} markers, out-of-grid and malformed references.
+_SHEET_LINES = st.sampled_from(["Sheet1", "Data", "DATA", "S2", "A["]).map("sheet {}".format)
+_NAME_LINES = st.builds(
+    "name {} = {}".format,
+    st.sampled_from(["N", "n", "Total", "MATCH", "A1"]),
+    st.sampled_from(["Sheet1!A1", "Data!A1:B2", "Sheet1!B2", "A1", "Sheet1!XFE1", "Sheet1!A1:"]),
+)
+_TABLE_LINES = st.builds(
+    "table {} {}".format,
+    st.sampled_from(["A4:B5", "A4:C6", "A4:B6", "A4:A9", "XFE1:XFE2", "A4:B5:C6"]),
+    st.lists(
+        st.sampled_from(["colinput=A2", "rowinput=B1", "colinput=A3", "colinput=B5", "colinput=A2:A3", "foo=1"]),
+        min_size=1,
+        max_size=2,
+    ).map(" ".join),
+)
+_CELL_LINES = st.builds(
+    "{} {}".format,
+    st.sampled_from(["A1", "A2", "B4", "C4", "A5", "A6", "B5", "C5", "B6", "XFE1", "$B$2"]),
+    st.one_of(
+        st.sampled_from([": 1", ': "x"', ':: "a\\nb"', ": x", ": 1e400", ":: 5"]),
+        st.sampled_from(["= A1*2", "= SUM(A1:B2)", "= Data!A1", "= [wb]Nope!A1", "= 1+", "= ", "= A0", "= TABLE(,A2)"]),
+        st.sampled_from(["= {=TABLE(,A2)}", "= {=TABLE(B1,)}", "= {=TABLE(,A3)}", "= {=TABLE(,A2:A3)}", "= {=TABLE(,)}"]),
+    ),
+)
+_OTHER_LINES = st.sampled_from(["# comment", "", "what"])
+_DIRECTIVE_LINES = st.one_of(_SHEET_LINES, _NAME_LINES, _TABLE_LINES, _CELL_LINES, _CELL_LINES, _OTHER_LINES)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_DIRECTIVE_LINES, min_size=1, max_size=12))
+def test_any_file_of_directives_loads_or_is_load_error_at_one_of_its_lines(tmp_path, lines):
+    path = write(tmp_path, "wb.gwb", "\n".join(lines) + "\n")
+    try:
+        load_workspace([path])
+    except LoadError as exc:
+        assert exc.path == path and 1 <= exc.line_no <= len(lines)
+
+
 # ---------------------------------------------------------------------------
 # workspace files
 # ---------------------------------------------------------------------------
@@ -265,8 +312,36 @@ def test_gws_names_workbooks(tmp_path):
 def test_gws_duplicate_workbook_rejected(tmp_path):
     write(tmp_path, "one.gwb", "A1 : 1\n")
     gws = write(tmp_path, "ws.gws", "workbook A one.gwb\nworkbook a one.gwb\n")
-    with pytest.raises(LoadError):
+    with pytest.raises(LoadError) as exc:
         load_workspace([gws])
+    assert (exc.value.path, exc.value.line_no) == (gws, 2)
+    assert exc.value.message == "workbook 'a' already exists"
+
+
+def test_gws_malformed_workbook_name_is_reported_at_its_line(tmp_path):
+    gws = write(tmp_path, "ws.gws", "workbook A[ a.gwb\n")
+    with pytest.raises(LoadError) as exc:
+        load_workspace([gws])
+    assert (exc.value.path, exc.value.line_no) == (gws, 1)
+    assert "forbidden character" in exc.value.message
+
+
+@pytest.mark.parametrize("listed", ["missing.gwb", "a\0.gwb"])
+def test_gws_listing_an_unreadable_workbook_reports_that_file(tmp_path, listed):
+    gws = write(tmp_path, "ws.gws", f"workbook A {listed}\n")
+    with pytest.raises(LoadError) as exc:
+        load_workspace([gws])
+    assert (exc.value.path, exc.value.line_no) == (tmp_path / listed, 0)
+    assert exc.value.message.startswith("cannot read file")
+
+
+def test_gwb_files_with_one_stem_are_rejected_at_the_second(tmp_path):
+    (tmp_path / "x").mkdir()
+    first = write(tmp_path, "a.gwb", "A1 : 1\n")
+    second = write(tmp_path, "x/A.gwb", "A1 : 1\n")
+    with pytest.raises(LoadError) as exc:
+        load_workspace([first, second])
+    assert (exc.value.path, exc.value.line_no) == (second, 0)
 
 
 def test_dangling_external_reference_loads_as_ref_error(tmp_path):
