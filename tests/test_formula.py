@@ -19,7 +19,9 @@ from gridcalc.formula import (
     static_dependencies,
     tokenize,
 )
+from gridcalc import dump_workbook_source, load_workspace
 from gridcalc.model import Array, CellAddress, Error, parse_address
+from test_templates import tree_of
 
 CTX = CellAddress("Book1", "Sheet1", 2, 2)  # B2
 
@@ -248,15 +250,53 @@ def test_boolean_and_error_literals():
     assert parse_formula("#REF!", CTX) == Literal(Error.REF)
 
 
-@pytest.mark.parametrize(
-    "source",
+PARSE_SOURCES = (
     CORPUS
     + ["-2^2", "1-(2-3)", "(1+2)*3", "-(A1&B1)", "A1:B2", "A1:A1", "$A$1:A1"]
     # sheet names that are not identifiers need the workbook to parse
-    + ["[Book1]A1!B2", "[Book1]TRUE!B2:C3"],
+    + ["[Book1]A1!B2", "[Book1]TRUE!B2:C3"]
 )
+
+
+@pytest.mark.parametrize("source", PARSE_SOURCES)
 def test_corpus_parses(source):
     parse_formula(source, CTX)
+
+
+# ---------------------------------------------------------------------------
+# source dump round trip
+# ---------------------------------------------------------------------------
+
+
+def load_formula_at_b2(directory, text):
+    """The workspace of ``Book1.gwb`` holding *text*, written to *directory*."""
+    directory.mkdir()
+    path = directory / "Book1.gwb"
+    path.write_text(text, encoding="utf-8")
+    return load_workspace([path])
+
+
+@pytest.mark.parametrize("source", PARSE_SOURCES)
+def test_formula_round_trips_through_source_dump(source, tmp_path):
+    ws = load_formula_at_b2(tmp_path / "first", f"B2 = {source}\n")
+    dump = dump_workbook_source(ws, "Book1")
+    assert dump == f"sheet Sheet1\nB2 = {source}\n"
+    again = load_formula_at_b2(tmp_path / "second", dump)
+    loaded = again.cell(CTX).content
+    assert loaded == ws.cell(CTX).content
+    assert tree_of(loaded) == parse_formula(source, CTX)
+    assert dump_workbook_source(again, "Book1") == dump
+
+
+def test_qualified_references_dump_as_written(tmp_path):
+    # the same three cells named at each qualification level
+    written = "[Book1]Sheet1!A1+[Book1]Other!A1+[lib]S!A1"
+    ws = load_formula_at_b2(tmp_path / "first", f"B2 = {written}\nB3 = A1+Other!A1+[lib]S!A1\n")
+    assert dump_workbook_source(ws, "Book1").splitlines()[1] == f"B2 = {written}"
+    want = (CellAddress("Book1", "Sheet1", 1, 1), CellAddress("Book1", "Other", 1, 1), CellAddress("lib", "S", 1, 1))
+    b2, b3 = ws.cell(CTX).content, ws.cell(ref("B3")).content
+    assert b2.refs == b3.refs == want
+    assert tree_of(b2) == tree_of(b3)
 
 
 # ---------------------------------------------------------------------------
