@@ -9,14 +9,14 @@ Formula text is ASCII outside text literals and whitespace, and holds no
 line break (no character that :meth:`str.splitlines` ends a line at), not
 even inside a text literal: a ``.gwb`` file holds one formula per line.
 
-A formula's *shape* is its source with each relative row or column of a
-cell reference written as an offset from the formula's own cell, the
-relative R1C1 form: ``A1+$B$1`` in C2 and ``A2+$B$1`` in C3 have one shape.
-A column of copied formulas has few shapes, so :func:`shared_formula`
-parses each shape once per sheet and gives every copy that template and its
-references moved to the copy's own cell (:class:`Template`), not a tree of
-its own; the engine compiles each template once, not each copy. A loaded
-formula is first checked against the template of the formula above it
+A formula's *shape* is its source with each cell reference's column, row
+and ``$`` marks left out: ``A1+$B$1`` and ``C7+D2`` have one shape, in any
+cells of one sheet. Formulas of one shape parse to one tree but for the
+corners of their references, so :func:`shared_formula` parses each shape
+once per sheet and gives every formula of it that template and the
+references its own text names (:class:`Template`), not a tree of its own;
+the engine compiles each template once, not each formula. A loaded formula
+is first checked against the template of the formula above it
 (:meth:`Template.copied`), and its text is scanned for its shape only when
 that check fails.
 """
@@ -540,133 +540,91 @@ _SHAPE_RE = re.compile(
 _LETTERS = _SHAPE_RE.groupindex["cell"] + 1  # CELL_RE's groups: column letters, then row digits
 
 
-def _shape(source: str, anchor: CellAddress, words: list) -> str:
-    r"""*source* with each cell reference as ``\n<column>,<row>\n``: a
-    relative part as its offset from *anchor*, an absolute one as ``$``
-    and its number. Appends ``(column, row, column moves, row moves, end)``
-    of each reference to *words*, in source order, ``end`` being where the
-    reference ends."""
-    column0, row0 = anchor.column, anchor.row
+def _shape(source: str, corners: list, rows: list) -> str:
+    r"""*source* with each cell reference as ``\n``: its column, row and
+    ``$`` marks left out. Appends ``(column, row)`` of each reference to
+    *corners* and the span of its row's digits to *rows*, in source order."""
 
     def mark(m: re.Match) -> str:
-        word = m["cell"]
-        coords = None if word is None else grid_coordinates(m[_LETTERS], m[_LETTERS + 1])
+        coords = None if m["cell"] is None else grid_coordinates(m[_LETTERS], m[_LETTERS + 1])
         if coords is None:
             return m[0]
-        column, row = coords
-        column_moves, row_moves = word[0] != "$", "$" not in word[1:]
-        words.append((column, row, column_moves, row_moves, m.end()))
-        c = column - column0 if column_moves else f"${column}"
-        r = row - row0 if row_moves else f"${row}"
-        return f"{m['pre']}\n{c},{r}\n"
+        corners.append(coords)
+        rows.append(m.span(_LETTERS + 1))
+        return m["pre"] + "\n"
 
     return _SHAPE_RE.sub(mark, source)
 
 
 class Template:
-    """One parse of a formula shape, made at the cell it was first met in.
+    """One parse of a formula shape on one sheet (``sheet_key``).
 
     ``nodes`` lists the Ref nodes that hold a cell or range, in source
-    order, and ``refs`` their targets as written there: a formula of the
-    shape holds its own targets in that order (``Formula.refs``), which is
-    how the shape's one compiled function (``code``, emitted and compiled
-    by :mod:`gridcalc.engine` on first evaluation) reads the references of
-    every formula of the shape. ``names`` holds the defined names read and
-    ``volatile`` whether the shape is volatile. ``ast`` is the shape's only
-    tree: no formula holds a tree of its own.
+    order, and ``refs`` their targets in the source the template was parsed
+    from. A formula of the shape holds its own targets in that order
+    (``Formula.refs``), which is how the shape's one compiled function
+    (``code``, emitted and compiled by :mod:`gridcalc.engine` on first
+    evaluation) reads the references of every formula of the shape. The
+    shape gives each of its formulas' references the sheet and kind (cell
+    or range) of the template's one in its place; its corners come from the
+    formula's own text (:meth:`at`). ``names`` holds the defined names read
+    and ``volatile`` whether the shape is volatile. ``ast`` is the shape's
+    only tree: no formula holds a tree of its own.
 
-    With the corners of its references as written and the source they were
-    read in (``words``, from :func:`_shape`), the template learns how to
-    move its references (:meth:`at`) when a second cell of the shape is
-    met, or a copy is offered (:meth:`copied`). ``slots`` then lists the
-    references that hold a relative part: each one's place in ``refs``, the
-    cell it is relative to (None for the formula's own sheet, else an
-    address on the named sheet) and its corners (column, row, and whether
-    each moves). ``pieces`` is that source cut at the digits of each
+    ``pieces`` is the template's source cut at the digits of each
     reference's row: for each reference, the text before its row's digits
     (from the end of the last row, so its column letters and ``$``
-    included), its row and whether that moves; then the text after the
-    last row.
+    included) and its column; then the text after the last row. A source
+    that differs from it only in its rows has this shape (:meth:`copied`).
     """
 
-    __slots__ = (
-        "ast", "anchor", "words", "pieces", "nodes", "refs", "names", "volatile", "slots", "code", "__weakref__"
-    )
+    __slots__ = ("ast", "sheet_key", "pieces", "nodes", "refs", "names", "volatile", "code", "__weakref__")
 
-    def __init__(self, ast: Node, anchor: CellAddress, words: list, source: str) -> None:
+    def __init__(self, ast: Node, sheet_key: tuple, source: str, corners: list, rows: list) -> None:
         self.ast = ast
-        self.anchor = anchor
-        self.words = (words, source)
-        self.pieces = self.slots = self.code = None
+        self.sheet_key = sheet_key
+        self.code = None
         self.nodes, self.names, self.volatile = _scan(ast)
         self.refs = tuple([node.target for node in self.nodes])
-
-    def _learn(self) -> None:
-        """Find ``slots`` and ``pieces``, taking each reference's corners as
-        written, and where it ends, from ``words`` in source order."""
-        words, source = self.words
-        self.slots = []
-        corners = iter(words)
-        for index, target in enumerate(self.refs):
-            written = [next(corners)[:4] for _ in range(2 if isinstance(target, RangeRef) else 1)]
-            if any(c[2] or c[3] for c in written):
-                head = target.top_left if isinstance(target, RangeRef) else target
-                base = None if head.sheet_key == self.anchor.sheet_key else head
-                self.slots.append((index, base, written))
         pieces, end = [], 0
-        for _, row, _, row_moves, stop in words:
-            start = stop
-            while source[start - 1].isdigit():  # a letter or "$" comes before the row
-                start -= 1
-            pieces.append((source[end:start], row, row_moves))
+        for (column, _), (start, stop) in zip(corners, rows):
+            pieces.append((source[end:start], column))
             end = stop
         self.pieces = tuple(pieces), source[end:]
-        self.words = None
 
-    def at(self, anchor: CellAddress, source: str) -> Formula:
-        """The formula *source* of this shape in cell *anchor*: this
-        template and its references with every relative part moved to
-        *anchor*."""
-        dc, dr = anchor.column - self.anchor.column, anchor.row - self.anchor.row
-        if self.slots is None and (dc or dr):
-            self._learn()
-        if not self.slots or dc == dr == 0:  # nothing moves
-            return Formula(source, self, self.refs)
-        refs = list(self.refs)
-        for index, base, written in self.slots:
-            if base is None:
-                base = anchor
-            corners = [
-                base.moved(c + dc if c_moves else c, r + dr if r_moves else r)
-                for c, r, c_moves, r_moves in written
-            ]
-            refs[index] = corners[0] if len(corners) == 1 else RangeRef.normalized(*corners)
+    def at(self, corners: list, source: str) -> Formula:
+        """The formula *source* of this shape: this template, with each
+        reference at its corners in *corners*, the ``(column, row)`` of each
+        cell reference in *source*, in source order."""
+        corners = iter(corners)
+        refs = []
+        for target in self.refs:
+            if type(target) is RangeRef:
+                head = target.top_left
+                refs.append(RangeRef.normalized(head.moved(*next(corners)), head.moved(*next(corners))))
+            else:
+                refs.append(target.moved(*next(corners)))
         return Formula(source, self, tuple(refs))
 
     def copied(self, anchor: CellAddress, source: str) -> Formula | None:
         """The formula *source* in cell *anchor*, made by :meth:`at` with no
-        scan, if *anchor* is in this template's column and sheet and
-        *source* is ``pieces`` with each row that moves moved as many rows
-        as *anchor* lies from the template's anchor: such a source has this
-        template's shape. None if it is not, or if a moved row leaves the
-        grid."""
-        if self.slots is None:
-            self._learn()
-        if anchor.column != self.anchor.column or anchor.sheet_key != self.anchor.sheet_key:
+        scan, if *anchor* is on this template's sheet and *source* is
+        ``pieces`` with a row inside the grid after each piece: such a
+        source has this template's shape. None if it is not."""
+        if anchor.sheet_key != self.sheet_key:
             return None
-        dr = anchor.row - self.anchor.row
         pieces, tail = self.pieces
-        pos = 0
-        for text, row, moves in pieces:
+        corners, pos = [], 0
+        for text, column in pieces:
             if not source.startswith(text, pos):
                 return None
             digits = _ROW_RE.match(source, pos + len(text))
-            if moves:
-                row += dr
-            if digits is None or int(digits[0]) != row or not 0 < row <= MAX_ROWS:
+            row = 0 if digits is None else int(digits[0])
+            if not 0 < row <= MAX_ROWS:
                 return None
+            corners.append((column, row))
             pos = digits.end()
-        return self.at(anchor, source) if source[pos:] == tail else None
+        return self.at(corners, source) if source[pos:] == tail else None
 
 
 def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping, above: Content = None) -> Formula:
@@ -676,20 +634,21 @@ def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping, 
     not parse raises as :func:`parse_formula` does and is not kept.
 
     *above* is the content of the cell above *anchor*, if any. When it is a
-    formula whose template recognises *source* as its copy
+    formula whose template recognises *source* as of its shape
     (:meth:`Template.copied`), that template serves, and *source* is not
     scanned for its shape."""
     if type(above) is Formula:
         made = above.template.copied(anchor, source)
         if made is not None:
             return made
-    words: list = []
-    key = (anchor.sheet_key, _shape(source, anchor, words))
+    corners: list = []
+    rows: list = []
+    key = (anchor.sheet_key, _shape(source, corners, rows))
     # a shape marks references with "\n", which no source that parses holds
     template = None if "\n" in source else templates.get(key)
     if template is None:
-        template = templates[key] = Template(parse_formula(source, anchor), anchor, words, source)
-    return template.at(anchor, source)
+        template = templates[key] = Template(parse_formula(source, anchor), anchor.sheet_key, source, corners, rows)
+    return template.at(corners, source)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from gridcalc import bench, tables
+from gridcalc import bench, formula, tables
 from gridcalc.engine import Engine
 
 
@@ -71,6 +71,15 @@ def test_out_of_grid_call_count_rejected():
         bench.build_workspace(600_000, "small", 1)
     with pytest.raises(ValueError):
         bench.build_workspace(5, "medium", 1)
+
+
+def test_small_mode_parses_each_shape_once(monkeypatch):
+    # the body's two formulas, then 64 links of one shape, each in a row of its own
+    calls = []
+    plain = formula.parse_formula
+    monkeypatch.setattr(formula, "parse_formula", lambda *args: calls.append(args[0]) or plain(*args))
+    ws = bench.build_workspace(64, "small", 1)
+    assert len(calls) == len(ws.templates) == 3
 
 
 @pytest.mark.parametrize("n", [100, 300])

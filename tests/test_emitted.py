@@ -52,10 +52,10 @@ def test_shapes_that_differ_only_in_text_constants_share_one_code_object(compile
     hostile = 'x"); import os; ("'
     made = [formula.shared_formula('"a"&A1', AT, ws.templates)]
     made.append(formula.shared_formula(formula.quote(hostile + "#") + "&A1", AT, ws.templates))
-    # a line break no formula source holds, in a template built from a tree:
-    # used only in the cell it is made for, it moves nothing and needs no words
+    # a line break no formula source holds, in a template built from a tree
+    # and from no source: its one reference is given its corner by hand
     ast = formula.Binary("&", formula.Literal(hostile + "\n"), formula.Ref(HOME))
-    made.append(formula.Template(ast, AT, [], "").at(AT, "no source"))
+    made.append(formula.Template(ast, AT.sheet_key, "", [], []).at([(HOME.column, HOME.row)], "no source"))
     values = [engine.evaluate(ws, AT, f) for f in made]
     assert values == ["ab", hostile + "#b", hostile + "\nb"]
     assert len({id(f.template) for f in made}) == 3
@@ -91,7 +91,7 @@ def test_copies_of_one_tree_compile_once(compiles):
         eng.set_formula(cell, "=D2")
     eng.full_recalc()
     assert [ws.value(cell) for cell in cells] == ["text"] * 64
-    assert len({id(ws.cell(cell).content.template) for cell in cells}) == 64
+    assert len({id(ws.cell(cell).content.template) for cell in cells}) == 1
     assert len(compiles) == 1
 
 

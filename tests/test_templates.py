@@ -1,5 +1,6 @@
-"""Formula templates: each relative shape is parsed once per sheet, and every
-copy gets the result a plain parse would give it."""
+"""Formula templates: each shape (a formula's text with the columns, rows and
+``$`` marks of its cell references left out) is parsed once per sheet, and
+every formula of it gets the result a plain parse would give it."""
 
 from __future__ import annotations
 
@@ -152,6 +153,39 @@ def test_cached_formula_equals_a_plain_parse_at_any_anchor(pieces, a, b, sep):
             made.append(shared_formula(source, anchor, templates))
     if sep and len(made) == 2:  # separated pieces cannot merge into one word
         assert made[0].template is made[1].template
+
+
+@st.composite
+def redrawn(draw, pieces: list) -> list:
+    """*pieces* with every row and column part drawn again."""
+    return [p if isinstance(p, str) else (p[0], [(_part(draw), _part(draw)) for _ in p[1]]) for p in pieces]
+
+
+def without_coordinates(pieces: list) -> str:
+    """The text :func:`render` gives *pieces* with spaces between them, each
+    cell reference's column, row and ``$`` marks left out."""
+    return " ".join(p if isinstance(p, str) else p[0] + ":".join("@" for _ in p[1]) for p in pieces)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shapes(), st.data(), _anchors, _anchors, st.booleans())
+def test_formulas_share_a_template_exactly_when_their_texts_without_coordinates_agree(pieces, data, a, b, offered):
+    # two formulas on one sheet, each at its own cell with coordinates of its
+    # own: half the time the second one's text is the first one's with only
+    # its coordinates drawn again; the first is offered as the cell above
+    other = data.draw(st.one_of(shapes(), redrawn(pieces)))
+    templates = WeakValueDictionary()
+    made = []
+    for drawn, anchor in ((pieces, a), (other, b)):
+        source = render(drawn, anchor, " ")
+        above = made[0] if offered and made else None
+        want = outcome(lambda: parse_formula(source, anchor))
+        assert outcome(lambda: shared_formula(source, anchor, templates, above)) == want
+        if want[0] == "ok":
+            made.append(shared_formula(source, anchor, templates, above))
+    if len(made) == 2:
+        same = without_coordinates(pieces) == without_coordinates(other)
+        assert (made[0].template is made[1].template) == same
 
 
 @settings(max_examples=400, deadline=None)
@@ -319,7 +353,7 @@ def test_copies_down_a_column_are_checked_not_scanned(monkeypatch, tmp_path):
         (("B7", '"A7"&A7'), "B8", '"A7"&A8', True),
         (("B7", '"A7"&A7'), "B8", '"A8"&A8', False),  # the text literal changes
         (("B5", "$A$5+1"), "B6", "$A$5+1", True),
-        (("B5", "A$5+1"), "B6", "A$6+1", False),  # an absolute row changes
+        (("B5", "A$5+1"), "B6", "A$6+1", True),  # a row is read, whatever its $ marks
         (("B5", "Sheet2!A5+[Book9]Q1!$A$5"), "B6", "Sheet2!A6+[Book9]Q1!$A$5", True),
         (("B5", "Sheet2!A5"), "B6", "Sheet3!A6", False),
         (("B5", "[Book9]Q1!A5"), "B6", "[Book9]Q2!A6", False),
@@ -327,10 +361,17 @@ def test_copies_down_a_column_are_checked_not_scanned(monkeypatch, tmp_path):
         (("B7", "A07*2"), "B8", "A8*2", True),  # one shape, as rows compare as numbers
         (("B9", "A9*2"), "B10", "A10*2", True),
         (("B10", "A10*2"), "B9", "A9*2", True),
-        (("B5", "A5*2"), "C6", "A6*2", False),  # another column
-        (("B5", "$A5*2"), "C6", "$A6*2", True),  # found by the scan
+        (("B5", "A5*2"), "C6", "A6*2", True),  # the formula is in another column
+        (("B5", "$A5*2"), "C6", "$A6*2", True),
         (("B5", "A5*2"), "[Book1]Sheet2!B6", "A6*2", False),  # another sheet
         (("B1048575", "A1048576"), "B1048576", "A1048577", False),  # leaves the grid
+        (("B5", "A5*2"), "B6", "B6*2", True),  # found by the scan: another column is read
+        (("[Book1]Sheet2!B5", "Sheet1!A5"), "B6", "Sheet1!A6", False),  # above is on another sheet
+        (("B5", '"a"&A5'), "B6", '"b"&A6', False),  # a text constant changes
+        (("B5", "Sheet2!A5+1"), "B6", "Sheet3!A5+1", False),
+        (("B5", "SUM(A5)"), "B6", "SUM(A5:A6)", False),  # a cell, then a range
+        (("B5", "SUM(A5:A6)"), "B6", "SUM(A5)", False),
+        (("B5", "A1+1"), "B6", "XFE1+1", False),  # outside the grid: a name
     ],
 )
 def test_copy_checked_against_the_formula_above(above, cell, source, shared):
@@ -393,7 +434,7 @@ def test_formulas_are_equal_by_source_and_refs():
     made = shared_formula("A1*2", at("B1"), ws.templates)
     # one source on two sheets reads two cells
     assert made != shared_formula("A1*2", other, ws.templates)
-    # a copy and the template it was moved from differ in their refs
+    # two formulas of one template differ in their refs
     assert shared_formula("A2*2", at("B2"), ws.templates) != made
     # a formula made with a template cache of its own equals the one its
     # source loads to, and set_cell makes it again with the workspace's
@@ -596,4 +637,4 @@ def test_source_that_spells_out_a_shape_is_not_taken_for_it():
     templates: dict = {}
     shared_formula("A1+1", at("B2"), templates)
     with pytest.raises(LexError):
-        shared_formula("\n-1,-1\n+1", at("B2"), templates)
+        shared_formula("\n+1", at("B2"), templates)
