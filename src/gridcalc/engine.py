@@ -23,12 +23,22 @@ evaluation (:func:`compile_template`), to the source of one Python
 function, one statement per node, each writing a temporary; a workspace
 keeps the code object of each source text (``Workspace.codes``). Every
 formula of the shape runs it over its own references (``Formula.refs``).
-Constants, builtins, coercers and name keys reach the function through its
-namespace, never as text. IF is an ``if`` statement: only the branch taken
-runs. Special and reference builtins get each argument as emitted functions,
-its value and, if read, its reference (:class:`gridcalc.functions.Arg`).
-A node nested deeper than :data:`MAX_DEPTH` gives ``#VALUE!``, only if it
-is evaluated, and so the limit bounds the emitted nesting too.
+Constants, builtins, coercers, name keys and sheets reach the function
+through its namespace, never as text. IF is an ``if`` statement: only the
+branch taken runs. Special and reference builtins get each argument as
+emitted functions, its value and, if read, its reference
+(:class:`gridcalc.functions.Arg`). A node nested deeper than
+:data:`MAX_DEPTH` gives ``#VALUE!``, only if it is evaluated, and so the
+limit bounds the emitted nesting too.
+
+A template is bound to the workspace whose ``templates`` made it. A shape
+gives the reference in each of its places one sheet, resolved once, when it
+compiles: a static reference reads that sheet's ``cells`` dict directly, a
+cell as ``cells.get(key, BLANK).cached`` and a range through
+:func:`range_values`. Sheets are never removed, nor their ``cells`` dicts
+replaced, so the binding holds. :func:`ref_value` resolves the sheet on
+every read: for defined names, INDIRECT and OFFSET, and for a sheet that did
+not exist when the template compiled, which reads ``#REF!`` until it does.
 
 A scalar builtin or operator runs in line when no array and no raw error
 arrives, else it lifts (:func:`gridcalc.functions.array_lift`). Its kinds
@@ -61,7 +71,6 @@ from __future__ import annotations
 import builtins
 import math
 import random
-import sys
 import time
 from dataclasses import dataclass
 from itertools import chain
@@ -71,6 +80,7 @@ from typing import Iterable
 from . import formula, functions, tables
 from .model import (
     Array,
+    Cell,
     CellAddress,
     Content,
     Error,
@@ -145,9 +155,11 @@ class DependencyGraph:
 
 
 class EvalContext:
-    """What one evaluation of a formula reads: the workspace, the formula's
-    own cell (ROW(), COLUMN() and INDIRECT's relative text read it) and its
-    references in the order its template reads them (``Formula.refs``)."""
+    """What one evaluation of a formula reads: the workspace (its defined
+    names, and the sheets :func:`ref_value` resolves), the formula's own cell
+    (ROW(), COLUMN() and INDIRECT's relative text read it) and its references
+    in the order its template reads them (``Formula.refs``), whose sheets the
+    template bound when it compiled."""
 
     __slots__ = ("workspace", "cell", "refs")
 
@@ -162,34 +174,43 @@ def evaluate(workspace: Workspace, cell: CellAddress, f: Formula):
     on first use, run over *f*'s own references. An array result is
     returned whole."""
     template = f.template
-    code = template.code or compile_template(template, workspace.codes)
+    code = template.code or compile_template(template, workspace)
     return code(EvalContext(workspace, cell, f.refs))
 
 
-def ref_value(workspace: Workspace, target):
-    """Dereference an address (cached value) or range (array of values): the
-    one place a compiled formula reads cells through."""
-    if type(target) is CellAddress:
-        sheet = workspace.resolve_sheet(target)
-        if sheet is None:
-            return Error.REF
-        return sheet.value(target.row, target.column)
-    sheet = workspace.resolve_sheet(target.top_left)
-    if sheet is None:
-        return Error.REF
+_BLANK = Cell(None)  # what a read of a cell no sheet holds finds
+
+
+def range_values(cells: dict, target: RangeRef) -> Array:
+    """The cached values of range *target*, read from *cells*, its sheet's."""
     tl, br = target.top_left, target.bottom_right
     columns = range(tl.column, br.column + 1)
-    return Array([[sheet.value(r, c) for c in columns] for r in range(tl.row, br.row + 1)])
+    return Array([[cells.get((r, c), _BLANK).cached for c in columns] for r in range(tl.row, br.row + 1)])
 
 
-def compile_template(template: formula.Template, codes: dict | None = None):
-    """Compile *template*'s AST once to a Python function of an
-    :class:`EvalContext`, kept as ``template.code``: its source is emitted
-    (:class:`_Compiler`) and compiled, unless *codes* (source text -> code
-    object, a workspace's ``codes``) holds that text already. The root is
-    one level deep, each argument or operand one more, but an argument of
-    a special or reference builtin read as a reference costs no level."""
-    template.code = _Compiler(template, {} if codes is None else codes).function(template.ast, 1)
+def ref_value(workspace: Workspace, target):
+    """Dereference an address (cached value) or range (array of values),
+    resolving its sheet on this read, ``#REF!`` if there is none: the read
+    of defined names, INDIRECT, OFFSET and a reference whose sheet did not
+    exist when its template compiled."""
+    sheet = workspace.resolve_sheet(target if type(target) is CellAddress else target.top_left)
+    if sheet is None:
+        return Error.REF
+    if type(target) is CellAddress:
+        return sheet.value(target.row, target.column)
+    return range_values(sheet.cells, target)
+
+
+def compile_template(template: formula.Template, workspace: Workspace):
+    """Compile *template*'s AST once, for *workspace*, whose ``templates``
+    made it, to a Python function of an :class:`EvalContext`, kept as
+    ``template.code``: its source is emitted (:class:`_Compiler`) and
+    compiled, unless the workspace's ``codes`` (source text -> code object)
+    hold that text already. Each reference's sheet is resolved here, once.
+    The root is one level deep, each argument or operand one more, but an
+    argument of a special or reference builtin read as a reference costs no
+    level."""
+    template.code = _Compiler(template, workspace).function(template.ast, 1)
     return template.code
 
 
@@ -231,20 +252,24 @@ def _any(test: str, exprs: list) -> str:
 
 
 class _Compiler:
-    """One compilation of a template: its references' places, each call's
-    arguments and each node's element kernel, by ``(id of the node, its
-    depth)``, and the code objects to share."""
+    """One compilation of a template: its references' places and the cells
+    of each one's sheet (None if there is none), each call's arguments and
+    each node's element kernel, by ``(id of the node, its depth)``, and the
+    code objects to share."""
 
-    def __init__(self, template: formula.Template, codes: dict) -> None:
+    def __init__(self, template: formula.Template, workspace: Workspace) -> None:
         self.positions = {id(node): i for i, node in enumerate(template.nodes)}
-        self.codes = codes
+        sheets = [workspace.resolve_sheet(r if type(r) is CellAddress else r.top_left) for r in template.refs]
+        self.cells = [None if sheet is None else sheet.cells for sheet in sheets]
+        self.codes = workspace.codes
         self.argument_lists: dict = {}
         self.kernels: dict = {}
 
     def function(self, node, depth: int, reference: bool = False):
         """The function of an :class:`EvalContext` that gives *node*'s value
         *depth* deep, or with *reference* its reference; made from its code
-        object, so that no namespace holds it (and no cycle is made)."""
+        object, so that its namespace does not hold it. (A sheet it reads
+        may: a workspace whose formulas ran is freed by the cyclic collector.)"""
         u = _Unit()
         result = self.reference(u, node, depth) if reference else self.value(u, node, depth)
         u.lines.append(f"    return {result}\n")
@@ -266,7 +291,13 @@ class _Compiler:
         if isinstance(node, formula.Ref):
             if isinstance(node.target, str):
                 return self.read(u, self.reference(u, node, depth))
-            return u.assign(f"engine.ref_value(ctx.workspace, ctx.refs[{self.positions[id(node)]}])")
+            i = self.positions[id(node)]
+            if self.cells[i] is None:
+                return u.assign(f"ref_value(ctx.workspace, ctx.refs[{i}])")
+            k = u.const(self.cells[i])
+            if type(node.target) is RangeRef:
+                return u.assign(f"range_values({k}, ctx.refs[{i}])")
+            return u.assign(f"{k}.get((ctx.refs[{i}].row, ctx.refs[{i}].column), BLANK).cached")
         if isinstance(node, formula.Unary) and node.op == "+":
             return self.value(u, node.operand, depth + 1)
         link = _scalar_link(node)
@@ -304,7 +335,7 @@ class _Compiler:
         return u.const(None)
 
     def read(self, u: _Unit, ref: str) -> str:
-        return u.choose(f"type({ref}) is Error", ref, f"engine.ref_value(ctx.workspace, {ref})")
+        return u.choose(f"type({ref}) is Error", ref, f"ref_value(ctx.workspace, {ref})")
 
     def arguments(self, node, spec: functions.Builtin, depth: int) -> tuple:
         """Call *node*'s arguments as :class:`functions.Arg` of *spec*; kept,
@@ -578,13 +609,13 @@ def _lifted_links(constant: Array, links: tuple, helds: list):
 
 
 # What every emitted function reads besides its constants; ``lifts`` are the
-# types a scalar call lifts over. ``engine.ref_value`` and ``array_lift`` are
-# read through their modules at run time, so that a patched one is called.
+# types a scalar call lifts over. ``array_lift`` is read through its module
+# at run time, so that a patched one is called.
 _NAMESPACE = dict(
-    __builtins__=builtins, engine=sys.modules[__name__], functions=functions, lifts=frozenset((Array, Error)),
-    Array=Array, Error=Error, top_left=top_left, to_boolean=to_boolean, shaped=functions.shaped,
-    lift_elements=functions.lift_elements, lifted_links=_lifted_links, sum_of_products=functions.sum_of_products,
-    sumproduct=functions._fn_sumproduct, match_key=functions.match_key,
+    __builtins__=builtins, functions=functions, lifts=frozenset((Array, Error)), Array=Array, Error=Error,
+    BLANK=_BLANK, ref_value=ref_value, range_values=range_values, top_left=top_left, to_boolean=to_boolean,
+    shaped=functions.shaped, lift_elements=functions.lift_elements, lifted_links=_lifted_links,
+    sum_of_products=functions.sum_of_products, sumproduct=functions._fn_sumproduct, match_key=functions.match_key,
 )
 
 

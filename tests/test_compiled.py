@@ -356,16 +356,14 @@ def test_mid_at_constant_positions_takes_the_characters_at_them():
             assert same_value(reference, Array(expected)), (source, reference)
 
 
-def test_kernel_reads_a_held_range_once(monkeypatch):
+def test_kernel_reads_a_held_range_once():
     from gridcalc import engine
 
-    reads = []
-    real = engine.ref_value
-    monkeypatch.setattr(engine, "ref_value", lambda ws, target: reads.append(target) or real(ws, target))
     ws = workspace()
-    for compiled, reference in compiled_and_reference(ws, "VALUE(MID(C3:C4&\"1\",{1;2},1))", ANCHOR, 1, 2):
-        assert same_value(compiled, reference), (compiled, reference)
-    assert len(reads) == 2  # once at the template's cell, once at the copy
+    with calls_of(engine.range_values) as reads:
+        for compiled, reference in compiled_and_reference(ws, "VALUE(MID(C3:C4&\"1\",{1;2},1))", ANCHOR, 1, 2):
+            assert same_value(compiled, reference), (compiled, reference)
+    assert reads["range_values"] == 2  # once at the template's cell, once at the copy
 
 
 def test_isbn_body_runs_its_chain_as_one_kernel(monkeypatch):
@@ -490,17 +488,15 @@ def test_sumproduct_over_a_kernel_with_an_array_held_agrees_with_the_reference_i
         assert same_value(compiled, reference), (compiled, reference)
 
 
-def test_sumproduct_guard_reads_a_held_range_once(monkeypatch):
+def test_sumproduct_guard_reads_a_held_range_once():
     from gridcalc import engine
 
-    reads = []
-    real = engine.ref_value
-    monkeypatch.setattr(engine, "ref_value", lambda ws, target: reads.append(target) or real(ws, target))
     ws = workspace()
     source = 'SUMPRODUCT(VALUE(MID(C3:C4&"1",{1;2},1)),{1;2})'
-    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
-        assert same_value(compiled, reference), (compiled, reference)
-    assert len(reads) == 2  # once at the template's cell, once at the copy
+    with calls_of(engine.range_values) as reads:
+        for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
+            assert same_value(compiled, reference), (compiled, reference)
+    assert reads["range_values"] == 2  # once at the template's cell, once at the copy
 
 
 @contextmanager
@@ -518,6 +514,30 @@ def calls_of(*fns):
         yield counts
     finally:
         sys.setprofile(None)
+
+
+def test_static_reads_resolve_no_sheet():
+    from gridcalc import bench, engine
+
+    ws = bench.build_workspace(20, "large", 1)
+    eng = engine.Engine(ws)
+    eng.full_recalc()
+    results = [ws.value(a) for a in bench.result_addresses(20, "large")]
+    assert set(results) == {"valid", "invalid"}
+    with calls_of(Workspace.resolve_sheet, engine.ref_value) as counts:
+        eng.full_recalc()
+    assert counts == {"resolve_sheet": 0, "ref_value": 0}
+    assert [ws.value(a) for a in bench.result_addresses(20, "large")] == results
+    # a dynamic reference still resolves its sheet on every read
+    c1, f1 = (CellAddress("bench_body", "Bench", column, 1) for column in (3, 6))
+    eng.set_literal(c1, "x")
+    eng.set_formula(f1, '=INDIRECT("C1")')
+    eng.full_recalc()
+    eng.set_literal(c1, "y")
+    with calls_of(Workspace.resolve_sheet, engine.ref_value) as counts:
+        eng.full_recalc()
+    assert ws.value(f1) == "y"
+    assert counts["ref_value"] == 1 and counts["resolve_sheet"] > 0
 
 
 # the check-digit bodies the workloads run: an ISBN-10 body, an ISBN-13 row
@@ -573,7 +593,8 @@ COMPILE_ONCE = [
 def test_each_constant_is_indexed_and_coerced_once(source, indexes, coercions):
     from gridcalc import engine, formula
 
-    template = formula.shared_formula(source, ANCHOR, workspace().templates).template
+    ws = workspace()
+    template = formula.shared_formula(source, ANCHOR, ws.templates).template
     with calls_of(functions.match_index, engine._coerced_array) as counts:
-        engine.compile_template(template)
+        engine.compile_template(template, ws)
     assert counts == {"match_index": indexes, "_coerced_array": coercions}

@@ -1,7 +1,7 @@
 """The emitted functions a template compiles to: constants reach them
 through their namespace, never as source text; a workspace compiles each
 source text once; nesting stays within the depth limit; compiling leaves
-no reference cycle behind."""
+no garbage cycle behind."""
 
 from __future__ import annotations
 
@@ -172,7 +172,7 @@ def test_one_level_deeper_gives_value_error_only_where_evaluated(taken, expected
 
 
 # ---------------------------------------------------------------------------
-# compiling makes no reference cycle
+# compiling makes no garbage cycle
 # ---------------------------------------------------------------------------
 
 
@@ -185,7 +185,7 @@ def test_compiling_leaves_no_garbage_cycle(book):
     gc.disable()
     try:
         for template in templates:
-            engine.compile_template(template, ws.codes)
+            engine.compile_template(template, ws)
         compiled = [template.code for template in templates]
         unreachable = gc.collect()
         for template in templates:

@@ -66,6 +66,33 @@ def test_dangling_workbook_is_ref_error():
     assert eng.get_value(at("A1")) is Error.REF
 
 
+@pytest.mark.parametrize(
+    "source, copy, book, sheet, values",
+    [
+        ("[lib]S!A1*2", "[lib]S!A2*2", "lib", "S", (8.0, 8.0, 10.0)),
+        ("SUM(Other!A1:A2)", "SUM(Other!A2:A3)", "T", "Other", (4.0, 9.0, 5.0)),
+    ],
+)
+def test_a_sheet_added_after_its_reader_compiled_is_read(source, copy, book, sheet, values):
+    # the reader's template compiles while its sheet is missing, so it
+    # resolves the sheet on every read: #REF! until it exists, then its value
+    eng = fresh()
+    eng.set_formula(at("A1"), source)
+    eng.full_recalc()
+    assert eng.get_value(at("A1")) is Error.REF
+    wb = eng.workspace.workbook(book) or eng.workspace.add_workbook(book)
+    wb.ensure_sheet(sheet)
+    eng.set_literal(CellAddress(book, sheet, 1, 1), 4.0)
+    eng.full_recalc()
+    assert eng.get_value(at("A1")) == values[0]
+    # a copy made now shares the template compiled before the sheet existed
+    eng.set_formula(at("A2"), copy)
+    eng.set_literal(CellAddress(book, sheet, 1, 2), 5.0)
+    eng.full_recalc()
+    assert eng.workspace.cell(at("A2")).content.template is eng.workspace.cell(at("A1")).content.template
+    assert (eng.get_value(at("A1")), eng.get_value(at("A2"))) == values[1:]
+
+
 def test_unknown_defined_name_is_name_error():
     eng = fresh()
     eng.set_formula(at("A1"), "NotDefined+1")
