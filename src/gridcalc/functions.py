@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from typing import Callable, Iterator
 
@@ -545,9 +545,21 @@ def indirect_ref(ctx, args):
             return a1
         if not a1:
             return Error.VALUE
-    text = to_text(v)
+    cell = ctx.cell
+    return _indirect_target(to_text(v), cell.workbook, cell.sheet)
+
+
+# INDIRECT is volatile, so it runs on every recalc, and a workbook's texts
+# are few: each parse is kept, up to a fixed number of texts and contexts.
+# Only immutable addresses and ranges are kept, never a sheet or a cell: the
+# sheet a target names is resolved on every read, and a dropped workspace
+# leaves nothing here that holds it.
+@lru_cache(maxsize=4096)
+def _indirect_target(text: str, workbook: str, sheet: str):
+    """The reference *text* names from a cell of *workbook*'s *sheet*, or
+    ``#REF!``. Unqualified parts keep the context names' own spelling."""
     try:
-        return parse_address(text, ctx.cell)
+        return parse_address(text, CellAddress(workbook, sheet, 1, 1))
     except AddressError:
         return Error.REF
 

@@ -540,6 +540,23 @@ def test_static_reads_resolve_no_sheet():
     assert counts["ref_value"] == 1 and counts["resolve_sheet"] > 0
 
 
+def test_a_steady_recalc_parses_no_indirect_text():
+    # Book2's calls hand lib's bodies text addresses that INDIRECT reads on
+    # every recalc; each distinct text is parsed once, on the first
+    from gridcalc import model
+    from conftest import engine_for
+
+    eng = engine_for("demo.gws")
+    eng.full_recalc()
+    cells = [parse_address(text, HOME) for text in ("[Book2]Sheet1!F3", "[Book2]Sheet1!F6", "[Book2]Sheet2!F3")]
+    results = [eng.get_value(cell) for cell in cells]
+    assert results == ["valid"] * 3
+    with calls_of(model.parse_address) as counts:
+        eng.full_recalc()
+    assert counts == {"parse_address": 0}
+    assert [eng.get_value(cell) for cell in cells] == results
+
+
 # the check-digit bodies the workloads run: an ISBN-10 body, an ISBN-13 row
 # and lib's ISSN check, each given a valid input; the calls of VALUE that
 # evaluating them once makes, compiled: none per character (the ISBN-13

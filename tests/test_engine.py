@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
-from gridcalc import dump_sheet, dump_workbook_source
+from gridcalc import dump_sheet, dump_workbook_source, functions
 from gridcalc.engine import Engine, values_equal
 from gridcalc.formula import parse_formula, static_dependencies
 from gridcalc.model import (
@@ -91,6 +93,19 @@ def test_a_sheet_added_after_its_reader_compiled_is_read(source, copy, book, she
     eng.full_recalc()
     assert eng.workspace.cell(at("A2")).content.template is eng.workspace.cell(at("A1")).content.template
     assert (eng.get_value(at("A1")), eng.get_value(at("A2"))) == values[1:]
+
+
+def test_indirect_memo_keeps_no_workspace_alive():
+    # INDIRECT's parse memo is module-wide: it may hold addresses, never a
+    # sheet or cell that would keep a dropped workspace reachable
+    eng = engine_for("isbn_byref.gwb")
+    eng.full_recalc()
+    assert eng.get_value(at("[isbn_byref]Sheet1!F5")) == "valid"
+    workspace = weakref.ref(eng.workspace)
+    del eng
+    gc.collect()
+    assert workspace() is None
+    assert functions._indirect_target.cache_info().currsize > 0
 
 
 def test_unknown_defined_name_is_name_error():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,13 +10,24 @@ from hypothesis import given, strategies as st
 from gridcalc import isbn
 from gridcalc.engine import Engine, evaluate
 from gridcalc.formula import shared_formula
-from gridcalc.functions import BINARY_FNS, NEGATE, REGISTRY, array_lift, match_index, match_key
+from gridcalc.functions import (
+    BINARY_FNS,
+    NEGATE,
+    REGISTRY,
+    Arg,
+    array_lift,
+    indirect_ref,
+    match_index,
+    match_key,
+)
 from gridcalc.model import (
+    AddressError,
     Array,
     CellAddress,
     Error,
     Literal,
     Workspace,
+    parse_address,
 )
 
 # Dot products recomputed here, independently of the engine, and frozen.
@@ -267,6 +279,119 @@ def test_index_block_reconstruction():
         ws,
     )
     assert joined == "020103803X"
+
+
+# INDIRECT keeps each text's parse (``functions._indirect_target``), keyed by
+# the text and the context cell's workbook and sheet names; these check that
+# what it keeps is what a fresh parse gives, and that sheets still resolve
+# on every read.
+
+
+def indirect_target(text, at: CellAddress):
+    """What INDIRECT(*text*) names from cell *at*."""
+    return indirect_ref(SimpleNamespace(cell=at), [Arg(lambda ctx: text, None)])
+
+
+def named(target) -> list[tuple]:
+    """Each corner of *target* as its stored names, column and row."""
+    corners = (target,) if isinstance(target, CellAddress) else (target.top_left, target.bottom_right)
+    return [(c.workbook, c.sheet, c.column, c.row) for c in corners]
+
+
+def test_indirect_follows_a_changed_text():
+    ws = blocks_sheet()
+    eng = Engine(ws)
+    eng.set_formula(addr(3, 1), 'INDEX(INDIRECT(A1),1)&"/"&COLUMNS(INDIRECT(A1))')
+    for text, expected in [("B5", "201/1"), ("D5", "X/1"), ("B5:C5", "201/2"), ("B5", "201/1")]:
+        eng.set_literal(addr(1, 1), text)
+        eng.full_recalc()
+        assert eng.get_value(addr(3, 1)) == expected
+
+
+def test_indirect_reads_its_own_sheet_and_workbook():
+    ws = Workspace()
+    for book in ("P", "Q"):
+        ws.add_workbook(book)
+    homes = [CellAddress(book, sheet, 2, 2) for book in ("P", "Q") for sheet in ("S", "T")]
+    for home in homes:
+        ws.workbook(home.workbook).ensure_sheet(home.sheet)
+        put(ws, home.moved(1, 1), f"{home.workbook}.{home.sheet}")
+    eng = Engine(ws)
+    for home in homes:
+        eng.set_formula(home, 'INDIRECT("A1")')
+    for _ in range(2):
+        eng.full_recalc()
+        assert [eng.get_value(home) for home in homes] == ["P.S", "P.T", "Q.S", "Q.T"]
+
+
+def test_indirect_keeps_the_spelling_of_its_context():
+    for book, sheet in [("Book", "Sheet1"), ("Book", "SHEET1"), ("BOOK", "sheet1"), ("Book", "Sheet1")]:
+        for text in ("A1", "$B$2:C3"):
+            target = indirect_target(text, CellAddress(book, sheet, 4, 4))
+            assert {names[:2] for names in named(target)} == {(book, sheet)}
+        other = indirect_target("Other!A1", CellAddress(book, sheet, 4, 4))
+        assert (other.workbook, other.sheet) == (book, "Other")
+
+
+def test_indirect_of_a_bad_text_stays_an_error():
+    ws = scratch()
+    eng = Engine(ws)
+    sources = ['INDIRECT("nope!A1")', 'INDIRECT("A0")', 'INDIRECT("")', "INDIRECT(5)", 'INDIRECT("[T]A1")']
+    cells = [addr(1, row) for row in range(1, len(sources) + 1)]
+    for cell, source in zip(cells, sources):
+        eng.set_formula(cell, source)
+    for _ in range(2):
+        eng.full_recalc()
+        assert [eng.get_value(cell) for cell in cells] == [Error.REF] * len(cells)
+
+
+def test_indirect_resolves_a_sheet_added_after_its_first_read():
+    ws = scratch()
+    eng = Engine(ws)
+    eng.set_formula(addr(1, 1), 'INDIRECT("New!A1")')
+    eng.full_recalc()
+    assert eng.get_value(addr(1, 1)) is Error.REF
+    ws.workbook("T").ensure_sheet("New")
+    eng.set_literal(CellAddress("T", "New", 1, 1), "here")
+    eng.full_recalc()
+    assert eng.get_value(addr(1, 1)) == "here"
+
+
+_CELL_TEXTS = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "$"]),
+    st.sampled_from(["A", "c", "Z", "AA", "XFD", "XFE"]),
+    st.sampled_from(["", "$"]),
+    st.sampled_from(["0", "1", "7", "1048576", "1048577"]),
+)
+_ADDRESS_TEXTS = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(["", " "]),
+    st.sampled_from(["", "[P]", "[q]", "[Book]", "[p]"]),
+    st.sampled_from(["", "S!", "s!", "T!", "Sheet 2!", "x:y!"]),
+    _CELL_TEXTS,
+    st.one_of(st.just(""), _CELL_TEXTS.map(":{}".format)),
+)
+_CONTEXTS = st.builds(
+    CellAddress,
+    st.sampled_from(["P", "q"]),
+    st.sampled_from(["S", "t"]),
+    st.integers(1, 30),
+    st.integers(1, 30),
+)
+
+
+@given(st.one_of(_ADDRESS_TEXTS, st.text(max_size=12)), _CONTEXTS)
+def test_indirect_target_is_a_fresh_parse(text, context):
+    try:
+        fresh = parse_address(text, context)
+    except AddressError:
+        fresh = Error.REF
+    got = indirect_target(text, context)
+    if fresh is Error.REF:
+        assert got is Error.REF
+    else:
+        assert got == fresh and named(got) == named(fresh)
 
 
 def test_index_bounds():
