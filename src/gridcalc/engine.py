@@ -17,12 +17,19 @@ cells runs when a cell of it needs it, and every table runs, its passes
 running the table's plan (:meth:`Engine.dependents_plan`). A cycle through
 a table is a recursive call: its cells and table bodies become ``#CYCLE!``.
 
+A plan is bound once, when it is built: each of its cells outside a cycle
+is kept with its compiled function and one :class:`EvalContext` made for
+it (:func:`bind`), so a pass (:meth:`Engine.run_plan`) calls each function
+on its context and makes no context of its own. A cell the walk evaluates
+outside a plan, and a cycle's, is bound where it runs.
+
 Formulas are compiled, not interpreted. Each formula shape
-(:class:`gridcalc.formula.Template`) is compiled once, on its first
-evaluation (:func:`compile_template`), to the source of one Python
-function, one statement per node, each writing a temporary; a workspace
-keeps the code object of each source text (``Workspace.codes``). Every
-formula of the shape runs it over its own references (``Formula.refs``).
+(:class:`gridcalc.formula.Template`) is compiled once, when a formula of it
+is first bound: evaluated, or held by a plan being built
+(:func:`compile_template`), to the source of one Python function, one
+statement per node, each writing a temporary; a workspace keeps the code
+object of each source text (``Workspace.codes``). Every formula of the
+shape runs it over its own references (``Formula.refs``).
 Constants, builtins, coercers, name keys and sheets reach the function
 through its namespace, never as text. IF is an ``if`` statement: only the
 branch taken runs. Special and reference builtins get each argument as
@@ -79,8 +86,8 @@ from typing import Iterable
 
 from . import formula, functions, tables
 from .model import (
+    BLANK,
     Array,
-    Cell,
     CellAddress,
     Content,
     Error,
@@ -169,23 +176,27 @@ class EvalContext:
         self.refs = refs
 
 
-def evaluate(workspace: Workspace, cell: CellAddress, f: Formula):
-    """The value of formula *f* in *cell*: its template's function, compiled
-    on first use, run over *f*'s own references. An array result is
-    returned whole."""
+def bind(workspace: Workspace, cell: CellAddress, f: Formula) -> tuple:
+    """What evaluates formula *f* in *cell*, as ``(function, context)``: its
+    template's function, compiled on first use, and an :class:`EvalContext`
+    over *f*'s own references. ``function(context)`` is *f*'s value; the pair
+    holds as long as *f* stays in *cell*."""
     template = f.template
-    code = template.code or compile_template(template, workspace)
-    return code(EvalContext(workspace, cell, f.refs))
+    return template.code or compile_template(template, workspace), EvalContext(workspace, cell, f.refs)
 
 
-_BLANK = Cell(None)  # what a read of a cell no sheet holds finds
+def evaluate(workspace: Workspace, cell: CellAddress, f: Formula):
+    """The value of formula *f* in *cell* (see :func:`bind`). An array
+    result is returned whole."""
+    fn, ctx = bind(workspace, cell, f)
+    return fn(ctx)
 
 
 def range_values(cells: dict, target: RangeRef) -> Array:
     """The cached values of range *target*, read from *cells*, its sheet's."""
     tl, br = target.top_left, target.bottom_right
     columns = range(tl.column, br.column + 1)
-    return Array([[cells.get((r, c), _BLANK).cached for c in columns] for r in range(tl.row, br.row + 1)])
+    return Array([[cells.get((r, c), BLANK).cached for c in columns] for r in range(tl.row, br.row + 1)])
 
 
 def ref_value(workspace: Workspace, target):
@@ -613,7 +624,7 @@ def _lifted_links(constant: Array, links: tuple, helds: list):
 # at run time, so that a patched one is called.
 _NAMESPACE = dict(
     __builtins__=builtins, functions=functions, lifts=frozenset((Array, Error)), Array=Array, Error=Error,
-    BLANK=_BLANK, ref_value=ref_value, range_values=range_values, top_left=top_left, to_boolean=to_boolean,
+    BLANK=BLANK, ref_value=ref_value, range_values=range_values, top_left=top_left, to_boolean=to_boolean,
     shaped=functions.shaped, lift_elements=functions.lift_elements, lifted_links=_lifted_links,
     sum_of_products=functions.sum_of_products, sumproduct=functions._fn_sumproduct, match_key=functions.match_key,
 )
@@ -647,8 +658,9 @@ class Engine:
         self.workspace = workspace
         self.graph = self.build_graph()
         self.dirty: set[CellAddress] = set(self.graph.precedents)
-        # table id -> (dependents_plan, its edges in components, the edges of
-        # the cells that read its body, its call slots); with iterative
+        # table id -> (dependents_plan, whose cells are bound to their
+        # functions and contexts, its edges in components, the edges of the
+        # cells that read its body, its call slots); with iterative
         # calculation, input cell -> its dependents if they hold a cycle; the
         # tables a walk is given, as a tuple -> their closure's order
         self._plans: dict = {}
@@ -855,15 +867,16 @@ class Engine:
             elif node in needs:
                 cell = self.workspace.cell(node)
                 old = cell.cached
-                self._eval_cell(node, cell, stats)
+                self._eval_cell(*bind(self.workspace, node, cell.content), cell, stats)
                 changed = () if values_equal(old, cell.cached) else (node,)
             else:
                 continue
             for addr in changed:
                 needs.update(self.graph.dependents.get(addr, ()))
 
-    def _eval_cell(self, addr: CellAddress, cell, stats: EvalStats) -> None:
-        v = evaluate(self.workspace, addr, cell.content)
+    def _eval_cell(self, fn, ctx: EvalContext, cell, stats: EvalStats) -> None:
+        """Run *fn* on *ctx*, a formula's :func:`bind` pair, into its *cell*."""
+        v = fn(ctx)
         if isinstance(v, Array):
             v = top_left(v)
         cell.cached = 0.0 if v is None else v  # a formula never yields blank
@@ -886,11 +899,12 @@ class Engine:
             for _, cell in cells:
                 cell.cached = Error.CYCLE
         else:
+            bound = [(*bind(self.workspace, a, c.content), c) for a, c in cells]
             for _ in range(cfg.max_iterations):
                 worst = 0.0
-                for addr, cell in cells:
+                for fn, ctx, cell in bound:
                     old = cell.cached
-                    self._eval_cell(addr, cell, stats)
+                    self._eval_cell(fn, ctx, cell, stats)
                     new = cell.cached
                     if isinstance(old, float) and isinstance(new, float):
                         worst = max(worst, abs(new - old))
@@ -962,8 +976,11 @@ class Engine:
         cell and its result formulas, i.e. the results and their precedents
         that the input cell or a volatile one among them reaches,
         topologically ordered; table-body cells hold no formulas and never
-        appear. Every other cell the passes read, another table's body
-        included, is up to date before the table runs (see
+        appear. Each entry is bound here, once: a cell outside a cycle is
+        ``(function, context, Cell)``, its :func:`bind` pair and its cell,
+        and a cycle is ``(None, component, None)``, which
+        :meth:`_eval_cycle` runs. Every other cell the passes read, another
+        table's body included, is up to date before the table runs (see
         :meth:`components`), so a result the plan does not hold keeps its
         value. The plan is built by a reverse walk from the result formulas,
         so its cost is the size of the body, not of the workbook around it.
@@ -977,13 +994,15 @@ class Engine:
         the cells of the table's sheet; the ``(row, column)`` keys of its
         input, argument and result cells; its body's ``(address, Cell)``
         pairs by argument (a locked body keeps its ``Cell`` objects); and the
-        plan's cells, or None if the plan holds a cycle.
+        plan's ``Cell`` objects, or None if the plan holds a cycle.
 
-        A plan, and the edges and slots kept with it (see :meth:`components`),
-        depend only on graph edges, on which cells hold formulas and on the
-        tables: they are dropped, with the orders :meth:`walk` keeps, when a
-        formula is entered or replaced and when a table is declared, not on
-        literal edits.
+        A plan, its bindings, and the edges and slots kept with it (see
+        :meth:`components`), depend only on graph edges, on which cells hold
+        which formulas and on the tables: they are dropped, with the orders
+        :meth:`walk` keeps, when a formula is entered or replaced and when a
+        table is declared, not on literal edits. A binding reads no value and
+        no sheet of its own: a template binds its sheets when it compiles,
+        and one missing then is resolved on every read (:func:`ref_value`).
         """
         kept = self._plans.get(table.table_id)
         if kept is not None:
@@ -1017,11 +1036,11 @@ class Engine:
         nodes.discard(table.input_cell)
         plan = []
         for comp in self._ordered_components(nodes):
-            if self._is_cyclic(comp, self.graph.precedents):
-                plan.append((None, comp))
+            if self._is_cyclic(comp, g.precedents):
+                plan.append((None, comp, None))
             else:
-                addr = comp[0]
-                plan.append((addr, self.workspace.cell(addr)))
+                cell = self.workspace.cell(comp[0])
+                plan.append((*bind(self.workspace, comp[0], cell.content), cell))
         outside = {p for a in nodes for p in g.precedents[a]} - nodes
         reads = {self._node(p) for p in (*table.results, *table.arguments, *outside)} - {table.input_cell}
         edges = {n for n in reads if n in g.precedents or isinstance(n, tables.DataTableRegion)}
@@ -1034,7 +1053,7 @@ class Engine:
             [a.sort_key[2:] for a in table.arguments],
             [a.sort_key[2:] for a in table.results],
             [[(a, cells[a.sort_key[2:]]) for a in row] for row in table.grid],
-            None if any(head is None for head, _ in plan) else [c for _, c in plan],
+            None if any(fn is None for fn, _, _ in plan) else [cell for _, _, cell in plan],
         )
         self._plans[table.table_id] = (plan, edges, reader_edges, slots)
         return plan
@@ -1045,8 +1064,12 @@ class Engine:
         return table if table is not None and table.is_body_cell(addr) else addr
 
     def run_plan(self, plan: list, stats: EvalStats) -> None:
-        for head, payload in plan:
-            if head is None:
-                self._eval_cycle(payload, stats)
+        """Run a table's plan (:meth:`dependents_plan`) once, in order: each
+        cell's bound function on its bound context, each cycle through
+        :meth:`_eval_cycle`."""
+        eval_cell = self._eval_cell
+        for fn, ctx, cell in plan:
+            if fn is None:  # a cycle: its entry holds its component
+                self._eval_cycle(ctx, stats)
             else:
-                self._eval_cell(head, payload, stats)
+                eval_cell(fn, ctx, cell, stats)

@@ -567,6 +567,9 @@ class Cell:
     cached: Value = None
 
 
+BLANK = Cell(None)  # what a read of a cell no sheet holds finds
+
+
 # ---------------------------------------------------------------------------
 # Sheets, workbooks, workspaces
 # ---------------------------------------------------------------------------

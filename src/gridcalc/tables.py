@@ -21,6 +21,7 @@ body, directly or through other cells and tables, is a ``#CYCLE!``.
 from __future__ import annotations
 
 from .model import (
+    BLANK,
     Cell,
     CellAddress,
     RangeRef,
@@ -159,29 +160,28 @@ def declare_table(
     return table
 
 
-_BLANK = Cell(None)  # what a cell the sheet does not hold reads as
-
-
 def evaluate_table(engine, table: DataTableRegion, stats) -> set:
     """Run the substitute/recompute/collect/restore cycle for one table.
 
     For each candidate value, in order: bind it to the input cell, as the
     cached value of one ``Cell`` kept for the call (the input's own, or one
-    put in the sheet until the call ends), run the table's plan
-    (:meth:`Engine.dependents_plan`: its function body only, all table
-    bodies frozen), and copy each result's value into the matching body
-    cell. Afterwards, on every exit path including an exception, the input
-    cell and each plan cell get back their values from before the first
-    pass, so nothing outside table bodies keeps any trace of the passes.
-    Those values are what a run of the plan would give: every plan cell is
-    up to date before its table starts (see :meth:`Engine.components`). A
-    plan that holds a cycle runs once more instead: with iterative
-    calculation on, a self-referential counter sees the restore as it saw
-    each pass. Returns the body cells whose value changed.
+    put in the sheet until the call ends), run the table's plan once
+    (:meth:`Engine.run_plan` over :meth:`Engine.dependents_plan`: its
+    function body only, each cell's compiled function called on the context
+    bound with the plan, all table bodies frozen), and copy each result's
+    value into the matching body cell. Afterwards, on every exit path
+    including an exception, the input cell and each plan cell get back their
+    values from before the first pass, so nothing outside table bodies keeps
+    any trace of the passes. Those values are what a run of the plan would
+    give: every plan cell is up to date before its table starts (see
+    :meth:`Engine.components`). A plan that holds a cycle runs once more
+    instead: with iterative calculation on, a self-referential counter sees
+    the restore as it saw each pass. Returns the body cells whose value
+    changed.
     """
     plan = engine.dependents_plan(table)
     cells, key, arguments, results, body, plan_cells = engine._plans[table.table_id][3]  # its call slots
-    values = [cells.get(k, _BLANK).cached for k in arguments]  # snapshot before any pass
+    values = [cells.get(k, BLANK).cached for k in arguments]  # snapshot before any pass
     kept = None if plan_cells is None else [c.cached for c in plan_cells]
     bound = cells.get(key)
     made = bound is None
@@ -194,7 +194,7 @@ def evaluate_table(engine, table: DataTableRegion, stats) -> set:
             bound.cached = v
             engine.run_plan(plan, stats)
             for result_key, (addr, cell) in zip(results, row):
-                result = cells.get(result_key, _BLANK).cached
+                result = cells.get(result_key, BLANK).cached
                 if not values_equal(cell.cached, result):
                     changed.add(addr)
                 cell.cached = result

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gridcalc import bench, declare_table, functions
+from gridcalc import bench, declare_table, engine, functions
 from gridcalc.engine import Engine, EvalStats, evaluate, values_equal
 from gridcalc.model import (
     CalcConfig,
@@ -619,24 +619,87 @@ def test_plan_holds_only_its_own_function_body():
     calls = [t for t in eng.workspace.tables if t.region.top_left.sheet == "Calls"]
     assert len(calls) == 5  # five calls share the input cell A2
     for table in calls:
-        planned = {addr for addr, _ in eng.dependents_plan(table)}
+        planned = {ctx.cell for _, ctx, _ in eng.dependents_plan(table)}
         body = {parse_address(a, table.anchor) for a in ("B2", "C2", "D2")}
         assert planned == body | set(table.results)
 
 
 def test_literal_edits_keep_plans_and_formula_edits_drop_them():
+    # a plan's entries are bound once, each cell to its compiled function
+    # and a context at its address: recalcs and literal edits keep the very
+    # objects
     eng = engine_for("isbn_basic.gwb")
     eng.full_recalc()
     table = next(t for t in eng.workspace.tables if t.region.top_left.sheet == "Batch")
     plan = eng.dependents_plan(table)
+    entries = list(plan)
+    for fn, ctx, cell in entries:
+        assert fn is cell.content.template.code and eng.workspace.cell(ctx.cell) is cell
     eng.set_literal(batch_addr("A5"), "0201038021")
     eng.set_literal(batch_addr("E1"), 1.0)
     assert eng.dependents_plan(table) is plan
     eng.full_recalc()
     assert eng.get_value(batch_addr("B5")) == "valid"
     assert eng.dependents_plan(table) is plan  # not rebuilt by a recalc
+    assert all(a is b for a, b in zip(entries, plan, strict=True))
     eng.set_formula(batch_addr("E1"), "1")
     assert eng.dependents_plan(table) is not plan
+
+
+def test_a_formula_edit_in_a_plan_binds_the_new_formula():
+    eng = fresh()
+    eng.set_formula(at("D2"), "A2*2")
+    eng.set_formula(at("B4"), "D2")
+    eng.set_literal(at("A5"), 3.0)
+    table = eng.declare_table(rng_("A4:B5"), COLUMN_INPUT, at("A2"))
+    eng.full_recalc()
+    assert eng.get_value(at("B5")) == 6.0
+    plan = eng.dependents_plan(table)
+    eng.set_formula(at("D2"), "A2*10")
+    rebuilt = eng.dependents_plan(table)
+    assert rebuilt is not plan
+    (fn, ctx, cell), _ = rebuilt
+    assert ctx.cell == at("D2") and fn is cell.content.template.code and cell.content.source == "A2*10"
+    eng.full_recalc()
+    assert eng.get_value(at("B5")) == 30.0
+
+
+def test_a_plan_cell_reads_a_sheet_added_after_its_plan_was_bound():
+    # the plan binds D2 while sheet Other is missing: D2's template resolves
+    # that sheet on every read, so the kept plan reads it once it exists
+    eng = fresh()
+    eng.set_formula(at("D2"), "A2+Other!A1")
+    eng.set_formula(at("B4"), "D2")
+    eng.set_literal(at("A5"), 3.0)
+    table = eng.declare_table(rng_("A4:B5"), COLUMN_INPUT, at("A2"))
+    eng.full_recalc()
+    assert eng.get_value(at("B5")) is Error.REF
+    plan = eng.dependents_plan(table)
+    eng.workspace.workbook("T").ensure_sheet("Other")
+    eng.set_literal(at("A1", sheet="Other"), 4.0)
+    eng.full_recalc()
+    assert eng.dependents_plan(table) is plan
+    assert eng.get_value(at("B5")) == 7.0
+
+
+@pytest.mark.parametrize("mode", ["small", "large"])
+def test_a_steady_pass_makes_no_context_and_calls_no_evaluate(monkeypatch, mode):
+    eng = Engine(bench.build_workspace(20, mode, 1))
+    eng.full_recalc()
+    eng.full_recalc()
+    planned = {ctx.cell for t in eng.workspace.tables for _, ctx, _ in eng.dependents_plan(t)}
+    made, evaluated = [], []
+    init = engine.EvalContext.__init__
+
+    def counting_init(self, workspace, cell, refs):
+        made.append(cell)
+        init(self, workspace, cell, refs)
+
+    monkeypatch.setattr(engine.EvalContext, "__init__", counting_init)
+    monkeypatch.setattr(engine, "evaluate", lambda *args: evaluated.append(args[1]))
+    stats = eng.full_recalc()
+    assert stats.cell_evaluations == 60 and stats.body_passes == 20
+    assert planned and planned.isdisjoint(made) and evaluated == []
 
 
 def test_a_steady_recalc_reuses_the_order_of_its_tables(monkeypatch):
@@ -947,7 +1010,7 @@ def test_restored_plan_equals_a_run_of_the_plan(spec):
     def then_run_the_plan(eng, table, stats):
         changed = evaluate_table(eng, table, stats)
         plan = eng.dependents_plan(table)
-        restored = [(addr, cell, cell.cached) for addr, cell in plan]
+        restored = [(ctx.cell, cell, cell.cached) for _, ctx, cell in plan]
         eng.run_plan(plan, EvalStats())
         for addr, cell, cached in restored:
             assert values_equal(cached, cell.cached), (table, addr, cached, cell.cached)
@@ -964,10 +1027,35 @@ def test_restored_plan_equals_a_run_of_the_plan(spec):
 
 @settings(max_examples=80, deadline=None)
 @given(call_workbooks(cross=True), st.data())
+def test_bound_plan_entries_evaluate_as_their_cells_formulas(spec, data):
+    # each entry's function on its context gives what evaluate gives for
+    # its cell's formula, after a recalc and after an argument's literal edit
+    eng = _build(spec, with_tables=True, table_recalc="auto")
+    ws = eng.workspace
+
+    def check() -> None:
+        eng.full_recalc()
+        for table in ws.tables:
+            for fn, ctx, cell in eng.dependents_plan(table):
+                if fn is not None:
+                    assert ws.cell(ctx.cell) is cell
+                    assert values_equal(fn(ctx), evaluate(ws, ctx.cell, cell.content)), ctx.cell
+
+    check()
+    top, _, _, args = data.draw(st.sampled_from(spec[2]), label="table")
+    row = top + 1 + data.draw(st.integers(0, len(args) - 1), label="argument")
+    eng.set_literal(at(f"A{row}"), data.draw(st.integers(-5, 5).map(float), label="value"))
+    check()
+
+
+@settings(max_examples=80, deadline=None)
+@given(call_workbooks(cross=True), st.data())
 def test_exception_in_any_pass_changes_nothing_outside_bodies(spec, data):
     # a pass of some table fails after running part of its plan: every cell
     # outside table bodies keeps its value, each input cell is the same Cell
-    # as before, and no formula (so no builtin) is evaluated after the raise
+    # as before, and no formula (so no builtin) is evaluated after the raise:
+    # neither through evaluate nor by a plan's bound functions, which the
+    # failing pass's stats count
     eng = _build(spec, with_tables=True, table_recalc="auto")
     passes = eng.full_recalc().body_passes
     assume(passes > 0)
@@ -984,6 +1072,7 @@ def test_exception_in_any_pass_changes_nothing_outside_bodies(spec, data):
         if seen["passes"] == failing:
             run_plan(plan[:cut], stats)
             seen["raised"] = True
+            seen["stats"], seen["evaluations"] = stats, stats.cell_evaluations
             raise Injected
         run_plan(plan, stats)
 
@@ -995,6 +1084,7 @@ def test_exception_in_any_pass_changes_nothing_outside_bodies(spec, data):
     with mock.patch("gridcalc.engine.evaluate", counting_evaluate), pytest.raises(Injected):
         eng.full_recalc()
     assert seen["evaluated_after"] == 0
+    assert seen["stats"].cell_evaluations == seen["evaluations"]
     for addr, cell in inputs.items():
         assert ws.cell(addr) is cell, addr
     after = grid_without_bodies(eng)
