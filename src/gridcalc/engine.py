@@ -13,9 +13,10 @@ they reach through dependents, condensed into strongly connected components
 and listed so that what a node reads comes first. The order of the tables
 alone is kept with their plans and reused while the dirty and volatile cells
 lie inside it; any other order is built for its walk. Each cell or cycle of
-cells runs when a cell of it needs it, and every table runs, its passes
-running the table's plan (:meth:`Engine.dependents_plan`). A cycle through
-a table is a recursive call: its cells and table bodies become ``#CYCLE!``.
+cells runs when a cell of it needs it, and every table as one call
+(:meth:`Engine.evaluate_table`), each pass running its plan
+(:meth:`Engine.dependents_plan`). A cycle through a table is a recursive
+call: its cells and table bodies become ``#CYCLE!``.
 
 A plan is bound once, when it is built: each of its cells outside a cycle
 is kept with its compiled function and one :class:`EvalContext` made for
@@ -27,9 +28,10 @@ Formulas are compiled, not interpreted. Each formula shape
 (:class:`gridcalc.formula.Template`) is compiled once, when a formula of it
 is first bound: evaluated, or held by a plan being built
 (:func:`compile_template`), to the source of one Python function, one
-statement per node, each writing a temporary; a workspace keeps the code
-object of each source text (``Workspace.codes``). Every formula of the
-shape runs it over its own references (``Formula.refs``).
+statement per node, each writing a temporary; a workspace keeps the
+function of each template while the template lives (``Workspace.compiled``)
+and the code object of each source text (``Workspace.codes``). Every formula
+of the shape runs it over its own references (``Formula.refs``).
 Constants, builtins, coercers, name keys and sheets reach the function
 through its namespace, never as text. IF is an ``if`` statement: only the
 branch taken runs. Special and reference builtins get each argument as
@@ -88,6 +90,7 @@ from . import formula, functions, tables
 from .model import (
     BLANK,
     Array,
+    Cell,
     CellAddress,
     Content,
     Error,
@@ -181,8 +184,8 @@ def bind(workspace: Workspace, cell: CellAddress, f: Formula) -> tuple:
     template's function, compiled on first use, and an :class:`EvalContext`
     over *f*'s own references. ``function(context)`` is *f*'s value; the pair
     holds as long as *f* stays in *cell*."""
-    template = f.template
-    return template.code or compile_template(template, workspace), EvalContext(workspace, cell, f.refs)
+    fn = workspace.compiled.get(f.template) or compile_template(f.template, workspace)
+    return fn, EvalContext(workspace, cell, f.refs)
 
 
 def evaluate(workspace: Workspace, cell: CellAddress, f: Formula):
@@ -214,15 +217,15 @@ def ref_value(workspace: Workspace, target):
 
 def compile_template(template: formula.Template, workspace: Workspace):
     """Compile *template*'s AST once, for *workspace*, whose ``templates``
-    made it, to a Python function of an :class:`EvalContext`, kept as
-    ``template.code``: its source is emitted (:class:`_Compiler`) and
-    compiled, unless the workspace's ``codes`` (source text -> code object)
-    hold that text already. Each reference's sheet is resolved here, once.
-    The root is one level deep, each argument or operand one more, but an
-    argument of a special or reference builtin read as a reference costs no
-    level."""
-    template.code = _Compiler(template, workspace).function(template.ast, 1)
-    return template.code
+    made it, to a Python function of an :class:`EvalContext`, kept in the
+    workspace's ``compiled`` while *template* lives: its source is emitted
+    (:class:`_Compiler`) and compiled, unless the workspace's ``codes``
+    (source text -> code object) hold that text already. Each reference's
+    sheet is resolved here, once. The root is one level deep, each argument
+    or operand one more, but an argument of a special or reference builtin
+    read as a reference costs no level."""
+    fn = workspace.compiled[template] = _Compiler(template, workspace).function(template.ast, 1)
+    return fn
 
 
 class _Unit:
@@ -279,8 +282,8 @@ class _Compiler:
     def function(self, node, depth: int, reference: bool = False):
         """The function of an :class:`EvalContext` that gives *node*'s value
         *depth* deep, or with *reference* its reference; made from its code
-        object, so that its namespace does not hold it. (A sheet it reads
-        may: a workspace whose formulas ran is freed by the cyclic collector.)"""
+        object, so that its namespace does not hold it. No cell holds it
+        either, so a dropped workspace is freed by reference counting."""
         u = _Unit()
         result = self.reference(u, node, depth) if reference else self.value(u, node, depth)
         u.lines.append(f"    return {result}\n")
@@ -658,11 +661,11 @@ class Engine:
         self.workspace = workspace
         self.graph = self.build_graph()
         self.dirty: set[CellAddress] = set(self.graph.precedents)
-        # table id -> (dependents_plan, whose cells are bound to their
-        # functions and contexts, its edges in components, the edges of the
-        # cells that read its body, its call slots); with iterative
-        # calculation, input cell -> its dependents if they hold a cycle; the
-        # tables a walk is given, as a tuple -> their closure's order
+        # read in this module only. table id -> (dependents_plan, its cells
+        # bound; its edges in components; its body readers' edges; the call
+        # slots evaluate_table reads); with iterative calculation, input cell -> its
+        # dependents if they hold a cycle; the tables a walk is given, as a
+        # tuple -> their closure's order
         self._plans: dict = {}
 
     # -- graph construction ---------------------------------------------------
@@ -863,7 +866,7 @@ class Engine:
                     continue
                 changed = self._eval_cycle(comp, stats)
             elif isinstance(node, tables.DataTableRegion):
-                changed = tables.evaluate_table(self, node, stats)
+                changed = self.evaluate_table(node, stats)
             elif node in needs:
                 cell = self.workspace.cell(node)
                 old = cell.cached
@@ -990,11 +993,12 @@ class Engine:
         once per input cell.
 
         Kept with the plan are its call slots, which every call
-        (:func:`tables.evaluate_table`) reads instead of finding them again:
-        the cells of the table's sheet; the ``(row, column)`` keys of its
-        input, argument and result cells; its body's ``(address, Cell)``
-        pairs by argument (a locked body keeps its ``Cell`` objects); and the
-        plan's ``Cell`` objects, or None if the plan holds a cycle.
+        (:meth:`evaluate_table`) reads instead of finding them again: the
+        cells of the table's sheet; the ``(row, column)`` keys of its input,
+        argument and result cells; its body's ``(address, Cell)`` pairs by
+        argument (a locked body keeps its ``Cell`` objects); the plan's
+        ``Cell`` objects, a cycle's members included; and whether the plan
+        holds a cycle.
 
         A plan, its bindings, and the edges and slots kept with it (see
         :meth:`components`), depend only on graph edges, on which cells hold
@@ -1034,13 +1038,13 @@ class Engine:
                 self._plans[table.input_cell] = forward
             nodes |= forward
         nodes.discard(table.input_cell)
-        plan = []
+        plan, plan_cells = [], []  # its entries; its Cell objects, a cycle's included
         for comp in self._ordered_components(nodes):
+            plan_cells += map(self.workspace.cell, comp)
             if self._is_cyclic(comp, g.precedents):
                 plan.append((None, comp, None))
             else:
-                cell = self.workspace.cell(comp[0])
-                plan.append((*bind(self.workspace, comp[0], cell.content), cell))
+                plan.append((*bind(self.workspace, comp[0], plan_cells[-1].content), plan_cells[-1]))
         outside = {p for a in nodes for p in g.precedents[a]} - nodes
         reads = {self._node(p) for p in (*table.results, *table.arguments, *outside)} - {table.input_cell}
         edges = {n for n in reads if n in g.precedents or isinstance(n, tables.DataTableRegion)}
@@ -1053,7 +1057,7 @@ class Engine:
             [a.sort_key[2:] for a in table.arguments],
             [a.sort_key[2:] for a in table.results],
             [[(a, cells[a.sort_key[2:]]) for a in row] for row in table.grid],
-            None if any(fn is None for fn, _, _ in plan) else [cell for _, _, cell in plan],
+            plan_cells, any(fn is None for fn, _, _ in plan),
         )
         self._plans[table.table_id] = (plan, edges, reader_edges, slots)
         return plan
@@ -1062,6 +1066,61 @@ class Engine:
         """What an edge to *addr* points at: a table body cell's table, else the cell."""
         table = self.workspace.table_at(addr)
         return table if table is not None and table.is_body_cell(addr) else addr
+
+    def evaluate_table(self, table, stats: EvalStats) -> set:
+        """Run the substitute/recompute/collect/restore cycle for one table.
+
+        For each candidate value, in order: bind it to the input cell, as the
+        cached value of one ``Cell`` kept for the call (the input's own, or one
+        put in the sheet until the call ends), run the table's plan once
+        (:meth:`run_plan` over :meth:`dependents_plan`: its function body
+        only, each cell's compiled function called on the context bound with
+        the plan, all table bodies frozen), and copy each result's value into
+        the matching body cell. Afterwards, on every exit path including an
+        exception, the input cell and each plan cell get back their values
+        from before the first pass, so nothing outside table bodies keeps any
+        trace of the passes. Those values are what a run of the plan would
+        give: every plan cell is up to date before its table starts (see
+        :meth:`components`). A plan that holds a cycle runs once more instead,
+        once every pass has completed: with iterative calculation on, a
+        self-referential counter sees the restore as it saw each pass. If a
+        pass raises, nothing is evaluated after it. Returns the body cells
+        whose value changed.
+        """
+        plan = self.dependents_plan(table)
+        cells, key, arguments, results, body, plan_cells, cyclic = self._plans[table.table_id][3]
+        values = [cells.get(k, BLANK).cached for k in arguments]  # snapshot before any pass
+        kept = [c.cached for c in plan_cells]  # put back unless a cyclic plan's passes all complete
+        bound = cells.get(key)
+        made = bound is None
+        if made:
+            bound = cells[key] = Cell(None)
+        saved = bound.cached
+        changed: set = set()
+        try:
+            for v, row in zip(values, body):
+                bound.cached = v
+                self.run_plan(plan, stats)
+                for result_key, (addr, cell) in zip(results, row):
+                    result = cells.get(result_key, BLANK).cached
+                    if not values_equal(cell.cached, result):
+                        changed.add(addr)
+                    cell.cached = result
+                stats.body_passes += 1
+            if cyclic:  # every pass completed: the restore runs the plan
+                kept = None
+        finally:
+            if made:
+                del cells[key]
+            else:
+                bound.cached = saved
+            if kept is None:
+                self.run_plan(plan, stats)
+            else:
+                for cell, cached in zip(plan_cells, kept):
+                    cell.cached = cached
+            stats.table_restores += 1
+        return changed
 
     def run_plan(self, plan: list, stats: EvalStats) -> None:
         """Run a table's plan (:meth:`dependents_plan`) once, in order: each

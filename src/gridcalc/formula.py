@@ -563,8 +563,8 @@ class Template:
     order, and ``refs`` their targets in the source the template was parsed
     from. A formula of the shape holds its own targets in that order
     (``Formula.refs``), which is how the shape's one compiled function
-    (``code``, emitted and compiled by :mod:`gridcalc.engine` on first
-    evaluation) reads the references of every formula of the shape. The
+    (which :mod:`gridcalc.engine` emits on first evaluation and the
+    workspace keeps) reads the references of every formula of the shape. The
     shape gives each of its formulas' references the sheet and kind (cell
     or range) of the template's one in its place; its corners come from the
     formula's own text (:meth:`at`). ``names`` holds the defined names read
@@ -578,12 +578,11 @@ class Template:
     that differs from it only in its rows has this shape (:meth:`copied`).
     """
 
-    __slots__ = ("ast", "sheet_key", "pieces", "nodes", "refs", "names", "volatile", "code", "__weakref__")
+    __slots__ = ("ast", "sheet_key", "pieces", "nodes", "refs", "names", "volatile", "__weakref__")
 
     def __init__(self, ast: Node, sheet_key: tuple, source: str, corners: list, rows: list) -> None:
         self.ast = ast
         self.sheet_key = sheet_key
-        self.code = None
         self.nodes, self.names, self.volatile = _scan(ast)
         self.refs = tuple([node.target for node in self.nodes])
         pieces, end = [], 0

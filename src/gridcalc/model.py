@@ -663,7 +663,8 @@ _DEFINED_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
 
 class Workspace:
-    """A set of named workbooks plus defined names, tables, and config."""
+    """A set of named workbooks plus defined names, tables, and config, and
+    the formula templates its formulas share with their compiled functions."""
 
     def __init__(self, config: CalcConfig | None = None) -> None:
         self._workbooks: dict[str, Workbook] = {}
@@ -673,9 +674,11 @@ class Workspace:
         self.table_index: dict[tuple, Any] = {}
         # formula templates by (sheet_key, shape), each kept while a formula uses it
         self.templates: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-        # the code object of each function the templates compiled to, by its
-        # source text: shapes that differ only in references, names and
-        # constants share one (see gridcalc.engine.compile_template)
+        # the function each template compiled to, kept while the template
+        # lives, and each function's code object by its source text: shapes
+        # that differ only in references, names and constants share one (see
+        # gridcalc.engine.compile_template)
+        self.compiled: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.codes: dict = {}
         self.config = config if config is not None else CalcConfig()
 

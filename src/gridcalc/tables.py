@@ -1,14 +1,14 @@
-"""One-input what-if data tables and the function-call convention they carry.
+"""One-input what-if data tables: their regions, their declaration and
+their schedule.
 
 A declared table region holds result formulas along one edge, candidate
 input values along the other, and a body of locked cells. Evaluating the
-table binds each candidate to the input cell, re-runs the table's function
-body (the cells between the input cell and the result formulas), collects
-the result formulas' values into the body row, and finally restores the
-input cell and the function body's values as they were before the first
-pass. A call costs one run of the function body per candidate and none for
-the restore: the body's values are kept, not recomputed. What a call reads
-and writes (its cells' keys, its body's cells) is found once per plan.
+table is one call, which the engine runs (:meth:`Engine.evaluate_table`
+beside the plan it reads): bind each candidate to the input cell, re-run
+the table's function body (the cells between the input cell and the result
+formulas), collect the result formulas' values into the body row, and
+finally restore the input cell and the function body's values as they were
+before the first pass.
 
 Body cells of *every* table are frozen during any table's evaluation (they
 carry no formulas, so no recomputation can reach them). That one rule makes
@@ -20,15 +20,7 @@ body, directly or through other cells and tables, is a ``#CYCLE!``.
 
 from __future__ import annotations
 
-from .model import (
-    BLANK,
-    Cell,
-    CellAddress,
-    RangeRef,
-    TableBody,
-    Workspace,
-    values_equal,
-)
+from .model import CellAddress, RangeRef, TableBody, Workspace
 
 COLUMN_INPUT = "col"
 ROW_INPUT = "row"
@@ -158,59 +150,6 @@ def declare_table(
     ws.tables.append(table)
     ws.table_index.update(dict.fromkeys(keys, table))
     return table
-
-
-def evaluate_table(engine, table: DataTableRegion, stats) -> set:
-    """Run the substitute/recompute/collect/restore cycle for one table.
-
-    For each candidate value, in order: bind it to the input cell, as the
-    cached value of one ``Cell`` kept for the call (the input's own, or one
-    put in the sheet until the call ends), run the table's plan once
-    (:meth:`Engine.run_plan` over :meth:`Engine.dependents_plan`: its
-    function body only, each cell's compiled function called on the context
-    bound with the plan, all table bodies frozen), and copy each result's
-    value into the matching body cell. Afterwards, on every exit path
-    including an exception, the input cell and each plan cell get back their
-    values from before the first pass, so nothing outside table bodies keeps
-    any trace of the passes. Those values are what a run of the plan would
-    give: every plan cell is up to date before its table starts (see
-    :meth:`Engine.components`). A plan that holds a cycle runs once more
-    instead: with iterative calculation on, a self-referential counter sees
-    the restore as it saw each pass. Returns the body cells whose value
-    changed.
-    """
-    plan = engine.dependents_plan(table)
-    cells, key, arguments, results, body, plan_cells = engine._plans[table.table_id][3]  # its call slots
-    values = [cells.get(k, BLANK).cached for k in arguments]  # snapshot before any pass
-    kept = None if plan_cells is None else [c.cached for c in plan_cells]
-    bound = cells.get(key)
-    made = bound is None
-    if made:
-        bound = cells[key] = Cell(None)
-    saved = bound.cached
-    changed: set = set()
-    try:
-        for v, row in zip(values, body):
-            bound.cached = v
-            engine.run_plan(plan, stats)
-            for result_key, (addr, cell) in zip(results, row):
-                result = cells.get(result_key, BLANK).cached
-                if not values_equal(cell.cached, result):
-                    changed.add(addr)
-                cell.cached = result
-            stats.body_passes += 1
-    finally:
-        if made:
-            del cells[key]
-        else:
-            bound.cached = saved
-        if kept is None:
-            engine.run_plan(plan, stats)
-        else:
-            for cell, cached in zip(plan_cells, kept):
-                cell.cached = cached
-        stats.table_restores += 1
-    return changed
 
 
 def schedule_tables(engine, stats, needs: set, rng=None) -> None:

@@ -139,7 +139,6 @@ def test_criterion_07_no_nesting():
     # re-run only the outer table and watch the inner body the whole time
     outer = next(t for t in ws.tables if t.input_cell == t_at("E1"))
     from gridcalc.engine import EvalStats
-    from gridcalc.tables import evaluate_table
 
     seen = []
     original_run_plan = eng.run_plan
@@ -149,7 +148,7 @@ def test_criterion_07_no_nesting():
         seen.append(ws.value(inner_body))
 
     eng.run_plan = spying_run_plan
-    evaluate_table(eng, outer, EvalStats())
+    eng.evaluate_table(outer, EvalStats())
     eng.run_plan = original_run_plan
     assert seen, "outer table ran at least one pass"
     assert all(values_equal(v, inner_before) for v in seen)  # stale throughout

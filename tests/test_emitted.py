@@ -1,7 +1,8 @@
 """The emitted functions a template compiles to: constants reach them
 through their namespace, never as source text; a workspace compiles each
-source text once; nesting stays within the depth limit; compiling leaves
-no garbage cycle behind."""
+source text once; nesting stays within the depth limit; a function lives
+as long as its template, and a dropped workspace leaves no garbage cycle
+behind."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import pytest
 from gridcalc import engine, formula, functions
 from gridcalc.engine import MAX_DEPTH, Engine
 from gridcalc.model import Array, CellAddress, Error, Literal, Workspace
-from conftest import engine_for, load_assets
+from conftest import engine_for
 from reference_eval import compiled_and_reference, same_value
 
 HOME = CellAddress("B", "S", 1, 1)
@@ -60,7 +61,7 @@ def test_shapes_that_differ_only_in_text_constants_share_one_code_object(compile
     assert values == ["ab", hostile + "#b", hostile + "\nb"]
     assert len({id(f.template) for f in made}) == 3
     assert len(compiles) == len(ws.codes) == 1
-    assert len({f.template.code.__code__ for f in made}) == 1
+    assert len({ws.compiled[f.template].__code__ for f in made}) == 1
     (source,) = ws.codes
     assert "import" not in source and '"' not in source
 
@@ -172,26 +173,42 @@ def test_one_level_deeper_gives_value_error_only_where_evaluated(taken, expected
 
 
 # ---------------------------------------------------------------------------
-# compiling makes no garbage cycle
+# a function lives as long as its template; no garbage cycle
 # ---------------------------------------------------------------------------
+
+
+def test_a_compiled_function_dies_with_its_template():
+    # the workspace keeps a template's function only while a formula of the
+    # template holds the template: replacing them frees both, with no
+    # help from the cyclic collector
+    eng = Engine(workspace())
+    for row in range(1, 4):
+        eng.set_formula(HOME.moved(2, row), f"A{row}&1")
+    eng.full_recalc()
+    ws = eng.workspace
+    assert len(ws.templates) == len(ws.compiled) == 1
+    gc.disable()
+    try:
+        for row in range(1, 4):
+            eng.set_literal(HOME.moved(2, row), 1.0)
+        assert len(ws.templates) == len(ws.compiled) == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("book", ["bench_body.gwb", "lib.gwb"])
 def test_compiling_leaves_no_garbage_cycle(book):
-    ws = load_assets(book)
-    templates = list(ws.templates.values())  # kept alive, as the workspace keeps them
-    assert templates
+    # a workspace whose formulas compiled and ran, dropped with its engine,
+    # is freed by reference counting: no cell reaches a compiled function
     gc.collect()
     gc.disable()
     try:
-        for template in templates:
-            engine.compile_template(template, ws)
-        compiled = [template.code for template in templates]
-        unreachable = gc.collect()
-        for template in templates:
-            template.code = None  # no function holds itself, so reference counting frees it
-        del compiled
+        eng = engine_for(book)
+        eng.full_recalc()
+        eng.full_recalc()
+        assert eng.workspace.compiled
+        del eng
         dropped = gc.collect()
     finally:
         gc.enable()
-    assert unreachable == dropped == 0
+    assert dropped == 0

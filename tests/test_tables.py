@@ -19,7 +19,7 @@ from gridcalc.model import (
     Workspace,
     parse_address,
 )
-from gridcalc.tables import COLUMN_INPUT, ROW_INPUT, DataTableRegion, TableError, evaluate_table
+from gridcalc.tables import COLUMN_INPUT, ROW_INPUT, DataTableRegion, TableError
 
 from conftest import engine_for
 
@@ -634,7 +634,7 @@ def test_literal_edits_keep_plans_and_formula_edits_drop_them():
     plan = eng.dependents_plan(table)
     entries = list(plan)
     for fn, ctx, cell in entries:
-        assert fn is cell.content.template.code and eng.workspace.cell(ctx.cell) is cell
+        assert fn is eng.workspace.compiled[cell.content.template] and eng.workspace.cell(ctx.cell) is cell
     eng.set_literal(batch_addr("A5"), "0201038021")
     eng.set_literal(batch_addr("E1"), 1.0)
     assert eng.dependents_plan(table) is plan
@@ -659,7 +659,8 @@ def test_a_formula_edit_in_a_plan_binds_the_new_formula():
     rebuilt = eng.dependents_plan(table)
     assert rebuilt is not plan
     (fn, ctx, cell), _ = rebuilt
-    assert ctx.cell == at("D2") and fn is cell.content.template.code and cell.content.source == "A2*10"
+    compiled = eng.workspace.compiled[cell.content.template]
+    assert ctx.cell == at("D2") and fn is compiled and cell.content.source == "A2*10"
     eng.full_recalc()
     assert eng.get_value(at("B5")) == 30.0
 
@@ -683,23 +684,24 @@ def test_a_plan_cell_reads_a_sheet_added_after_its_plan_was_bound():
 
 
 @pytest.mark.parametrize("mode", ["small", "large"])
-def test_a_steady_pass_makes_no_context_and_calls_no_evaluate(monkeypatch, mode):
+def test_a_steady_pass_makes_no_context_and_binds_nothing(monkeypatch, mode):
     eng = Engine(bench.build_workspace(20, mode, 1))
     eng.full_recalc()
     eng.full_recalc()
     planned = {ctx.cell for t in eng.workspace.tables for _, ctx, _ in eng.dependents_plan(t)}
-    made, evaluated = [], []
-    init = engine.EvalContext.__init__
+    made, bound = [], []
+    init, bind = engine.EvalContext.__init__, engine.bind
 
     def counting_init(self, workspace, cell, refs):
         made.append(cell)
         init(self, workspace, cell, refs)
 
     monkeypatch.setattr(engine.EvalContext, "__init__", counting_init)
-    monkeypatch.setattr(engine, "evaluate", lambda *args: evaluated.append(args[1]))
+    # bind is the one entry of every evaluation outside a bound plan
+    monkeypatch.setattr(engine, "bind", lambda *args: bound.append(args[1]) or bind(*args))
     stats = eng.full_recalc()
     assert stats.cell_evaluations == 60 and stats.body_passes == 20
-    assert planned and planned.isdisjoint(made) and evaluated == []
+    assert planned and planned.isdisjoint(made) and bound == []
 
 
 def test_a_steady_recalc_reuses_the_order_of_its_tables(monkeypatch):
@@ -813,12 +815,49 @@ def test_exception_mid_table_restores_input_and_other_cells(monkeypatch):
     input_before = ws.cell(table.input_cell)
     armed.append(second)
     with pytest.raises(RuntimeError, match="injected"):
-        evaluate_table(eng, table, EvalStats())
+        eng.evaluate_table(table, EvalStats())
     assert ws.cell(table.input_cell) is input_before  # blank A2 stays blank
     after = grid_without_bodies(eng)
     assert set(before) == set(after)
     for addr in before:
         assert values_equal(before[addr], after[addr]), addr
+
+
+def test_exception_in_a_plan_with_a_cycle_restores_it_and_evaluates_nothing(monkeypatch):
+    # with iteration on, a cycle among the input's dependents puts every
+    # dependent in the plan, and such a plan is run once more after its
+    # passes; a pass that raises must instead restore each plan cell, the
+    # cycle's too, and evaluate nothing after the raise
+    mid = functions.REGISTRY["MID"]
+    calls = []  # once armed: MID's calls, of which the first pass's succeeds and each later one raises
+
+    def mid_failing_from_the_second_pass(*args):
+        if calls:
+            calls.append(args)
+            if len(calls) > 2:
+                raise RuntimeError("injected")
+        return mid.fn(*args)
+
+    monkeypatch.setitem(functions.REGISTRY, "MID", replace(mid, fn=mid_failing_from_the_second_pass))
+    eng = fresh(CalcConfig(iterative=True))
+    eng.set_formula(at("D2"), "D3+A1")
+    eng.set_formula(at("D3"), "D2*0+1")
+    eng.set_formula(at("D4"), 'MID("abc",1,1)&A1')
+    eng.set_formula(at("D5"), "D4&A1")
+    eng.set_formula(at("B4"), "D5")
+    eng.set_literal(at("A5"), 1.0)
+    eng.set_literal(at("A6"), 2.0)
+    eng.declare_table(rng_("A4:B6"), COLUMN_INPUT, at("A1"))
+    eng.full_recalc()
+    cells = ("D2", "D3", "D4", "D5", "B4")
+    before = [eng.get_value(at(a)) for a in cells]
+    assert before == [1.0, 1.0, "a", "a", "a"]
+    calls.append(None)
+    with pytest.raises(RuntimeError, match="injected"):
+        eng.full_recalc()
+    assert len(calls) == 3  # the arming mark, the first pass's call and the one that raised
+    assert [eng.get_value(at(a)) for a in cells] == before  # D2 read 3.0 when the pass raised
+    assert eng.workspace.cell(at("A1")) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1007,6 +1046,8 @@ def test_restored_plan_equals_a_run_of_the_plan(spec):
     # after every table a recalc runs, a forced run of its plan, with the
     # input cell back, changes no plan cell: the values kept before the
     # first pass are current, in both table modes
+    evaluate_table = Engine.evaluate_table
+
     def then_run_the_plan(eng, table, stats):
         changed = evaluate_table(eng, table, stats)
         plan = eng.dependents_plan(table)
@@ -1016,7 +1057,7 @@ def test_restored_plan_equals_a_run_of_the_plan(spec):
             assert values_equal(cached, cell.cached), (table, addr, cached, cell.cached)
         return changed
 
-    with mock.patch("gridcalc.tables.evaluate_table", then_run_the_plan):
+    with mock.patch.object(Engine, "evaluate_table", then_run_the_plan):
         auto = _build(spec, with_tables=True, table_recalc="auto")
         auto.full_recalc()
         auto.full_recalc()
@@ -1054,8 +1095,9 @@ def test_exception_in_any_pass_changes_nothing_outside_bodies(spec, data):
     # a pass of some table fails after running part of its plan: every cell
     # outside table bodies keeps its value, each input cell is the same Cell
     # as before, and no formula (so no builtin) is evaluated after the raise:
-    # neither through evaluate nor by a plan's bound functions, which the
-    # failing pass's stats count
+    # neither one bound where it runs (bind is the one entry outside a
+    # plan) nor by a plan's bound functions, which the failing pass's stats
+    # count
     eng = _build(spec, with_tables=True, table_recalc="auto")
     passes = eng.full_recalc().body_passes
     assume(passes > 0)
@@ -1065,7 +1107,7 @@ def test_exception_in_any_pass_changes_nothing_outside_bodies(spec, data):
     before = grid_without_bodies(eng)
     inputs = {t.input_cell: ws.cell(t.input_cell) for t in ws.tables}
     seen = {"passes": 0, "raised": False, "evaluated_after": 0}
-    run_plan = eng.run_plan
+    run_plan, bind = eng.run_plan, engine.bind
 
     def failing_run_plan(plan, stats):
         seen["passes"] += 1
@@ -1076,12 +1118,12 @@ def test_exception_in_any_pass_changes_nothing_outside_bodies(spec, data):
             raise Injected
         run_plan(plan, stats)
 
-    def counting_evaluate(*args):
+    def counting_bind(*args):
         seen["evaluated_after"] += seen["raised"]
-        return evaluate(*args)
+        return bind(*args)
 
     eng.run_plan = failing_run_plan
-    with mock.patch("gridcalc.engine.evaluate", counting_evaluate), pytest.raises(Injected):
+    with mock.patch("gridcalc.engine.bind", counting_bind), pytest.raises(Injected):
         eng.full_recalc()
     assert seen["evaluated_after"] == 0
     assert seen["stats"].cell_evaluations == seen["evaluations"]
