@@ -18,6 +18,15 @@ cells runs when a cell of it needs it, and every table as one call
 (:meth:`Engine.dependents_plan`). A cycle through a table is a recursive
 call: its cells and table bodies become ``#CYCLE!``.
 
+The graph, the dirty cells, a walk's needs, the orders and the plans key a
+cell by its address's ``sort_key``, the casefolded tuple ``(workbook, sheet,
+row, column)``, so every set and dict operation on them hashes in C; a table
+node stays its :class:`gridcalc.tables.DataTableRegion`. Addresses are made
+only where a formula is bound and where a cell leaves the engine:
+``DependencyGraph.cells`` maps the key of each formula cell back to its
+address, one made per formula cell by :meth:`Engine.build_graph` or given
+to :meth:`Engine.set_cell`, which returns addresses.
+
 A plan is bound once, when it is built: each of its cells outside a cycle
 is kept with its compiled function and one :class:`EvalContext` made for
 it (:func:`bind`), so a pass (:meth:`Engine.run_plan`) calls each function
@@ -121,32 +130,43 @@ class EvalStats:
 
 class DependencyGraph:
     """Static precedent edges between cells, with the exact transpose kept
-    as dependent edges and a set of always-recalculated volatile cells."""
+    as dependent edges and a set of always-recalculated volatile cells.
+
+    A cell is keyed by its address's ``sort_key``, the casefolded tuple
+    ``(workbook, sheet, row, column)``, so every set and dict operation on
+    the graph hashes in C. ``cells`` maps the key of each formula cell the
+    graph holds back to its :class:`CellAddress`, for binding its formula
+    and for the addresses :meth:`Engine.set_cell` returns."""
 
     def __init__(self) -> None:
-        self.precedents: dict[CellAddress, frozenset] = {}
-        self.dependents: dict[CellAddress, set] = {}
-        self.volatile: set[CellAddress] = set()
+        self.precedents: dict[tuple, frozenset] = {}
+        self.dependents: dict[tuple, set] = {}
+        self.volatile: set[tuple] = set()
+        self.cells: dict[tuple, CellAddress] = {}
 
     def add_node(self, addr: CellAddress, precedents: frozenset, volatile: bool) -> None:
-        """Add *addr*, which the graph does not hold, with its *precedents*."""
-        self.precedents[addr] = precedents
+        """Add formula cell *addr*, which the graph does not hold, with the
+        keys of its *precedents*."""
+        key = addr.sort_key
+        self.cells[key] = addr
+        self.precedents[key] = precedents
         for p in precedents:
-            self.dependents.setdefault(p, set()).add(addr)
+            self.dependents.setdefault(p, set()).add(key)
         if volatile:
-            self.volatile.add(addr)
+            self.volatile.add(key)
 
-    def remove_node(self, addr: CellAddress) -> None:
-        for p in self.precedents.pop(addr, ()):
-            deps = self.dependents.get(p)
-            if deps is not None:
-                deps.discard(addr)
-                if not deps:
-                    del self.dependents[p]
-        self.volatile.discard(addr)
+    def remove_node(self, key: tuple) -> None:
+        self.cells.pop(key, None)
+        for p in self.precedents.pop(key, ()):
+            deps = self.dependents[p]  # the exact transpose holds key there
+            deps.discard(key)
+            if not deps:
+                del self.dependents[p]
+        self.volatile.discard(key)
 
-    def dependents_closure(self, seeds: Iterable[CellAddress]) -> set:
-        """All cells transitively depending on *seeds* (seeds excluded)."""
+    def dependents_closure(self, seeds: Iterable[tuple]) -> set:
+        """The keys of all cells transitively depending on the keys *seeds*
+        (a seed only if it is on a cycle)."""
         out: set = set()
         stack = list(seeds)
         while stack:
@@ -186,13 +206,6 @@ def bind(workspace: Workspace, cell: CellAddress, f: Formula) -> tuple:
     holds as long as *f* stays in *cell*."""
     fn = workspace.compiled.get(f.template) or compile_template(f.template, workspace)
     return fn, EvalContext(workspace, cell, f.refs)
-
-
-def evaluate(workspace: Workspace, cell: CellAddress, f: Formula):
-    """The value of formula *f* in *cell* (see :func:`bind`). An array
-    result is returned whole."""
-    fn, ctx = bind(workspace, cell, f)
-    return fn(ctx)
 
 
 def range_values(cells: dict, target: RangeRef) -> Array:
@@ -660,12 +673,13 @@ class Engine:
     def __init__(self, workspace: Workspace) -> None:
         self.workspace = workspace
         self.graph = self.build_graph()
-        self.dirty: set[CellAddress] = set(self.graph.precedents)
+        self.dirty: set[tuple] = set(self.graph.precedents)  # cell keys, as the graph's
         # read in this module only. table id -> (dependents_plan, its cells
         # bound; its edges in components; its body readers' edges; the call
-        # slots evaluate_table reads); with iterative calculation, input cell -> its
-        # dependents if they hold a cycle; the tables a walk is given, as a
-        # tuple -> their closure's order
+        # slots evaluate_table reads); with iterative calculation, input cell
+        # key -> its dependents' keys if they hold a cycle; the tables a walk
+        # is given, as a tuple -> their closure's order. Cells are graph keys
+        # throughout; a plan reads a cell's address (graph.cells) to bind it.
         self._plans: dict = {}
 
     # -- graph construction ---------------------------------------------------
@@ -674,15 +688,16 @@ class Engine:
         return {key: target for key, (_, target) in self.workspace.defined_names.items()}
 
     def _node_edges(self, content: Formula, names: dict) -> tuple[frozenset, bool]:
-        """A formula's precedent cells, made once, and whether it is volatile."""
+        """The keys of a formula's precedent cells, made once, and whether
+        it is volatile."""
         template = content.template
         refs = content.refs
         if template.names:
             refs = [*refs, *[names[k] for k in map(str.casefold, template.names) if k in names]]
-        cells = [r for r in refs if type(r) is CellAddress]
-        if len(cells) < len(refs):
-            cells += [a for r in refs if type(r) is RangeRef for a in r.cells()]
-        return frozenset(cells), template.volatile
+        keys = [r.sort_key for r in refs if type(r) is CellAddress]
+        if len(keys) < len(refs):
+            keys += [a.sort_key for r in refs if type(r) is RangeRef for a in r.cells()]
+        return frozenset(keys), template.volatile
 
     def build_graph(self) -> DependencyGraph:
         """Construct the dependency graph from scratch.
@@ -706,7 +721,8 @@ class Engine:
     def set_cell(self, addr: CellAddress, content: Content) -> set:
         """Replace a cell's content and mark its dependents dirty.
 
-        Returns the freshly dirtied cells. Of a formula only the source is
+        Returns the freshly dirtied cells as addresses: *addr* and every
+        cell that depends on it. Of a formula only the source is
         kept: the formula is made again from it at *addr*, as
         :meth:`set_formula` makes it, so the cell reads what a dump of it
         loads to, wherever the formula given was made. Writing into a
@@ -739,15 +755,16 @@ class Engine:
             content = formula.shared_formula(content, addr, self.workspace.templates)
         was_formula = existing is not None and isinstance(existing.content, Formula)
         sheet.set_content(addr.row, addr.column, content)
-        self.graph.remove_node(addr)
+        key = addr.sort_key
+        self.graph.remove_node(key)
         if isinstance(content, Formula):
             precedents, volatile = self._node_edges(content, self._name_targets())
             self.graph.add_node(addr, precedents, volatile)
-        newly_dirty = {addr} | self.graph.dependents_closure({addr})
-        self.dirty |= newly_dirty
+        reached = self.graph.dependents_closure((key,))
+        self.dirty.update(reached, (key,))
         if was_formula or isinstance(content, Formula):
             self._plans.clear()  # plans hold graph edges and formula cells only
-        return newly_dirty
+        return {addr, *map(self.graph.cells.__getitem__, reached)}
 
     def clear_cell(self, addr: CellAddress) -> set:
         return self.set_cell(addr, None)
@@ -768,7 +785,7 @@ class Engine:
         """
         stats = EvalStats()
         t0 = time.perf_counter()
-        needs = {a for a in self.dirty if a in self.graph.precedents} | self.graph.volatile
+        needs = (self.dirty & self.graph.precedents.keys()) | self.graph.volatile
         if self.workspace.config.table_recalc == "auto":
             tables.schedule_tables(self, stats, needs, rng)
         else:
@@ -801,7 +818,7 @@ class Engine:
         self.full_recalc()
         comps, edges = self.components([*self.graph.precedents, *self.workspace.tables])
         cyclic = [n for comp in comps if self._is_cyclic(comp, edges) for n in comp]
-        cells = [a for n in cyclic for a in ((n,) if isinstance(n, CellAddress) else n.body_cells())]
+        cells = [a for n in cyclic for a in ((self.graph.cells[n],) if type(n) is tuple else n.body_cells())]
         return {a: self.workspace.value(a) for a in cells}
 
     # -- internals ----------------------------------------------------------------
@@ -826,7 +843,7 @@ class Engine:
         edges: dict = {}
         while stack:
             node = stack.pop()
-            if isinstance(node, tables.DataTableRegion):
+            if type(node) is not tuple:  # a table
                 self.dependents_plan(node)  # keeps the table's edges and its readers' with its plan
                 _, edges[node], reached, _ = self._plans[node.table_id]
                 edges.update(reached)
@@ -862,20 +879,21 @@ class Engine:
         for comp, is_cycle in zip(comps, cyclic):
             node = comp[0]
             if is_cycle:
-                if needs.isdisjoint(comp) and all(isinstance(a, CellAddress) for a in comp):
+                if needs.isdisjoint(comp) and all(type(n) is tuple for n in comp):
                     continue
                 changed = self._eval_cycle(comp, stats)
-            elif isinstance(node, tables.DataTableRegion):
+            elif type(node) is not tuple:  # a table
                 changed = self.evaluate_table(node, stats)
             elif node in needs:
-                cell = self.workspace.cell(node)
+                addr = self.graph.cells[node]
+                cell = self.workspace.cell(addr)
                 old = cell.cached
-                self._eval_cell(*bind(self.workspace, node, cell.content), cell, stats)
+                self._eval_cell(*bind(self.workspace, addr, cell.content), cell, stats)
                 changed = () if values_equal(old, cell.cached) else (node,)
             else:
                 continue
-            for addr in changed:
-                needs.update(self.graph.dependents.get(addr, ()))
+            for key in changed:
+                needs.update(self.graph.dependents.get(key, ()))
 
     def _eval_cell(self, fn, ctx: EvalContext, cell, stats: EvalStats) -> None:
         """Run *fn* on *ctx*, a formula's :func:`bind` pair, into its *cell*."""
@@ -894,15 +912,15 @@ class Engine:
         than ``max_change`` or ``max_iterations`` is reached.
         """
         cfg = self.workspace.config
-        bodies = [a for t in comp if isinstance(t, tables.DataTableRegion) for a in t.body_cells()]
-        addrs = sorted([a for a in comp if isinstance(a, CellAddress)] + bodies, key=lambda a: a.sort_key)
-        cells = [(a, self.workspace.cell(a)) for a in addrs]
-        before = {a: c.cached for a, c in cells}
+        bodies = [(a.sort_key, a) for t in comp if type(t) is not tuple for a in t.body_cells()]
+        keyed = sorted([(k, self.graph.cells[k]) for k in comp if type(k) is tuple] + bodies)
+        cells = [(k, a, self.workspace.cell(a)) for k, a in keyed]
+        before = [c.cached for _, _, c in cells]
         if bodies or not cfg.iterative:
-            for _, cell in cells:
+            for _, _, cell in cells:
                 cell.cached = Error.CYCLE
         else:
-            bound = [(*bind(self.workspace, a, c.content), c) for a, c in cells]
+            bound = [(*bind(self.workspace, a, c.content), c) for _, a, c in cells]
             for _ in range(cfg.max_iterations):
                 worst = 0.0
                 for fn, ctx, cell in bound:
@@ -915,7 +933,7 @@ class Engine:
                         worst = math.inf
                 if worst <= cfg.max_change:
                     break
-        return {a for a, c in cells if not values_equal(before[a], c.cached)}
+        return {k for (k, _, c), old in zip(cells, before) if not values_equal(old, c.cached)}
 
     def _ordered_components(
         self, nodes: set, rng: random.Random | None = None, edges: dict | None = None
@@ -927,7 +945,7 @@ class Engine:
         each node's precedents. Tarjan's algorithm emits a component only
         after every component it reads, whatever order it visits them in."""
         edges = self.graph.precedents if edges is None else edges
-        order = sorted(nodes, key=lambda a: a.sort_key)
+        order = sorted(nodes, key=lambda n: n if type(n) is tuple else n.sort_key)
         if rng is not None:
             rng.shuffle(order)
         index: dict = {}  # a node's visit number; len(nodes) once its component is out
@@ -995,7 +1013,7 @@ class Engine:
         Kept with the plan are its call slots, which every call
         (:meth:`evaluate_table`) reads instead of finding them again: the
         cells of the table's sheet; the ``(row, column)`` keys of its input,
-        argument and result cells; its body's ``(address, Cell)`` pairs by
+        argument and result cells; its body's ``(key, Cell)`` pairs by
         argument (a locked body keeps its ``Cell`` objects); the plan's
         ``Cell`` objects, a cycle's members included; and whether the plan
         holds a cycle.
@@ -1012,7 +1030,8 @@ class Engine:
         if kept is not None:
             return kept[0]
         g = self.graph
-        body = {a for a in table.results if a in g.precedents}
+        input_key = table.input_cell.sort_key
+        body = {a.sort_key for a in table.results} & g.precedents.keys()
         inner: dict = {}  # cell -> its dependents inside the body
         stack = list(body)
         while stack:
@@ -1023,49 +1042,52 @@ class Engine:
                     body.add(p)
                     stack.append(p)
         nodes = body & g.volatile
-        stack = [table.input_cell, *nodes]
+        stack = [input_key, *nodes]
         while stack:
             for d in inner.get(stack.pop(), ()):
                 if d not in nodes:
                     nodes.add(d)
                     stack.append(d)
         if self.workspace.config.iterative:  # is there a cycle among the input's dependents?
-            forward = self._plans.get(table.input_cell)  # found once per input cell
+            forward = self._plans.get(input_key)  # found once per input cell
             if forward is None:
-                forward = g.dependents_closure({table.input_cell})
+                forward = g.dependents_closure((input_key,))
                 if not any(self._is_cyclic(c, g.precedents) for c in self._ordered_components(forward)):
                     forward = set()
-                self._plans[table.input_cell] = forward
+                self._plans[input_key] = forward
             nodes |= forward
-        nodes.discard(table.input_cell)
+        nodes.discard(input_key)
         plan, plan_cells = [], []  # its entries; its Cell objects, a cycle's included
         for comp in self._ordered_components(nodes):
-            plan_cells += map(self.workspace.cell, comp)
+            plan_cells += [self.workspace.cell(g.cells[k]) for k in comp]
             if self._is_cyclic(comp, g.precedents):
                 plan.append((None, comp, None))
             else:
-                plan.append((*bind(self.workspace, comp[0], plan_cells[-1].content), plan_cells[-1]))
+                plan.append((*bind(self.workspace, g.cells[comp[0]], plan_cells[-1].content), plan_cells[-1]))
         outside = {p for a in nodes for p in g.precedents[a]} - nodes
-        reads = {self._node(p) for p in (*table.results, *table.arguments, *outside)} - {table.input_cell}
-        edges = {n for n in reads if n in g.precedents or isinstance(n, tables.DataTableRegion)}
-        readers = {d for row in table.grid for a in row for d in g.dependents.get(a, ())}
+        reads = {self._node(p) for p in chain([a.sort_key for a in table.results + table.arguments], outside)}
+        reads.discard(input_key)
+        edges = {n for n in reads if type(n) is not tuple or n in g.precedents}
+        readers = {d for row in table.grid for a in row for d in g.dependents.get(a.sort_key, ())}
         reader_edges = {d: {self._node(p) for p in g.precedents[d]} for d in readers}
         cells = self.workspace.resolve_sheet(table.input_cell).cells
         slots = (
             cells,
-            table.input_cell.sort_key[2:],
+            input_key[2:],
             [a.sort_key[2:] for a in table.arguments],
             [a.sort_key[2:] for a in table.results],
-            [[(a, cells[a.sort_key[2:]]) for a in row] for row in table.grid],
+            [[(a.sort_key, cells[a.sort_key[2:]]) for a in row] for row in table.grid],
             plan_cells, any(fn is None for fn, _, _ in plan),
         )
         self._plans[table.table_id] = (plan, edges, reader_edges, slots)
         return plan
 
-    def _node(self, addr: CellAddress):
-        """What an edge to *addr* points at: a table body cell's table, else the cell."""
-        table = self.workspace.table_at(addr)
-        return table if table is not None and table.is_body_cell(addr) else addr
+    def _node(self, key: tuple):
+        """What an edge to the cell keyed *key* points at: a table body
+        cell's table, else the key."""
+        table = self.workspace.table_index.get(key)
+        tl = None if table is None else table.region.top_left
+        return table if tl is not None and key[2] > tl.row and key[3] > tl.column else key
 
     def evaluate_table(self, table, stats: EvalStats) -> set:
         """Run the substitute/recompute/collect/restore cycle for one table.
@@ -1084,8 +1106,8 @@ class Engine:
         :meth:`components`). A plan that holds a cycle runs once more instead,
         once every pass has completed: with iterative calculation on, a
         self-referential counter sees the restore as it saw each pass. If a
-        pass raises, nothing is evaluated after it. Returns the body cells
-        whose value changed.
+        pass raises, nothing is evaluated after it. Returns the keys of the
+        body cells whose value changed.
         """
         plan = self.dependents_plan(table)
         cells, key, arguments, results, body, plan_cells, cyclic = self._plans[table.table_id][3]

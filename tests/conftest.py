@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gridcalc import CalcConfig, Engine, load_workspace
+from gridcalc import CalcConfig, Engine, engine, load_workspace
 from gridcalc.bench import asset_path
 
 # Every character str.splitlines ends a line at; the loader splits on them.
@@ -25,6 +25,14 @@ def assets(*names) -> list[Path]:
 
 def load_assets(*names, config: CalcConfig | None = None):
     return load_workspace(assets(*names), config)
+
+
+def evaluated(ws, cell, f):
+    """Formula *f*'s value in *cell*: its bound function called on its
+    bound context (``engine.bind`` is read at the call, so a patch of it
+    is seen)."""
+    fn, ctx = engine.bind(ws, cell, f)
+    return fn(ctx)
 
 
 def engine_for(*names, config: CalcConfig | None = None) -> Engine:

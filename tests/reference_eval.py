@@ -565,7 +565,7 @@ def compiled_and_reference(ws: Workspace, source: str, anchor: CellAddress, dc: 
     """``(compiled, reference)`` values of *source* at *anchor*, where its
     template is made, and of its copy moved by (*dc*, *dr*), a formula made
     from that template."""
-    from gridcalc.engine import evaluate
+    from conftest import evaluated
 
     copy_anchor = anchor.moved(anchor.column + dc, anchor.row + dr)
     copy = moved_source(source, dc, dr)
@@ -573,6 +573,6 @@ def compiled_and_reference(ws: Workspace, source: str, anchor: CellAddress, dc: 
     moved = formula.shared_formula(copy, copy_anchor, ws.templates)
     assert moved.template is own.template, (source, copy)
     return [
-        (evaluate(ws, at, f), EvalContext(ws, at).eval(formula.parse_formula(text, at)))
+        (evaluated(ws, at, f), EvalContext(ws, at).eval(formula.parse_formula(text, at)))
         for at, f, text in ((anchor, own, source), (copy_anchor, moved, copy))
     ]

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridcalc import functions
 from gridcalc.model import Array, CellAddress, Error, Literal, RangeRef, Workspace, parse_address
+from conftest import evaluated
 from reference_eval import compiled_and_reference, same_value
 
 HOME = CellAddress("B", "S", 1, 1)
@@ -367,7 +368,6 @@ def test_kernel_reads_a_held_range_once():
 
 
 def test_isbn_body_runs_its_chain_as_one_kernel(monkeypatch):
-    from gridcalc import engine
     from conftest import engine_for
 
     eng = engine_for("bench_body.gwb")
@@ -379,7 +379,7 @@ def test_isbn_body_runs_its_chain_as_one_kernel(monkeypatch):
     monkeypatch.setattr(functions, "array_lift", lambda *args: lifts.append(args) or real(*args))
     eng.full_recalc()
     assert eng.get_value(b2) == "valid"
-    assert engine.evaluate(eng.workspace, b2, eng.workspace.cell(b2).content) == "valid"
+    assert evaluated(eng.workspace, b2, eng.workspace.cell(b2).content) == "valid"
     assert lifts == []
 
 
@@ -572,7 +572,6 @@ SHIPPED_BODIES = [
 def test_shipped_bodies_reduce_their_constants_without_the_builtins(
     books, input_cell, text, cells, expected, value_calls
 ):
-    from gridcalc import engine
     from conftest import engine_for
 
     eng = engine_for(*books)
@@ -587,7 +586,7 @@ def test_shipped_bodies_reduce_their_constants_without_the_builtins(
         values = []
         for cell in cells:
             addr = parse_address(cell, context)
-            values.append(engine.evaluate(eng.workspace, addr, eng.workspace.cell(addr).content))
+            values.append(evaluated(eng.workspace, addr, eng.workspace.cell(addr).content))
             assert same_value(eng.get_value(addr), values[-1])
     assert values == expected
     assert counts["_fn_sumproduct"] == counts["_fn_match"] == 0

@@ -14,7 +14,7 @@ import pytest
 from gridcalc import engine, formula, functions
 from gridcalc.engine import MAX_DEPTH, Engine
 from gridcalc.model import Array, CellAddress, Error, Literal, Workspace
-from conftest import engine_for
+from conftest import engine_for, evaluated
 from reference_eval import compiled_and_reference, same_value
 
 HOME = CellAddress("B", "S", 1, 1)
@@ -57,7 +57,7 @@ def test_shapes_that_differ_only_in_text_constants_share_one_code_object(compile
     # and from no source: its one reference is given its corner by hand
     ast = formula.Binary("&", formula.Literal(hostile + "\n"), formula.Ref(HOME))
     made.append(formula.Template(ast, AT.sheet_key, "", [], []).at([(HOME.column, HOME.row)], "no source"))
-    values = [engine.evaluate(ws, AT, f) for f in made]
+    values = [evaluated(ws, AT, f) for f in made]
     assert values == ["ab", hostile + "#b", hostile + "\nb"]
     assert len({id(f.template) for f in made}) == 3
     assert len(compiles) == len(ws.codes) == 1
@@ -71,7 +71,7 @@ def test_shapes_that_differ_only_in_a_defined_name_share_one_code_object(compile
     ws.define_name("Rate", HOME)
     ws.define_name("os.system", HOME.moved(1, 2))  # a valid name that reads as code
     made = [formula.shared_formula(f"{name}&A1", AT, ws.templates) for name in ("Rate", "os.system", "Nope")]
-    assert [engine.evaluate(ws, AT, f) for f in made] == ["bb", "zzb", Error.NAME]
+    assert [evaluated(ws, AT, f) for f in made] == ["bb", "zzb", Error.NAME]
     assert len(compiles) == len(ws.codes) == 1
     (source,) = ws.codes
     assert "os" not in source.replace("ctx.workspace", "") and "Rate" not in source
@@ -115,12 +115,12 @@ def test_each_workspace_compiles_its_own_shapes(compiles):
 def test_isblank_compiles_no_function_for_its_arguments_reference(compiles):
     ws = workspace()
     made = formula.shared_formula('IF(ISBLANK(A2),"",B2)', AT, ws.templates)
-    assert engine.evaluate(ws, AT, made) is None  # A2 holds "zz", B2 is blank
+    assert evaluated(ws, AT, made) is None  # A2 holds "zz", B2 is blank
     # the formula's function and the one of A2's value; none gives A2's reference
     assert len(compiles) == 2
     assert not any("= ctx.refs[0]\n" in source for source in compiles)
     row = formula.shared_formula("ROW(A2)", AT, ws.templates)
-    assert engine.evaluate(ws, AT, row) == 2.0
+    assert evaluated(ws, AT, row) == 2.0
     assert any("= ctx.refs[0]\n" in source for source in compiles[2:])
 
 

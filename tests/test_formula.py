@@ -21,6 +21,7 @@ from gridcalc.formula import (
 )
 from gridcalc import dump_workbook_source, load_workspace
 from gridcalc.model import Array, CellAddress, Error, parse_address
+from conftest import evaluated
 from test_templates import tree_of
 
 CTX = CellAddress("Book1", "Sheet1", 2, 2)  # B2
@@ -463,7 +464,7 @@ def test_static_dependencies_cover_actual_reads():
         f = shared_formula(source, CTX, ws.templates)
         info = static_dependencies(parse_formula(source, CTX))
         reads.clear()
-        engine.evaluate(ws, CTX, f)
+        evaluated(ws, CTX, f)
         assert set(reads) <= cells(info.refs), source
         # ROW, COLUMN, ROWS and COLUMNS take a reference without reading it
         if info.refs and not re.search(r"\b(ROWS?|COLUMNS?)\(", source):

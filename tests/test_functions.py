@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridcalc import isbn
-from gridcalc.engine import Engine, evaluate
+from gridcalc.engine import Engine
 from gridcalc.formula import shared_formula
 from gridcalc.functions import (
     BINARY_FNS,
@@ -29,6 +29,7 @@ from gridcalc.model import (
     Workspace,
     parse_address,
 )
+from conftest import evaluated
 
 # Dot products recomputed here, independently of the engine, and frozen.
 ISBN10_WEIGHTS = [10, 9, 8, 7, 6, 5, 4, 3, 2]
@@ -60,7 +61,7 @@ def addr(col: int, row: int) -> CellAddress:
 def ev(source: str, ws: Workspace | None = None, at: CellAddress | None = None):
     ws = ws or scratch()
     at = at or addr(8, 8)
-    return evaluate(ws, at, shared_formula(source, at, ws.templates))
+    return evaluated(ws, at, shared_formula(source, at, ws.templates))
 
 
 def put(ws: Workspace, a: CellAddress, value) -> None:

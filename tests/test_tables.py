@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gridcalc import bench, declare_table, engine, functions
-from gridcalc.engine import Engine, EvalStats, evaluate, values_equal
+from gridcalc.engine import Engine, EvalStats, values_equal
 from gridcalc.model import (
     CalcConfig,
     CellAddress,
@@ -21,7 +21,7 @@ from gridcalc.model import (
 )
 from gridcalc.tables import COLUMN_INPUT, ROW_INPUT, DataTableRegion, TableError
 
-from conftest import engine_for
+from conftest import engine_for, evaluated
 
 BOOK = "isbn_basic"
 
@@ -774,7 +774,7 @@ def test_tables_sharing_an_input_check_its_dependents_for_a_cycle_once(monkeypat
     checked, closure = [], eng.graph.dependents_closure
     monkeypatch.setattr(eng.graph, "dependents_closure", lambda s: checked.append(set(s)) or closure(s))
     stats = eng.full_recalc()
-    assert checked == [{ws.tables[0].input_cell}]
+    assert checked == [{ws.tables[0].input_cell.sort_key}]
     assert (stats.body_passes, stats.table_restores) == (64, 64)
     plain = Engine(bench.build_workspace(64, "small", 1))
     plain.full_recalc()
@@ -1069,8 +1069,8 @@ def test_restored_plan_equals_a_run_of_the_plan(spec):
 @settings(max_examples=80, deadline=None)
 @given(call_workbooks(cross=True), st.data())
 def test_bound_plan_entries_evaluate_as_their_cells_formulas(spec, data):
-    # each entry's function on its context gives what evaluate gives for
-    # its cell's formula, after a recalc and after an argument's literal edit
+    # each entry's function on its context gives what a fresh bind gives
+    # for its cell's formula, after a recalc and after an argument's literal edit
     eng = _build(spec, with_tables=True, table_recalc="auto")
     ws = eng.workspace
 
@@ -1080,7 +1080,7 @@ def test_bound_plan_entries_evaluate_as_their_cells_formulas(spec, data):
             for fn, ctx, cell in eng.dependents_plan(table):
                 if fn is not None:
                     assert ws.cell(ctx.cell) is cell
-                    assert values_equal(fn(ctx), evaluate(ws, ctx.cell, cell.content)), ctx.cell
+                    assert values_equal(fn(ctx), evaluated(ws, ctx.cell, cell.content)), ctx.cell
 
     check()
     top, _, _, args = data.draw(st.sampled_from(spec[2]), label="table")
