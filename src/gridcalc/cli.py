@@ -93,7 +93,8 @@ def _cmd_dump(args) -> int:
     if book is None:
         books = ws.workbooks()
         if len(books) != 1:
-            print("--book is required when several workbooks are loaded", file=sys.stderr)
+            why = "--book is required when several workbooks are loaded" if books else "empty workspace"
+            print(why, file=sys.stderr)
             return 2
         book = books[0].name
     wb = ws.workbook(book)

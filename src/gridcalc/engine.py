@@ -21,11 +21,11 @@ call: its cells and table bodies become ``#CYCLE!``.
 The graph, the dirty cells, a walk's needs, the orders and the plans key a
 cell by its address's ``sort_key``, the casefolded tuple ``(workbook, sheet,
 row, column)``, so every set and dict operation on them hashes in C; a table
-node stays its :class:`gridcalc.tables.DataTableRegion`. Addresses are made
-only where a formula is bound and where a cell leaves the engine:
-``DependencyGraph.cells`` maps the key of each formula cell back to its
-address, one made per formula cell by :meth:`Engine.build_graph` or given
-to :meth:`Engine.set_cell`, which returns addresses.
+node stays its :class:`gridcalc.tables.DataTableRegion`. The engine makes
+no address: a formula knows the cell it was made in (``Formula.cell``), and
+``DependencyGraph.cells`` maps the key of each formula cell to the sheet's
+own :class:`Cell`, whose formula is bound (:func:`bind`) and whose address
+:meth:`Engine.set_cell` returns.
 
 A plan is bound once, when it is built: each of its cells outside a cycle
 is kept with its compiled function and one :class:`EvalContext` made for
@@ -135,20 +135,20 @@ class DependencyGraph:
     A cell is keyed by its address's ``sort_key``, the casefolded tuple
     ``(workbook, sheet, row, column)``, so every set and dict operation on
     the graph hashes in C. ``cells`` maps the key of each formula cell the
-    graph holds back to its :class:`CellAddress`, for binding its formula
-    and for the addresses :meth:`Engine.set_cell` returns."""
+    graph holds to the sheet's own :class:`Cell`: the same object while the
+    cell holds a formula, whose ``content.cell`` is its address."""
 
     def __init__(self) -> None:
         self.precedents: dict[tuple, frozenset] = {}
         self.dependents: dict[tuple, set] = {}
         self.volatile: set[tuple] = set()
-        self.cells: dict[tuple, CellAddress] = {}
+        self.cells: dict[tuple, Cell] = {}
 
-    def add_node(self, addr: CellAddress, precedents: frozenset, volatile: bool) -> None:
-        """Add formula cell *addr*, which the graph does not hold, with the
-        keys of its *precedents*."""
-        key = addr.sort_key
-        self.cells[key] = addr
+    def add_node(self, cell: Cell, precedents: frozenset, volatile: bool) -> None:
+        """Add formula *cell*, which the graph does not hold, with the keys
+        of its *precedents*."""
+        key = cell.content.cell.sort_key
+        self.cells[key] = cell
         self.precedents[key] = precedents
         for p in precedents:
             self.dependents.setdefault(p, set()).add(key)
@@ -199,13 +199,14 @@ class EvalContext:
         self.refs = refs
 
 
-def bind(workspace: Workspace, cell: CellAddress, f: Formula) -> tuple:
-    """What evaluates formula *f* in *cell*, as ``(function, context)``: its
-    template's function, compiled on first use, and an :class:`EvalContext`
-    over *f*'s own references. ``function(context)`` is *f*'s value; the pair
-    holds as long as *f* stays in *cell*."""
+def bind(workspace: Workspace, f: Formula) -> tuple:
+    """What evaluates formula *f* in its own cell (``Formula.cell``), as
+    ``(function, context)``: its template's function, compiled on first use,
+    and an :class:`EvalContext` over *f*'s cell and references.
+    ``function(context)`` is *f*'s value; the pair holds as long as *f*
+    stays in its cell."""
     fn = workspace.compiled.get(f.template) or compile_template(f.template, workspace)
-    return fn, EvalContext(workspace, cell, f.refs)
+    return fn, EvalContext(workspace, f.cell, f.refs)
 
 
 def range_values(cells: dict, target: RangeRef) -> Array:
@@ -679,7 +680,7 @@ class Engine:
         # slots evaluate_table reads); with iterative calculation, input cell
         # key -> its dependents' keys if they hold a cycle; the tables a walk
         # is given, as a tuple -> their closure's order. Cells are graph keys
-        # throughout; a plan reads a cell's address (graph.cells) to bind it.
+        # throughout; a plan takes each cell's Cell from graph.cells.
         self._plans: dict = {}
 
     # -- graph construction ---------------------------------------------------
@@ -710,10 +711,9 @@ class Engine:
         names = self._name_targets()
         for wb in self.workspace.workbooks():
             for sheet in wb.sheets():
-                home = CellAddress(wb.name, sheet.name, 1, 1)
-                for (row, col), cell in sheet.cells.items():
+                for cell in sheet.cells.values():
                     if isinstance(cell.content, Formula):
-                        g.add_node(home.moved(col, row), *self._node_edges(cell.content, names))
+                        g.add_node(cell, *self._node_edges(cell.content, names))
         return g
 
     # -- editing ----------------------------------------------------------------
@@ -754,17 +754,17 @@ class Engine:
         elif isinstance(content, str):
             content = formula.shared_formula(content, addr, self.workspace.templates)
         was_formula = existing is not None and isinstance(existing.content, Formula)
-        sheet.set_content(addr.row, addr.column, content)
+        cell = sheet.set_content(addr.row, addr.column, content)
         key = addr.sort_key
         self.graph.remove_node(key)
         if isinstance(content, Formula):
             precedents, volatile = self._node_edges(content, self._name_targets())
-            self.graph.add_node(addr, precedents, volatile)
+            self.graph.add_node(cell, precedents, volatile)
         reached = self.graph.dependents_closure((key,))
         self.dirty.update(reached, (key,))
         if was_formula or isinstance(content, Formula):
             self._plans.clear()  # plans hold graph edges and formula cells only
-        return {addr, *map(self.graph.cells.__getitem__, reached)}
+        return {addr, *[self.graph.cells[k].content.cell for k in reached]}
 
     def clear_cell(self, addr: CellAddress) -> set:
         return self.set_cell(addr, None)
@@ -818,7 +818,8 @@ class Engine:
         self.full_recalc()
         comps, edges = self.components([*self.graph.precedents, *self.workspace.tables])
         cyclic = [n for comp in comps if self._is_cyclic(comp, edges) for n in comp]
-        cells = [a for n in cyclic for a in ((self.graph.cells[n],) if type(n) is tuple else n.body_cells())]
+        formulas = self.graph.cells
+        cells = [a for n in cyclic for a in ((formulas[n].content.cell,) if type(n) is tuple else n.body_cells())]
         return {a: self.workspace.value(a) for a in cells}
 
     # -- internals ----------------------------------------------------------------
@@ -885,10 +886,9 @@ class Engine:
             elif type(node) is not tuple:  # a table
                 changed = self.evaluate_table(node, stats)
             elif node in needs:
-                addr = self.graph.cells[node]
-                cell = self.workspace.cell(addr)
+                cell = self.graph.cells[node]
                 old = cell.cached
-                self._eval_cell(*bind(self.workspace, addr, cell.content), cell, stats)
+                self._eval_cell(*bind(self.workspace, cell.content), cell, stats)
                 changed = () if values_equal(old, cell.cached) else (node,)
             else:
                 continue
@@ -911,16 +911,16 @@ class Engine:
         members are swept in address order until no number moves by more
         than ``max_change`` or ``max_iterations`` is reached.
         """
-        cfg = self.workspace.config
-        bodies = [(a.sort_key, a) for t in comp if type(t) is not tuple for a in t.body_cells()]
-        keyed = sorted([(k, self.graph.cells[k]) for k in comp if type(k) is tuple] + bodies)
-        cells = [(k, a, self.workspace.cell(a)) for k, a in keyed]
-        before = [c.cached for _, _, c in cells]
+        ws = self.workspace
+        cfg = ws.config
+        bodies = [(a.sort_key, ws.cell(a)) for t in comp if type(t) is not tuple for a in t.body_cells()]
+        cells = sorted([(k, self.graph.cells[k]) for k in comp if type(k) is tuple] + bodies)  # keys are distinct
+        before = [c.cached for _, c in cells]
         if bodies or not cfg.iterative:
-            for _, _, cell in cells:
+            for _, cell in cells:
                 cell.cached = Error.CYCLE
         else:
-            bound = [(*bind(self.workspace, a, c.content), c) for _, a, c in cells]
+            bound = [(*bind(ws, c.content), c) for _, c in cells]
             for _ in range(cfg.max_iterations):
                 worst = 0.0
                 for fn, ctx, cell in bound:
@@ -933,7 +933,7 @@ class Engine:
                         worst = math.inf
                 if worst <= cfg.max_change:
                     break
-        return {k for (k, _, c), old in zip(cells, before) if not values_equal(old, c.cached)}
+        return {k for (k, c), old in zip(cells, before) if not values_equal(old, c.cached)}
 
     def _ordered_components(
         self, nodes: set, rng: random.Random | None = None, edges: dict | None = None
@@ -1059,11 +1059,11 @@ class Engine:
         nodes.discard(input_key)
         plan, plan_cells = [], []  # its entries; its Cell objects, a cycle's included
         for comp in self._ordered_components(nodes):
-            plan_cells += [self.workspace.cell(g.cells[k]) for k in comp]
+            plan_cells += [g.cells[k] for k in comp]
             if self._is_cyclic(comp, g.precedents):
                 plan.append((None, comp, None))
             else:
-                plan.append((*bind(self.workspace, g.cells[comp[0]], plan_cells[-1].content), plan_cells[-1]))
+                plan.append((*bind(self.workspace, plan_cells[-1].content), plan_cells[-1]))
         outside = {p for a in nodes for p in g.precedents[a]} - nodes
         reads = {self._node(p) for p in chain([a.sort_key for a in table.results + table.arguments], outside)}
         reads.discard(input_key)

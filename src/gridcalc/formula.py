@@ -591,10 +591,10 @@ class Template:
             end = stop
         self.pieces = tuple(pieces), source[end:]
 
-    def at(self, corners: list, source: str) -> Formula:
-        """The formula *source* of this shape: this template, with each
-        reference at its corners in *corners*, the ``(column, row)`` of each
-        cell reference in *source*, in source order."""
+    def at(self, anchor: CellAddress, corners: list, source: str) -> Formula:
+        """The formula *source* of this shape in cell *anchor*: this
+        template, with each reference at its corners in *corners*, the
+        ``(column, row)`` of each cell reference in *source*, in source order."""
         corners = iter(corners)
         refs = []
         for target in self.refs:
@@ -603,7 +603,7 @@ class Template:
                 refs.append(RangeRef.normalized(head.moved(*next(corners)), head.moved(*next(corners))))
             else:
                 refs.append(target.moved(*next(corners)))
-        return Formula(source, self, tuple(refs))
+        return Formula(source, self, tuple(refs), anchor)
 
     def copied(self, anchor: CellAddress, source: str) -> Formula | None:
         """The formula *source* in cell *anchor*, made by :meth:`at` with no
@@ -623,12 +623,12 @@ class Template:
                 return None
             corners.append((column, row))
             pos = digits.end()
-        return self.at(corners, source) if source[pos:] == tail else None
+        return self.at(anchor, corners, source) if source[pos:] == tail else None
 
 
 def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping, above: Content = None) -> Formula:
-    """The formula *source* (no leading ``=``) in cell *anchor*, parsed once
-    per shape and sheet: *templates* maps ``(anchor.sheet_key, shape)`` to
+    """The formula *source* (no leading ``=``) in cell *anchor*, its
+    ``Formula.cell``, parsed once per shape and sheet: *templates* maps ``(anchor.sheet_key, shape)`` to
     the :class:`Template` of every shape parsed so far. A source that does
     not parse raises as :func:`parse_formula` does and is not kept.
 
@@ -647,7 +647,7 @@ def shared_formula(source: str, anchor: CellAddress, templates: MutableMapping, 
     template = None if "\n" in source else templates.get(key)
     if template is None:
         template = templates[key] = Template(parse_formula(source, anchor), anchor.sheet_key, source, corners, rows)
-    return template.at(corners, source)
+    return template.at(anchor, corners, source)
 
 
 # ---------------------------------------------------------------------------

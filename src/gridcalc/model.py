@@ -524,23 +524,26 @@ class Literal:
 
 class Formula:
     """A formula's source text (written back by dumps as is), its shape's
-    template and ``refs``, the cell and range references of its source in
-    source order, as read in the cell that holds it.
+    template, ``refs``, the cell and range references of its source in
+    source order, and ``cell``, the address of the cell it was made in,
+    where ``refs`` were read.
 
     A formula is made only by :func:`gridcalc.formula.shared_formula`, from
     its source in its own cell: the template (kept cached while the formula
     lives) holds the shape's only tree, and ``refs`` put this cell's
-    references into it.
+    references into it. The engine evaluates a formula at ``cell`` (ROW(),
+    COLUMN() and INDIRECT's relative text read it) and reports its cell by
+    it, so it makes no address of its own.
 
     Formulas are equal when their source and ``refs`` are: the source fixes
     the tree but for the sheet and cell it is read in, and ``refs`` fix
     those. One source on two sheets makes two formulas.
     """
 
-    __slots__ = ("source", "template", "refs")
+    __slots__ = ("source", "template", "refs", "cell")
 
-    def __init__(self, source: str, template: Any, refs: tuple) -> None:
-        self.source, self.template, self.refs = source, template, refs
+    def __init__(self, source: str, template: Any, refs: tuple, cell: CellAddress) -> None:
+        self.source, self.template, self.refs, self.cell = source, template, refs, cell
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):

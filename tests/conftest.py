@@ -28,10 +28,10 @@ def load_assets(*names, config: CalcConfig | None = None):
 
 
 def evaluated(ws, cell, f):
-    """Formula *f*'s value in *cell*: its bound function called on its
-    bound context (``engine.bind`` is read at the call, so a patch of it
-    is seen)."""
-    fn, ctx = engine.bind(ws, cell, f)
+    """Formula *f*'s value in *cell*, the cell it was made in: its bound
+    function called on its bound context (``engine.bind`` is read at the
+    call, so a patch of it is seen)."""
+    fn, ctx = engine.bind(ws, f)
     return fn(ctx)
 
 

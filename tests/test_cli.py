@@ -96,6 +96,25 @@ def test_dump_unknown_sheet_exits_2(capsys):
     assert err == "unknown sheet 'Missing'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["get", "isbn_basic.gwb", "A1!!"], "bad cell reference: cannot parse reference 'A1!!'"),
+        (["get", "empty.gws", "A1"], "empty workspace"),
+        (["dump", "isbn_basic.gwb", "--book", "zz"], "unknown workbook 'zz'"),
+        (["dump", "isbn_basic.gwb"], "--sheet is required for tsv dumps of multi-sheet workbooks"),
+        (["dump", "empty.gws"], "empty workspace"),
+    ],
+    ids=["bad-reference", "get-empty", "unknown-book", "tsv-without-sheet", "dump-empty"],
+)
+def test_usage_errors_exit_2_with_their_message(capsys, tmp_path, argv, message):
+    # empty.gws lists no workbook; the .gwb names are shipped assets
+    (tmp_path / "empty.gws").write_text("# no workbooks\n", encoding="utf-8")
+    files = {"empty.gws": tmp_path / "empty.gws", "isbn_basic.gwb": assets("isbn_basic.gwb")[0]}
+    code, out, err = run(capsys, argv[0], files[argv[1]], *argv[2:])
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_dump_needs_book_when_ambiguous(capsys):
     code, _, err = run(capsys, "dump", *assets("lib.gwb", "book2.gwb"), "--format", "source")
     assert code == 2

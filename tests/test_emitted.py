@@ -56,7 +56,7 @@ def test_shapes_that_differ_only_in_text_constants_share_one_code_object(compile
     # a line break no formula source holds, in a template built from a tree
     # and from no source: its one reference is given its corner by hand
     ast = formula.Binary("&", formula.Literal(hostile + "\n"), formula.Ref(HOME))
-    made.append(formula.Template(ast, AT.sheet_key, "", [], []).at([(HOME.column, HOME.row)], "no source"))
+    made.append(formula.Template(ast, AT.sheet_key, "", [], []).at(AT, [(HOME.column, HOME.row)], "no source"))
     values = [evaluated(ws, AT, f) for f in made]
     assert values == ["ab", hostile + "#b", hostile + "\nb"]
     assert len({id(f.template) for f in made}) == 3

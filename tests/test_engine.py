@@ -318,6 +318,9 @@ def test_graph_matches_rebuild_after_random_edits(edits):
         else:
             dirtied = eng.set_cell(addr, content)
         assert eng.graph == eng.build_graph()
+        for key, c in eng.graph.cells.items():  # each sheet's own Cell, and its formula's own address
+            sheet = eng.workspace.resolve_sheet(c.content.cell)
+            assert sheet.cells[key[2:]] is c and c.content.cell.sort_key == key
         assert all(type(a) is CellAddress for a in dirtied)
         assert dirtied == _dependents_by_brute_force(eng.workspace, addr)
         eng.full_recalc()
@@ -360,6 +363,35 @@ def test_building_and_recalculating_hash_no_address(monkeypatch, make):
         counts.append(len(calls))
     assert counts == [0, 0, 0]
     assert len({at("A1"), at("A1")}) == 1 and calls  # the counters count
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: bench.build_workspace(64, "small", 1),
+        lambda: bench.build_workspace(200, "large", 1),
+        lambda: load_workspace([asset_path("demo.gws")]),
+        lambda: load_workspace([asset_path("isbn_byref.gwb")]),
+    ],
+    ids=["call-small", "call-large", "demo", "isbn_byref"],
+)
+def test_building_the_engine_makes_no_address(monkeypatch, make):
+    # each formula knows its cell and the graph holds the sheets' own Cell
+    # objects, so Engine(ws) makes no CellAddress, by constructor or by
+    # moved; nor does a steady recalc of these workspaces, which use no
+    # OFFSET (a first recalc may: INDIRECT's process-wide parse cache)
+    ws = make()
+    made = []
+    init, moved = CellAddress.__init__, CellAddress.moved
+    monkeypatch.setattr(CellAddress, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    monkeypatch.setattr(CellAddress, "moved", lambda self, *a: made.append(a) or moved(self, *a))
+    eng = Engine(ws)
+    assert made == [] and eng.graph.cells
+    eng.full_recalc()
+    made.clear()
+    eng.full_recalc()
+    assert made == []
+    assert CellAddress("T", "S", 2, 2).moved(1, 1) and len(made) == 2  # the counters count
 
 
 def test_graph_edges_are_the_cells_each_formula_depends_on():

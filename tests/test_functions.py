@@ -581,6 +581,12 @@ def test_if_is_lazy():
     assert ev("IF(1/0,1,2)") is Error.DIV0
 
 
+def test_if_reads_boolean_text_with_spaces_in_any_case():
+    assert ev('IF(" False ",1,2)') == 2.0
+    assert ev('IF(" TRUE",1,2)') == 1.0
+    assert ev('IF("yes",1,2)') is Error.VALUE
+
+
 def test_concatenation_coerces_to_text():
     assert ev('"A" & 5') == "A5"
     assert ev("1 & 2") == "12"

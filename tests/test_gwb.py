@@ -173,6 +173,8 @@ def test_table_option_given_twice_rejected(tmp_path):
 def test_table_region_violations_rejected(tmp_path):
     e = err(tmp_path, "table A4:A9 colinput=A2\n")
     assert "2x2" in e.message
+    e = err(tmp_path, "A1 : 1\ntable B4 colinput=A2\n")  # one cell is a 1x1 region
+    assert e.line_no == 2 and e.message.endswith("must be at least 2x2")
     e = err(tmp_path, "B4 = 1\nA5 : 1\ntable A4:B5 colinput=B5\n")
     assert "inside" in e.message
 
@@ -500,6 +502,72 @@ def test_tsv_dumps_are_stable_across_recalcs():
         eng.full_recalc()
         for (wbn, shn), text in first.items():
             assert dump_sheet(eng.workspace, wbn, shn, "tsv") == text
+
+
+def _formula_terms(book: str, sheets: list, row: int) -> list:
+    """What a formula in column C, row *row*, of a sheet of *book* may read:
+    literal cells of its own sheet, of each sheet of its book and of the
+    other book, small ranges, both defined names, INDIRECT over literal
+    cells, the table links and bodies, and the formulas above it."""
+    other = "B" if book == "A" else "A"
+    terms = ["A1", "$A$2", "A$3", "NA", "NB", "SUM(A1:A3)", f"SUM([{other}]One!A2:A3)", "ROWS(A1:B2)"]
+    terms += [f"{s}!A{k}" for s in sheets for k in (1, 3)] + [f"[{other}]One!A{k}" for k in (1, 2)]
+    terms += ['INDIRECT("A3")', f'INDIRECT("[{other}]One!A1")', "B6", "B7", f"[{other}]One!B7"]
+    return terms + [f"C{above}" for above in range(1, row)]
+
+
+_FORMULA_SHAPES = ["{}", "{}+{}", "{}&{}", "SUM({},{})", "IF(ISBLANK({}),0,{})", "LEN({})*{}"]
+_SOURCE_LITERALS = st.one_of(st.integers(-9, 99).map(str), st.sampled_from(['"x"', '"0123"', '""', '"a b"', "2.5"]))
+
+
+@st.composite
+def workspace_sources(draw) -> dict:
+    """The ``.gwb`` text of two workbooks, A and B, of one or two sheets
+    each: literals in A1:A3 of every sheet, up to three formulas in column
+    C, a defined name per book, and on each book's first sheet one 2x2
+    call table (link B6, argument A7, body B7 with its marker, input A2)."""
+    texts = {}
+    for book in "AB":
+        sheets = ["One", "Two"][: draw(st.integers(1, 2))]
+        lines = []
+        for sheet in sheets:
+            lines.append(f"sheet {sheet}")
+            lines += [f"A{r} : {draw(_SOURCE_LITERALS)}" for r in (1, 2, 3)]
+            for row in range(1, draw(st.integers(0, 3)) + 1):
+                shape = draw(st.sampled_from(_FORMULA_SHAPES))
+                terms = st.sampled_from(_formula_terms(book, sheets, row))
+                lines.append(f"C{row} = " + shape.format(*[draw(terms) for _ in range(shape.count("{}"))]))
+            if sheet == "One":
+                link = draw(st.sampled_from(["A2", 'A2&"!"', "LEN(A2)+[B]Two!A1", "SUM(A2,C1)", "C2"]))
+                lines += [f"B6 = {link}", f"A7 : {draw(_SOURCE_LITERALS)}", "B7 = {=TABLE(,A2)}", "table A6:B7 colinput=A2"]
+        lines.append(f"name N{book} = {draw(st.sampled_from(['One!A1', 'One!A2:A3']))}")
+        texts[book] = "\n".join(lines) + "\n"
+    return texts
+
+
+def _load_books(folder, texts: dict):
+    """Write *texts* as ``<book>.gwb`` files in *folder*, list them in a
+    ``.gws`` under their own names, and load that."""
+    folder.mkdir(exist_ok=True)
+    for book, text in texts.items():
+        write(folder, f"{book}.gwb", text)
+    return load_workspace([write(folder, "all.gws", "".join(f"workbook {b} {b}.gwb\n" for b in texts))])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(workspace_sources())
+def test_whole_workspaces_round_trip_through_source_dumps(tmp_path, texts):
+    # each book's dump, loaded again under its own name, dumps to the same
+    # text, and every sheet recalculates to the same values as the original
+    ws1 = _load_books(tmp_path / "drawn", texts)
+    dumps = {book: dump_workbook_source(ws1, book) for book in texts}
+    ws2 = _load_books(tmp_path / "dumped", dumps)
+    assert {book: dump_workbook_source(ws2, book) for book in texts} == dumps
+    grids = []
+    for ws in (ws1, ws2):
+        Engine(ws).full_recalc()
+        grids.append({(wb.name, sh.name): dump_sheet(ws, wb.name, sh.name) for wb in ws.workbooks() for sh in wb.sheets()})
+    assert grids[0] == grids[1]
 
 
 def test_deeply_nested_formula_is_load_error(tmp_path):

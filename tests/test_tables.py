@@ -109,6 +109,12 @@ def test_declare_rejects_input_on_other_sheet():
         declare_table(eng.workspace, rng_("A4:B9"), COLUMN_INPUT, at("A2", sheet="Other"))
 
 
+def test_declare_rejects_a_missing_sheet():
+    eng = fresh()
+    with pytest.raises(TableError, match="names a missing sheet"):
+        declare_table(eng.workspace, rng_("A4:B9", sheet="Nope"), COLUMN_INPUT, at("A2", sheet="Nope"))
+
+
 def test_declare_rejects_populated_body():
     eng = fresh()
     eng.set_literal(at("B5"), 1.0)

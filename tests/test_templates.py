@@ -549,7 +549,7 @@ def given(source: str) -> Formula:
     """A formula of *source* that holds another formula's template and
     ``refs``: :meth:`Engine.set_cell` keeps only its source."""
     other = shared_formula("A9*3", at("C9"), {})
-    return Formula(source, other.template, other.refs)
+    return Formula(source, other.template, other.refs, other.cell)
 
 
 def test_line_break_repros_raise_before_reaching_a_cell():
