@@ -28,26 +28,29 @@ own :class:`Cell`, whose formula is bound (:func:`bind`) and whose address
 :meth:`Engine.set_cell` returns.
 
 A plan is bound once, when it is built: each of its cells outside a cycle
-is kept with its compiled function and one :class:`EvalContext` made for
-it (:func:`bind`), so a pass (:meth:`Engine.run_plan`) calls each function
-on its context and makes no context of its own. A cell the walk evaluates
-outside a plan, and a cycle's, is bound where it runs.
+is kept with its compiled function (:func:`bind`), so a pass
+(:meth:`Engine.run_plan`) calls each function on its cell's formula and
+binds nothing. A cell the walk evaluates outside a plan, and a cycle's, is
+bound where it runs.
 
 Formulas are compiled, not interpreted. Each formula shape
 (:class:`gridcalc.formula.Template`) is compiled once, when a formula of it
 is first bound: evaluated, or held by a plan being built
-(:func:`compile_template`), to the source of one Python function, one
-statement per node, each writing a temporary; a workspace keeps the
-function of each template while the template lives (``Workspace.compiled``)
-and the code object of each source text (``Workspace.codes``). Every formula
-of the shape runs it over its own references (``Formula.refs``).
-Constants, builtins, coercers, name keys and sheets reach the function
-through its namespace, never as text. IF is an ``if`` statement: only the
-branch taken runs. Special and reference builtins get each argument as
-emitted functions, its value and, if read, its reference
-(:class:`gridcalc.functions.Arg`). A node nested deeper than
-:data:`MAX_DEPTH` gives ``#VALUE!``, only if it is evaluated, and so the
-limit bounds the emitted nesting too.
+(:func:`compile_template`), to the source of one Python function of a
+formula, one statement per node, each writing a temporary; a workspace
+keeps the function of each template while the template lives
+(``Workspace.compiled``) and the code object of each source text
+(``Workspace.codes``). Every formula of the shape is its argument: the
+function reads the formula's own references (``Formula.refs``) and cell
+(``Formula.cell``). Constants, builtins, coercers, name keys, sheets and
+the workspace reach the function through its namespace, never as text.
+IF is an ``if`` statement: only the branch taken runs. Special and
+reference builtins get the formula and each argument as emitted functions
+of the formula, its value and, if read, its reference
+(:class:`gridcalc.functions.Arg`); a value builtin gets only its
+arguments' values. A node nested deeper than :data:`MAX_DEPTH` gives
+``#VALUE!``, only if it is evaluated, and so the limit bounds the emitted
+nesting too.
 
 A template is bound to the workspace whose ``templates`` made it. A shape
 gives the reference in each of its places one sheet, resolved once, when it
@@ -90,6 +93,7 @@ import builtins
 import math
 import random
 import time
+import weakref
 from dataclasses import dataclass
 from itertools import chain
 from types import CodeType, FunctionType
@@ -184,29 +188,11 @@ class DependencyGraph:
     __hash__ = None  # type: ignore[assignment]
 
 
-class EvalContext:
-    """What one evaluation of a formula reads: the workspace (its defined
-    names, and the sheets :func:`ref_value` resolves), the formula's own cell
-    (ROW(), COLUMN() and INDIRECT's relative text read it) and its references
-    in the order its template reads them (``Formula.refs``), whose sheets the
-    template bound when it compiled."""
-
-    __slots__ = ("workspace", "cell", "refs")
-
-    def __init__(self, workspace: Workspace, cell: CellAddress, refs: tuple) -> None:
-        self.workspace = workspace
-        self.cell = cell
-        self.refs = refs
-
-
-def bind(workspace: Workspace, f: Formula) -> tuple:
-    """What evaluates formula *f* in its own cell (``Formula.cell``), as
-    ``(function, context)``: its template's function, compiled on first use,
-    and an :class:`EvalContext` over *f*'s cell and references.
-    ``function(context)`` is *f*'s value; the pair holds as long as *f*
-    stays in its cell."""
-    fn = workspace.compiled.get(f.template) or compile_template(f.template, workspace)
-    return fn, EvalContext(workspace, f.cell, f.refs)
+def bind(workspace: Workspace, f: Formula):
+    """The function that evaluates formula *f* in its own cell
+    (``Formula.cell``): its template's, compiled on first use.
+    ``function(f)`` is *f*'s value."""
+    return workspace.compiled.get(f.template) or compile_template(f.template, workspace)
 
 
 def range_values(cells: dict, target: RangeRef) -> Array:
@@ -231,13 +217,15 @@ def ref_value(workspace: Workspace, target):
 
 def compile_template(template: formula.Template, workspace: Workspace):
     """Compile *template*'s AST once, for *workspace*, whose ``templates``
-    made it, to a Python function of an :class:`EvalContext`, kept in the
+    made it, to a Python function of a formula of *template*, kept in the
     workspace's ``compiled`` while *template* lives: its source is emitted
     (:class:`_Compiler`) and compiled, unless the workspace's ``codes``
     (source text -> code object) hold that text already. Each reference's
-    sheet is resolved here, once. The root is one level deep, each argument
-    or operand one more, but an argument of a special or reference builtin
-    read as a reference costs no level."""
+    sheet is resolved here, once, and *workspace* bound for its defined
+    names and for the reads that resolve their sheet (:func:`ref_value`).
+    The root is one level deep, each argument or operand one more, but an
+    argument of a special or reference builtin read as a reference costs no
+    level."""
     fn = workspace.compiled[template] = _Compiler(template, workspace).function(template.ast, 1)
     return fn
 
@@ -247,7 +235,7 @@ class _Unit:
     constant (``k0``, ...); each node's value is a temporary (``v1``, ...)."""
 
     def __init__(self) -> None:
-        self.lines = ["def formula(ctx):"]
+        self.lines = ["def formula(f):"]
         self.indent = 1
         self.namespace = dict(_NAMESPACE)
         self.temps = 0
@@ -290,14 +278,17 @@ class _Compiler:
         sheets = [workspace.resolve_sheet(r if type(r) is CellAddress else r.top_left) for r in template.refs]
         self.cells = [None if sheet is None else sheet.cells for sheet in sheets]
         self.codes = workspace.codes
+        self.workspace = weakref.proxy(workspace)  # it keeps the functions: no reference cycle
         self.argument_lists: dict = {}
         self.kernels: dict = {}
 
     def function(self, node, depth: int, reference: bool = False):
-        """The function of an :class:`EvalContext` that gives *node*'s value
-        *depth* deep, or with *reference* its reference; made from its code
-        object, so that its namespace does not hold it. No cell holds it
-        either, so a dropped workspace is freed by reference counting."""
+        """The function of a formula that gives *node*'s value *depth* deep,
+        or with *reference* its reference; made from its code object, so
+        that its namespace does not hold it. Its namespace's ``workspace`` is
+        a weak proxy of the workspace, which keeps the function, and no cell
+        holds the function either, so a dropped workspace is freed by
+        reference counting."""
         u = _Unit()
         result = self.reference(u, node, depth) if reference else self.value(u, node, depth)
         u.lines.append(f"    return {result}\n")
@@ -306,6 +297,7 @@ class _Compiler:
         if code is None:  # the function's code is a constant of the module's
             module = compile(source, "<formula>", "exec", dont_inherit=True)
             code = self.codes[source] = next(c for c in module.co_consts if type(c) is CodeType)
+        u.namespace["workspace"] = self.workspace
         return FunctionType(code, u.namespace)
 
     def value(self, u: _Unit, node, depth: int) -> str:
@@ -321,11 +313,11 @@ class _Compiler:
                 return self.read(u, self.reference(u, node, depth))
             i = self.positions[id(node)]
             if self.cells[i] is None:
-                return u.assign(f"ref_value(ctx.workspace, ctx.refs[{i}])")
+                return u.assign(f"ref_value(workspace, f.refs[{i}])")
             k = u.const(self.cells[i])
             if type(node.target) is RangeRef:
-                return u.assign(f"range_values({k}, ctx.refs[{i}])")
-            return u.assign(f"{k}.get((ctx.refs[{i}].row, ctx.refs[{i}].column), BLANK).cached")
+                return u.assign(f"range_values({k}, f.refs[{i}])")
+            return u.assign(f"{k}.get((f.refs[{i}].row, f.refs[{i}].column), BLANK).cached")
         if isinstance(node, formula.Unary) and node.op == "+":
             return self.value(u, node.operand, depth + 1)
         link = _scalar_link(node)
@@ -342,7 +334,7 @@ class _Compiler:
             if spec.name == "IF":
                 return self.branch(u, node.args, depth)
             if spec.kind == "special":
-                return u.assign(f"{u.const(spec.fn)}(ctx, {u.const(self.arguments(node, spec, depth))})")
+                return u.assign(f"{u.const(spec.fn)}(f, {u.const(self.arguments(node, spec, depth))})")
             if spec.kind == "reference":
                 return self.read(u, self.reference(u, node, depth))
             return self.specialised(u, node, spec, depth) or self.strict(u, spec.fn, node.args, depth)
@@ -354,16 +346,16 @@ class _Compiler:
         if isinstance(node, formula.Ref):
             if isinstance(node.target, str):
                 key, missing = u.const(node.target.casefold()), u.const(_NO_NAME)
-                return u.assign(f"ctx.workspace.defined_names.get({key}, {missing})[1]")
-            return u.assign(f"ctx.refs[{self.positions[id(node)]}]")
+                return u.assign(f"workspace.defined_names.get({key}, {missing})[1]")
+            return u.assign(f"f.refs[{self.positions[id(node)]}]")
         if isinstance(node, formula.Call):
             spec = _builtin(node)
             if isinstance(spec, functions.Builtin) and spec.kind == "reference":
-                return u.assign(f"{u.const(spec.fn)}(ctx, {u.const(self.arguments(node, spec, depth))})")
+                return u.assign(f"{u.const(spec.fn)}(f, {u.const(self.arguments(node, spec, depth))})")
         return u.const(None)
 
     def read(self, u: _Unit, ref: str) -> str:
-        return u.choose(f"type({ref}) is Error", ref, f"ref_value(ctx.workspace, {ref})")
+        return u.choose(f"type({ref}) is Error", ref, f"ref_value(workspace, {ref})")
 
     def arguments(self, node, spec: functions.Builtin, depth: int) -> tuple:
         """Call *node*'s arguments as :class:`functions.Arg` of *spec*; kept,
@@ -428,7 +420,7 @@ class _Compiler:
                 call = v
                 break
         else:
-            call = f"{u.const(fn)}(ctx, [{', '.join(values)}])"
+            call = f"{u.const(fn)}([{', '.join(values)}])"
         first = f"next(x for x in ({', '.join(unknown)},) if type(x) is Error)"
         return u.choose(_any("type({}) is Error", unknown), first, call)
 
@@ -552,7 +544,7 @@ class _Compiler:
                 columns = [self.elements(u, *kernel) for kernel in found]
                 read = [c for c in columns if c not in u.namespace]
                 arrays = ", ".join(f"{c} if type({c}) is Array else shaped({c}, {n_cols})" for c in columns)
-                sumproduct = f"sumproduct(ctx, [{arrays}])"
+                sumproduct = f"sumproduct([{arrays}])"
                 return u.choose(_any("type({}) is Array", read), sumproduct, f"sum_of_products([{', '.join(columns)}])")
         elif spec.fn is functions._fn_match and len(args) == 3 and depth < MAX_DEPTH:
             lookup, mode = _literal(args[1]), _literal(args[2])
@@ -636,9 +628,10 @@ def _lifted_links(constant: Array, links: tuple, helds: list):
     return v
 
 
-# What every emitted function reads besides its constants; ``lifts`` are the
-# types a scalar call lifts over. ``array_lift`` is read through its module
-# at run time, so that a patched one is called.
+# What every emitted function reads besides its constants and ``workspace``
+# (set for each, see _Compiler.function); ``lifts`` are the types a scalar
+# call lifts over. ``array_lift`` is read through its module at run time, so
+# that a patched one is called.
 _NAMESPACE = dict(
     __builtins__=builtins, functions=functions, lifts=frozenset((Array, Error)), Array=Array, Error=Error,
     BLANK=BLANK, ref_value=ref_value, range_values=range_values, top_left=top_left, to_boolean=to_boolean,
@@ -888,16 +881,16 @@ class Engine:
             elif node in needs:
                 cell = self.graph.cells[node]
                 old = cell.cached
-                self._eval_cell(*bind(self.workspace, cell.content), cell, stats)
+                self._eval_cell(bind(self.workspace, cell.content), cell, stats)
                 changed = () if values_equal(old, cell.cached) else (node,)
             else:
                 continue
             for key in changed:
                 needs.update(self.graph.dependents.get(key, ()))
 
-    def _eval_cell(self, fn, ctx: EvalContext, cell, stats: EvalStats) -> None:
-        """Run *fn* on *ctx*, a formula's :func:`bind` pair, into its *cell*."""
-        v = fn(ctx)
+    def _eval_cell(self, fn, cell: Cell, stats: EvalStats) -> None:
+        """Run *fn*, the function :func:`bind` gives *cell*'s formula, on it."""
+        v = fn(cell.content)
         if isinstance(v, Array):
             v = top_left(v)
         cell.cached = 0.0 if v is None else v  # a formula never yields blank
@@ -920,12 +913,12 @@ class Engine:
             for _, cell in cells:
                 cell.cached = Error.CYCLE
         else:
-            bound = [(*bind(ws, c.content), c) for _, c in cells]
+            bound = [(bind(ws, c.content), c) for _, c in cells]
             for _ in range(cfg.max_iterations):
                 worst = 0.0
-                for fn, ctx, cell in bound:
+                for fn, cell in bound:
                     old = cell.cached
-                    self._eval_cell(fn, ctx, cell, stats)
+                    self._eval_cell(fn, cell, stats)
                     new = cell.cached
                     if isinstance(old, float) and isinstance(new, float):
                         worst = max(worst, abs(new - old))
@@ -998,8 +991,8 @@ class Engine:
         that the input cell or a volatile one among them reaches,
         topologically ordered; table-body cells hold no formulas and never
         appear. Each entry is bound here, once: a cell outside a cycle is
-        ``(function, context, Cell)``, its :func:`bind` pair and its cell,
-        and a cycle is ``(None, component, None)``, which
+        ``(function, Cell)``, what :func:`bind` gives its formula and its
+        cell, and a cycle is ``(None, component)``, which
         :meth:`_eval_cycle` runs. Every other cell the passes read, another
         table's body included, is up to date before the table runs (see
         :meth:`components`), so a result the plan does not hold keeps its
@@ -1061,9 +1054,9 @@ class Engine:
         for comp in self._ordered_components(nodes):
             plan_cells += [g.cells[k] for k in comp]
             if self._is_cyclic(comp, g.precedents):
-                plan.append((None, comp, None))
+                plan.append((None, comp))
             else:
-                plan.append((*bind(self.workspace, plan_cells[-1].content), plan_cells[-1]))
+                plan.append((bind(self.workspace, plan_cells[-1].content), plan_cells[-1]))
         outside = {p for a in nodes for p in g.precedents[a]} - nodes
         reads = {self._node(p) for p in chain([a.sort_key for a in table.results + table.arguments], outside)}
         reads.discard(input_key)
@@ -1077,7 +1070,7 @@ class Engine:
             [a.sort_key[2:] for a in table.arguments],
             [a.sort_key[2:] for a in table.results],
             [[(a.sort_key, cells[a.sort_key[2:]]) for a in row] for row in table.grid],
-            plan_cells, any(fn is None for fn, _, _ in plan),
+            plan_cells, any(fn is None for fn, _ in plan),
         )
         self._plans[table.table_id] = (plan, edges, reader_edges, slots)
         return plan
@@ -1096,9 +1089,9 @@ class Engine:
         cached value of one ``Cell`` kept for the call (the input's own, or one
         put in the sheet until the call ends), run the table's plan once
         (:meth:`run_plan` over :meth:`dependents_plan`: its function body
-        only, each cell's compiled function called on the context bound with
-        the plan, all table bodies frozen), and copy each result's value into
-        the matching body cell. Afterwards, on every exit path including an
+        only, each cell's compiled function, bound with the plan, called on
+        its formula, all table bodies frozen), and copy each result's value
+        into the matching body cell. Afterwards, on every exit path including an
         exception, the input cell and each plan cell get back their values
         from before the first pass, so nothing outside table bodies keeps any
         trace of the passes. Those values are what a run of the plan would
@@ -1146,11 +1139,11 @@ class Engine:
 
     def run_plan(self, plan: list, stats: EvalStats) -> None:
         """Run a table's plan (:meth:`dependents_plan`) once, in order: each
-        cell's bound function on its bound context, each cycle through
+        cell's bound function on its formula, each cycle through
         :meth:`_eval_cycle`."""
         eval_cell = self._eval_cell
-        for fn, ctx, cell in plan:
+        for fn, cell in plan:
             if fn is None:  # a cycle: its entry holds its component
-                self._eval_cycle(ctx, stats)
+                self._eval_cycle(cell, stats)
             else:
-                eval_cell(fn, ctx, cell, stats)
+                eval_cell(fn, cell, stats)

@@ -330,6 +330,10 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             raise ParseError("unexpected end of formula", len(self.source))
+        after = self._peek(1)
+        qualifies = after is not None and after.kind == PUNCT and after.lexeme == "!"
+        if qualifies and tok.kind in (IDENTIFIER, CELLREF, BOOLEAN):  # S1!A1 and TRUE!A1 name sheets too
+            return self.sheet_qualified_ref()
         if tok.kind in _LITERAL_VALUES:
             self.pos += 1
             return Literal(self._literal_value(tok))
@@ -343,11 +347,8 @@ class _Parser:
         if tok.kind == PUNCT and tok.lexeme == "[":
             return self.book_qualified_ref()
         if tok.kind == IDENTIFIER:
-            after = self._peek(1)
             if after is not None and after.kind == PUNCT and after.lexeme == "(":
                 return self.call()
-            if after is not None and after.kind == PUNCT and after.lexeme == "!":
-                return self.sheet_qualified_ref()
             self.pos += 1
             return Ref(tok.lexeme)
         if tok.kind == CELLREF:

@@ -4,11 +4,12 @@ Four calling conventions, recorded per function in the registry:
 
 * ``scalar``    -- a scalar implementation, lifted element-wise over array
   arguments by :func:`array_lift` (as is every operator).
-* ``value``     -- receives fully evaluated arguments; a scalar error among
-  them is the result.
-* ``special``   -- receives the evaluation context and its arguments
-  compiled but not evaluated (:class:`Arg`): it evaluates the ones it needs
-  (ISBLANK is lazy) or takes the reference one denotes (ROW, ROWS, XADR).
+* ``value``     -- receives only its fully evaluated arguments, as a list;
+  a scalar error among them is the result.
+* ``special``   -- receives the formula being evaluated (ROW and COLUMN
+  read its cell) and its arguments compiled but not evaluated
+  (:class:`Arg`): it evaluates the ones it needs (ISBLANK is lazy) or takes
+  the reference one denotes (ROW, ROWS, XADR).
   The engine compiles each formula shape once, so these are bound once per
   shape, like every builtin and operator. IF has no function: the engine
   compiles it to an ``if`` statement, which evaluates only the branch taken.
@@ -343,7 +344,7 @@ def _fn_len(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _fn_sum(ctx, args):
+def _fn_sum(args):
     total = 0.0
     for a in args:
         if type(a) is Array:
@@ -362,7 +363,7 @@ def _fn_sum(ctx, args):
     return _finite(total)
 
 
-def _fn_sumproduct(ctx, args):
+def _fn_sumproduct(args):
     arrays = [_as_array(a) for a in args]
     shape = (arrays[0].n_rows, arrays[0].n_cols)
     for a in arrays[1:]:
@@ -392,7 +393,7 @@ def sum_of_products(sequences: list):
     return _finite(total)
 
 
-def _fn_match(ctx, args):
+def _fn_match(args):
     needle = top_left(args[0])
     if type(needle) is Error:
         return needle
@@ -446,7 +447,7 @@ def match_index(elements) -> dict:
     return index
 
 
-def _fn_index(ctx, args):
+def _fn_index(args):
     arr = _as_array(args[0])
     n = to_integer(top_left(args[1]))
     if isinstance(n, Error):
@@ -471,7 +472,7 @@ def _fn_index(ctx, args):
     return Array([arr.rows[n - 1]])
 
 
-def _fn_address(ctx, args):
+def _fn_address(args):
     row = to_integer(top_left(args[0]))
     if isinstance(row, Error):
         return row
@@ -513,7 +514,8 @@ def _fn_address(ctx, args):
 class Arg:
     """A compiled argument of a ``special`` or ``reference`` builtin.
 
-    ``value(ctx)`` evaluates it. ``reference(ctx)`` gives the reference it
+    Each is called on the formula being evaluated, *f*: ``value(f)``
+    evaluates the argument, and ``reference(f)`` gives the reference it
     denotes: an address or range, an error (an unresolved defined name, or
     what a reference builtin such as OFFSET gave), or None when it is not a
     reference expression (a cell or range, a defined name, or a call of a
@@ -529,23 +531,23 @@ class Arg:
         self.reference = reference
 
 
-def _fn_isblank(ctx, args):
+def _fn_isblank(f, args):
     # evaluated here, not before the call: an error argument is not blank
-    return args[0] is OMITTED or top_left(args[0].value(ctx)) is None
+    return args[0] is OMITTED or top_left(args[0].value(f)) is None
 
 
-def indirect_ref(ctx, args):
+def indirect_ref(f, args):
     """Reference named by INDIRECT's text argument, or an error value."""
-    v = None if args[0] is OMITTED else top_left(args[0].value(ctx))
+    v = None if args[0] is OMITTED else top_left(args[0].value(f))
     if isinstance(v, Error):
         return v
     if len(args) == 2 and args[1] is not OMITTED:
-        a1 = to_boolean(top_left(args[1].value(ctx)))
+        a1 = to_boolean(top_left(args[1].value(f)))
         if isinstance(a1, Error):
             return a1
         if not a1:
             return Error.VALUE
-    cell = ctx.cell
+    cell = f.cell
     return _indirect_target(to_text(v), cell.workbook, cell.sheet)
 
 
@@ -564,29 +566,29 @@ def _indirect_target(text: str, workbook: str, sheet: str):
         return Error.REF
 
 
-def offset_ref(ctx, args):
+def offset_ref(f, args):
     """Reference produced by OFFSET's reference arithmetic, or an error."""
-    base = args[0].reference(ctx) if args[0] is not OMITTED else None
+    base = args[0].reference(f) if args[0] is not OMITTED else None
     if isinstance(base, Error):
         return base
     if base is None:
         return Error.VALUE
     if isinstance(base, CellAddress):
         base = RangeRef(base, base)
-    drow = to_integer(None if args[1] is OMITTED else top_left(args[1].value(ctx)))
+    drow = to_integer(None if args[1] is OMITTED else top_left(args[1].value(f)))
     if isinstance(drow, Error):
         return drow
-    dcol = to_integer(None if args[2] is OMITTED else top_left(args[2].value(ctx)))
+    dcol = to_integer(None if args[2] is OMITTED else top_left(args[2].value(f)))
     if isinstance(dcol, Error):
         return dcol
     height = base.n_rows
     width = base.n_cols
     if len(args) >= 4 and args[3] is not OMITTED:
-        height = to_integer(top_left(args[3].value(ctx)))
+        height = to_integer(top_left(args[3].value(f)))
         if isinstance(height, Error):
             return height
     if len(args) == 5 and args[4] is not OMITTED:
-        width = to_integer(top_left(args[4].value(ctx)))
+        width = to_integer(top_left(args[4].value(f)))
         if isinstance(width, Error):
             return width
     if height < 1 or width < 1:
@@ -602,12 +604,12 @@ def offset_ref(ctx, args):
     return RangeRef(a, a.moved(col + width - 1, row + height - 1))
 
 
-def _fn_position(axis: str, ctx, args):
+def _fn_position(axis: str, f, args):
     """ROW or COLUMN (*axis* ``row`` or ``column``): the numbers of the
     reference's rows or columns, or of the formula's own cell."""
     if not args or args[0] is OMITTED:
-        return float(getattr(ctx.cell, axis))
-    ref = args[0].reference(ctx)
+        return float(getattr(f.cell, axis))
+    ref = args[0].reference(f)
     if isinstance(ref, Error):
         return ref
     if ref is None:
@@ -621,25 +623,25 @@ def _fn_position(axis: str, ctx, args):
     return Array([[n] for n in nums]) if axis == "row" else Array([nums])
 
 
-def _fn_extent(size: str, ctx, args):
+def _fn_extent(size: str, f, args):
     """ROWS or COLUMNS (*size* ``n_rows`` or ``n_cols``) of a reference or array."""
     if args[0] is OMITTED:
         return Error.VALUE
-    ref = args[0].reference(ctx)
+    ref = args[0].reference(f)
     if isinstance(ref, Error):
         return ref
     if ref is not None:
         return 1.0 if isinstance(ref, CellAddress) else float(getattr(ref, size))
-    v = args[0].value(ctx)
+    v = args[0].value(f)
     if isinstance(v, Error):
         return v
     return float(getattr(v, size)) if isinstance(v, Array) else 1.0
 
 
-def _fn_xadr(ctx, args):
+def _fn_xadr(f, args):
     if args[0] is OMITTED:
         return Error.VALUE
-    ref = args[0].reference(ctx)
+    ref = args[0].reference(f)
     if isinstance(ref, Error):
         return ref
     if ref is None:

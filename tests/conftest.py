@@ -27,12 +27,10 @@ def load_assets(*names, config: CalcConfig | None = None):
     return load_workspace(assets(*names), config)
 
 
-def evaluated(ws, cell, f):
-    """Formula *f*'s value in *cell*, the cell it was made in: its bound
-    function called on its bound context (``engine.bind`` is read at the
-    call, so a patch of it is seen)."""
-    fn, ctx = engine.bind(ws, f)
-    return fn(ctx)
+def evaluated(ws, f):
+    """Formula *f*'s value in its own cell: its bound function called on it
+    (``engine.bind`` is read at the call, so a patch of it is seen)."""
+    return engine.bind(ws, f)(f)
 
 
 def engine_for(*names, config: CalcConfig | None = None) -> Engine:

@@ -221,7 +221,7 @@ def _as_array(v) -> Array:
     return v if isinstance(v, Array) else Array([[v]])
 
 
-def _fn_sumproduct(ctx, args):
+def _fn_sumproduct(args):
     arrays = [_as_array(a) for a in args]
     shape = (arrays[0].n_rows, arrays[0].n_cols)
     for a in arrays[1:]:
@@ -240,7 +240,7 @@ def _fn_sumproduct(ctx, args):
     return _finite(total)
 
 
-def _fn_match(ctx, args):
+def _fn_match(args):
     needle = top_left(args[0])
     if isinstance(needle, Error):
         return needle
@@ -339,7 +339,7 @@ class EvalContext:
         for a in args:
             if isinstance(a, Error):
                 return a
-        return VALUES.get(spec.name, spec.fn)(self, args)
+        return VALUES.get(spec.name, spec.fn)(args)
 
     # -- references ----------------------------------------------------------
 
@@ -573,6 +573,6 @@ def compiled_and_reference(ws: Workspace, source: str, anchor: CellAddress, dc: 
     moved = formula.shared_formula(copy, copy_anchor, ws.templates)
     assert moved.template is own.template, (source, copy)
     return [
-        (evaluated(ws, at, f), EvalContext(ws, at).eval(formula.parse_formula(text, at)))
+        (evaluated(ws, f), EvalContext(ws, at).eval(formula.parse_formula(text, at)))
         for at, f, text in ((anchor, own, source), (copy_anchor, moved, copy))
     ]

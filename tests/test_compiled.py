@@ -379,7 +379,7 @@ def test_isbn_body_runs_its_chain_as_one_kernel(monkeypatch):
     monkeypatch.setattr(functions, "array_lift", lambda *args: lifts.append(args) or real(*args))
     eng.full_recalc()
     assert eng.get_value(b2) == "valid"
-    assert evaluated(eng.workspace, b2, eng.workspace.cell(b2).content) == "valid"
+    assert evaluated(eng.workspace, eng.workspace.cell(b2).content) == "valid"
     assert lifts == []
 
 
@@ -586,7 +586,7 @@ def test_shipped_bodies_reduce_their_constants_without_the_builtins(
         values = []
         for cell in cells:
             addr = parse_address(cell, context)
-            values.append(evaluated(eng.workspace, addr, eng.workspace.cell(addr).content))
+            values.append(evaluated(eng.workspace, eng.workspace.cell(addr).content))
             assert same_value(eng.get_value(addr), values[-1])
     assert values == expected
     assert counts["_fn_sumproduct"] == counts["_fn_match"] == 0

@@ -464,7 +464,7 @@ def test_static_dependencies_cover_actual_reads():
         f = shared_formula(source, CTX, ws.templates)
         info = static_dependencies(parse_formula(source, CTX))
         reads.clear()
-        evaluated(ws, CTX, f)
+        evaluated(ws, f)
         assert set(reads) <= cells(info.refs), source
         # ROW, COLUMN, ROWS and COLUMNS take a reference without reading it
         if info.refs and not re.search(r"\b(ROWS?|COLUMNS?)\(", source):

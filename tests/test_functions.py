@@ -61,7 +61,7 @@ def addr(col: int, row: int) -> CellAddress:
 def ev(source: str, ws: Workspace | None = None, at: CellAddress | None = None):
     ws = ws or scratch()
     at = at or addr(8, 8)
-    return evaluated(ws, at, shared_formula(source, at, ws.templates))
+    return evaluated(ws, shared_formula(source, at, ws.templates))
 
 
 def put(ws: Workspace, a: CellAddress, value) -> None:
@@ -654,7 +654,7 @@ def test_comparisons_order_every_pair_of_scalars(a, b):
 
 @given(SCALARS, SCALARS)
 def test_match_agrees_with_equality(a, b):
-    found = REGISTRY["MATCH"].fn(None, [a, Array([[b]]), 0.0])
+    found = REGISTRY["MATCH"].fn([a, Array([[b]]), 0.0])
     if a is None or b is None:
         assert found is Error.NA  # blanks match nothing
     else:
@@ -678,7 +678,7 @@ def test_runtime_match_scan_agrees_with_the_index(elements, data):
         needle = data.draw(st.sampled_from([needle, needle.upper(), needle.lower(), needle.swapcase()]))
     lookup = data.draw(st.sampled_from([Array([elements]), Array([[e] for e in elements])]))
     expected = needle if type(needle) is Error else match_index(elements).get(match_key(needle), Error.NA)
-    got = REGISTRY["MATCH"].fn(None, [needle, lookup, 0.0])
+    got = REGISTRY["MATCH"].fn([needle, lookup, 0.0])
     assert type(got) is type(expected) and got == expected, (elements, needle, got, expected)
 
 

@@ -60,6 +60,17 @@ table A4:B5 colinput=A2
     assert isinstance(sheet.cell(5, 2).content, TableBody)
 
 
+@pytest.mark.parametrize(
+    "source, value",
+    [("S1!A1*2", 10.0), ("SUM(S1!A1:A2)", 12.0), ("TRUE!A1+1", 4.0), ("s1!a1&true!a1", "53"), ("SUM(A2,S1!A1)", 5.0)],
+)
+def test_a_sheet_named_as_a_cell_or_a_boolean_reads_is_named_in_formulas(tmp_path, source, value):
+    # S1 reads as a cell and TRUE as a boolean; before a '!' each names its sheet
+    ws = load_one(tmp_path, f"sheet S1\nA1 : 5\nA2 : 7\nsheet TRUE\nA1 : 3\nsheet Main\nA1 = {source}\n")
+    Engine(ws).full_recalc()
+    assert ws.workbook("wb").sheet("Main").value(1, 1) == value
+
+
 def test_text_preserves_leading_zero_and_x(tmp_path):
     ws = load_one(tmp_path, 'A1 : "020103803X"\nB1 = LEN(A1)\n')
     eng = Engine(ws)
@@ -525,10 +536,11 @@ def workspace_sources(draw) -> dict:
     """The ``.gwb`` text of two workbooks, A and B, of one or two sheets
     each: literals in A1:A3 of every sheet, up to three formulas in column
     C, a defined name per book, and on each book's first sheet one 2x2
-    call table (link B6, argument A7, body B7 with its marker, input A2)."""
-    texts = {}
+    call table (link B6, argument A7, body B7 with its marker, input A2).
+    A second sheet may be named as a cell or a boolean reads."""
+    texts, second = {}, draw(st.sampled_from(["Two", "S1", "True"]))
     for book in "AB":
-        sheets = ["One", "Two"][: draw(st.integers(1, 2))]
+        sheets = ["One", second][: draw(st.integers(1, 2))]
         lines = []
         for sheet in sheets:
             lines.append(f"sheet {sheet}")
@@ -538,7 +550,7 @@ def workspace_sources(draw) -> dict:
                 terms = st.sampled_from(_formula_terms(book, sheets, row))
                 lines.append(f"C{row} = " + shape.format(*[draw(terms) for _ in range(shape.count("{}"))]))
             if sheet == "One":
-                link = draw(st.sampled_from(["A2", 'A2&"!"', "LEN(A2)+[B]Two!A1", "SUM(A2,C1)", "C2"]))
+                link = draw(st.sampled_from(["A2", 'A2&"!"', f"LEN(A2)+[B]{second}!A1", "SUM(A2,C1)", "C2"]))
                 lines += [f"B6 = {link}", f"A7 : {draw(_SOURCE_LITERALS)}", "B7 = {=TABLE(,A2)}", "table A6:B7 colinput=A2"]
         lines.append(f"name N{book} = {draw(st.sampled_from(['One!A1', 'One!A2:A3']))}")
         texts[book] = "\n".join(lines) + "\n"

@@ -625,22 +625,21 @@ def test_plan_holds_only_its_own_function_body():
     calls = [t for t in eng.workspace.tables if t.region.top_left.sheet == "Calls"]
     assert len(calls) == 5  # five calls share the input cell A2
     for table in calls:
-        planned = {ctx.cell for _, ctx, _ in eng.dependents_plan(table)}
+        planned = {cell.content.cell for _, cell in eng.dependents_plan(table)}
         body = {parse_address(a, table.anchor) for a in ("B2", "C2", "D2")}
         assert planned == body | set(table.results)
 
 
 def test_literal_edits_keep_plans_and_formula_edits_drop_them():
-    # a plan's entries are bound once, each cell to its compiled function
-    # and a context at its address: recalcs and literal edits keep the very
-    # objects
+    # a plan's entries are bound once, each cell to its compiled function:
+    # recalcs and literal edits keep the very objects
     eng = engine_for("isbn_basic.gwb")
     eng.full_recalc()
     table = next(t for t in eng.workspace.tables if t.region.top_left.sheet == "Batch")
     plan = eng.dependents_plan(table)
     entries = list(plan)
-    for fn, ctx, cell in entries:
-        assert fn is eng.workspace.compiled[cell.content.template] and eng.workspace.cell(ctx.cell) is cell
+    for fn, cell in entries:
+        assert fn is eng.workspace.compiled[cell.content.template] and eng.workspace.cell(cell.content.cell) is cell
     eng.set_literal(batch_addr("A5"), "0201038021")
     eng.set_literal(batch_addr("E1"), 1.0)
     assert eng.dependents_plan(table) is plan
@@ -664,9 +663,9 @@ def test_a_formula_edit_in_a_plan_binds_the_new_formula():
     eng.set_formula(at("D2"), "A2*10")
     rebuilt = eng.dependents_plan(table)
     assert rebuilt is not plan
-    (fn, ctx, cell), _ = rebuilt
+    (fn, cell), _ = rebuilt
     compiled = eng.workspace.compiled[cell.content.template]
-    assert ctx.cell == at("D2") and fn is compiled and cell.content.source == "A2*10"
+    assert cell.content.cell == at("D2") and fn is compiled and cell.content.source == "A2*10"
     eng.full_recalc()
     assert eng.get_value(at("B5")) == 30.0
 
@@ -694,20 +693,18 @@ def test_a_steady_pass_makes_no_context_and_binds_nothing(monkeypatch, mode):
     eng = Engine(bench.build_workspace(20, mode, 1))
     eng.full_recalc()
     eng.full_recalc()
-    planned = {ctx.cell for t in eng.workspace.tables for _, ctx, _ in eng.dependents_plan(t)}
-    made, bound = [], []
-    init, bind = engine.EvalContext.__init__, engine.bind
-
-    def counting_init(self, workspace, cell, refs):
-        made.append(cell)
-        init(self, workspace, cell, refs)
-
-    monkeypatch.setattr(engine.EvalContext, "__init__", counting_init)
+    ws = eng.workspace
+    # each entry outside a cycle is its formula's compiled function and the sheet's own Cell
+    entries = [entry for t in ws.tables for entry in eng.dependents_plan(t) if entry[0] is not None]
+    assert entries
+    for fn, cell in entries:
+        assert fn is ws.compiled[cell.content.template] and ws.cell(cell.content.cell) is cell
+    bound, bind = [], engine.bind
     # bind is the one entry of every evaluation outside a bound plan
     monkeypatch.setattr(engine, "bind", lambda *args: bound.append(args[1]) or bind(*args))
     stats = eng.full_recalc()
     assert stats.cell_evaluations == 60 and stats.body_passes == 20
-    assert planned and planned.isdisjoint(made) and bound == []
+    assert bound == []
 
 
 def test_a_steady_recalc_reuses_the_order_of_its_tables(monkeypatch):
@@ -1057,7 +1054,7 @@ def test_restored_plan_equals_a_run_of_the_plan(spec):
     def then_run_the_plan(eng, table, stats):
         changed = evaluate_table(eng, table, stats)
         plan = eng.dependents_plan(table)
-        restored = [(ctx.cell, cell, cell.cached) for _, ctx, cell in plan]
+        restored = [(cell.content.cell, cell, cell.cached) for _, cell in plan]
         eng.run_plan(plan, EvalStats())
         for addr, cell, cached in restored:
             assert values_equal(cached, cell.cached), (table, addr, cached, cell.cached)
@@ -1075,18 +1072,18 @@ def test_restored_plan_equals_a_run_of_the_plan(spec):
 @settings(max_examples=80, deadline=None)
 @given(call_workbooks(cross=True), st.data())
 def test_bound_plan_entries_evaluate_as_their_cells_formulas(spec, data):
-    # each entry's function on its context gives what a fresh bind gives
-    # for its cell's formula, after a recalc and after an argument's literal edit
+    # each entry's function on its cell's formula gives what a fresh bind
+    # gives for it, after a recalc and after an argument's literal edit
     eng = _build(spec, with_tables=True, table_recalc="auto")
     ws = eng.workspace
 
     def check() -> None:
         eng.full_recalc()
         for table in ws.tables:
-            for fn, ctx, cell in eng.dependents_plan(table):
+            for fn, cell in eng.dependents_plan(table):
                 if fn is not None:
-                    assert ws.cell(ctx.cell) is cell
-                    assert values_equal(fn(ctx), evaluated(ws, ctx.cell, cell.content)), ctx.cell
+                    assert ws.cell(cell.content.cell) is cell
+                    assert values_equal(fn(cell.content), evaluated(ws, cell.content)), cell.content.cell
 
     check()
     top, _, _, args = data.draw(st.sampled_from(spec[2]), label="table")
