@@ -67,6 +67,11 @@ arrives, else it lifts (:func:`gridcalc.functions.array_lift`). Its kinds
 position is coerced at compile time, once, where that succeeds. One that
 fails is left to run time, where raw errors come first, then coercion
 errors, each in argument order: ``MID("ab","x",#N/A)`` stays ``#N/A``.
+Before that, an operator or MOD with a Python form (``Builtin.python``)
+runs it in line on two floats, with no coercer and no wrapper: an infinite
+result is ``#NUM!``, and a zero divisor is left to the call (``#DIV/0!``).
+A constant operand that is not a float, or a zero constant divisor, emits
+no such path.
 
 One analysis finds the element kernels, once per ``(node, depth)``: a
 ``{...}`` constant and the scalar calls around it, innermost first, each a
@@ -326,7 +331,7 @@ class _Compiler:
             if found is not None:
                 return self.elements(u, *found, found[0].n_cols)
             plans, coercers = self.operands(*link, depth)
-            return self.lifted(u, link[0].fn, coercers, [self.operand(u, plan) for plan in plans])
+            return self.lifted(u, link[0], coercers, [self.operand(u, plan) for plan in plans])
         if isinstance(node, formula.Call):
             spec = _builtin(node)
             if not isinstance(spec, functions.Builtin):
@@ -391,15 +396,29 @@ class _Compiler:
         constant, node, depth = plan
         return self.value(u, node, depth) if constant is _NOT_CONSTANT else u.const(constant)
 
-    def lifted(self, u: _Unit, fn, coercers: tuple, args: list) -> str:
-        """A scalar call of *fn*: with no array and no raw error among
-        *args*, each coerced and, if none fails, *fn* run in line; else
-        :func:`functions.array_lift`, which orders the errors."""
-        f = u.const(fn)
+    def lifted(self, u: _Unit, spec: functions.Builtin, coercers: tuple, args: list) -> str:
+        """A scalar call of *spec*: with no array and no raw error among
+        *args*, each coerced and, if none fails, its function run in line;
+        else :func:`functions.array_lift`, which orders the errors. Before
+        that, two floats go to its Python operator (``Builtin.python``), if
+        each constant is a float and a constant divisor is not zero."""
+        f = u.const(spec.fn)
         lift = f"functions.array_lift({f}, {u.const(coercers)}, ({', '.join(args)},))"
         known = [type(u.namespace[a]) for a in args if a in u.namespace]
         if Array in known or Error in known:
             return u.assign(lift)
+        out, floats = None, [f"type({a}) is float" for a in args if a not in u.namespace]
+        divisor = args[1] if spec.python in ("/", "%") else None  # a zero one gives #DIV/0!
+        if spec.python and floats and set(known) <= {float} and u.namespace.get(divisor) != 0.0:
+            if divisor and divisor not in u.namespace:
+                floats.append(divisor)
+            out = u.temp()
+            u.line(f"if {' and '.join(floats)}:")
+            u.line(f"    {out} = {args[0]} {spec.python} {args[1]}")
+            if "number" in spec.kinds:  # an overflow gives an infinity, and inf - inf is nan
+                u.line(f"    if {out} - {out}: {out} = Error.NUM")
+            u.line("else:")
+            u.indent += 1
         tests, values = [f"type({a}) in lifts" for a in args if a not in u.namespace], []
         for a, coerce in zip(args, coercers):
             if coerce is not None:
@@ -407,7 +426,9 @@ class _Compiler:
                 tests.append(f"type({c} := {u.const(coerce)}({a})) is Error")
                 a = c
             values.append(a)
-        return u.choose(" or ".join(tests), lift, f"{f}({', '.join(values)})")
+        result = u.choose(" or ".join(tests), lift, f"{f}({', '.join(values)})", out)
+        u.indent -= out is not None
+        return result
 
     def strict(self, u: _Unit, fn, args, depth: int) -> str:
         """A value builtin's call: the first error among its arguments'

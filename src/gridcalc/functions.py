@@ -42,7 +42,9 @@ shape, else the result is a ``#VALUE!``-filled rectangle of the largest
 extent.
 
 Each rule about values is written once: ``BINARY_FNS`` maps every operator
-to its scalar function, ``_order_key`` orders values for comparisons,
+to its scalar function, and ``Builtin.python``, beside the function, names
+the Python operator that computes it on two floats (``%`` for MOD), which
+the engine runs in line; ``_order_key`` orders values for comparisons,
 ``_finite`` turns a number result that is not a finite real into
 ``#NUM!``, :func:`sum_of_products` is SUMPRODUCT's product rule over flat
 element lists, and :func:`match_key` is what an exact MATCH compares (text
@@ -663,7 +665,10 @@ class Builtin:
     :data:`gridcalc.model.COERCERS`); :func:`array_lift` coerces each
     argument by it before ``fn`` runs. A ``special`` or ``reference``
     builtin whose ``fn`` reads an argument's reference (``Arg.reference``)
-    says so in ``reads_reference``.
+    says so in ``reads_reference``. A two-operand builtin whose value on
+    two floats a Python operator gives names it in ``python``: ``a OP b`` is
+    ``fn(a, b)`` unless the divisor of ``/`` or ``%`` is zero or a number
+    result is infinite.
     """
 
     name: str
@@ -674,6 +679,7 @@ class Builtin:
     volatile: bool = False
     kinds: tuple = ()
     reads_reference: bool = False
+    python: str = ""
 
     @property
     def coercers(self) -> tuple:
@@ -681,26 +687,26 @@ class Builtin:
         return tuple(COERCERS[k] for k in self.kinds)
 
 
-def _operator(token: str, fn: Callable, kind: str) -> Builtin:
-    return Builtin(token, 2, 2, "scalar", fn, kinds=(kind, kind))
+def _operator(token: str, fn: Callable, kind: str, python: str = "") -> Builtin:
+    return Builtin(token, 2, 2, "scalar", fn, kinds=(kind, kind), python=python)
 
 
 # The one map from an operator token to its scalar function.
 BINARY_FNS = {
     b.name: b
     for b in (
-        _operator("+", _arithmetic(operator.add), "number"),
-        _operator("-", _arithmetic(operator.sub), "number"),
-        _operator("*", _arithmetic(operator.mul), "number"),
-        _operator("/", _arithmetic(_divide), "number"),
+        _operator("+", _arithmetic(operator.add), "number", "+"),
+        _operator("-", _arithmetic(operator.sub), "number", "-"),
+        _operator("*", _arithmetic(operator.mul), "number", "*"),
+        _operator("/", _arithmetic(_divide), "number", "/"),
         _operator("^", _arithmetic(_power), "number"),
         _operator("&", operator.add, "text"),
-        _operator("=", _comparison(operator.eq), "any"),
-        _operator("<>", _comparison(operator.ne), "any"),
-        _operator("<", _comparison(operator.lt), "any"),
-        _operator("<=", _comparison(operator.le), "any"),
-        _operator(">", _comparison(operator.gt), "any"),
-        _operator(">=", _comparison(operator.ge), "any"),
+        _operator("=", _comparison(operator.eq), "any", "=="),
+        _operator("<>", _comparison(operator.ne), "any", "!="),
+        _operator("<", _comparison(operator.lt), "any", "<"),
+        _operator("<=", _comparison(operator.le), "any", "<="),
+        _operator(">", _comparison(operator.gt), "any", ">"),
+        _operator(">=", _comparison(operator.ge), "any", ">="),
     )
 }
 
@@ -710,7 +716,7 @@ REGISTRY: dict[str, Builtin] = {
     b.name: b
     for b in (
         Builtin("IF", 2, 3, "special", None),  # an if statement in the emitted code (see engine)
-        Builtin("MOD", 2, 2, "scalar", _arithmetic(_modulo), kinds=("number", "number")),
+        Builtin("MOD", 2, 2, "scalar", _arithmetic(_modulo), kinds=("number", "number"), python="%"),
         Builtin("SUMPRODUCT", 1, 255, "value", _fn_sumproduct),
         Builtin("VALUE", 1, 1, "scalar", _fn_value, kinds=("any",)),
         Builtin("MID", 3, 3, "scalar", _fn_mid, kinds=("text", "integer", "integer")),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,23 @@ def evaluated(ws, f):
     """Formula *f*'s value in its own cell: its bound function called on it
     (``engine.bind`` is read at the call, so a patch of it is seen)."""
     return engine.bind(ws, f)(f)
+
+
+@contextmanager
+def calls_of(*fns):
+    """Count the calls of *fns*, by name, however they are reached."""
+    codes = {fn.__code__: fn.__name__ for fn in fns}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(None)
 
 
 def engine_for(*names, config: CalcConfig | None = None) -> Engine:

@@ -4,15 +4,12 @@ copy moved from it."""
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcalc import functions
 from gridcalc.model import Array, CellAddress, Error, Literal, RangeRef, Workspace, parse_address
-from conftest import evaluated
+from conftest import calls_of, evaluated
 from reference_eval import compiled_and_reference, same_value
 
 HOME = CellAddress("B", "S", 1, 1)
@@ -234,6 +231,62 @@ def test_typed_call_gives_the_pinned_value(source, expected):
     for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
         assert same_value(compiled, expected), (compiled, expected)
         assert same_value(reference, expected), (reference, expected)
+
+
+# ---------------------------------------------------------------------------
+# the float path: an operator or MOD on two floats runs its Python operator
+# in line; every other pair of values takes the lifted call
+# ---------------------------------------------------------------------------
+
+# signed zeros (zero divisors), overflow at both ends, the smallest
+# subnormal and tiny quotients, fractions whose MOD takes the divisor's sign
+_EDGE_FLOATS = [0.0, -0.0, 1e308, -1e308, 5e-324, 1e-300, 1.0, -1.0, 2.5, -7.0, 3.0, 11.0]
+# what must take the old path: text, numeric text, booleans, a blank, errors
+_OTHER_VALUES = ["x", "3", " 2.5 ", "", True, False, None, Error.NA, Error.DIV0, Error.VALUE]
+_FLOAT_OPERATORS = ["+", "-", "*", "/", "=", "<>", "<", "<=", ">", ">=", "MOD"]
+# in place of a cell: array constants, a range, and constants of each kind
+_OTHER_OPERANDS = ["{1;0}", "{2,#N/A}", "$A$1:$B$1", "2", "0", '"4"', '"x"', "TRUE", "#N/A"]
+_VALUES = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_OTHER_VALUES)
+)
+
+
+def operator_cells(a, b) -> Workspace:
+    """A workspace whose S!A1 holds *a* and S!B1 *b* (None: blank)."""
+    ws = Workspace()
+    sheet = ws.add_workbook("B").ensure_sheet("S")
+    for column, v in ((1, a), (2, b)):
+        if v is not None:
+            sheet.set_content(1, column, Literal(v))
+    return ws
+
+
+def operator_agrees(ws: Workspace, op: str, left: str = "$A$1", right: str = "$B$1") -> None:
+    source = f"MOD({left},{right})" if op == "MOD" else f"{left}{op}{right}"
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
+        assert same_value(compiled, reference), (source, ws.value(HOME), ws.value(HOME.moved(2, 1)), compiled)
+        if type(compiled) is float:  # a cell never holds an infinity or a nan
+            assert compiled - compiled == 0.0, (source, compiled)
+
+
+@pytest.mark.parametrize("op", _FLOAT_OPERATORS)
+def test_operator_on_each_pair_of_edge_floats_agrees_with_the_reference_interpreter(op):
+    for a in _EDGE_FLOATS:
+        for b in _EDGE_FLOATS:
+            operator_agrees(operator_cells(a, b), op)
+
+
+@pytest.mark.parametrize("op", _FLOAT_OPERATORS)
+@settings(max_examples=80, deadline=None)
+@given(
+    _VALUES,
+    _VALUES,
+    st.booleans(),
+    st.sampled_from(["$A$1"] * 4 + _OTHER_OPERANDS),
+    st.sampled_from(["$B$1"] * 4 + _OTHER_OPERANDS),
+)
+def test_operator_on_drawn_cells_agrees_with_the_reference_interpreter(op, a, b, equal, left, right):
+    operator_agrees(operator_cells(a, a if equal else b), op, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -497,23 +550,6 @@ def test_sumproduct_guard_reads_a_held_range_once():
         for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 1, 2):
             assert same_value(compiled, reference), (compiled, reference)
     assert reads["range_values"] == 2  # once at the template's cell, once at the copy
-
-
-@contextmanager
-def calls_of(*fns):
-    """Count the calls of *fns*, by name, however they are reached."""
-    codes = {fn.__code__: fn.__name__ for fn in fns}
-    counts = dict.fromkeys(codes.values(), 0)
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in codes:
-            counts[codes[frame.f_code]] += 1
-
-    sys.setprofile(profile)
-    try:
-        yield counts
-    finally:
-        sys.setprofile(None)
 
 
 def test_static_reads_resolve_no_sheet():

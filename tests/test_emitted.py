@@ -1,6 +1,7 @@
 """The emitted functions a template compiles to: constants reach them
 through their namespace, never as source text; a workspace compiles each
-source text once; nesting stays within the depth limit; a function lives
+source text once; two floats meet in a Python operator where the constants
+let them; nesting stays within the depth limit; a function lives
 as long as its template, and a dropped workspace leaves no garbage cycle
 behind."""
 
@@ -8,13 +9,14 @@ from __future__ import annotations
 
 import gc
 import inspect
+import re
 
 import pytest
 
 from gridcalc import engine, formula, functions
 from gridcalc.engine import MAX_DEPTH, Engine
-from gridcalc.model import Array, CellAddress, Error, Literal, Workspace
-from conftest import engine_for, evaluated
+from gridcalc.model import Array, CellAddress, Error, Literal, Workspace, to_number
+from conftest import calls_of, engine_for, evaluated
 from reference_eval import compiled_and_reference, same_value
 
 HOME = CellAddress("B", "S", 1, 1)
@@ -131,6 +133,81 @@ def test_reads_reference_says_whether_the_builtin_reads_one(name):
         return
     body = inspect.getsource(getattr(spec.fn, "func", spec.fn))
     assert spec.reads_reference == (".reference(f)" in body)
+
+
+# ---------------------------------------------------------------------------
+# the float path: an operator with a Python form (Builtin.python) runs it in
+# line on two floats, unless a constant operand is no float or a constant
+# divisor is zero
+# ---------------------------------------------------------------------------
+
+
+def emitted(ws: Workspace, source: str) -> str:
+    """The source text that *source*'s template compiles to in *ws*."""
+    code = engine.bind(ws, formula.shared_formula(source, AT, ws.templates)).__code__
+    return next(text for text, c in ws.codes.items() if c is code)
+
+
+# each source with the Python operator its float path runs
+FLOAT_PATH = [
+    ("A1+B2", "+"), ("A1-2", "-"), ('"3"*A1', "*"), ("TRUE+A1", "+"), ("A1/B2", "/"), ("A1/2", "/"),
+    ("A1/-0", "/"), ("MOD(A1,3)", "%"), ("MOD(3,A1)", "%"), ("A1=B2", "=="), ("A1<>2", "!="),
+    ("A1<B2", "<"), ("1<=A1", "<="), ("A1>0", ">"), ("A1>=B2", ">="),
+]
+NO_FLOAT_PATH = [
+    "A1^B2", "A1^2", "A1&B2", "1&A1", "-A1", "1+2",
+    'A1+"x"', '"x"=A1', 'A1<""', "A1=TRUE", "A1-#N/A", "#DIV/0!<A1", "A1*{1;2}", "{1,2}<>A1",
+    "A1/0", 'A1/"0"', "MOD(A1,0)", "MOD(A1,FALSE)",
+]
+
+
+@pytest.mark.parametrize("source, python", FLOAT_PATH)
+def test_an_operator_emits_its_python_operator_for_two_floats(source, python):
+    text = emitted(workspace(), source)
+    assert "is float" in text and "functions.array_lift" in text
+    assert re.search(rf"\n        v\d+ = [kv]\d+ {re.escape(python)} [kv]\d+\n", text), text
+
+
+@pytest.mark.parametrize("source", NO_FLOAT_PATH)
+def test_no_float_path_without_a_python_operator_or_for_a_constant_it_cannot_take(source):
+    assert "is float" not in emitted(workspace(), source)
+
+
+def test_a_divisor_that_is_not_constant_must_be_nonzero_to_take_the_float_path():
+    ws = workspace()
+    assert "if type(v1) is float and type(v2) is float and v2:\n" in emitted(ws, "A1/B2")
+    assert "if type(v1) is float and v1:\n" in emitted(ws, "MOD(3,A1)")
+    assert "if type(v1) is float:\n" in emitted(ws, "A1/2")
+    assert "if type(v1) is float and type(v2) is float:\n" in emitted(ws, "A1-B2")
+
+
+def test_constant_divisors_share_one_code_object_and_a_zero_one_its_own(compiles):
+    ws = workspace()
+    ws.resolve_sheet(HOME).set_content(4, 4, Literal(8.0))  # D4
+    nonzero = [formula.shared_formula(f"D4/{d}", AT, ws.templates) for d in ("2", "0.5", "1E300", '"4"')]
+    zero = [formula.shared_formula(f"D4/{d}", AT, ws.templates) for d in ("0", '"0"', "FALSE")]
+    assert [evaluated(ws, f) for f in nonzero] == [4.0, 16.0, 8e-300, 2.0]
+    assert [evaluated(ws, f) for f in zero] == [Error.DIV0] * 3
+    assert len({id(f.template) for f in nonzero + zero}) == 7
+    assert len(compiles) == len(ws.codes) == 2
+    assert len({ws.compiled[f.template].__code__ for f in nonzero}) == 1
+
+
+def test_copies_of_an_operator_tree_compile_once_and_two_floats_run_no_wrapper(compiles):
+    eng = Engine(workspace())
+    d2 = HOME.moved(4, 2)
+    eng.set_literal(d2, 6.0)
+    cells = [HOME.moved(2, 2 * k + 4) for k in range(16)]
+    for cell in cells:
+        eng.set_formula(cell, "=MOD($D$2,4)*2-1=$D$2/4+0.5")
+    eng.full_recalc()
+    assert [eng.get_value(cell) for cell in cells] == [False] * 16  # 3 = 2
+    assert len(compiles) == 1
+    with calls_of(functions._finite, functions._order_key, functions.array_lift, to_number) as counts:
+        eng.set_literal(d2, 10.0)
+        eng.full_recalc()
+    assert [eng.get_value(cell) for cell in cells] == [True] * 16  # 3 = 3
+    assert counts == {"_finite": 0, "_order_key": 0, "array_lift": 0, "to_number": 0}
 
 
 # ---------------------------------------------------------------------------

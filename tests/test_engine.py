@@ -439,6 +439,46 @@ def test_table_body_writes_rejected():
         eng.set_literal(body, 1.0)
 
 
+# ---------------------------------------------------------------------------
+# clear_cell: a cleared cell is blank, and a cleared formula leaves the graph
+# ---------------------------------------------------------------------------
+
+
+def test_clearing_a_precedent_makes_its_dependent_read_blank():
+    eng = fresh()
+    eng.set_literal(at("A1"), 4.0)
+    eng.set_formula(at("B1"), "A1*2")
+    eng.full_recalc()
+    assert eng.get_value(at("B1")) == 8.0
+    assert eng.clear_cell(at("A1")) == {at("A1"), at("B1")}
+    eng.full_recalc()
+    assert eng.workspace.cell(at("A1")) is None and eng.get_value(at("B1")) == 0.0
+
+
+def test_clearing_a_formula_cell_removes_its_node():
+    eng = fresh()
+    eng.set_literal(at("A1"), 4.0)
+    eng.set_formula(at("B1"), "A1*2")
+    eng.set_formula(at("C1"), "B1+1")
+    eng.full_recalc()
+    key = at("B1").sort_key
+    eng.clear_cell(at("B1"))
+    assert key not in eng.graph.precedents and key not in eng.graph.cells
+    assert key not in eng.graph.dependents.get(at("A1").sort_key, ())
+    assert eng.graph == eng.build_graph()
+    eng.full_recalc()
+    assert eng.get_value(at("B1")) is None and eng.get_value(at("C1")) == 1.0
+
+
+def test_clearing_a_table_body_cell_is_rejected():
+    eng = engine_for("isbn_basic.gwb")
+    body = CellAddress("isbn_basic", "Batch", 2, 5)  # B5
+    before = eng.get_value(body)
+    with pytest.raises(TableIntegrityError):
+        eng.clear_cell(body)
+    assert eng.get_value(body) == before and eng.graph == eng.build_graph()
+
+
 @pytest.mark.parametrize(
     "value",
     [Array([[1.0], [2.0]]), 5.0 + 0j, float("inf"), float("-inf"), float("nan"), 10**400, [1.0], object()],
