@@ -42,8 +42,9 @@ keeps the function of each template while the template lives
 (``Workspace.compiled``) and the code object of each source text
 (``Workspace.codes``). Every formula of the shape is its argument: the
 function reads the formula's own references (``Formula.refs``) and cell
-(``Formula.cell``). Constants, builtins, coercers, name keys, sheets and
-the workspace reach the function through its namespace, never as text.
+(``Formula.cell``). Constants, builtins, coercers, name keys, sheets, the
+defined names and the workspace's reader reach the function through its
+namespace, never as text.
 IF is an ``if`` statement: only the branch taken runs. Special and
 reference builtins get the formula and each argument as emitted functions
 of the formula, its value and, if read, its reference
@@ -57,9 +58,12 @@ gives the reference in each of its places one sheet, resolved once, when it
 compiles: a static reference reads that sheet's ``cells`` dict directly, a
 cell as ``cells.get(key, BLANK).cached`` and a range through
 :func:`range_values`. Sheets are never removed, nor their ``cells`` dicts
-replaced, so the binding holds. :func:`ref_value` resolves the sheet on
-every read: for defined names, INDIRECT and OFFSET, and for a sheet that did
-not exist when the template compiled, which reads ``#REF!`` until it does.
+replaced, so the binding holds. The workspace's reader
+(:class:`gridcalc.model.Reader`) resolves the sheet on every read: for
+defined names, INDIRECT and OFFSET, and for a sheet that did not exist when
+the template compiled, which reads ``#REF!`` until it does. INDEX over a
+reference, static or not, reads through it only the cell it picks
+(:func:`functions.index_reference`).
 
 A scalar builtin or operator runs in line when no array and no raw error
 arrives, else it lifts (:func:`gridcalc.functions.array_lift`). Its kinds
@@ -98,7 +102,6 @@ import builtins
 import math
 import random
 import time
-import weakref
 from dataclasses import dataclass
 from itertools import chain
 from types import CodeType, FunctionType
@@ -117,6 +120,7 @@ from .model import (
     RangeRef,
     TableBody,
     Workspace,
+    range_values,
     to_boolean,
     to_integer,
     top_left,
@@ -200,34 +204,14 @@ def bind(workspace: Workspace, f: Formula):
     return workspace.compiled.get(f.template) or compile_template(f.template, workspace)
 
 
-def range_values(cells: dict, target: RangeRef) -> Array:
-    """The cached values of range *target*, read from *cells*, its sheet's."""
-    tl, br = target.top_left, target.bottom_right
-    columns = range(tl.column, br.column + 1)
-    return Array([[cells.get((r, c), BLANK).cached for c in columns] for r in range(tl.row, br.row + 1)])
-
-
-def ref_value(workspace: Workspace, target):
-    """Dereference an address (cached value) or range (array of values),
-    resolving its sheet on this read, ``#REF!`` if there is none: the read
-    of defined names, INDIRECT, OFFSET and a reference whose sheet did not
-    exist when its template compiled."""
-    sheet = workspace.resolve_sheet(target if type(target) is CellAddress else target.top_left)
-    if sheet is None:
-        return Error.REF
-    if type(target) is CellAddress:
-        return sheet.value(target.row, target.column)
-    return range_values(sheet.cells, target)
-
-
 def compile_template(template: formula.Template, workspace: Workspace):
     """Compile *template*'s AST once, for *workspace*, whose ``templates``
     made it, to a Python function of a formula of *template*, kept in the
     workspace's ``compiled`` while *template* lives: its source is emitted
     (:class:`_Compiler`) and compiled, unless the workspace's ``codes``
     (source text -> code object) hold that text already. Each reference's
-    sheet is resolved here, once, and *workspace* bound for its defined
-    names and for the reads that resolve their sheet (:func:`ref_value`).
+    sheet is resolved here, once, and the workspace's defined names and
+    reader (``Workspace.reader``) bound for the reads that resolve theirs.
     The root is one level deep, each argument or operand one more, but an
     argument of a special or reference builtin read as a reference costs no
     level."""
@@ -283,26 +267,26 @@ class _Compiler:
         sheets = [workspace.resolve_sheet(r if type(r) is CellAddress else r.top_left) for r in template.refs]
         self.cells = [None if sheet is None else sheet.cells for sheet in sheets]
         self.codes = workspace.codes
-        self.workspace = weakref.proxy(workspace)  # it keeps the functions: no reference cycle
+        self.reader = workspace.reader
         self.argument_lists: dict = {}
         self.kernels: dict = {}
 
     def function(self, node, depth: int, reference: bool = False):
         """The function of a formula that gives *node*'s value *depth* deep,
         or with *reference* its reference; made from its code object, so
-        that its namespace does not hold it. Its namespace's ``workspace`` is
-        a weak proxy of the workspace, which keeps the function, and no cell
-        holds the function either, so a dropped workspace is freed by
-        reference counting."""
+        that its namespace does not hold it. Its namespace holds the
+        workspace's ``reader`` and defined ``names``, neither of which
+        reaches a function, and no cell holds the function either, so a
+        dropped workspace is freed by reference counting."""
         u = _Unit()
-        result = self.reference(u, node, depth) if reference else self.value(u, node, depth)
+        result = (self.reference(u, node, depth) or u.const(None)) if reference else self.value(u, node, depth)
         u.lines.append(f"    return {result}\n")
         source = "\n".join(u.lines)
         code = self.codes.get(source)
         if code is None:  # the function's code is a constant of the module's
             module = compile(source, "<formula>", "exec", dont_inherit=True)
             code = self.codes[source] = next(c for c in module.co_consts if type(c) is CodeType)
-        u.namespace["workspace"] = self.workspace
+        u.namespace.update(reader=self.reader, names=self.reader.names)
         return FunctionType(code, u.namespace)
 
     def value(self, u: _Unit, node, depth: int) -> str:
@@ -318,7 +302,7 @@ class _Compiler:
                 return self.read(u, self.reference(u, node, depth))
             i = self.positions[id(node)]
             if self.cells[i] is None:
-                return u.assign(f"ref_value(workspace, f.refs[{i}])")
+                return u.assign(f"reader.read(f.refs[{i}])")
             k = u.const(self.cells[i])
             if type(node.target) is RangeRef:
                 return u.assign(f"range_values({k}, f.refs[{i}])")
@@ -345,22 +329,23 @@ class _Compiler:
             return self.specialised(u, node, spec, depth) or self.strict(u, spec.fn, node.args, depth)
         raise TypeError(f"cannot compile {node!r}")
 
-    def reference(self, u: _Unit, node, depth: int) -> str:
+    def reference(self, u: _Unit, node, depth: int) -> str | None:
         """Emit the reference *node* denotes, read by a builtin *depth* deep:
-        an address or range, an error, or None if it denotes none."""
+        an address or range, or an error; None, emitting nothing, if it
+        denotes none."""
         if isinstance(node, formula.Ref):
             if isinstance(node.target, str):
                 key, missing = u.const(node.target.casefold()), u.const(_NO_NAME)
-                return u.assign(f"workspace.defined_names.get({key}, {missing})[1]")
+                return u.assign(f"names.get({key}, {missing})[1]")
             return u.assign(f"f.refs[{self.positions[id(node)]}]")
         if isinstance(node, formula.Call):
             spec = _builtin(node)
             if isinstance(spec, functions.Builtin) and spec.kind == "reference":
                 return u.assign(f"{u.const(spec.fn)}(f, {u.const(self.arguments(node, spec, depth))})")
-        return u.const(None)
+        return None
 
     def read(self, u: _Unit, ref: str) -> str:
-        return u.choose(f"type({ref}) is Error", ref, f"ref_value(workspace, {ref})")
+        return u.choose(f"type({ref}) is Error", ref, f"reader.read({ref})")
 
     def arguments(self, node, spec: functions.Builtin, depth: int) -> tuple:
         """Call *node*'s arguments as :class:`functions.Arg` of *spec*; kept,
@@ -552,11 +537,14 @@ class _Compiler:
         return u.choose(_any("type({}) is Error", checks), slow, f"[{body} for e in {source}]", out)
 
     def specialised(self, u: _Unit, node, spec: functions.Builtin, depth: int):
-        """Emit value call *node* as a reduction over constants, or give
+        """Emit value call *node* specialised to its arguments, or give
         None. SUMPRODUCT of kernels of one shape: :func:`functions.sum_of_products`
         of their element lists, unless one lifted to an array (then the
         builtin checks the shapes). An exact MATCH in a one-row or
-        one-column constant: the needle's key looked up in its index."""
+        one-column constant: the needle's key looked up in its index. INDEX
+        whose first argument denotes a reference: the reference, the other
+        arguments' values, then the one read :func:`functions.index_reference`
+        makes."""
         args = node.args
         if spec.fn is functions._fn_sumproduct:
             found = [self.kernel(a, depth + 1) for a in args]
@@ -576,6 +564,11 @@ class _Compiler:
                 index = u.const(functions.match_index(keys))
                 v = u.assign(f"{n}.rows[0][0] if type({n}) is Array else {n}")
                 return u.choose(f"type({v}) is Error", v, f"{index}.get(match_key({v}), {u.const(Error.NA)})")
+        elif spec.fn is functions._fn_index and depth < MAX_DEPTH:
+            ref = self.reference(u, args[0], depth + 1)
+            if ref is not None:
+                values = [self.value(u, a, depth + 1) for a in args[1:]]
+                return u.assign(f"index(reader, {ref}, {', '.join(values)})")
         return None
 
 
@@ -649,14 +642,14 @@ def _lifted_links(constant: Array, links: tuple, helds: list):
     return v
 
 
-# What every emitted function reads besides its constants and ``workspace``
-# (set for each, see _Compiler.function); ``lifts`` are the types a scalar
-# call lifts over. ``array_lift`` is read through its module at run time, so
-# that a patched one is called.
+# What every emitted function reads besides its constants, ``reader`` and
+# ``names`` (set for each, see _Compiler.function); ``lifts`` are the types a
+# scalar call lifts over. ``array_lift`` is read through its module at run
+# time, so that a patched one is called.
 _NAMESPACE = dict(
     __builtins__=builtins, functions=functions, lifts=frozenset((Array, Error)), Array=Array, Error=Error,
-    BLANK=BLANK, ref_value=ref_value, range_values=range_values, top_left=top_left, to_boolean=to_boolean,
-    shaped=functions.shaped, lift_elements=functions.lift_elements, lifted_links=_lifted_links,
+    BLANK=BLANK, index=functions.index_reference, range_values=range_values, top_left=top_left,
+    to_boolean=to_boolean, shaped=functions.shaped, lift_elements=functions.lift_elements, lifted_links=_lifted_links,
     sum_of_products=functions.sum_of_products, sumproduct=functions._fn_sumproduct, match_key=functions.match_key,
 )
 
@@ -1038,7 +1031,7 @@ class Engine:
         :meth:`walk` keeps, when a formula is entered or replaced and when a
         table is declared, not on literal edits. A binding reads no value and
         no sheet of its own: a template binds its sheets when it compiles,
-        and one missing then is resolved on every read (:func:`ref_value`).
+        and one missing then is resolved on every read (``Workspace.reader``).
         """
         kept = self._plans.get(table.table_id)
         if kept is not None:

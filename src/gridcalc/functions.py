@@ -51,10 +51,13 @@ element lists, and :func:`match_key` is what an exact MATCH compares (text
 casefolded, other values only within their type, as ``=`` does), indexed
 by :func:`match_index`. The SUMPRODUCT and MATCH builtins apply these
 after their shape checks; the engine's reductions over constants apply
-them with no array built (see :mod:`gridcalc.engine`). For the engine's
-kernels, :func:`mid_slices` makes MID's slices at constant positions from
-the one slice rule ``_fn_mid`` applies, and :func:`digit_table` a
-one-operand function's values at the digit texts by calling it.
+them with no array built (see :mod:`gridcalc.engine`). INDEX picks its
+position by one rule, ``_index_position``, over an array and, in
+:func:`index_reference`, over a reference, where only that cell is read.
+For the engine's kernels, :func:`mid_slices` makes MID's slices at constant
+positions from the one slice rule ``_fn_mid`` applies, and
+:func:`digit_table` a one-operand function's values at the digit texts by
+calling it.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from typing import Callable, Iterator
 
 from . import formula
 from .model import (
+    BLANK,
     COERCERS,
     MAX_COLUMNS,
     MAX_ROWS,
@@ -79,6 +83,7 @@ from .model import (
     column_to_letters,
     format_reference,
     parse_address,
+    range_values,
     to_boolean,
     to_integer,
     to_number,
@@ -449,29 +454,64 @@ def match_index(elements) -> dict:
     return index
 
 
-def _fn_index(args):
-    arr = _as_array(args[0])
-    n = to_integer(top_left(args[1]))
-    if isinstance(n, Error):
+def _index_position(n_rows: int, n_cols: int, n, m=None):
+    """The 1-based ``(row, column)`` INDEX picks at the values *n* and *m*
+    (None: omitted) in a block of *n_rows* by *n_cols*, the column None for
+    a whole row, or the error it gives: INDEX's one position rule, over an
+    array and over a reference (:func:`index_reference`)."""
+    n = to_integer(top_left(n))
+    if type(n) is Error:
         return n
-    m = None
-    if len(args) == 3 and args[2] is not None:
-        m = to_integer(top_left(args[2]))
-        if isinstance(m, Error):
+    if m is not None:
+        m = to_integer(top_left(m))
+        if type(m) is Error:
             return m
     if n < 1 or (m is not None and m < 1):
         return Error.REF
-    if m is not None:
-        if n > arr.n_rows or m > arr.n_cols:
-            return Error.REF
-        return arr.get(n, m)
-    if arr.n_rows == 1 and arr.n_cols > 1:
-        return arr.get(1, n) if n <= arr.n_cols else Error.REF
-    if arr.n_cols == 1:
-        return arr.get(n, 1) if n <= arr.n_rows else Error.REF
-    if n > arr.n_rows:
+    if m is None and n_cols == 1:
+        m = 1
+    elif m is None and n_rows == 1:
+        n, m = 1, n
+    if n > n_rows or (m is not None and m > n_cols):
         return Error.REF
-    return Array([arr.rows[n - 1]])
+    return n, m
+
+
+def _fn_index(args):
+    arr = _as_array(args[0])
+    at = _index_position(arr.n_rows, arr.n_cols, args[1], args[2] if len(args) == 3 else None)
+    if type(at) is Error:
+        return at
+    row, column = at
+    return Array.trusted((arr.rows[row - 1],)) if column is None else arr.get(row, column)
+
+
+def index_reference(reader, ref, n, m=None):
+    """INDEX over the reference *ref* (an address, a range or an error) at
+    the values *n* and *m*, through *reader* (:class:`gridcalc.model.Reader`):
+    what ``_fn_index`` gives over *ref*'s values, reading only the cell it
+    picks, or the row of a range with no column. The errors come in the
+    value rule's order: an error *ref*, a missing sheet (``#REF!``), an error
+    in the cell an address names, then the first error among *n* and *m*."""
+    if type(ref) is Error:
+        return ref
+    tl, br = (ref, ref) if type(ref) is CellAddress else (ref.top_left, ref.bottom_right)
+    sheet = reader.sheet(tl)
+    if sheet is None:
+        return Error.REF
+    cells = sheet.cells
+    if ref is tl and type(v := cells.get((tl.row, tl.column), BLANK).cached) is Error:
+        return v
+    for x in (n, m):
+        if type(x) is Error:
+            return x
+    at = _index_position(br.row - tl.row + 1, br.column - tl.column + 1, n, m)
+    if type(at) is Error:
+        return at
+    row, column = tl.row + at[0] - 1, at[1]
+    if column is None:
+        return range_values(cells, RangeRef(tl.moved(tl.column, row), br.moved(br.column, row)))
+    return cells.get((row, tl.column + column - 1), BLANK).cached
 
 
 def _fn_address(args):

@@ -636,6 +636,45 @@ class Workbook:
         return sheet
 
 
+def range_values(cells: dict, target: RangeRef) -> Array:
+    """The cached values of range *target*, read from *cells*, its sheet's.
+    No cell caches an array (a formula keeps its value's top left), so the
+    rows are taken as they are."""
+    tl, br = target.top_left, target.bottom_right
+    columns = range(tl.column, br.column + 1)
+    rows = range(tl.row, br.row + 1)
+    return Array.trusted(tuple([tuple([cells.get((r, c), BLANK).cached for c in columns]) for r in rows]))
+
+
+class Reader:
+    """The dynamic read path of one workspace: it holds the workspace's
+    workbooks and its defined names, and nothing that holds a compiled
+    function, so a function's namespace may hold it strongly. Each read
+    resolves its sheet (:meth:`sheet`): a defined name's, INDIRECT's or
+    OFFSET's target, and a reference whose sheet did not exist when its
+    formula compiled, which reads ``#REF!`` until it does."""
+
+    __slots__ = ("workbooks", "names")
+
+    def __init__(self, workbooks: dict, names: dict) -> None:
+        self.workbooks, self.names = workbooks, names
+
+    def sheet(self, addr: CellAddress) -> Sheet | None:
+        """The sheet of *addr*, or None if the workspace has none."""
+        book, sheet = addr.sheet_key
+        wb = self.workbooks.get(book)
+        return None if wb is None else wb._sheets.get(sheet)
+
+    def read(self, target: Reference) -> Value:
+        """An address's cached value or a range's values (:func:`range_values`);
+        ``#REF!`` if its sheet does not exist."""
+        if type(target) is CellAddress:
+            sheet = self.sheet(target)
+            return Error.REF if sheet is None else sheet.cells.get((target.row, target.column), BLANK).cached
+        sheet = self.sheet(target.top_left)
+        return Error.REF if sheet is None else range_values(sheet.cells, target)
+
+
 @dataclass
 class CalcConfig:
     """Calculation options.
@@ -684,6 +723,7 @@ class Workspace:
         self.compiled: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.codes: dict = {}
         self.config = config if config is not None else CalcConfig()
+        self.reader = Reader(self._workbooks, self.defined_names)  # both dicts are never replaced
 
     # -- workbooks / sheets -------------------------------------------------
 
@@ -701,9 +741,7 @@ class Workspace:
         return wb
 
     def resolve_sheet(self, addr: CellAddress) -> Sheet | None:
-        book, sheet = addr.sheet_key
-        wb = self._workbooks.get(book)
-        return None if wb is None else wb._sheets.get(sheet)
+        return self.reader.sheet(addr)
 
     def cell(self, addr: CellAddress) -> Cell | None:
         sheet = self.resolve_sheet(addr)

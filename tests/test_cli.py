@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gridcalc
 from gridcalc.cli import main
 
 from conftest import assets
@@ -243,3 +249,18 @@ def test_file_that_is_not_utf8_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "recalc", path)
     assert code == 1
     assert err.startswith(f"{path}:2: not UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "cell, code, out, err",
+    [
+        ("[isbn_basic]Batch!B7", 0, "valid\n", ""),
+        ("Nope!A1", 2, "", "unknown sheet 'Nope' in workbook 'isbn_basic'\n"),
+    ],
+)
+def test_python_dash_m_gridcalc_runs_the_cli_and_exits_with_its_code(cell, code, out, err):
+    src = str(Path(gridcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "gridcalc", "get", *map(str, assets("isbn_basic.gwb")), cell]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcalc import functions
-from gridcalc.model import Array, CellAddress, Error, Literal, RangeRef, Workspace, parse_address
+from gridcalc.model import Array, CellAddress, Error, Literal, RangeRef, Reader, Workspace, parse_address
 from conftest import calls_of, evaluated
 from reference_eval import compiled_and_reference, same_value
 
@@ -552,6 +552,84 @@ def test_sumproduct_guard_reads_a_held_range_once():
     assert reads["range_values"] == 2  # once at the template's cell, once at the copy
 
 
+# ---------------------------------------------------------------------------
+# INDEX over a reference reads the one cell it picks and gives what INDEX
+# over the reference's values gives, its errors in the value rule's order
+# ---------------------------------------------------------------------------
+
+# INDEX's first argument: static cells and ranges (references()), names,
+# one cell that holds an error (C4, H4 as a one-cell range), INDIRECT of
+# text that names a reference, names none, or names a missing sheet, OFFSET;
+# and, for the value path, no argument, a constant and a computed range
+_INDEX_FIRSTS = references() | st.sampled_from(
+    [
+        "Span", "Rate", "Missing", "$C$4", "$H$4:$H$4", "C3:C3", 'INDIRECT("C3:E5")', 'INDIRECT("C4")',
+        'INDIRECT("x")', 'INDIRECT("Nope!A1:B2")', "INDIRECT($K$1)", "INDIRECT(#N/A)", "OFFSET(C3,1,1,2,3)",
+        "OFFSET(C4,0,0)", "OFFSET(C3,-5,0)", "OFFSET(Missing,0,0)", "", "{1,2;3,4}", "C3:D4+0",
+    ]
+)
+# positions inside, 0, negative, fractional, past the edge; raw errors, one
+# from a cell and one inside an array; text, a boolean, a blank, a range,
+# and omitted
+_INDEX_POSITIONS = [
+    "1", "2", "3", "0", "-1", "0.5", "1.9", "9", "#N/A", "1/0", "$C$4", "{#REF!}", '"x"', '"2"', "TRUE", BLANK,
+    "{2;1}", "C3:C4", "",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_INDEX_FIRSTS, st.sampled_from(_INDEX_POSITIONS), st.none() | st.sampled_from(_INDEX_POSITIONS), _moves)
+def test_index_agrees_with_the_reference_interpreter(first, n, m, move):
+    source = f"INDEX({first},{n})" if m is None else f"INDEX({first},{n},{m})"
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, *move):
+        assert same_value(compiled, reference), (source, compiled, reference)
+
+
+INDEX_PINNED = [
+    ("INDEX(C3:E3,2)", "abc"),  # D3
+    ("INDEX(C3:D4,3)", Error.REF),
+    ("INDEX(C3:D4,2)", Array([[Error.DIV0, "C3:D4"]])),  # a whole row: C4:D4
+    ("INDEX(C3:D4,1,)", Array([[-2.5, "abc"]])),
+    ("INDEX(Nope!A1:A2,1)", Error.REF),
+    ("INDEX(Nope!A1,#N/A)", Error.REF),  # a missing sheet comes before a position's error
+    ("INDEX($C$4,1)", Error.DIV0),
+    ("INDEX($C$4,#N/A)", Error.DIV0),  # so does the error an address's cell holds
+    ("INDEX($H$4:$H$4,\"x\")", Error.VALUE),  # but not one a range's cell holds
+    ("INDEX(INDIRECT(#N/A),1/0)", Error.NA),
+    ('INDEX(INDIRECT("C3:E3"),0)', Error.REF),
+    ('INDEX(C3:E3,"x")', Error.VALUE),
+    ("INDEX(C3:E3,#N/A,1/0)", Error.NA),
+    ("INDEX(C3:D4,1,1)" + "+0" * 62, -2.5),
+    ("INDEX(C3:D4,1,1)" + "+0" * 63, Error.VALUE),  # its arguments past the depth limit
+    ("INDEX($C$4,1)" + "+0" * 63, Error.VALUE),
+]
+
+
+@pytest.mark.parametrize("source, expected", INDEX_PINNED)
+def test_index_gives_the_pinned_value(source, expected):
+    ws = workspace()
+    for compiled, reference in compiled_and_reference(ws, source, ANCHOR, 0, 0)[:1]:
+        assert same_value(compiled, expected), (compiled, expected)
+        assert same_value(reference, expected), (reference, expected)
+
+
+def test_a_steady_recalc_of_index_over_indirect_reads_one_cell_each():
+    # Book2's calls hand lib's ISBN-10 body the text address of a 1x4 block,
+    # which it reads as INDEX(INDIRECT(A2),1)..INDEX(INDIRECT(A2),4)
+    from conftest import engine_for
+    from gridcalc.model import range_values
+
+    eng = engine_for("demo.gws")
+    eng.full_recalc()
+    results = [eng.get_value(parse_address(text, HOME)) for text in ("[Book2]Sheet1!F3", "[Book2]Sheet2!F3")]
+    assert results == ["valid"] * 2
+    with calls_of(range_values, functions._fn_index, functions.index_reference) as counts:
+        eng.full_recalc()
+    assert counts["range_values"] == counts["_fn_index"] == 0 and counts["index_reference"] > 0
+    assert [eng.get_value(parse_address(text, HOME)) for text in ("[Book2]Sheet1!F3", "[Book2]Sheet2!F3")] == results
+
+
 def test_static_reads_resolve_no_sheet():
     from gridcalc import bench, engine
 
@@ -560,9 +638,9 @@ def test_static_reads_resolve_no_sheet():
     eng.full_recalc()
     results = [ws.value(a) for a in bench.result_addresses(20, "large")]
     assert set(results) == {"valid", "invalid"}
-    with calls_of(Workspace.resolve_sheet, engine.ref_value) as counts:
+    with calls_of(Reader.sheet, Reader.read) as counts:
         eng.full_recalc()
-    assert counts == {"resolve_sheet": 0, "ref_value": 0}
+    assert counts == {"sheet": 0, "read": 0}
     assert [ws.value(a) for a in bench.result_addresses(20, "large")] == results
     # a dynamic reference still resolves its sheet on every read
     c1, f1 = (CellAddress("bench_body", "Bench", column, 1) for column in (3, 6))
@@ -570,10 +648,10 @@ def test_static_reads_resolve_no_sheet():
     eng.set_formula(f1, '=INDIRECT("C1")')
     eng.full_recalc()
     eng.set_literal(c1, "y")
-    with calls_of(Workspace.resolve_sheet, engine.ref_value) as counts:
+    with calls_of(Reader.sheet, Reader.read) as counts:
         eng.full_recalc()
     assert ws.value(f1) == "y"
-    assert counts["ref_value"] == 1 and counts["resolve_sheet"] > 0
+    assert counts["read"] == 1 and counts["sheet"] > 0
 
 
 def test_a_steady_recalc_parses_no_indirect_text():

@@ -1,15 +1,16 @@
 """The emitted functions a template compiles to: constants reach them
 through their namespace, never as source text; a workspace compiles each
 source text once; two floats meet in a Python operator where the constants
-let them; nesting stays within the depth limit; a function lives
-as long as its template, and a dropped workspace leaves no garbage cycle
-behind."""
+let them; INDEX over a reference reads one cell; nesting stays within the
+depth limit; a function lives as long as its template, and a dropped
+workspace leaves no garbage cycle behind."""
 
 from __future__ import annotations
 
 import gc
 import inspect
 import re
+import weakref
 
 import pytest
 
@@ -76,7 +77,7 @@ def test_shapes_that_differ_only_in_a_defined_name_share_one_code_object(compile
     assert [evaluated(ws, f) for f in made] == ["bb", "zzb", Error.NAME]
     assert len(compiles) == len(ws.codes) == 1
     (source,) = ws.codes
-    assert "os" not in source.replace("workspace", "") and "Rate" not in source
+    assert "os" not in source.replace("reader", "") and "Rate" not in source
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,50 @@ def test_copies_of_an_operator_tree_compile_once_and_two_floats_run_no_wrapper(c
         eng.full_recalc()
     assert [eng.get_value(cell) for cell in cells] == [True] * 16  # 3 = 3
     assert counts == {"_finite": 0, "_order_key": 0, "array_lift": 0, "to_number": 0}
+
+
+# ---------------------------------------------------------------------------
+# INDEX whose first argument denotes a reference reads the one cell it picks;
+# over any other value it takes the value path
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "source", ["INDEX(INDIRECT(A2),1)", "INDEX(B1:E1,2)", "INDEX(Rate,1,1)", "INDEX(OFFSET(A1,1,1),1)"]
+)
+def test_index_over_a_reference_emits_one_cell_read(source):
+    ws = workspace()
+    ws.define_name("Rate", HOME)
+    text = emitted(ws, source)
+    assert "index(reader, " in text and "range_values" not in text, text
+
+
+@pytest.mark.parametrize("source", ["INDEX({1,2},2)", "INDEX(B1:E1+1,1)", "INDEX(,1)", "INDEX(1,1)"])
+def test_index_over_a_value_keeps_the_value_path(source):
+    assert "index(" not in emitted(workspace(), source)
+
+
+def test_no_emitted_namespace_holds_a_weak_proxy():
+    # every dynamic read: a defined name, INDIRECT, OFFSET, INDEX over one,
+    # and a sheet missing when its template compiles
+    ws = workspace()
+    ws.define_name("Rate", HOME)
+    sources = ["Rate&1", 'INDIRECT("A1")', "OFFSET(A1,1,0)", "INDEX(INDIRECT(A2),1)", "Nope!A1", "SUM(Nope!A1:B2)"]
+    functions_made = [engine.bind(ws, formula.shared_formula(s, AT, ws.templates)) for s in sources]
+    assert functions_made[0].__globals__["reader"] is ws.reader
+    assert functions_made[0].__globals__["names"] is ws.defined_names
+    seen, stack = set(), list(functions_made)
+    while stack:  # each function, and each argument function its constants hold
+        fn = stack.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for v in fn.__globals__.values():
+            assert type(v) is not weakref.ProxyType, fn.__globals__
+            for arg in v if type(v) is tuple else ():
+                if type(arg) is functions.Arg:
+                    stack += [f for f in (arg.value, arg.reference) if f]
+    assert len(seen) > len(sources)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,11 @@ from gridcalc.model import (
     letters_to_column,
     number_to_text,
     parse_address,
+    range_values,
 )
 from gridcalc.tables import COLUMN_INPUT, declare_table
+
+from conftest import engine_for
 
 CTX = CellAddress("Book2", "Sheet1", 1, 1)
 
@@ -375,3 +378,18 @@ def test_config_rejects_a_max_change_that_is_not_at_least_zero(bad):
 def test_config_takes_zero_and_infinite_max_change():
     assert CalcConfig(max_change=0.0).max_change == 0.0
     assert CalcConfig(max_change=float("inf")).max_change == float("inf")
+
+
+def test_a_range_reads_what_a_checked_array_of_its_cells_holds():
+    # literals, formula cells, blanks and a table body (Batch!B5:B9), read
+    # after a recalc, into an array built without the constructor's checks
+    eng = engine_for("isbn_basic.gwb")
+    eng.full_recalc()
+    ws = eng.workspace
+    target = parse_address("A1:D9", CellAddress("isbn_basic", "Batch", 1, 1))
+    want = Array([[ws.value(target.top_left.moved(c, r)) for c in range(1, 5)] for r in range(1, 10)])
+    kinds = {type(ws.cell(a).content).__name__ if ws.cell(a) else "blank" for a in target.cells()}
+    assert kinds == {"Literal", "Formula", "TableBody", "blank"}
+    got = range_values(ws.resolve_sheet(target.top_left).cells, target)
+    assert got == want and ws.reader.read(target) == want
+    assert type(got.rows) is tuple and all(type(row) is tuple for row in got.rows)
