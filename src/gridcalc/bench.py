@@ -103,7 +103,9 @@ class BenchRow:
 
 
 def run(n: int, mode: str, repeat: int = 1, seed: int = 1234):
-    """Time *repeat* full recalcs; returns (rows, final result values)."""
+    """Time *repeat* full recalcs, at least one; returns (rows, final result values)."""
+    if repeat < 1:
+        raise ValueError(f"repeat count {repeat} is not >= 1")
     ws = build_workspace(n, mode, seed)
     engine = Engine(ws)
     rows = []

@@ -41,10 +41,10 @@ formula, one statement per node, each writing a temporary; a workspace
 keeps the function of each template while the template lives
 (``Workspace.compiled``) and the code object of each source text
 (``Workspace.codes``). Every formula of the shape is its argument: the
-function reads the formula's own references (``Formula.refs``) and cell
-(``Formula.cell``). Constants, builtins, coercers, name keys, sheets, the
-defined names and the workspace's reader reach the function through its
-namespace, never as text.
+function reads the coordinates its text names (``Formula.refs``) and its
+cell (``Formula.cell``). Constants, builtins, coercers, name keys, sheets,
+the defined names and the workspace's reader reach the function through
+its namespace, never as text.
 IF is an ``if`` statement: only the branch taken runs. Special and
 reference builtins get the formula and each argument as emitted functions
 of the formula, its value and, if read, its reference
@@ -54,16 +54,17 @@ arguments' values. A node nested deeper than :data:`MAX_DEPTH` gives
 nesting too.
 
 A template is bound to the workspace whose ``templates`` made it. A shape
-gives the reference in each of its places one sheet, resolved once, when it
-compiles: a static reference reads that sheet's ``cells`` dict directly, a
-cell as ``cells.get(key, BLANK).cached`` and a range through
-:func:`range_values`. Sheets are never removed, nor their ``cells`` dicts
-replaced, so the binding holds. The workspace's reader
-(:class:`gridcalc.model.Reader`) resolves the sheet on every read: for
-defined names, INDIRECT and OFFSET, and for a sheet that did not exist when
-the template compiled, which reads ``#REF!`` until it does. INDEX over a
-reference, static or not, reads through it only the cell it picks
-(:func:`functions.index_reference`).
+gives the reference in each of its places one sheet (``Template.sheet_keys``),
+resolved once, when it compiles: a static reference reads that sheet's
+``cells`` dict directly, a cell as ``cells.get(f.refs[i], BLANK).cached``
+and a range through :func:`range_values`. Sheets are never removed, nor
+their ``cells`` dicts replaced, so the binding holds. The workspace's
+reader (:class:`gridcalc.model.Reader`) resolves the sheet on every read:
+for defined names, INDIRECT and OFFSET, and for a sheet missing when the
+template compiled, which reads ``#REF!`` until it exists. Only there and as
+a builtin's reference argument is a static reference made an address
+(:func:`gridcalc.model.reference_at`); INDEX over one reads only the cell
+it picks (:func:`functions.index_reference`).
 
 A scalar builtin or operator runs in line when no array and no raw error
 arrives, else it lifts (:func:`gridcalc.functions.array_lift`). Its kinds
@@ -121,6 +122,7 @@ from .model import (
     TableBody,
     Workspace,
     range_values,
+    reference_at,
     to_boolean,
     to_integer,
     top_left,
@@ -264,7 +266,7 @@ class _Compiler:
 
     def __init__(self, template: formula.Template, workspace: Workspace) -> None:
         self.positions = {id(node): i for i, node in enumerate(template.nodes)}
-        sheets = [workspace.resolve_sheet(r if type(r) is CellAddress else r.top_left) for r in template.refs]
+        sheets = [workspace.reader.sheet(key) for key in template.sheet_keys]
         self.cells = [None if sheet is None else sheet.cells for sheet in sheets]
         self.codes = workspace.codes
         self.reader = workspace.reader
@@ -298,15 +300,13 @@ class _Compiler:
         if isinstance(node, formula.Literal):
             return u.const(node.value)
         if isinstance(node, formula.Ref):
-            if isinstance(node.target, str):
+            i = self.positions.get(id(node))
+            if i is None or self.cells[i] is None:  # a defined name, or a sheet missing when compiled
                 return self.read(u, self.reference(u, node, depth))
-            i = self.positions[id(node)]
-            if self.cells[i] is None:
-                return u.assign(f"reader.read(f.refs[{i}])")
             k = u.const(self.cells[i])
             if type(node.target) is RangeRef:
                 return u.assign(f"range_values({k}, f.refs[{i}])")
-            return u.assign(f"{k}.get((f.refs[{i}].row, f.refs[{i}].column), BLANK).cached")
+            return u.assign(f"{k}.get(f.refs[{i}], BLANK).cached")
         if isinstance(node, formula.Unary) and node.op == "+":
             return self.value(u, node.operand, depth + 1)
         link = _scalar_link(node)
@@ -337,7 +337,7 @@ class _Compiler:
             if isinstance(node.target, str):
                 key, missing = u.const(node.target.casefold()), u.const(_NO_NAME)
                 return u.assign(f"names.get({key}, {missing})[1]")
-            return u.assign(f"f.refs[{self.positions[id(node)]}]")
+            return u.assign(f"reference_at({u.const(node.target)}, f.refs[{self.positions[id(node)]}])")
         if isinstance(node, formula.Call):
             spec = _builtin(node)
             if isinstance(spec, functions.Builtin) and spec.kind == "reference":
@@ -647,8 +647,8 @@ def _lifted_links(constant: Array, links: tuple, helds: list):
 # scalar call lifts over. ``array_lift`` is read through its module at run
 # time, so that a patched one is called.
 _NAMESPACE = dict(
-    __builtins__=builtins, functions=functions, lifts=frozenset((Array, Error)), Array=Array, Error=Error,
-    BLANK=BLANK, index=functions.index_reference, range_values=range_values, top_left=top_left,
+    __builtins__=builtins, functions=functions, lifts=frozenset((Array, Error)), Array=Array, Error=Error, BLANK=BLANK,
+    index=functions.index_reference, range_values=range_values, reference_at=reference_at, top_left=top_left,
     to_boolean=to_boolean, shaped=functions.shaped, lift_elements=functions.lift_elements, lifted_links=_lifted_links,
     sum_of_products=functions.sum_of_products, sumproduct=functions._fn_sumproduct, match_key=functions.match_key,
 )
@@ -692,19 +692,19 @@ class Engine:
 
     # -- graph construction ---------------------------------------------------
 
-    def _name_targets(self) -> dict:
-        return {key: target for key, (_, target) in self.workspace.defined_names.items()}
-
     def _node_edges(self, content: Formula, names: dict) -> tuple[frozenset, bool]:
-        """The keys of a formula's precedent cells, made once, and whether
-        it is volatile."""
-        template = content.template
-        refs = content.refs
+        """The keys of a formula's precedent cells, made once, and whether it
+        is volatile; *names* are the workspace's ``defined_names``."""
+        template, refs = content.template, content.refs
+        keys = [key + ref for key, ref in zip(template.sheet_keys, refs) if type(ref[0]) is int]
+        if len(keys) < len(refs):  # each cell of each range
+            for key, ref in zip(template.sheet_keys, refs):
+                if type(ref[0]) is tuple:
+                    (top, left), (bottom, right) = ref
+                    keys += [key + (r, c) for r in range(top, bottom + 1) for c in range(left, right + 1)]
         if template.names:
-            refs = [*refs, *[names[k] for k in map(str.casefold, template.names) if k in names]]
-        keys = [r.sort_key for r in refs if type(r) is CellAddress]
-        if len(keys) < len(refs):
-            keys += [a.sort_key for r in refs if type(r) is RangeRef for a in r.cells()]
+            targets = [names[k][1] for k in map(str.casefold, template.names) if k in names]
+            keys += [a.sort_key for t in targets for a in (t.cells() if type(t) is RangeRef else (t,))]
         return frozenset(keys), template.volatile
 
     def build_graph(self) -> DependencyGraph:
@@ -715,7 +715,7 @@ class Engine:
         from each formula's ``refs`` and template, never from an AST.
         """
         g = DependencyGraph()
-        names = self._name_targets()
+        names = self.workspace.defined_names
         for wb in self.workspace.workbooks():
             for sheet in wb.sheets():
                 for cell in sheet.cells.values():
@@ -765,8 +765,7 @@ class Engine:
         key = addr.sort_key
         self.graph.remove_node(key)
         if isinstance(content, Formula):
-            precedents, volatile = self._node_edges(content, self._name_targets())
-            self.graph.add_node(cell, precedents, volatile)
+            self.graph.add_node(cell, *self._node_edges(content, self.workspace.defined_names))
         reached = self.graph.dependents_closure((key,))
         self.dirty.update(reached, (key,))
         if was_formula or isinstance(content, Formula):

@@ -14,7 +14,7 @@ and ``$`` marks left out: ``A1+$B$1`` and ``C7+D2`` have one shape, in any
 cells of one sheet. Formulas of one shape parse to one tree but for the
 corners of their references, so :func:`shared_formula` parses each shape
 once per sheet and gives every formula of it that template and the
-references its own text names (:class:`Template`), not a tree of its own;
+coordinates its own text names (:class:`Template`), not a tree of its own;
 the engine compiles each template once, not each formula. A loaded formula
 is first checked against the template of the formula above it
 (:meth:`Template.copied`), and its text is scanned for its shape only when
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, MutableMapping, Union
 
 from .model import (
@@ -459,11 +459,7 @@ def parse_formula(source: str, context: CellAddress) -> Node:
 class DependencyInfo:
     refs: set
     volatile: bool = False
-    unresolved_names: set = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.unresolved_names is None:
-            self.unresolved_names = set()
+    unresolved_names: set = field(default_factory=set)
 
 
 def _scan(ast: Node) -> tuple[list, list, bool]:
@@ -543,14 +539,14 @@ _LETTERS = _SHAPE_RE.groupindex["cell"] + 1  # CELL_RE's groups: column letters,
 
 def _shape(source: str, corners: list, rows: list) -> str:
     r"""*source* with each cell reference as ``\n``: its column, row and
-    ``$`` marks left out. Appends ``(column, row)`` of each reference to
+    ``$`` marks left out. Appends ``(row, column)`` of each reference to
     *corners* and the span of its row's digits to *rows*, in source order."""
 
     def mark(m: re.Match) -> str:
         coords = None if m["cell"] is None else grid_coordinates(m[_LETTERS], m[_LETTERS + 1])
         if coords is None:
             return m[0]
-        corners.append(coords)
+        corners.append(coords[::-1])
         rows.append(m.span(_LETTERS + 1))
         return m["pre"] + "\n"
 
@@ -561,16 +557,16 @@ class Template:
     """One parse of a formula shape on one sheet (``sheet_key``).
 
     ``nodes`` lists the Ref nodes that hold a cell or range, in source
-    order, and ``refs`` their targets in the source the template was parsed
-    from. A formula of the shape holds its own targets in that order
-    (``Formula.refs``), which is how the shape's one compiled function
-    (which :mod:`gridcalc.engine` emits on first evaluation and the
-    workspace keeps) reads the references of every formula of the shape. The
-    shape gives each of its formulas' references the sheet and kind (cell
-    or range) of the template's one in its place; its corners come from the
-    formula's own text (:meth:`at`). ``names`` holds the defined names read
-    and ``volatile`` whether the shape is volatile. ``ast`` is the shape's
-    only tree: no formula holds a tree of its own.
+    order, ``refs`` their targets in the source the template was parsed
+    from, and ``sheet_keys`` the sheet key of each: the shape alone fixes
+    each place's sheet and kind (cell or range). A formula of the shape
+    holds only the coordinates its own text names, in that order
+    (``Formula.refs``, made by :meth:`at`), which is how the shape's one
+    compiled function (which :mod:`gridcalc.engine` emits on first
+    evaluation and the workspace keeps) reads the references of every
+    formula of the shape. ``names`` holds the defined names read and
+    ``volatile`` whether the shape is volatile. ``ast`` is the shape's only
+    tree: no formula holds a tree of its own.
 
     ``pieces`` is the template's source cut at the digits of each
     reference's row: for each reference, the text before its row's digits
@@ -579,31 +575,31 @@ class Template:
     that differs from it only in its rows has this shape (:meth:`copied`).
     """
 
-    __slots__ = ("ast", "sheet_key", "pieces", "nodes", "refs", "names", "volatile", "__weakref__")
+    __slots__ = ("ast", "sheet_key", "pieces", "nodes", "refs", "sheet_keys", "names", "volatile", "__weakref__")
 
     def __init__(self, ast: Node, sheet_key: tuple, source: str, corners: list, rows: list) -> None:
         self.ast = ast
         self.sheet_key = sheet_key
         self.nodes, self.names, self.volatile = _scan(ast)
         self.refs = tuple([node.target for node in self.nodes])
+        self.sheet_keys = tuple([(r if type(r) is CellAddress else r.top_left).sheet_key for r in self.refs])
         pieces, end = [], 0
-        for (column, _), (start, stop) in zip(corners, rows):
+        for (_, column), (start, stop) in zip(corners, rows):
             pieces.append((source[end:start], column))
             end = stop
         self.pieces = tuple(pieces), source[end:]
 
     def at(self, anchor: CellAddress, corners: list, source: str) -> Formula:
-        """The formula *source* of this shape in cell *anchor*: this
-        template, with each reference at its corners in *corners*, the
-        ``(column, row)`` of each cell reference in *source*, in source order."""
+        """The formula *source* of this shape in cell *anchor*, each cell
+        reference of it at its ``(row, column)`` in *corners*; a range normalized."""
         corners = iter(corners)
         refs = []
         for target in self.refs:
             if type(target) is RangeRef:
-                head = target.top_left
-                refs.append(RangeRef.normalized(head.moved(*next(corners)), head.moved(*next(corners))))
+                (r1, c1), (r2, c2) = next(corners), next(corners)
+                refs.append(((min(r1, r2), min(c1, c2)), (max(r1, r2), max(c1, c2))))
             else:
-                refs.append(target.moved(*next(corners)))
+                refs.append(next(corners))
         return Formula(source, self, tuple(refs), anchor)
 
     def copied(self, anchor: CellAddress, source: str) -> Formula | None:
@@ -622,7 +618,7 @@ class Template:
             row = 0 if digits is None else int(digits[0])
             if not 0 < row <= MAX_ROWS:
                 return None
-            corners.append((column, row))
+            corners.append((row, column))
             pos = digits.end()
         return self.at(anchor, corners, source) if source[pos:] == tail else None
 

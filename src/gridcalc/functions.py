@@ -496,7 +496,7 @@ def index_reference(reader, ref, n, m=None):
     if type(ref) is Error:
         return ref
     tl, br = (ref, ref) if type(ref) is CellAddress else (ref.top_left, ref.bottom_right)
-    sheet = reader.sheet(tl)
+    sheet = reader.sheet(tl.sheet_key)
     if sheet is None:
         return Error.REF
     cells = sheet.cells
@@ -510,7 +510,7 @@ def index_reference(reader, ref, n, m=None):
         return at
     row, column = tl.row + at[0] - 1, at[1]
     if column is None:
-        return range_values(cells, RangeRef(tl.moved(tl.column, row), br.moved(br.column, row)))
+        return range_values(cells, ((row, tl.column), (row, br.column)))
     return cells.get((row, tl.column + column - 1), BLANK).cached
 
 

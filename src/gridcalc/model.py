@@ -524,20 +524,22 @@ class Literal:
 
 class Formula:
     """A formula's source text (written back by dumps as is), its shape's
-    template, ``refs``, the cell and range references of its source in
-    source order, and ``cell``, the address of the cell it was made in,
-    where ``refs`` were read.
+    template, ``refs``, the coordinates its text names in source order, and
+    ``cell``, the address of the cell it was made in, where ``refs`` were
+    read: a cell's ``(row, column)``, its key in its sheet's ``cells``, and
+    a range's corners ``((top, left), (bottom, right))``.
 
     A formula is made only by :func:`gridcalc.formula.shared_formula`, from
     its source in its own cell: the template (kept cached while the formula
-    lives) holds the shape's only tree, and ``refs`` put this cell's
-    references into it. The engine evaluates a formula at ``cell`` (ROW(),
-    COLUMN() and INDIRECT's relative text read it) and reports its cell by
-    it, so it makes no address of its own.
+    lives) holds the shape's only tree and each reference's sheet, and
+    ``refs`` put this cell's references into it. The engine evaluates a
+    formula at ``cell`` (ROW(), COLUMN() and INDIRECT's relative text read
+    it) and reports its cell by it, so it makes no address of its own.
 
-    Formulas are equal when their source and ``refs`` are: the source fixes
-    the tree but for the sheet and cell it is read in, and ``refs`` fix
-    those. One source on two sheets makes two formulas.
+    Formulas are equal when their source, ``refs`` and the sheet of each
+    reference (``Template.sheet_keys``) are: the source fixes the tree but
+    for the sheet and cell it is read in, which those fix. One source on
+    two sheets makes two formulas.
     """
 
     __slots__ = ("source", "template", "refs", "cell")
@@ -548,7 +550,8 @@ class Formula:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
             return NotImplemented
-        return self.source == other.source and self.refs == other.refs
+        mine = self.source, self.refs, self.template.sheet_keys
+        return mine == (other.source, other.refs, other.template.sheet_keys)
 
     def __repr__(self) -> str:
         return f"Formula({self.source!r}, refs={self.refs!r})"
@@ -636,14 +639,22 @@ class Workbook:
         return sheet
 
 
-def range_values(cells: dict, target: RangeRef) -> Array:
-    """The cached values of range *target*, read from *cells*, its sheet's.
-    No cell caches an array (a formula keeps its value's top left), so the
-    rows are taken as they are."""
-    tl, br = target.top_left, target.bottom_right
-    columns = range(tl.column, br.column + 1)
-    rows = range(tl.row, br.row + 1)
+def range_values(cells: dict, corners: tuple) -> Array:
+    """The cached values of the range *corners*, ``((top, left), (bottom,
+    right))``, read from *cells*, its sheet's. No cell caches an array (a
+    formula keeps its value's top left), so the rows are taken as they are."""
+    (top, left), (bottom, right) = corners
+    columns = range(left, right + 1)
+    rows = range(top, bottom + 1)
     return Array.trusted(tuple([tuple([cells.get((r, c), BLANK).cached for c in columns]) for r in rows]))
+
+
+def reference_at(target: Reference, coordinates: tuple) -> Reference:
+    """The address or range that *coordinates*, an entry of ``Formula.refs``,
+    name on the sheet of *target*, the template's reference in that place."""
+    if type(target) is CellAddress:
+        return target.moved(coordinates[1], coordinates[0])
+    return RangeRef(*[target.top_left.moved(column, row) for row, column in coordinates])
 
 
 class Reader:
@@ -659,9 +670,9 @@ class Reader:
     def __init__(self, workbooks: dict, names: dict) -> None:
         self.workbooks, self.names = workbooks, names
 
-    def sheet(self, addr: CellAddress) -> Sheet | None:
-        """The sheet of *addr*, or None if the workspace has none."""
-        book, sheet = addr.sheet_key
+    def sheet(self, key: tuple) -> Sheet | None:
+        """The sheet whose ``sheet_key`` is *key*, or None if the workspace has none."""
+        book, sheet = key
         wb = self.workbooks.get(book)
         return None if wb is None else wb._sheets.get(sheet)
 
@@ -669,10 +680,11 @@ class Reader:
         """An address's cached value or a range's values (:func:`range_values`);
         ``#REF!`` if its sheet does not exist."""
         if type(target) is CellAddress:
-            sheet = self.sheet(target)
+            sheet = self.sheet(target.sheet_key)
             return Error.REF if sheet is None else sheet.cells.get((target.row, target.column), BLANK).cached
-        sheet = self.sheet(target.top_left)
-        return Error.REF if sheet is None else range_values(sheet.cells, target)
+        tl, br = target.top_left, target.bottom_right
+        sheet = self.sheet(tl.sheet_key)
+        return Error.REF if sheet is None else range_values(sheet.cells, ((tl.row, tl.column), (br.row, br.column)))
 
 
 @dataclass
@@ -741,7 +753,7 @@ class Workspace:
         return wb
 
     def resolve_sheet(self, addr: CellAddress) -> Sheet | None:
-        return self.reader.sheet(addr)
+        return self.reader.sheet(addr.sheet_key)
 
     def cell(self, addr: CellAddress) -> Cell | None:
         sheet = self.resolve_sheet(addr)

@@ -110,14 +110,18 @@ def test_dump_unknown_sheet_exits_2(capsys):
         (["dump", "isbn_basic.gwb", "--book", "zz"], "unknown workbook 'zz'"),
         (["dump", "isbn_basic.gwb"], "--sheet is required for tsv dumps of multi-sheet workbooks"),
         (["dump", "empty.gws"], "empty workspace"),
+        (["bench", "--calls", "5", "--mode", "small", "--repeat", "0"], "repeat count 0 is not >= 1"),
+        (["bench", "--calls", "5", "--mode", "large", "--repeat", "-3"], "repeat count -3 is not >= 1"),
     ],
-    ids=["bad-reference", "get-empty", "unknown-book", "tsv-without-sheet", "dump-empty"],
+    ids=[
+        "bad-reference", "get-empty", "unknown-book", "tsv-without-sheet", "dump-empty", "repeat-0", "repeat-negative"
+    ],
 )
 def test_usage_errors_exit_2_with_their_message(capsys, tmp_path, argv, message):
     # empty.gws lists no workbook; the .gwb names are shipped assets
     (tmp_path / "empty.gws").write_text("# no workbooks\n", encoding="utf-8")
     files = {"empty.gws": tmp_path / "empty.gws", "isbn_basic.gwb": assets("isbn_basic.gwb")[0]}
-    code, out, err = run(capsys, argv[0], files[argv[1]], *argv[2:])
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert (code, out, err) == (2, "", message + "\n")
 
 

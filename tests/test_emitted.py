@@ -59,7 +59,7 @@ def test_shapes_that_differ_only_in_text_constants_share_one_code_object(compile
     # a line break no formula source holds, in a template built from a tree
     # and from no source: its one reference is given its corner by hand
     ast = formula.Binary("&", formula.Literal(hostile + "\n"), formula.Ref(HOME))
-    made.append(formula.Template(ast, AT.sheet_key, "", [], []).at(AT, [(HOME.column, HOME.row)], "no source"))
+    made.append(formula.Template(ast, AT.sheet_key, "", [], []).at(AT, [(HOME.row, HOME.column)], "no source"))
     values = [evaluated(ws, f) for f in made]
     assert values == ["ab", hostile + "#b", hostile + "\nb"]
     assert len({id(f.template) for f in made}) == 3
@@ -121,10 +121,12 @@ def test_isblank_compiles_no_function_for_its_arguments_reference(compiles):
     assert evaluated(ws, made) is None  # A2 holds "zz", B2 is blank
     # the formula's function and the one of A2's value; none gives A2's reference
     assert len(compiles) == 2
-    assert not any("= f.refs[0]\n" in source for source in compiles)
+    assert not any("reference_at(" in source for source in compiles)
+    # A2's value is read by its coordinates, the key of its sheet's cells
+    assert "k0.get(f.refs[0], BLANK).cached" in compiles[0] and ".row" not in compiles[0]
     row = formula.shared_formula("ROW(A2)", AT, ws.templates)
     assert evaluated(ws, row) == 2.0
-    assert any("= f.refs[0]\n" in source for source in compiles[2:])
+    assert any("= reference_at(k0, f.refs[0])\n" in source for source in compiles[2:])
 
 
 @pytest.mark.parametrize("name", sorted(n for n, b in functions.REGISTRY.items() if b.kind in ("special", "reference")))

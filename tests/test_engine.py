@@ -404,7 +404,8 @@ def test_graph_edges_are_the_cells_each_formula_depends_on():
     for cell, source in sources.items():
         eng.set_formula(at(cell), source)
     for cell, source in sources.items():
-        info = static_dependencies(parse_formula(source, at(cell)), eng._name_targets())
+        names = {key: target for key, (_, target) in eng.workspace.defined_names.items()}
+        info = static_dependencies(parse_formula(source, at(cell)), names)
         cells = {a.sort_key for r in info.refs for a in (r.cells() if isinstance(r, RangeRef) else (r,))}
         assert eng.graph.precedents[at(cell).sort_key] == cells
         assert (at(cell).sort_key in eng.graph.volatile) == info.volatile
@@ -413,12 +414,15 @@ def test_graph_edges_are_the_cells_each_formula_depends_on():
 
 
 def test_build_graph_reads_the_defined_names_once(monkeypatch):
+    # each formula's edges read the workspace's own dict of defined names:
+    # the graph makes no copy of it, once or per formula
     eng = engine_for("isbn_basic.gwb")
-    calls = []
-    read_names = Engine._name_targets
-    monkeypatch.setattr(Engine, "_name_targets", lambda self: calls.append(1) or read_names(self))
+    seen = []
+    edges = Engine._node_edges
+    monkeypatch.setattr(Engine, "_node_edges", lambda self, f, names: seen.append(names) or edges(self, f, names))
     graph = eng.build_graph()
-    assert len(graph.precedents) > 1 and len(calls) == 1
+    assert len(graph.precedents) > 1 and len(seen) == len(graph.precedents)
+    assert all(names is eng.workspace.defined_names for names in seen)
     assert graph == eng.graph
 
 

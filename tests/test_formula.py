@@ -22,7 +22,7 @@ from gridcalc.formula import (
 from gridcalc import dump_workbook_source, load_workspace
 from gridcalc.model import Array, CellAddress, Error, parse_address
 from conftest import evaluated
-from test_templates import tree_of
+from test_templates import targets_of, tree_of
 
 CTX = CellAddress("Book1", "Sheet1", 2, 2)  # B2
 
@@ -296,7 +296,7 @@ def test_qualified_references_dump_as_written(tmp_path):
     assert dump_workbook_source(ws, "Book1").splitlines()[1] == f"B2 = {written}"
     want = (CellAddress("Book1", "Sheet1", 1, 1), CellAddress("Book1", "Other", 1, 1), CellAddress("lib", "S", 1, 1))
     b2, b3 = ws.cell(CTX).content, ws.cell(ref("B3")).content
-    assert b2.refs == b3.refs == want
+    assert targets_of(b2) == targets_of(b3) == want
     assert tree_of(b2) == tree_of(b3)
 
 

@@ -14,7 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from gridcalc import Engine, dump_sheet, dump_workbook_source, formula, load_workspace
 from gridcalc.formula import FormulaError, LexError, parse_formula, shared_formula, static_dependencies
-from gridcalc.model import CellAddress, Error, Formula, Literal, RangeRef, Workspace, column_to_letters, parse_address
+from gridcalc.model import (
+    CellAddress,
+    Error,
+    Formula,
+    Literal,
+    RangeRef,
+    Workspace,
+    column_to_letters,
+    parse_address,
+    reference_at,
+)
 from conftest import LINE_ENDINGS
 
 SHEET = CellAddress("Book1", "Sheet1", 1, 1)
@@ -37,10 +47,17 @@ def count_parses(monkeypatch) -> list:
     return calls
 
 
+def targets_of(f: Formula) -> tuple:
+    """The addresses and ranges *f*'s ``refs`` name, each made by
+    :func:`reference_at` from the template's target in its place."""
+    return tuple([reference_at(target, ref) for target, ref in zip(f.template.refs, f.refs)])
+
+
 def tree_of(f: Formula) -> formula.Node:
-    """The tree of *f*: its template's, with *f*'s ``refs`` put in by
-    position in place of the template's Ref nodes (``Template.nodes``)."""
-    moved = {id(node): formula.Ref(target) for node, target in zip(f.template.nodes, f.refs)}
+    """The tree of *f*: its template's, with the targets of *f*'s ``refs``
+    put in by position in place of the template's Ref nodes
+    (``Template.nodes``)."""
+    moved = {id(node): formula.Ref(target) for node, target in zip(f.template.nodes, targets_of(f))}
     return _replaced(f.template.ast, moved)
 
 
@@ -76,7 +93,7 @@ def outcome(make):
     except FormulaError as exc:
         return ("error", type(exc), exc.message, exc.offset)
     if isinstance(made, Formula):
-        return ("ok", tree_of(made), made.refs)
+        return ("ok", tree_of(made), targets_of(made))
     return ("ok", made, tuple([node.target for node in formula._scan(made)[0]]))
 
 
@@ -346,6 +363,28 @@ def test_copies_down_a_column_are_checked_not_scanned(monkeypatch, tmp_path):
     assert tree_of(c50) == parse_formula(c50.source, CellAddress("wb", "Sheet1", 3, 50))
 
 
+def test_loading_copies_makes_one_address_per_cell_directive(monkeypatch, tmp_path):
+    # a copy holds the coordinates its text names: outside the one parse of
+    # its shape, loading makes each directive's own address, none per reference
+    calls, parsed = [], []
+    moved, parse = CellAddress.moved, formula.parse_formula
+
+    def counted_parse(source, context):
+        before = len(calls)
+        tree = parse(source, context)
+        parsed.append(len(calls) - before)
+        return tree
+
+    monkeypatch.setattr(CellAddress, "moved", lambda self, *cell: calls.append(cell) or moved(self, *cell))
+    monkeypatch.setattr(formula, "parse_formula", counted_parse)
+    rows = 40
+    lines = [f"A{r} : {r}\nB{r} = SUM(A$3:A{r})+A{r}*Other!A{r}+SUM(Other!B{r}:C1)" for r in range(1, rows + 1)]
+    (tmp_path / "wb.gwb").write_text("sheet Sheet1\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    ws = load_workspace([tmp_path / "wb.gwb"])
+    assert len(parsed) == len(ws.templates) == 1
+    assert len(calls) - sum(parsed) == 2 * rows
+
+
 @pytest.mark.parametrize(
     "above, cell, source, shared",
     [
@@ -439,7 +478,7 @@ def test_formulas_are_equal_by_source_and_refs():
     # a formula made with a template cache of its own equals the one its
     # source loads to, and set_cell makes it again with the workspace's
     own = shared_formula("A1*2", at("B1"), {})
-    assert own == made and own.template is not made.template and own.refs == (at("A1"),)
+    assert own == made and own.template is not made.template and targets_of(own) == (at("A1"),)
     Engine(ws).set_cell(at("B1"), own)
     assert ws.cell(at("B1")).content == own and ws.cell(at("B1")).content.template is made.template
     # an absolute formula is one formula in every cell of its sheet
@@ -591,7 +630,7 @@ def test_formula_given_is_made_again_from_its_source(source):
     held = ws.cell(SHEET).content
     made = shared_formula(source, SHEET, ws.templates)
     assert held == made and held.template is made.template
-    assert eng.graph.precedents[SHEET.sort_key] == {r.sort_key for r in made.refs}
+    assert eng.graph.precedents[SHEET.sort_key] == {r.sort_key for r in targets_of(made)}
 
 
 @pytest.mark.parametrize("home", ["[Book1]Sheet2!B1", "[Book2]Sheet1!B1"], ids=["other-sheet", "other-workbook"])
