@@ -45,13 +45,13 @@ function reads the coordinates its text names (``Formula.refs``) and its
 cell (``Formula.cell``). Constants, builtins, coercers, name keys, sheets,
 the defined names and the workspace's reader reach the function through
 its namespace, never as text.
-IF is an ``if`` statement: only the branch taken runs. Special and
-reference builtins get the formula and each argument as emitted functions
-of the formula, its value and, if read, its reference
-(:class:`gridcalc.functions.Arg`); a value builtin gets only its
-arguments' values. A node nested deeper than :data:`MAX_DEPTH` gives
-``#VALUE!``, only if it is evaluated, and so the limit bounds the emitted
-nesting too.
+IF is an ``if`` statement: only the branch taken runs. Every other call's
+arguments are emitted in line, before it, in the formula's one function: a
+value builtin gets their values, and a special or reference builtin the
+formula too and, if it reads one, the reference its first argument
+denotes, whose value is then not emitted (:meth:`_Compiler.call`). A node
+nested deeper than :data:`MAX_DEPTH` gives ``#VALUE!``, only if it is
+evaluated, and so the limit bounds the emitted nesting too.
 
 A template is bound to the workspace whose ``templates`` made it. A shape
 gives the reference in each of its places one sheet (``Template.sheet_keys``),
@@ -80,14 +80,13 @@ no such path.
 
 One analysis finds the element kernels, once per ``(node, depth)``: a
 ``{...}`` constant and the scalar calls around it, innermost first, each a
-link whose other operands are held. Each link is one comprehension over
+link whose other operands are held, and give no array (:func:`_scalar`),
+so a kernel holds only scalars. Each link is one comprehension over
 the elements the one below it gave: MID at the constant's positions, for
 a constant count, takes slices made once (``functions.mid_slices``), and a
 one-operand link such as VALUE looks a one-digit text up in a table of its
-ten values (``digit_table``). The guards: a held argument that arrives as
-an array (a range, a name, OFFSET or INDIRECT) sends the values already
-read through ``array_lift``, link by link, as nested calls would; one that
-is or gives an error sends its link to the one-array rule
+ten values (``digit_table``). The guard: a held argument that is or gives
+an error sends its link to the one-array rule
 (:func:`gridcalc.functions.lift_elements`). A SUMPRODUCT of kernels of one
 shape reduces their element lists, and an exact MATCH in a one-row or
 one-column constant looks the needle up in an index built at compile time.
@@ -214,9 +213,9 @@ def compile_template(template: formula.Template, workspace: Workspace):
     (source text -> code object) hold that text already. Each reference's
     sheet is resolved here, once, and the workspace's defined names and
     reader (``Workspace.reader``) bound for the reads that resolve theirs.
-    The root is one level deep, each argument or operand one more, but an
-    argument of a special or reference builtin read as a reference costs no
-    level."""
+    The root is one level deep, each argument or operand one more, but the
+    first argument of a special or reference builtin read as a reference
+    costs no level."""
     fn = workspace.compiled[template] = _Compiler(template, workspace).function(template.ast, 1)
     return fn
 
@@ -260,9 +259,9 @@ def _any(test: str, exprs: list) -> str:
 
 class _Compiler:
     """One compilation of a template: its references' places and the cells
-    of each one's sheet (None if there is none), each call's arguments and
-    each node's element kernel, by ``(id of the node, its depth)``, and the
-    code objects to share."""
+    of each one's sheet (None if there is none), each node's element
+    kernel, by ``(id of the node, its depth)``, and the code objects to
+    share."""
 
     def __init__(self, template: formula.Template, workspace: Workspace) -> None:
         self.positions = {id(node): i for i, node in enumerate(template.nodes)}
@@ -270,19 +269,17 @@ class _Compiler:
         self.cells = [None if sheet is None else sheet.cells for sheet in sheets]
         self.codes = workspace.codes
         self.reader = workspace.reader
-        self.argument_lists: dict = {}
         self.kernels: dict = {}
 
-    def function(self, node, depth: int, reference: bool = False):
-        """The function of a formula that gives *node*'s value *depth* deep,
-        or with *reference* its reference; made from its code object, so
-        that its namespace does not hold it. Its namespace holds the
-        workspace's ``reader`` and defined ``names``, neither of which
-        reaches a function, and no cell holds the function either, so a
-        dropped workspace is freed by reference counting."""
+    def function(self, node, depth: int):
+        """The function of a formula that gives *node*'s value *depth* deep;
+        made from its code object, so that its namespace does not hold it.
+        Its namespace holds the workspace's ``reader`` and defined
+        ``names``, neither of which reaches a function, and no cell holds
+        the function either, so a dropped workspace is freed by reference
+        counting."""
         u = _Unit()
-        result = (self.reference(u, node, depth) or u.const(None)) if reference else self.value(u, node, depth)
-        u.lines.append(f"    return {result}\n")
+        u.lines.append(f"    return {self.value(u, node, depth)}\n")
         source = "\n".join(u.lines)
         code = self.codes.get(source)
         if code is None:  # the function's code is a constant of the module's
@@ -323,7 +320,7 @@ class _Compiler:
             if spec.name == "IF":
                 return self.branch(u, node.args, depth)
             if spec.kind == "special":
-                return u.assign(f"{u.const(spec.fn)}(f, {u.const(self.arguments(node, spec, depth))})")
+                return self.call(u, node, spec, depth)
             if spec.kind == "reference":
                 return self.read(u, self.reference(u, node, depth))
             return self.specialised(u, node, spec, depth) or self.strict(u, spec.fn, node.args, depth)
@@ -341,24 +338,27 @@ class _Compiler:
         if isinstance(node, formula.Call):
             spec = _builtin(node)
             if isinstance(spec, functions.Builtin) and spec.kind == "reference":
-                return u.assign(f"{u.const(spec.fn)}(f, {u.const(self.arguments(node, spec, depth))})")
+                return self.call(u, node, spec, depth)
         return None
 
     def read(self, u: _Unit, ref: str) -> str:
         return u.choose(f"type({ref}) is Error", ref, f"reader.read({ref})")
 
-    def arguments(self, node, spec: functions.Builtin, depth: int) -> tuple:
-        """Call *node*'s arguments as :class:`functions.Arg` of *spec*; kept,
-        so that a chain of reference calls compiles in polynomial time."""
-        key = (id(node), depth)
-        args = self.argument_lists.get(key)
-        if args is None:
-            function, reads = self.function, spec.reads_reference
-            args = self.argument_lists[key] = tuple(
-                a if a is formula.OMITTED else functions.Arg(function(a, depth + 1), reads and function(a, depth, True))
-                for a in node.args
-            )
-        return args
+    def call(self, u: _Unit, node, spec: functions.Builtin, depth: int) -> str:
+        """Emit special or reference call *node* of *spec*, *depth* deep:
+        ``fn(f, args, ref)``, where *args* holds each argument's value,
+        emitted one level deeper (``OMITTED`` for an omitted one). If *spec*
+        reads a reference (``Builtin.reads_reference``) and its first
+        argument denotes one, *ref* is that reference, emitted *depth* deep,
+        and the argument's value is None, not emitted; else *ref* is None."""
+        args, ref = node.args, None
+        if spec.reads_reference and args and args[0] is not formula.OMITTED:
+            ref = self.reference(u, args[0], depth)
+        values = [
+            "None" if ref and i == 0 else u.const(a) if a is formula.OMITTED else self.value(u, a, depth + 1)
+            for i, a in enumerate(args)
+        ]
+        return u.assign(f"{u.const(spec.fn)}(f, [{', '.join(values)}], {ref})")
 
     def operands(self, spec: functions.Builtin, args, depth: int, skip=None) -> tuple:
         """The arguments of scalar *spec*, *depth* deep, but the one at
@@ -453,9 +453,10 @@ class _Compiler:
         ``{...}`` constant and its links, innermost first, each a scalar
         call's ``(fn, coercers, operands, position of its array source)``.
         A ``{...}`` literal is a kernel with no links, ``+x`` is *x*'s, and
-        a scalar call whose operands hold exactly one kernel is that kernel
-        and one more link. The constant is coerced here, once, for the
-        innermost link where that succeeds."""
+        a scalar call whose operands hold exactly one kernel, the others
+        giving no array (:func:`_scalar`), is that kernel and one more link.
+        The constant is coerced here, once, for the innermost link where
+        that succeeds."""
         if depth > MAX_DEPTH:
             return None
         key = (id(node), depth)
@@ -469,7 +470,7 @@ class _Compiler:
         elif link is not None:
             spec, args = link
             inner = [i for i, a in enumerate(args) if self.kernel(a, depth + 1) is not None]
-            if len(inner) == 1:
+            if len(inner) == 1 and all(_scalar(a) for j, a in enumerate(args) if j not in inner):
                 (i,) = inner
                 constant, links = self.kernel(args[i], depth + 1)
                 plans, coercers = self.operands(spec, args, depth, i)
@@ -484,35 +485,20 @@ class _Compiler:
     def elements(self, u: _Unit, constant: Array, links: tuple, n_cols: int | None = None) -> str:
         """Emit an element kernel: each link's held arguments, read once,
         then each link (:meth:`link`), for a flat list in row order, or with
-        *n_cols* the array it makes; but if a held argument is an array,
-        the array :func:`_lifted_links` makes of the values read."""
+        *n_cols* the array it makes."""
         flat = tuple(chain.from_iterable(constant.rows))
         out = u.const(flat)
-        if not links:
-            return out
         helds = [[self.operand(u, plan) for plan in plans] for _, _, plans, _ in links]
-        arrays = [h for held in helds for h in held if h not in u.namespace]
-        result = u.temp()
-        if arrays:
-            read = ", ".join(f"[{', '.join(held)}]" for held in helds)
-            u.line(f"if {_any('type({}) is Array', arrays)}:")
-            u.line(f"    {result} = lifted_links({u.const(constant)}, {u.const(links)}, [{read}])")
-            u.line("else:")
-            u.indent += 1
         clean = Error not in map(type, flat)  # no error element to pass by
-        for i, ((fn, coercers, _, k), held) in enumerate(zip(links, helds)):
-            last = i == len(links) - 1 and n_cols is None
-            out = self.link(u, fn, coercers, held, k, out, clean and coercers[k] is None, result if last else None)
+        for (fn, coercers, _, k), held in zip(links, helds):
+            out = self.link(u, fn, coercers, held, k, out, clean and coercers[k] is None)
             clean = False
-        if n_cols is not None:
-            u.line(f"{result} = shaped({out}, {n_cols})")
-        u.indent -= bool(arrays)
-        return result
+        return out if n_cols is None else u.assign(f"shaped({out}, {n_cols})")
 
-    def link(self, u: _Unit, fn, coercers: tuple, held: list, k: int, elements: str, clean: bool, out=None) -> str:
-        """One link of a kernel, into *out*: *fn* over *elements*, at *k*, a
-        raw error element (unless *clean*) staying itself, and *held*
-        coerced once; if one is or gives an error, the one-array rule
+    def link(self, u: _Unit, fn, coercers: tuple, held: list, k: int, elements: str, clean: bool) -> str:
+        """One link of a kernel: *fn* over *elements*, at *k*, a raw error
+        element (unless *clean*) staying itself, and *held* coerced once;
+        if one is or gives an error, the one-array rule
         (:func:`functions.lift_elements`); MID takes constant slices if it
         can, and one operand over a link's values first reads its ``digit_table``."""
         f, known = u.const(fn), u.namespace.get
@@ -523,7 +509,7 @@ class _Compiler:
             if coerce is not None:
                 h = u.assign(f"{u.const(coerce)}({h})")
             elif type(known(h)) is Error:
-                return u.assign(slow, out)
+                return u.assign(slow)
             if h not in u.namespace:
                 checks.append(h)
             args.append(h)
@@ -534,13 +520,12 @@ class _Compiler:
             body, source = f"{args[0]}[e]", u.const(slices)
         elif not held and elements not in u.namespace and (table := functions.digit_table(fn, coercers[0])):
             body = "{0}[e] if e in {0} else {1}".format(u.const(table), body)
-        return u.choose(_any("type({}) is Error", checks), slow, f"[{body} for e in {source}]", out)
+        return u.choose(_any("type({}) is Error", checks), slow, f"[{body} for e in {source}]")
 
     def specialised(self, u: _Unit, node, spec: functions.Builtin, depth: int):
         """Emit value call *node* specialised to its arguments, or give
         None. SUMPRODUCT of kernels of one shape: :func:`functions.sum_of_products`
-        of their element lists, unless one lifted to an array (then the
-        builtin checks the shapes). An exact MATCH in a one-row or
+        of their element lists. An exact MATCH in a one-row or
         one-column constant: the needle's key looked up in its index. INDEX
         whose first argument denotes a reference: the reference, the other
         arguments' values, then the one read :func:`functions.index_reference`
@@ -549,12 +534,8 @@ class _Compiler:
         if spec.fn is functions._fn_sumproduct:
             found = [self.kernel(a, depth + 1) for a in args]
             if None not in found and len({(c.n_rows, c.n_cols) for c, _ in found}) == 1:
-                n_cols = found[0][0].n_cols
                 columns = [self.elements(u, *kernel) for kernel in found]
-                read = [c for c in columns if c not in u.namespace]
-                arrays = ", ".join(f"{c} if type({c}) is Array else shaped({c}, {n_cols})" for c in columns)
-                sumproduct = f"sumproduct([{arrays}])"
-                return u.choose(_any("type({}) is Array", read), sumproduct, f"sum_of_products([{', '.join(columns)}])")
+                return u.assign(f"sum_of_products([{', '.join(columns)}])")
         elif spec.fn is functions._fn_match and len(args) == 3 and depth < MAX_DEPTH:
             lookup, mode = _literal(args[1]), _literal(args[2])
             exact = mode is not _NOT_CONSTANT and to_integer(top_left(mode)) == 0
@@ -633,13 +614,18 @@ def _scalar_link(node):
     return None
 
 
-def _lifted_links(constant: Array, links: tuple, helds: list):
-    """The kernel's chain as nested lifted calls: each link's held values
-    and the array the link below it gives, through :func:`functions.array_lift`."""
-    v = constant
-    for (fn, coercers, _, k), held in zip(links, helds):
-        v = functions.array_lift(fn, coercers, [*held[:k], v, *held[k:]])
-    return v
+def _scalar(node) -> bool:
+    """Whether *node* gives no array: a constant that is not one, a
+    single-cell reference (no cell holds an array), or a scalar builtin or
+    operator over such."""
+    if node is formula.OMITTED or isinstance(node, formula.Literal):
+        return type(_literal(node)) is not Array
+    if isinstance(node, formula.Ref):
+        return type(node.target) is CellAddress
+    if isinstance(node, formula.Unary) and node.op == "+":
+        return _scalar(node.operand)
+    link = _scalar_link(node)
+    return link is not None and all(map(_scalar, link[1]))
 
 
 # What every emitted function reads besides its constants, ``reader`` and
@@ -649,8 +635,8 @@ def _lifted_links(constant: Array, links: tuple, helds: list):
 _NAMESPACE = dict(
     __builtins__=builtins, functions=functions, lifts=frozenset((Array, Error)), Array=Array, Error=Error, BLANK=BLANK,
     index=functions.index_reference, range_values=range_values, reference_at=reference_at, top_left=top_left,
-    to_boolean=to_boolean, shaped=functions.shaped, lift_elements=functions.lift_elements, lifted_links=_lifted_links,
-    sum_of_products=functions.sum_of_products, sumproduct=functions._fn_sumproduct, match_key=functions.match_key,
+    to_boolean=to_boolean, shaped=functions.shaped, lift_elements=functions.lift_elements,
+    sum_of_products=functions.sum_of_products, match_key=functions.match_key,
 )
 
 

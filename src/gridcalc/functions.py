@@ -6,13 +6,14 @@ Four calling conventions, recorded per function in the registry:
   arguments by :func:`array_lift` (as is every operator).
 * ``value``     -- receives only its fully evaluated arguments, as a list;
   a scalar error among them is the result.
-* ``special``   -- receives the formula being evaluated (ROW and COLUMN
-  read its cell) and its arguments compiled but not evaluated
-  (:class:`Arg`): it evaluates the ones it needs (ISBLANK is lazy) or takes
-  the reference one denotes (ROW, ROWS, XADR).
-  The engine compiles each formula shape once, so these are bound once per
-  shape, like every builtin and operator. IF has no function: the engine
-  compiles it to an ``if`` statement, which evaluates only the branch taken.
+* ``special``   -- called as ``fn(f, args, ref)`` with the formula being
+  evaluated (ROW and COLUMN read its cell), each argument's value
+  (``OMITTED`` for an omitted one), and *ref*: for a builtin that reads a
+  reference (``Builtin.reads_reference``), the address, range or error its
+  first argument denotes, whose value is then None; else None. The engine
+  emits the arguments in line, before the call. IF has no function: the
+  engine compiles it to an ``if`` statement, which evaluates only the
+  branch taken.
 * ``reference`` -- like ``special``, but returns a reference (OFFSET,
   INDIRECT): the engine reads its value, or takes the reference itself where
   one is wanted.
@@ -34,12 +35,11 @@ then one held after it, then the first coercion error. That one-array rule
 is written once, in :func:`lift_elements`, which maps it over a list of
 elements: :func:`array_lift` applies it to an array argument, and the
 engine's element kernels apply it link by link to a chain of scalar calls
-around one ``{...}`` constant, with no array between the links. A kernel
-runs each link in line, as one comprehension, unless a held argument is
-or gives an error (then this rule runs) or arrives as an array (then the
-chain lifts through :func:`array_lift`). Several arrays must share one
-shape, else the result is a ``#VALUE!``-filled rectangle of the largest
-extent.
+around one ``{...}`` constant, with no array between the links and none
+among the arguments each link holds. A kernel runs each link in line, as
+one comprehension, unless a held argument is or gives an error (then this
+rule runs). Several arrays must share one shape, else the result is a
+``#VALUE!``-filled rectangle of the largest extent.
 
 Each rule about values is written once: ``BINARY_FNS`` maps every operator
 to its scalar function, and ``Builtin.python``, beside the function, names
@@ -553,38 +553,18 @@ def _fn_address(args):
 # ---------------------------------------------------------------------------
 
 
-class Arg:
-    """A compiled argument of a ``special`` or ``reference`` builtin.
-
-    Each is called on the formula being evaluated, *f*: ``value(f)``
-    evaluates the argument, and ``reference(f)`` gives the reference it
-    denotes: an address or range, an error (an unresolved defined name, or
-    what a reference builtin such as OFFSET gave), or None when it is not a
-    reference expression (a cell or range, a defined name, or a call of a
-    reference builtin). ``reference`` is False for a builtin that never
-    reads it (``Builtin.reads_reference``). An omitted argument is
-    ``OMITTED`` instead.
-    """
-
-    __slots__ = ("value", "reference")
-
-    def __init__(self, value: Callable, reference: Callable) -> None:
-        self.value = value
-        self.reference = reference
+def _fn_isblank(f, args, ref):
+    # an error argument is not blank
+    return args[0] is OMITTED or top_left(args[0]) is None
 
 
-def _fn_isblank(f, args):
-    # evaluated here, not before the call: an error argument is not blank
-    return args[0] is OMITTED or top_left(args[0].value(f)) is None
-
-
-def indirect_ref(f, args):
+def indirect_ref(f, args, ref):
     """Reference named by INDIRECT's text argument, or an error value."""
-    v = None if args[0] is OMITTED else top_left(args[0].value(f))
+    v = None if args[0] is OMITTED else top_left(args[0])
     if isinstance(v, Error):
         return v
     if len(args) == 2 and args[1] is not OMITTED:
-        a1 = to_boolean(top_left(args[1].value(f)))
+        a1 = to_boolean(top_left(args[1]))
         if isinstance(a1, Error):
             return a1
         if not a1:
@@ -608,29 +588,28 @@ def _indirect_target(text: str, workbook: str, sheet: str):
         return Error.REF
 
 
-def offset_ref(f, args):
+def offset_ref(f, args, base):
     """Reference produced by OFFSET's reference arithmetic, or an error."""
-    base = args[0].reference(f) if args[0] is not OMITTED else None
     if isinstance(base, Error):
         return base
     if base is None:
         return Error.VALUE
     if isinstance(base, CellAddress):
         base = RangeRef(base, base)
-    drow = to_integer(None if args[1] is OMITTED else top_left(args[1].value(f)))
+    drow = to_integer(None if args[1] is OMITTED else top_left(args[1]))
     if isinstance(drow, Error):
         return drow
-    dcol = to_integer(None if args[2] is OMITTED else top_left(args[2].value(f)))
+    dcol = to_integer(None if args[2] is OMITTED else top_left(args[2]))
     if isinstance(dcol, Error):
         return dcol
     height = base.n_rows
     width = base.n_cols
     if len(args) >= 4 and args[3] is not OMITTED:
-        height = to_integer(top_left(args[3].value(f)))
+        height = to_integer(top_left(args[3]))
         if isinstance(height, Error):
             return height
     if len(args) == 5 and args[4] is not OMITTED:
-        width = to_integer(top_left(args[4].value(f)))
+        width = to_integer(top_left(args[4]))
         if isinstance(width, Error):
             return width
     if height < 1 or width < 1:
@@ -646,12 +625,11 @@ def offset_ref(f, args):
     return RangeRef(a, a.moved(col + width - 1, row + height - 1))
 
 
-def _fn_position(axis: str, f, args):
+def _fn_position(axis: str, f, args, ref):
     """ROW or COLUMN (*axis* ``row`` or ``column``): the numbers of the
     reference's rows or columns, or of the formula's own cell."""
     if not args or args[0] is OMITTED:
         return float(getattr(f.cell, axis))
-    ref = args[0].reference(f)
     if isinstance(ref, Error):
         return ref
     if ref is None:
@@ -665,25 +643,23 @@ def _fn_position(axis: str, f, args):
     return Array([[n] for n in nums]) if axis == "row" else Array([nums])
 
 
-def _fn_extent(size: str, f, args):
+def _fn_extent(size: str, f, args, ref):
     """ROWS or COLUMNS (*size* ``n_rows`` or ``n_cols``) of a reference or array."""
     if args[0] is OMITTED:
         return Error.VALUE
-    ref = args[0].reference(f)
     if isinstance(ref, Error):
         return ref
     if ref is not None:
         return 1.0 if isinstance(ref, CellAddress) else float(getattr(ref, size))
-    v = args[0].value(f)
+    v = args[0]
     if isinstance(v, Error):
         return v
     return float(getattr(v, size)) if isinstance(v, Array) else 1.0
 
 
-def _fn_xadr(f, args):
+def _fn_xadr(f, args, ref):
     if args[0] is OMITTED:
         return Error.VALUE
-    ref = args[0].reference(f)
     if isinstance(ref, Error):
         return ref
     if ref is None:
@@ -704,11 +680,11 @@ class Builtin:
     (``text``, ``integer``, ``number`` or ``any``, keys of
     :data:`gridcalc.model.COERCERS`); :func:`array_lift` coerces each
     argument by it before ``fn`` runs. A ``special`` or ``reference``
-    builtin whose ``fn`` reads an argument's reference (``Arg.reference``)
-    says so in ``reads_reference``. A two-operand builtin whose value on
-    two floats a Python operator gives names it in ``python``: ``a OP b`` is
-    ``fn(a, b)`` unless the divisor of ``/`` or ``%`` is zero or a number
-    result is infinite.
+    builtin whose ``fn`` reads the reference its first argument denotes
+    (its last parameter) says so in ``reads_reference``. A two-operand
+    builtin whose value on two floats a Python operator gives names it in
+    ``python``: ``a OP b`` is ``fn(a, b)`` unless the divisor of ``/`` or
+    ``%`` is zero or a number result is infinite.
     """
 
     name: str

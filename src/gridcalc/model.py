@@ -726,6 +726,8 @@ class Workspace:
         self.tables: list[Any] = []
         # every cell of every table region, by address sort key -> its table
         self.table_index: dict[tuple, Any] = {}
+        # the address sort key of every table's input cell
+        self.table_inputs: set[tuple] = set()
         # formula templates by (sheet_key, shape), each kept while a formula uses it
         self.templates: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         # the function each template compiled to, kept while the template

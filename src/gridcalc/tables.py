@@ -117,7 +117,9 @@ def declare_table(
 
     The result formulas and input values must already be in place; body
     cells must be empty. Rejected: regions smaller than 2x2, overlap with
-    an existing table, an input cell inside the region or on another sheet.
+    an existing table, an input cell inside the region or on another sheet,
+    and one table's input cell in another's body, whichever is declared
+    first: body cells stay frozen during every call.
     """
     if orientation not in (COLUMN_INPUT, ROW_INPUT):
         raise TableError(f"unknown orientation {orientation!r}")
@@ -145,10 +147,13 @@ def declare_table(
         cell = sheet.cell(addr.row, addr.column)
         if cell is not None and cell.content is not None:
             raise TableError(f"table body cell {addr!r} is not empty")
+        if addr.sort_key in ws.table_inputs:
+            raise TableError(f"table body cell {addr!r} is another table's input cell")
     for addr in body:
         sheet.set_content(addr.row, addr.column, TableBody(table.table_id))
     ws.tables.append(table)
     ws.table_index.update(dict.fromkeys(keys, table))
+    ws.table_inputs.add(input_cell.sort_key)
     return table
 
 

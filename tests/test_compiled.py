@@ -342,8 +342,8 @@ def test_kernel_chain_agrees_with_the_reference_interpreter(source, move):
         assert same_value(compiled, reference), (source, compiled, reference)
 
 
-# a held argument that is an array at run time: the chain is lifted link by
-# link over the values the kernel has already read
+# a held argument that may give an array (a range, a name, OFFSET or
+# INDIRECT): these compile no kernel, and each call lifts as it is nested
 KERNEL_GUARD_PINNED = [
     "MID(C3:C4,{1;2},1)",
     "VALUE(MID(C3:C4,{1;2},1))",
@@ -522,8 +522,9 @@ def test_match_in_a_constant_agrees_with_the_reference_interpreter(needle, looku
         assert same_value(compiled, reference), (source, compiled, reference)
 
 
-# a kernel whose held argument arrives as an array: the values already read
-# go, as arrays, to SUMPRODUCT's own builtin, which checks their shapes
+# an argument that would be a kernel but for a held argument that may give
+# an array: these compile no kernel, and SUMPRODUCT's own builtin checks the
+# shapes of the arrays its arguments give
 SUMPRODUCT_GUARD_PINNED = [
     'SUMPRODUCT(VALUE(MID(C3:C4&"1",{1;2},1)),{1;2})',
     "SUMPRODUCT(VALUE(MID(Span,{1;2;3},1)),{1;2;3})",
@@ -708,13 +709,12 @@ def test_shipped_bodies_reduce_their_constants_without_the_builtins(
     assert (counts["_fn_mid"], counts["_fn_value"]) == (0, value_calls)
 
 
-# each constant is indexed, and coerced for a kernel, once for each depth
-# its node compiles at: XADR reads its OFFSET argument both as a value and
-# as a reference, one level apart, so the MATCH inside compiles twice
+# each constant is indexed, and coerced for a kernel, once: XADR reads its
+# OFFSET argument as a reference only, so the MATCH inside compiles once
 COMPILE_ONCE = [
     ('MATCH(A1,{"a";"b"},0)', 1, 0),
     ('IF(A1,MATCH(A1,{"a";"b"},0),1)', 1, 0),
-    ('XADR(OFFSET(A1,MATCH(B1,{"a";"b"},0),0))', 2, 0),
+    ('XADR(OFFSET(A1,MATCH(B1,{"a";"b"},0),0))', 1, 0),
     ('SUMPRODUCT(VALUE(MID(A2,{1;2;3},1)),{3;2;1})+MATCH(RIGHT(A2),{"0";"X"},0)', 1, 1),
 ]
 

@@ -7,14 +7,20 @@ workspace leaves no garbage cycle behind."""
 
 from __future__ import annotations
 
+import ast
 import gc
+import importlib
 import inspect
 import re
+import sys
+import textwrap
 import weakref
+from pathlib import Path
+from types import FunctionType
 
 import pytest
 
-from gridcalc import engine, formula, functions
+from gridcalc import engine, formula, functions, load_workspace
 from gridcalc.engine import MAX_DEPTH, Engine
 from gridcalc.model import Array, CellAddress, Error, Literal, Workspace, to_number
 from conftest import calls_of, engine_for, evaluated
@@ -111,7 +117,8 @@ def test_each_workspace_compiles_its_own_shapes(compiles):
 
 
 # ---------------------------------------------------------------------------
-# an argument's reference is emitted only for a builtin that reads it
+# a special builtin's arguments are emitted in line, in the formula's one
+# function; an argument's reference only for a builtin that reads it
 # ---------------------------------------------------------------------------
 
 
@@ -119,14 +126,16 @@ def test_isblank_compiles_no_function_for_its_arguments_reference(compiles):
     ws = workspace()
     made = formula.shared_formula('IF(ISBLANK(A2),"",B2)', AT, ws.templates)
     assert evaluated(ws, made) is None  # A2 holds "zz", B2 is blank
-    # the formula's function and the one of A2's value; none gives A2's reference
-    assert len(compiles) == 2
-    assert not any("reference_at(" in source for source in compiles)
+    # the formula's one function, which reads A2's value and not its reference
+    assert len(compiles) == 1
+    assert "reference_at(" not in compiles[0]
     # A2's value is read by its coordinates, the key of its sheet's cells
     assert "k0.get(f.refs[0], BLANK).cached" in compiles[0] and ".row" not in compiles[0]
     row = formula.shared_formula("ROW(A2)", AT, ws.templates)
     assert evaluated(ws, row) == 2.0
-    assert any("= reference_at(k0, f.refs[0])\n" in source for source in compiles[2:])
+    # ROW reads A2's reference and not its value
+    assert len(compiles) == 2
+    assert "= reference_at(k0, f.refs[0])\n" in compiles[1] and ".cached" not in compiles[1]
 
 
 @pytest.mark.parametrize("name", sorted(n for n, b in functions.REGISTRY.items() if b.kind in ("special", "reference")))
@@ -134,8 +143,61 @@ def test_reads_reference_says_whether_the_builtin_reads_one(name):
     spec = functions.REGISTRY[name]
     if spec.fn is None:  # IF, compiled in line
         return
-    body = inspect.getsource(getattr(spec.fn, "func", spec.fn))
-    assert spec.reads_reference == (".reference(f)" in body)
+    fn = getattr(spec.fn, "func", spec.fn)
+    ref = [*inspect.signature(fn).parameters][-1]  # fn(f, args, ref)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    reads = any(type(n) is ast.Name and n.id == ref and type(n.ctx) is ast.Load for n in ast.walk(tree))
+    assert spec.reads_reference == reads
+
+
+# ---------------------------------------------------------------------------
+# an element kernel holds only scalars
+# ---------------------------------------------------------------------------
+
+
+def test_a_kernel_forms_only_where_no_held_argument_gives_an_array():
+    ws = workspace()
+    assert "for e in" in emitted(ws, "VALUE(MID(A2,{1;2},1))")
+    # a held range: no kernel, and so no guard for an array
+    text = emitted(ws, "VALUE(MID(C3:C4,{1;2},1))")
+    assert "for e in" not in text and "lifted_links" not in text
+
+
+# ---------------------------------------------------------------------------
+# each benchmark workload compiles one function per template and, in a
+# steady recalc, calls no other
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("name, templates", [("call-small", 3), ("call-large", 3), ("edit-batch", 20)])
+def test_a_workload_makes_one_function_per_template_and_calls_only_those(name, templates, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays untouched
+    w = importlib.import_module("workloads").WORKLOADS[name](1)
+    for file_name, text in w.files.items():
+        (tmp_path / file_name).write_text(text, encoding="utf-8")
+    made = []
+    monkeypatch.setattr(engine, "FunctionType", lambda *args: made.append(FunctionType(*args)) or made[-1])
+    eng = Engine(load_workspace([tmp_path / file_name for file_name in w.load]))
+    eng.full_recalc()
+    ws = eng.workspace
+    assert len(made) == len(ws.compiled) == templates
+    assert not any("lifted_links" in source or "sumproduct(" in source for source in ws.codes)
+    own = {id(fn.__globals__) for fn in ws.compiled.values()}
+    calls = {True: 0, False: 0}  # by whether a template's function runs
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == "<formula>":
+            calls[id(frame.f_globals) in own] += 1
+
+    sys.setprofile(profile)
+    try:
+        eng.full_recalc()
+    finally:
+        sys.setprofile(None)
+    assert calls[True] > 0 and calls[False] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +305,9 @@ def test_no_emitted_namespace_holds_a_weak_proxy():
     functions_made = [engine.bind(ws, formula.shared_formula(s, AT, ws.templates)) for s in sources]
     assert functions_made[0].__globals__["reader"] is ws.reader
     assert functions_made[0].__globals__["names"] is ws.defined_names
-    seen, stack = set(), list(functions_made)
-    while stack:  # each function, and each argument function its constants hold
-        fn = stack.pop()
-        if id(fn) in seen:
-            continue
-        seen.add(id(fn))
+    for fn in functions_made:
         for v in fn.__globals__.values():
             assert type(v) is not weakref.ProxyType, fn.__globals__
-            for arg in v if type(v) is tuple else ():
-                if type(arg) is functions.Arg:
-                    stack += [f for f in (arg.value, arg.reference) if f]
-    assert len(seen) > len(sources)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from gridcalc.functions import (
     BINARY_FNS,
     NEGATE,
     REGISTRY,
-    Arg,
     array_lift,
     indirect_ref,
     match_index,
@@ -290,7 +289,7 @@ def test_index_block_reconstruction():
 
 def indirect_target(text, at: CellAddress):
     """What INDIRECT(*text*) names from cell *at*."""
-    return indirect_ref(SimpleNamespace(cell=at), [Arg(lambda ctx: text, None)])
+    return indirect_ref(SimpleNamespace(cell=at), [text], None)
 
 
 def named(target) -> list[tuple]:

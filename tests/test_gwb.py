@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gridcalc import Engine, LoadError, dump_sheet, dump_workbook_source, load_workspace
 from gridcalc.model import (
@@ -12,6 +12,7 @@ from gridcalc.model import (
     Literal,
     TableBody,
     Workspace,
+    column_to_letters,
     parse_address,
     values_equal,
 )
@@ -111,6 +112,12 @@ def err(tmp_path, text: str) -> LoadError:
     with pytest.raises(LoadError) as exc:
         load_one(tmp_path, text)
     return exc.value
+
+
+def test_a_table_body_over_an_earlier_tables_input_cell_is_refused_at_its_line(tmp_path):
+    e = err(tmp_path, INPUT_IN_A_LATER_BODY)
+    assert e.line_no == 9  # the second table's declaration
+    assert "D10" in e.message and "input cell" in e.message
 
 
 def test_syntax_error_reports_line(tmp_path):
@@ -531,13 +538,45 @@ _FORMULA_SHAPES = ["{}", "{}+{}", "{}&{}", "SUM({},{})", "IF(ISBLANK({}),0,{})",
 _SOURCE_LITERALS = st.one_of(st.integers(-9, 99).map(str), st.sampled_from(['"x"', '"0123"', '""', '"a b"', "2.5"]))
 
 
+# where a drawn table may stand: regions anchored at distinct corners never
+# overlap; and the input cells it may read, two of them in another table's body
+_TABLE_CORNERS = [(6, 1), (6, 5), (10, 1), (10, 5)]
+_TABLE_INPUTS = ["A2", "A3", "B7", "F11"]
+
+
+@st.composite
+def call_tables(draw, second: str) -> list:
+    """The ``.gwb`` lines of one to three data tables on one sheet, each 2
+    or 3 cells each way, column- or row-input, at distinct corners, on one
+    of a few input cells: its result links, its argument literals, its
+    body's markers and its declaration. A table's body may hold another's
+    input cell, which the load refuses in either order."""
+    lines = []
+    for top, left in draw(st.lists(st.sampled_from(_TABLE_CORNERS), min_size=1, max_size=3, unique=True)):
+        rows, cols = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        by_column, given = draw(st.booleans()), draw(st.sampled_from(_TABLE_INPUTS))
+        links = [given, f'{given}&"!"', f"LEN({given})+[B]{second}!A1", f"SUM({given},C1)", "C2"]
+        marker = f"{{=TABLE(,{given})}}" if by_column else f"{{=TABLE({given},)}}"
+        for r in range(top, top + rows):
+            for c in range(left, left + cols):
+                at = f"{column_to_letters(c)}{r}"
+                if (r == top) != (c == left):  # a result link or an argument
+                    link = (r == top) == by_column
+                    lines.append(f"{at} = {draw(st.sampled_from(links))}" if link else f"{at} : {draw(_SOURCE_LITERALS)}")
+                elif r > top:
+                    lines.append(f"{at} = {marker}")
+        region = f"{column_to_letters(left)}{top}:{column_to_letters(left + cols - 1)}{top + rows - 1}"
+        lines.append(f"table {region} {'colinput' if by_column else 'rowinput'}={given}")
+    return lines
+
+
 @st.composite
 def workspace_sources(draw) -> dict:
     """The ``.gwb`` text of two workbooks, A and B, of one or two sheets
     each: literals in A1:A3 of every sheet, up to three formulas in column
-    C, a defined name per book, and on each book's first sheet one 2x2
-    call table (link B6, argument A7, body B7 with its marker, input A2).
-    A second sheet may be named as a cell or a boolean reads."""
+    C, a defined name per book, and on each book's first sheet one to
+    three data tables (:func:`call_tables`). A second sheet may be named as
+    a cell or a boolean reads."""
     texts, second = {}, draw(st.sampled_from(["Two", "S1", "True"]))
     for book in "AB":
         sheets = ["One", second][: draw(st.integers(1, 2))]
@@ -550,8 +589,7 @@ def workspace_sources(draw) -> dict:
                 terms = st.sampled_from(_formula_terms(book, sheets, row))
                 lines.append(f"C{row} = " + shape.format(*[draw(terms) for _ in range(shape.count("{}"))]))
             if sheet == "One":
-                link = draw(st.sampled_from(["A2", 'A2&"!"', f"LEN(A2)+[B]{second}!A1", "SUM(A2,C1)", "C2"]))
-                lines += [f"B6 = {link}", f"A7 : {draw(_SOURCE_LITERALS)}", "B7 = {=TABLE(,A2)}", "table A6:B7 colinput=A2"]
+                lines += draw(call_tables(second))
         lines.append(f"name N{book} = {draw(st.sampled_from(['One!A1', 'One!A2:A3']))}")
         texts[book] = "\n".join(lines) + "\n"
     return texts
@@ -566,12 +604,26 @@ def _load_books(folder, texts: dict):
     return load_workspace([write(folder, "all.gws", "".join(f"workbook {b} {b}.gwb\n" for b in texts))])
 
 
+# a table whose body holds the input cell of a table declared before it;
+# its dump lists the two the other way round
+INPUT_IN_A_LATER_BODY = (
+    "sheet One\nB20 = D10*2\nA21 : 5\ntable A20:B21 colinput=D10\n"
+    "D9 = A1+1\nE9 = A1+2\nC10 : 7\nC11 : 8\ntable C9:E11 colinput=A1\n"
+)
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(workspace_sources())
+@example({"A": INPUT_IN_A_LATER_BODY, "B": "sheet One\nA1 : 1\n"})
 def test_whole_workspaces_round_trip_through_source_dumps(tmp_path, texts):
-    # each book's dump, loaded again under its own name, dumps to the same
-    # text, and every sheet recalculates to the same values as the original
-    ws1 = _load_books(tmp_path / "drawn", texts)
+    # a workspace that loads: each book's dump, loaded again under its own
+    # name, dumps to the same text, and every sheet recalculates to the
+    # same values as the original
+    try:
+        ws1 = _load_books(tmp_path / "drawn", texts)
+    except LoadError as e:  # a drawn table's input cell in its own region or another's body
+        assert "input cell" in str(e)
+        return
     dumps = {book: dump_workbook_source(ws1, book) for book in texts}
     ws2 = _load_books(tmp_path / "dumped", dumps)
     assert {book: dump_workbook_source(ws2, book) for book in texts} == dumps

@@ -11,6 +11,7 @@ from gridcalc import bench, declare_table, engine, functions
 from gridcalc.engine import Engine, EvalStats, values_equal
 from gridcalc.model import (
     CalcConfig,
+    Cell,
     CellAddress,
     Error,
     Literal,
@@ -127,6 +128,23 @@ def test_declare_rejects_input_in_another_body():
     declare_table(eng.workspace, rng_("A4:B9"), COLUMN_INPUT, at("A2"))
     with pytest.raises(TableError):
         declare_table(eng.workspace, rng_("D4:E5"), COLUMN_INPUT, at("B5"))
+
+
+@pytest.mark.parametrize("body_first", [True, False])
+def test_declare_rejects_an_input_cell_in_a_body_whichever_table_comes_first(body_first):
+    # body cells stay frozen during every call, so no body holds a table's
+    # input cell: not one declared before the body's table, nor after it
+    eng = fresh()
+    eng.set_formula(at("D9"), "A1+1")
+    eng.set_formula(at("B20"), "D10*2")
+    body = (rng_("C9:E11"), at("A1"))
+    reader = (rng_("A20:B21"), at("D10"))  # D10 lies in C9:E11's body
+    first, second = (body, reader) if body_first else (reader, body)
+    declare_table(eng.workspace, first[0], COLUMN_INPUT, first[1])
+    with pytest.raises(TableError, match="input cell"):
+        declare_table(eng.workspace, second[0], COLUMN_INPUT, second[1])
+    assert [t.region for t in eng.workspace.tables] == [first[0]]
+    assert isinstance(eng.workspace.cell(at("D11")), Cell) == body_first  # a body cell, made only if declared
 
 
 def test_row_input_is_the_transpose():
