@@ -10,9 +10,10 @@ A recalculation is one walk (:meth:`Engine.walk`) of one order, made by
 :meth:`Engine.components`: the dirty and volatile formula cells, with
 ``table_recalc=auto`` every data table (see :mod:`gridcalc.tables`), and all
 they reach through dependents, condensed into strongly connected components
-and listed so that what a node reads comes first. The order of the tables
-alone is kept with their plans and reused while the dirty and volatile cells
-lie inside it; any other order is built for its walk. Each cell or cycle of
+and listed so that what a node reads comes first. The order of the tables,
+the volatile cells and all they reach is kept with the plans, so a steady
+recalc builds none; an edit's dirty cells outside it are ordered with what
+they reach outside it, and walked first. Each cell or cycle of
 cells runs when a cell of it needs it, and every table as one call
 (:meth:`Engine.evaluate_table`), each pass running its plan
 (:meth:`Engine.dependents_plan`). A cycle through a table is a recursive
@@ -808,8 +809,8 @@ class Engine:
         """Recalculate, then report the final value of every cell on a cycle,
         a table on one standing for its body cells."""
         self.full_recalc()
-        comps, edges = self.components([*self.graph.precedents, *self.workspace.tables])
-        cyclic = [n for comp in comps if self._is_cyclic(comp, edges) for n in comp]
+        comps, flags, _ = self.components([*self.graph.precedents, *self.workspace.tables])
+        cyclic = [n for comp, is_cycle in zip(comps, flags) if is_cycle for n in comp]
         formulas = self.graph.cells
         cells = [a for n in cyclic for a in ((formulas[n].content.cell,) if type(n) is tuple else n.body_cells())]
         return {a: self.workspace.value(a) for a in cells}
@@ -819,16 +820,18 @@ class Engine:
     def _is_cyclic(self, comp: list, edges: dict) -> bool:
         return len(comp) > 1 or comp[0] in edges.get(comp[0], ())
 
-    def components(self, seeds: Iterable, rng: random.Random | None = None) -> tuple:
-        """The order one recalculation walks, as ``(components, edges)``: the
-        nodes are *seeds* (formula cells and tables) and all they reach
-        through dependents, a table reaching the dependents of its body;
-        each node's edges are what it reads. A cell reads its precedents, a
-        body cell standing for its table; a table reads its result and
-        argument cells and its plan's precedents outside the plan, never its
-        input cell. What a node reads comes first (:meth:`_ordered_components`).
-        The edges' keys are the nodes. :meth:`walk` keeps the order of its
-        tables alone, so a steady recalc builds none.
+    def components(self, seeds: Iterable, rng: random.Random | None = None, stop=()) -> tuple:
+        """The order one recalculation walks, as ``(components, whether each
+        is a cycle, edges)``: the nodes are *seeds* (formula cells and
+        tables) and all they reach through dependents outside *stop*, a
+        table reaching the dependents of its body; each node's edges are
+        what it reads. A cell reads its precedents, a body cell standing
+        for its table; a table reads its result and argument cells and its
+        plan's precedents outside the plan, never its input cell. What a
+        node reads comes first (:meth:`_ordered_components`). The edges'
+        keys are the nodes. :meth:`walk` keeps the order of its tables and
+        the volatile cells, so a steady recalc builds none, and gives an
+        edit's order that kept order's nodes as *stop*.
         """
         g = self.graph
         nodes = set(seeds)
@@ -844,10 +847,11 @@ class Engine:
                 edges.setdefault(node, g.precedents[node])  # a reader's are set by its table
                 reached = g.dependents.get(node, ())
             for d in reached:
-                if d not in nodes:
+                if d not in nodes and d not in stop:
                     nodes.add(d)
                     stack.append(d)
-        return self._ordered_components(nodes, rng, edges), edges
+        comps = self._ordered_components(nodes, rng, edges)
+        return comps, [self._is_cyclic(comp, edges) for comp in comps], edges
 
     def walk(self, needs: set, calls: Iterable, stats: EvalStats, rng: random.Random | None = None) -> None:
         """Walk the :meth:`components` of *needs* and the tables *calls* once,
@@ -855,20 +859,30 @@ class Engine:
         a cell in *needs*; a value that changes puts its dependents in
         *needs*.
 
-        The order of *calls* and all they reach is kept with the plans, keyed
-        by *calls*, and reused while every cell in *needs* lies inside it: it
-        is then the very order *needs* and *calls* would give. Any other
-        order is built afresh and not kept, and so is every order *rng*
-        shuffles. An edit outside the calls' closure costs the order of what
-        it reaches, not of the first recalc's dirty cells."""
+        The order of *calls*, every volatile cell and all they reach is kept
+        with the plans, keyed by *calls*, once a walk needs only volatile
+        cells: a steady recalc then builds no order. While it is kept, the
+        cells of *needs* outside it and what they reach outside it are
+        ordered on their own and walked first. That is a topological order:
+        the kept order holds every reader of its nodes (a table its body's
+        readers), so nothing outside it reads a node inside, and no cell
+        outside is volatile, so each reads only its static precedents.
+        While no order is kept (at the first recalc, and after a formula
+        edit or a new table drops it), a walk that needs a cell that is not
+        volatile builds its whole order and keeps none, as each walk *rng*
+        shuffles does."""
         calls = tuple(calls)
-        order = self._plans.get(calls) if rng is None else None
-        if order is None or not all(a in order[2] for a in needs):  # the edges' keys are the nodes
-            comps, edges = self.components([*needs, *calls], rng)
-            order = comps, [self._is_cyclic(comp, edges) for comp in comps], edges
-            if rng is None and not needs:  # the order of the calls' own closure
-                self._plans[calls] = order
-        comps, cyclic, _ = order
+        kept = self._plans.get(calls) if rng is None else None
+        if kept is None and rng is None and needs <= self.graph.volatile:
+            kept = self._plans[calls] = self.components([*self.graph.volatile, *calls])
+        if kept is None:
+            comps, cyclic, _ = self.components([*needs, *calls], rng)
+        else:  # what needs reaches outside the kept order, then that order
+            comps, cyclic, nodes = kept
+            outside = needs.difference(nodes)  # the edges' keys are the nodes
+            if outside:
+                before, flags, _ = self.components(outside, None, nodes)
+                comps, cyclic = before + comps, flags + cyclic
         for comp, is_cycle in zip(comps, cyclic):
             node = comp[0]
             if is_cycle:

@@ -555,7 +555,7 @@ def _fn_address(args):
 
 def _fn_isblank(f, args, ref):
     # an error argument is not blank
-    return args[0] is OMITTED or top_left(args[0]) is None
+    return top_left(args[0]) is None
 
 
 def indirect_ref(f, args, ref):
@@ -628,7 +628,7 @@ def offset_ref(f, args, base):
 def _fn_position(axis: str, f, args, ref):
     """ROW or COLUMN (*axis* ``row`` or ``column``): the numbers of the
     reference's rows or columns, or of the formula's own cell."""
-    if not args or args[0] is OMITTED:
+    if not args:
         return float(getattr(f.cell, axis))
     if isinstance(ref, Error):
         return ref
@@ -645,8 +645,6 @@ def _fn_position(axis: str, f, args, ref):
 
 def _fn_extent(size: str, f, args, ref):
     """ROWS or COLUMNS (*size* ``n_rows`` or ``n_cols``) of a reference or array."""
-    if args[0] is OMITTED:
-        return Error.VALUE
     if isinstance(ref, Error):
         return ref
     if ref is not None:
@@ -658,8 +656,6 @@ def _fn_extent(size: str, f, args, ref):
 
 
 def _fn_xadr(f, args, ref):
-    if args[0] is OMITTED:
-        return Error.VALUE
     if isinstance(ref, Error):
         return ref
     if ref is None:

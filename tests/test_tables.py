@@ -725,10 +725,10 @@ def test_a_steady_pass_makes_no_context_and_binds_nothing(monkeypatch, mode):
     assert bound == []
 
 
-def test_a_steady_recalc_reuses_the_order_of_its_tables(monkeypatch):
+def test_a_steady_recalc_reuses_the_order_of_its_tables(monkeypatch, demo_engine):
     # the first recalc builds one order and keeps none; a recalc with nothing
-    # dirty keeps the tables' order, and later ones reuse it while what they
-    # need lies inside it; a formula edit drops it with the plans
+    # dirty keeps the tables' order, and later ones reuse it, ordering only
+    # what an edit reaches outside it; a formula edit drops it with the plans
     eng = engine_for("isbn_basic.gwb")
     built = []
     components = Engine.components
@@ -747,6 +747,26 @@ def test_a_steady_recalc_reuses_the_order_of_its_tables(monkeypatch):
     eng.set_formula(batch_addr("E1"), "1")
     assert [orders(), orders(), orders()] == [1, 1, 0]
     assert eng.get_value(batch_addr("B5")) == "valid"
+
+    # demo.gws's calls read their argument blocks through INDIRECT, so each
+    # recalc needs volatile cells: the order is kept with them
+    demo = demo_engine
+    assert demo.graph.volatile
+    assert [orders(demo.full_recalc), orders(demo.full_recalc), orders(demo.full_recalc)] == [1, 1, 0]
+    ordered, ordered_components = [], Engine._ordered_components
+    monkeypatch.setattr(
+        Engine, "_ordered_components", lambda self, nodes, *a: ordered.append(set(nodes)) or ordered_components(self, nodes, *a)
+    )
+    book2 = CellAddress("Book2", "Sheet1", 1, 1)
+    issn_input = parse_address("A2", book2)  # the ISSN call's input: what reads it no volatile cell reaches
+    reach = {a.sort_key for a in demo.set_literal(issn_input, "0378595")} - {issn_input.sort_key}
+    assert [orders(demo.full_recalc), orders(demo.full_recalc)] == [1, 0]
+    assert len(reach) == 6 and ordered == [reach]  # the edit's order holds its reach alone
+    assert demo.get_value(parse_address("[lib]ISSNcheck!A2", book2)) == "0378595"
+    demo.set_formula(parse_address("H1", book2), "1")
+    assert [orders(demo.full_recalc), orders(demo.full_recalc), orders(demo.full_recalc)] == [1, 1, 0]
+    for call in ["F3", "F6"]:  # an ISBN-10 and an ISSN call's verdict
+        assert demo.get_value(parse_address(call, book2)) == "valid"
 
 
 @pytest.mark.parametrize("input_kind", ["blank", "literal", "formula"])
@@ -1016,6 +1036,36 @@ def test_kept_plans_and_orders_follow_edits_between_recalcs(spec, data):
         got = recalc(eng)
         assert_same_grid(got, recalc(Engine(eng.workspace)))
         assert_same_grid(got, recalc(eng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(call_workbooks(cross=True), st.data())
+def test_a_kept_order_walks_as_an_order_built_afresh(spec, data):
+    # literal edits to the inputs, which the INDIRECT cells read, and to the
+    # arguments: an engine that keeps its walk order, ordering only what an
+    # edit reaches outside it, gives the grid and the counts of a twin that
+    # drops its plans and orders before every recalc
+    table_recalc = data.draw(st.sampled_from(["auto", "manual"]))
+    kept, twin = (_build(spec, with_tables=True, table_recalc=table_recalc) for _ in range(2))
+    arguments = [f"A{top + 1 + i}" for top, _, _, args in spec[2] for i in range(len(args))]
+
+    def recalc() -> None:
+        steps = ["full_recalc", "recalc_tables"] if table_recalc == "manual" else ["full_recalc"]
+        for step in steps:
+            twin._plans.clear()
+            got, want = getattr(kept, step)(), getattr(twin, step)()
+            assert replace(got, wall_time=0.0) == replace(want, wall_time=0.0), step
+            assert_same_grid(whole_grid(kept), whole_grid(twin))
+
+    recalc()
+    recalc()
+    cells = st.sampled_from(_INPUTS) | st.sampled_from(arguments)
+    edits = st.tuples(cells, st.none() | st.integers(-5, 5).map(float))
+    for addr, v in data.draw(st.lists(edits, min_size=1, max_size=5)):
+        for eng in (kept, twin):
+            eng.set_literal(at(addr), v)
+        recalc()
+        recalc()
 
 
 @settings(max_examples=60, deadline=None)
